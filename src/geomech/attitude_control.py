@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AntipodalError, ScenarioValidationError
 from .rigid_body import InertiaTensor, _require_finite_vec3
-from .so3 import Array, require_rotation
+from .so3 import Array, cross3, require_rotation
 
 _EYE3 = np.eye(3)
 
@@ -99,12 +99,52 @@ def attitude_error_psi(r: Array, r_d: Array) -> float:
     return 2.0 - np.sqrt(one_plus_tr)
 
 
-def attitude_error_vector(r: Array, r_d: Array) -> Array:
-    """Error vector along the error rotation axis with norm ``sin(angle/2)``."""
-    e, one_plus_tr = _checked_error_matrix(r, r_d)
+def _error_vector(e: Array, one_plus_tr: float) -> Array:
+    """``e_R`` from ``E = R_d^T R`` and ``1 + tr(E)``."""
     return np.array(
         [e[2, 1] - e[1, 2], e[0, 2] - e[2, 0], e[1, 0] - e[0, 1]]
     ) / (2.0 * np.sqrt(one_plus_tr))
+
+
+def _beta(e: Array, one_plus_tr: float, e_r: Array) -> Array:
+    """``beta`` from ``E``, ``1 + tr(E)`` and ``e_R``."""
+    return (2.0 * (e_r[:, None] * e_r) + (one_plus_tr - 1.0) * _EYE3 - e.T) / (
+        2.0 * np.sqrt(one_plus_tr)
+    )
+
+
+def _torque_kernel(
+    e: Array,
+    one_plus_tr: float,
+    omega_d: Array,
+    omega_d_dot: Array,
+    omega: Array,
+    jj: Array,
+    p: Array,
+    f: Array,
+) -> tuple[Array, Array, Array]:
+    """Raw-array torque law shared by :func:`control_torque` and the runner.
+
+    Takes ``E = R_d^T R`` with ``1 + tr(E)`` already checked against
+    ``ANTIPODAL_TOL`` and returns ``(q, e_R, e_Omega)``.
+    """
+    e_r = _error_vector(e, one_plus_tr)
+    transported = e.T @ omega_d  # R^T R_d Omega_d
+    e_om = omega - transported
+    return (
+        cross3(omega, jj @ omega)
+        + jj @ (e.T @ omega_d_dot)
+        - jj @ cross3(omega, transported)
+        - jj @ (p @ (_beta(e, one_plus_tr, e_r) @ e_om))
+        - f @ (omega + p @ e_r - transported),  # F (Omega - Omega_target)
+        e_r,
+        e_om,
+    )
+
+
+def attitude_error_vector(r: Array, r_d: Array) -> Array:
+    """Error vector along the error rotation axis with norm ``sin(angle/2)``."""
+    return _error_vector(*_checked_error_matrix(r, r_d))
 
 
 def angular_velocity_error(r: Array, omega: Array, ref: AttitudeReference) -> Array:
@@ -121,13 +161,7 @@ def omega_target(r: Array, ref: AttitudeReference, gains: AttitudeGains) -> Arra
 def beta_matrix(r: Array, r_d: Array) -> Array:
     """Error-rate factor: ``d(e_R)/dt = beta e_Omega`` along any motion."""
     e, one_plus_tr = _checked_error_matrix(r, r_d)
-    e_r = np.array(
-        [e[2, 1] - e[1, 2], e[0, 2] - e[2, 0], e[1, 0] - e[0, 1]]
-    ) / (2.0 * np.sqrt(one_plus_tr))
-    trace = one_plus_tr - 1.0
-    return (2.0 * np.outer(e_r, e_r) + trace * _EYE3 - e.T) / (
-        2.0 * np.sqrt(one_plus_tr)
-    )
+    return _beta(e, one_plus_tr, _error_vector(e, one_plus_tr))
 
 
 def control_torque(
@@ -147,23 +181,9 @@ def control_torque(
     ``(k_R/4) I``.
     """
     e, one_plus_tr = _checked_error_matrix(r, ref.R_d)
-    sq = np.sqrt(one_plus_tr)
-    e_r = np.array(
-        [e[2, 1] - e[1, 2], e[0, 2] - e[2, 0], e[1, 0] - e[0, 1]]
-    ) / (2.0 * sq)
-    transported = e.T @ ref.Omega_d  # R^T R_d Omega_d
-    e_om = omega - transported
-    om_tar = -gains.P @ e_r + transported
-    trace = one_plus_tr - 1.0
-    beta = (2.0 * np.outer(e_r, e_r) + trace * _EYE3 - e.T) / (2.0 * sq)
-    jj = inertia.j
-    return (
-        np.cross(omega, jj @ omega)
-        + jj @ (e.T @ ref.Omega_d_dot)
-        - jj @ np.cross(omega, transported)
-        - jj @ (gains.P @ (beta @ e_om))
-        - gains.F @ (omega - om_tar)
-    )
+    return _torque_kernel(
+        e, one_plus_tr, ref.Omega_d, ref.Omega_d_dot, omega, inertia.j, gains.P, gains.F
+    )[0]
 
 
 def storage_function(

@@ -115,6 +115,10 @@ def main(argv=None) -> int:
     if scenario is None:
         return EXIT_INVALID
     if args.command == "compare":
+        if scenario.initial is None:
+            print(f"error: compare needs a rigid-body scenario, got kind "
+                  f"{scenario.kind!r}", file=sys.stderr)
+            return EXIT_INVALID
         scenario = dataclasses.replace(scenario, kind="integrator_compare")
 
     try:

@@ -29,7 +29,7 @@ from .attitude_control import (
 from .errors import DegenerateHeadingError, ScenarioValidationError, ZeroForceError
 from .rigid_body import QuadrotorParams, QuadrotorState
 from .references import TrajectoryReference
-from .so3 import Array, log_so3
+from .so3 import Array, cross3, log_so3
 
 # re-exported: the vehicle constants live with the plant model
 __all__ = [
@@ -124,7 +124,7 @@ def commanded_attitude(force_cmd: Array, b_1d: Array) -> Array:
             f"heading hint within {proj_norm:.1e} rad of the thrust axis"
         )
     b1 = proj / proj_norm
-    b2 = np.cross(b3, b1)
+    b2 = cross3(b3, b1)
     return np.column_stack([b1, b2, b3])
 
 

@@ -99,13 +99,14 @@ def euler_321_reference(t: float, coeffs: Euler321Coeffs) -> AttitudeReference:
     return AttitudeReference(r, omega, omega_dot)
 
 
-def gimbal_proximity(t: float, coeffs: Euler321Coeffs, tol: float = GIMBAL_TOL) -> bool:
+def gimbal_proximity(t, coeffs: Euler321Coeffs, tol: float = GIMBAL_TOL):
     """True when the pitch signal is within ``tol`` of +-90 degrees.
 
-    The reference itself stays well defined there (nothing is inverted);
+    ``t`` may be a scalar or an array of times (elementwise result).  The
+    reference itself stays well defined there (nothing is inverted);
     runners record this as a diagnostic, never as an error.
     """
-    pitch = coeffs.pitch.eval(float(t))[0]
+    pitch = coeffs.pitch.eval(t)[0]
     return abs(abs(np.remainder(pitch + np.pi / 2, np.pi) - np.pi / 2) - np.pi / 2) < tol
 
 

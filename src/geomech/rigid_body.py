@@ -157,7 +157,7 @@ def attitude_rhs(
     if potential_moment is not None:
         m = m + potential_moment(t)
     t_dot = t @ hat(w)
-    w_dot = inertia.j_inv @ (m - np.cross(w, inertia.j @ w))
+    w_dot = inertia.j_inv @ (m - cross3(w, inertia.j @ w))
     return t_dot, w_dot
 
 
@@ -182,7 +182,7 @@ def quadrotor_rhs(
     v_dot = params.gravity_vector + (state.R @ f_body) / params.mass
     R_dot = state.R @ hat(state.Omega)
     jj = params.inertia
-    Omega_dot = jj.j_inv @ (m_body - np.cross(state.Omega, jj.j @ state.Omega))
+    Omega_dot = jj.j_inv @ (m_body - cross3(state.Omega, jj.j @ state.Omega))
     return r_dot, v_dot, R_dot, Omega_dot
 
 
@@ -283,7 +283,7 @@ def _quadrotor_rk4_core(
             vi,
             grav + (Ri @ f_body) / mass,
             Ri @ hat(Oi),
-            jinv @ (m_body - np.cross(Oi, jj @ Oi)),
+            jinv @ (m_body - cross3(Oi, jj @ Oi)),
         )
 
     k1 = deriv(r, v, R, Om)

@@ -62,7 +62,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _vi_fast
 from .errors import DegenerateMeanError, NoConvergenceError
 from .rigid_body import InertiaTensor, RigidBodyState
 from .so3 import SMALL_ANGLE, Array, cross3, exp_so3, hat, log_so3, tilde
@@ -494,44 +493,19 @@ def simulate(
     moment_fn: MomentFn | None,
     cfg: IntegratorConfig,
     t_final: float,
-    force_python: bool = False,
 ) -> TimeSeries:
     """Repeatedly apply :func:`vi_step` and record the trajectory.
 
     Columns: time, the nine attitude entries, body rates, kinetic energy
     ``H``, spatial momentum ``Pi``, the orthogonality defect, and per-step
     Newton diagnostics.  ``t_final = 0`` yields the single initial record.
-    Unforced runs go through a compiled step loop when numba is available
-    (``force_python`` selects the interpreted reference path).
+    Each step runs :func:`vi_step`; a solver failure is re-raised with the
+    step index and time.
     """
     dt = cfg.dt
     n_steps = int(round(t_final / dt)) if t_final > 0.0 else 0
     t_mat = np.asarray(initial.T, dtype=float)
     omega = np.asarray(initial.omega, dtype=float)
-
-    if moment_fn is None and _vi_fast.HAVE_NUMBA and not force_python and n_steps > 0:
-        t_hist, w_hist, iters_h, res_h, status, bad_step = _vi_fast.run_free_body(
-            np.ascontiguousarray(t_mat),
-            np.ascontiguousarray(omega),
-            np.ascontiguousarray(inertia.j),
-            np.ascontiguousarray(inertia.j_inv),
-            dt,
-            n_steps,
-            cfg.newton_tol,
-            cfg.max_iters,
-            cfg.step_measure == "chord",
-        )
-        if status == 1:
-            raise NoConvergenceError(
-                f"step {bad_step} (t={bad_step * dt:.6g}): Newton failed to reach "
-                f"tolerance {cfg.newton_tol:.1e}"
-            )
-        if status == 2:
-            raise DegenerateMeanError(
-                f"step {bad_step} (t={bad_step * dt:.6g}): relative rotation is "
-                "(numerically) at pi; reduce dt"
-            )
-        return _trajectory_series(t_hist, w_hist, iters_h, res_h, dt, inertia)
 
     t_hist = np.empty((n_steps + 1, 3, 3))
     w_hist = np.empty((n_steps + 1, 3))

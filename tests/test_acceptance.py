@@ -55,7 +55,7 @@ def free_body_compare():
     """Criterion 1-3 run: both integrators, J=diag(3,2,1), w0=(1,1,1),
     dt=0.01, 100 s, with wall time."""
     sc = load_scenario("integrator_compare")
-    # warm any JIT caches so the timed run measures integration, not compilation
+    # warm up once so the timed run measures integration, not first-call costs
     run(dataclasses.replace(sc, t_final=0.05))
     start = time.perf_counter()
     series, metrics = run(sc)

@@ -4,13 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from geomech.attitude_control import control_torque
 from geomech.cli import main
-from geomech.runner import (
-    _run_attitude_track,
-    run,
-    settling_time,
-    steady_state_value,
-)
+from geomech.references import euler_321_reference
+from geomech.rigid_body import rk4_attitude_step
+from geomech.runner import run, settling_time, steady_state_value
 from geomech.scenario import parse_scenario
 from geomech.timeseries import parse_csv_bytes
 
@@ -68,9 +66,9 @@ def test_attitude_track_columns_and_storage():
     assert metrics.orthogonality_defect_max < 1e-12
 
 
-def test_attitude_fast_and_numpy_paths_agree():
-    # benign case (no antipodal crossing): the compiled and interpreted loops
-    # must agree to rounding
+def test_attitude_run_uses_the_public_torque_law_and_rk4_step():
+    # benign case (no antipodal crossing): stepping rk4_attitude_step with
+    # control_torque reproduces the runner's closed loop
     doc = {
         "kind": "attitude_track",
         "dt": 1e-3,
@@ -80,12 +78,48 @@ def test_attitude_fast_and_numpy_paths_agree():
         "reference": {"roll": [0.4, 0.3], "pitch": [0.1, 0.0, 0.05], "yaw": [0.0, 0.2]},
     }
     sc = parse_scenario(json.dumps(doc))
-    fast, _ = _run_attitude_track(sc)
-    ref, _ = _run_attitude_track(sc, force_numpy=True)
-    for name in fast.columns:
-        np.testing.assert_allclose(
-            fast.column(name), ref.column(name), atol=1e-9, err_msg=name
-        )
+    series, _ = run(sc)
+    coeffs, gains, inertia = sc.euler_coeffs, sc.attitude_gains, sc.inertia
+
+    def torque(t, r, w):
+        return control_torque(r, w, euler_321_reference(t, coeffs), inertia, gains)
+
+    state = sc.initial
+    n = len(series)
+    r_hist, w_hist, q_hist = np.empty((n, 3, 3)), np.empty((n, 3)), np.empty((n, 3))
+    for k in range(n):
+        r_hist[k], w_hist[k] = state.T, state.omega
+        q_hist[k] = torque(k * sc.dt, state.T, state.omega)
+        if k < n - 1:
+            state = rk4_attitude_step(state, inertia, torque, k * sc.dt, sc.dt)
+    for i in range(3):
+        for j in range(3):
+            np.testing.assert_allclose(series.column(f"R{i}{j}"), r_hist[:, i, j],
+                                       atol=1e-9, rtol=0.0)
+    for a, ax in enumerate("xyz"):
+        np.testing.assert_allclose(series.column(f"w_{ax}"), w_hist[:, a],
+                                   atol=1e-9, rtol=0.0)
+        np.testing.assert_allclose(series.column(f"q_{ax}"), q_hist[:, a],
+                                   atol=1e-9, rtol=0.0)
+
+
+def test_cli_antipodal_start_exits_3_without_outputs(tmp_path, capsys):
+    doc = {
+        "kind": "attitude_track",
+        "dt": 1e-3,
+        "t_final": 0.1,
+        "inertia": [3.0, 2.0, 1.0],
+        "initial": {"T": None},
+        "reference": {"roll": [np.pi, 0.0, 0.0]},
+    }
+    path = tmp_path / "antipodal.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "step 0 (t=0)" in err
+    assert not out_dir.exists()
 
 
 def test_quad_track_run_and_columns():
@@ -176,3 +210,11 @@ def test_cli_solver_failure_exit_code(tmp_path):
     path = tmp_path / "blowup.json"
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
+
+
+def test_cli_compare_rejects_quad_scenario(tmp_path, capsys):
+    code = main(["compare", "scenarios/quad_track.json", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "quad_track" in err
+    assert list(tmp_path.iterdir()) == []
