@@ -15,14 +15,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .errors import (
-    AntipodalError,
-    DegenerateMeanError,
-    GeomechError,
-    NoConvergenceError,
-    ScenarioParseError,
-    ScenarioValidationError,
-)
+from .errors import GeomechError, ScenarioParseError, ScenarioValidationError, SolverError
 from .runner import run, write_outputs
 from .scenario import parse_scenario
 
@@ -123,7 +116,7 @@ def main(argv=None) -> int:
 
     try:
         series, metrics = run(scenario)
-    except (NoConvergenceError, DegenerateMeanError, AntipodalError) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except GeomechError as exc:

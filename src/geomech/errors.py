@@ -15,7 +15,11 @@ class NotSkewError(GeomechError):
     """Matrix passed to ``vee`` is not skew-symmetric within tolerance."""
 
 
-class DegenerateMeanError(GeomechError):
+class SolverError(GeomechError):
+    """A run failed after its inputs validated (CLI exit code 3)."""
+
+
+class DegenerateMeanError(SolverError):
     """Rotation pair is (numerically) antipodal; the polar mean is undefined."""
 
 
@@ -23,11 +27,11 @@ class SingularInputError(GeomechError):
     """Matrix is singular or orientation-reversing; no polar rotation factor."""
 
 
-class NoConvergenceError(GeomechError):
+class NoConvergenceError(SolverError):
     """Implicit solver failed to reach the requested residual tolerance."""
 
 
-class AntipodalError(GeomechError):
+class AntipodalError(SolverError):
     """Attitude error is at 180 degrees, where the control law is undefined."""
 
 

@@ -23,15 +23,27 @@ the induced velocity uses the closed form
 ``nu1 = sqrt(V^2/2 + sqrt((V^2/2)^2 + (W / (2 rho A))^2))``, which grows
 with horizontal speed.  Both follow the source model as printed; see the
 package README for the caveats.
+
+Two inversions close the model.  The static hover relation is quadratic in
+the tip speed, so :func:`hover_rotor_speed` returns its positive root in
+closed form.  The coupled induced velocity (the load fed to momentum theory
+equals the blade-element thrust) is a scalar root that
+:func:`rotor_wrench` finds by bracketed Newton with the analytic slope.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScenarioValidationError, ZeroRotorSpeedError
+from .errors import NoConvergenceError, ScenarioValidationError, ZeroRotorSpeedError
+
+# per-rotor thrust range of the actuator, as fractions of the hover share
+HOVER_THRUST_MIN_FRAC = 1e-3
+HOVER_THRUST_MAX_FRAC = 6.0
+_MAX_LOAD_ITERS = 100
 
 
 @dataclass
@@ -80,8 +92,8 @@ class AirState:
     ``v_horiz`` is the horizontal airspeed ``sqrt(xdot^2 + ydot^2)``,
     ``z_dot`` the inertial vertical rate (z-up), ``omega_rotor`` the shaft
     speed, and ``weight_supported`` the load used for the induced-velocity
-    computation (the static share, or the initial guess of the coupled
-    fixed point).
+    computation (the static share, or the starting load of the coupled
+    solve).
     """
 
     rho: float = 1.225
@@ -111,23 +123,27 @@ class RotorWrench:
 
 def induced_velocity(air: AirState, geom: RotorGeometry) -> float:
     """Momentum-theory induced velocity at the disk (m/s)."""
-    half_v2 = 0.5 * air.v_horiz**2
-    loading = air.weight_supported / (2.0 * air.rho * geom.disk_area)
-    return float(np.sqrt(half_v2 + np.sqrt(half_v2**2 + loading**2)))
+    return _induced(0.5 * air.v_horiz**2, air.weight_supported / (2.0 * air.rho * geom.disk_area))
+
+
+def _induced(half_v2: float, loading: float) -> float:
+    return math.sqrt(half_v2 + math.sqrt(half_v2**2 + loading**2))
+
+
+def _tip_speed(air: AirState, geom: RotorGeometry) -> float:
+    if not air.omega_rotor > 0.0:
+        raise ZeroRotorSpeedError("omega_rotor must be > 0")
+    return air.omega_rotor * geom.radius
 
 
 def inflow_ratio(air: AirState, geom: RotorGeometry, nu1: float) -> float:
     """``(nu1 - z_dot) / (Omega R)``; climbing (z_dot > nu1) makes it negative."""
-    if not air.omega_rotor > 0.0:
-        raise ZeroRotorSpeedError("omega_rotor must be > 0")
-    return (nu1 - air.z_dot) / (air.omega_rotor * geom.radius)
+    return (nu1 - air.z_dot) / _tip_speed(air, geom)
 
 
 def advance_ratio(air: AirState, geom: RotorGeometry) -> float:
     """``V / (Omega R)``."""
-    if not air.omega_rotor > 0.0:
-        raise ZeroRotorSpeedError("omega_rotor must be > 0")
-    return air.v_horiz / (air.omega_rotor * geom.radius)
+    return air.v_horiz / _tip_speed(air, geom)
 
 
 def thrust_coefficient(geom: RotorGeometry, lam: float, mu: float) -> float:
@@ -164,87 +180,98 @@ def rotor_wrench(
     """Dimensional rotor loads at the given flight condition.
 
     With ``coupled=True`` (default) the induced velocity and the thrust are
-    solved self-consistently: the disk loading that feeds the momentum
-    theory is the thrust the blade model returns, iterated to 1e-8 with
-    damping from ``air.weight_supported`` as the starting guess.  With
-    ``coupled=False`` the static loading ``air.weight_supported`` is used
-    directly.
+    solved self-consistently (:func:`_coupled_load`, starting from
+    ``air.weight_supported``).  With ``coupled=False`` the static loading
+    ``air.weight_supported`` is used directly.
     """
-    if not air.omega_rotor > 0.0:
-        raise ZeroRotorSpeedError("omega_rotor must be > 0")
-    mu = advance_ratio(air, geom)
-    pressure = air.rho * geom.disk_area * (air.omega_rotor * geom.radius) ** 2
-
-    def thrust_at(load: float) -> tuple[float, float]:
-        nu1 = induced_velocity(
-            AirState(air.rho, air.v_horiz, air.z_dot, air.omega_rotor, load), geom
-        )
-        lam = inflow_ratio(air, geom, nu1)
-        return thrust_coefficient(geom, lam, mu) * pressure, lam
-
-    if coupled:
-        load = air.weight_supported
-        lam = 0.0
-        for _ in range(100):
-            thrust, lam = thrust_at(load)
-            if abs(thrust - load) < 1e-8:
-                load = thrust
-                break
-            load = load + 0.5 * (thrust - load)
-        else:
-            raise ZeroRotorSpeedError(
-                f"induced-velocity fixed point failed to converge (last load {load!r})"
-            )
-        thrust = load
-    else:
-        thrust, lam = thrust_at(air.weight_supported)
-
+    tip = _tip_speed(air, geom)
+    mu = air.v_horiz / tip
+    pressure = air.rho * geom.disk_area * tip**2
+    load = _coupled_load(geom, air, tip, pressure) if coupled else air.weight_supported
+    nu1 = _induced(0.5 * air.v_horiz**2, load / (2.0 * air.rho * geom.disk_area))
+    lam = (nu1 - air.z_dot) / tip
     return RotorWrench(
-        thrust=thrust,
+        thrust=thrust_coefficient(geom, lam, mu) * pressure,
         h_force=hub_force_coefficient(geom, lam, mu) * pressure,
         torque_shaft=torque_coefficient(geom, lam, mu) * pressure * geom.radius,
         roll_moment=roll_moment_coefficient(geom, lam, mu) * pressure * geom.radius,
     )
 
 
-def hover_rotor_speed(geom: RotorGeometry, thrust: float, rho: float) -> float:
-    """Shaft speed delivering ``thrust`` in static hover (V = z_dot = 0).
-
-    Inverts the static model ``thrust = C_T(lambda_h) rho A (Omega R)^2``
-    with ``lambda_h = sqrt(thrust / (2 rho A)) / (Omega R)``; this is the
-    calibration an ideal speed controller would apply.
+def _coupled_load(geom: RotorGeometry, air: AirState, tip: float, pressure: float) -> float:
+    """Load ``L`` that the blade model returns as thrust: root of
+    ``r(L) = C - k nu1(L) - L``, where ``C`` is the thrust at ``nu1 = 0`` and
+    ``k = sigma a rho A Omega R / 4``, by Newton with the analytic slope
+    ``-1 - k nu1'(L)``.  ``nu1`` is even in ``L`` and increasing for ``L > 0``,
+    so if ``r(0) = C - k V > 0`` the root is the unique positive one, in
+    ``[0, C]``; otherwise it lies in ``[-(a + sqrt(-r(0)))^2, 0]`` with
+    ``a = k / sqrt(2 rho A)``, since ``nu1(L) <= V + sqrt(|L| / (2 rho A))``.
+    Steps that leave the bracket bisect it instead.
     """
-    from scipy.optimize import brentq
+    two_rho_a = 2.0 * air.rho * geom.disk_area
+    half_v2 = 0.5 * air.v_horiz**2
+    k = 0.25 * geom.solidity * geom.lift_slope * air.rho * geom.disk_area * tip
+    c = thrust_coefficient(geom, -air.z_dot / tip, air.v_horiz / tip) * pressure
+    r0 = c - k * air.v_horiz
+    lo, hi = (0.0, c) if r0 > 0.0 else (-(k / math.sqrt(two_rho_a) + math.sqrt(-r0)) ** 2, 0.0)
+    tol = 1e-12 * (hi - lo)
+    load = min(max(air.weight_supported, lo), hi)
+    for _ in range(_MAX_LOAD_ITERS):
+        q = load / two_rho_a
+        s = math.sqrt(half_v2**2 + q * q)
+        nu1 = math.sqrt(half_v2 + s)
+        r = c - k * nu1 - load
+        if r == 0.0:
+            return load
+        lo, hi = (load, hi) if r > 0.0 else (lo, load)
+        # -r'(L) = 1 + k nu1'(L); nu1' is unbounded at V = L = 0
+        drop = 1.0 + k * q / (2.0 * two_rho_a * nu1 * s) if nu1 * s > 0.0 else 0.0
+        new = load + r / drop if drop != 0.0 else load
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - load) <= tol:
+            return new
+        load = new
+    raise NoConvergenceError(
+        f"induced-velocity solve failed to converge (V={air.v_horiz!r}, "
+        f"z_dot={air.z_dot!r}, omega={air.omega_rotor!r}, last load {load!r})"
+    )
 
-    if not thrust > 0.0:
+
+def hover_rotor_speed(geom: RotorGeometry, thrust, rho: float):
+    """Shaft speed delivering ``thrust`` in static hover (V = z_dot = 0); the
+    calibration an ideal speed controller would apply.
+
+    ``thrust = sigma a rho A [b x^2 - nu_h x / 4]``, with ``x = Omega R``,
+    ``b = theta0/6 - theta_tw/8`` and ``nu_h = sqrt(thrust / (2 rho A))``, is
+    quadratic in ``x``; this returns its positive root.  Accepts a scalar
+    (returns a float) or an array of thrusts.
+    """
+    thrust = np.asarray(thrust, dtype=float)
+    if not np.all(thrust > 0.0):
         raise ScenarioValidationError([("thrust", "hover calibration needs thrust > 0")])
-    area = geom.disk_area
-    nu_h = np.sqrt(thrust / (2.0 * rho * area))
-
-    def defect(omega):
-        lam = nu_h / (omega * geom.radius)
-        return thrust_coefficient(geom, lam, 0.0) * rho * area * (omega * geom.radius) ** 2 - thrust
-
-    lo, hi = 1e-3, 1e6
-    return float(brentq(defect, lo, hi, xtol=1e-12, rtol=1e-14))
+    b = geom.theta0 / 6.0 - geom.theta_tw / 8.0
+    if not b > 0.0:
+        raise ScenarioValidationError([("theta_tw", "hover needs theta0/6 - theta_tw/8 > 0")])
+    sa_rho_a = geom.solidity * geom.lift_slope * rho * geom.disk_area
+    nu_q = 0.25 * np.sqrt(thrust / (2.0 * rho * geom.disk_area))
+    omega = (nu_q + np.sqrt(nu_q**2 + 4.0 * b * thrust / sa_rho_a)) / (2.0 * b * geom.radius)
+    return float(omega) if omega.ndim == 0 else omega
 
 
 class HoverCalibration:
-    """Thrust-to-shaft-speed lookup built once per scenario.
+    """Thrust-to-shaft-speed map of one scenario's rotors: per-rotor thrust
+    saturates to the actuator range ``[HOVER_THRUST_MIN_FRAC,
+    HOVER_THRUST_MAX_FRAC] x hover_thrust``, then :func:`hover_rotor_speed`."""
 
-    Dense log-spaced samples of :func:`hover_rotor_speed` interpolated
-    linearly; evaluation is vectorised over the four rotors.
-    """
-
-    def __init__(self, geom: RotorGeometry, rho: float, hover_thrust: float,
-                 lo_frac: float = 1e-3, hi_frac: float = 6.0, n: int = 768):
+    def __init__(self, geom: RotorGeometry, rho: float, hover_thrust: float):
         self.geom = geom
         self.rho = rho
-        self._thrusts = hover_thrust * np.geomspace(lo_frac, hi_frac, n)
-        self._speeds = np.array(
-            [hover_rotor_speed(geom, t, rho) for t in self._thrusts]
-        )
+        self.thrust_range = (HOVER_THRUST_MIN_FRAC * hover_thrust,
+                             HOVER_THRUST_MAX_FRAC * hover_thrust)
+
+    def saturate(self, thrust):
+        return np.clip(thrust, *self.thrust_range)
 
     def __call__(self, thrust):
-        t = np.clip(thrust, self._thrusts[0], self._thrusts[-1])
-        return np.interp(t, self._thrusts, self._speeds)
+        return hover_rotor_speed(self.geom, self.saturate(thrust), self.rho)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attitude_control import _checked_error_matrix, _torque_kernel
-from .errors import AntipodalError
+from .errors import AntipodalError, GeomechError, SolverError
 from .quadrotor import (
     ControllerMemory,
     ROTOR_SPIN,
@@ -38,6 +38,7 @@ from .rotor_aero import (
     HoverCalibration,
     hover_rotor_speed,
     induced_velocity,
+    inflow_ratio,
     rotor_wrench,
     thrust_coefficient,
     torque_coefficient,
@@ -127,27 +128,25 @@ def _free_body_metrics(series: TimeSeries) -> MetricsSummary:
 
 # -------------------------------------------------------- attitude tracking
 
+_ATTITUDE_COLUMNS = (
+    *(f"R{i}{j}" for i in range(3) for j in range(3)), "w_x", "w_y", "w_z",
+    "psi", "e_R_norm", "e_Omega_norm", "q_x", "q_y", "q_z", "V_storage", "ortho_defect",
+)
+
 
 def _attitude_loop_numpy(rd_all, wd_all, wdd_all, sc: Scenario):
     """Closed attitude loop: the shared torque kernel on the shared RK4 core.
 
     The reference samples sit on the half-step grid, so stage time ``t``
-    reads sample ``round(2 t / dt)``.  Returns the recorded histories
-    ``(R, Omega, psi, |e_R|, |e_Omega|, q, V, orthogonality defect)``.  The
-    name is kept because the benchmark's tracer (``perfbench/tracer.py``)
-    and its tests look the loop up as ``runner._attitude_loop_numpy``.
+    reads sample ``round(2 t / dt)``.  Returns one row per step with the
+    columns of ``_ATTITUDE_COLUMNS``.  The name is kept because the
+    benchmark's tracer (``perfbench/tracer.py``) and its tests look the loop
+    up as ``runner._attitude_loop_numpy``.
     """
     dt, inertia, gains = sc.dt, sc.inertia, sc.attitude_gains
     jj, p_g, f_g, s_g, k_r = inertia.j, gains.P, gains.F, gains.S, gains.k_R
     n = (rd_all.shape[0] - 1) // 2
-    r_hist = np.empty((n + 1, 3, 3))
-    w_hist = np.empty((n + 1, 3))
-    psi_h = np.empty(n + 1)
-    er_h = np.empty(n + 1)
-    eom_h = np.empty(n + 1)
-    q_h = np.empty((n + 1, 3))
-    v_h = np.empty(n + 1)
-    ortho_h = np.empty(n + 1)
+    table = np.empty((n + 1, len(_ATTITUDE_COLUMNS)))
     t_mat = np.asarray(sc.initial.T, dtype=float)
     w = np.asarray(sc.initial.omega, dtype=float)
 
@@ -166,19 +165,15 @@ def _attitude_loop_numpy(rd_all, wd_all, wdd_all, sc: Scenario):
             q, one_plus_tr, e_r, e_om = torque(2 * k, t_mat, w)
             err = e_om + p_g @ e_r
             psi = 2.0 - np.sqrt(one_plus_tr)
-            r_hist[k] = t_mat
-            w_hist[k] = w
-            psi_h[k] = psi
-            er_h[k] = np.linalg.norm(e_r)
-            eom_h[k] = np.linalg.norm(e_om)
-            q_h[k] = q
-            v_h[k] = k_r * psi + 0.5 * err @ (s_g @ err)
-            ortho_h[k] = np.linalg.norm(t_mat.T @ t_mat - _EYE3)
+            table[k] = [
+                *t_mat.ravel(), *w, psi, np.linalg.norm(e_r), np.linalg.norm(e_om), *q,
+                k_r * psi + 0.5 * err @ (s_g @ err), np.linalg.norm(t_mat.T @ t_mat - _EYE3),
+            ]
             if k < n:
                 t_mat, w = _attitude_rk4_core(t_mat, w, inertia, stage_torque, k * dt, dt)
     except AntipodalError as exc:
         raise AntipodalError(f"step {k} (t={k * dt:.6g}): {exc}") from None
-    return r_hist, w_hist, psi_h, er_h, eom_h, q_h, v_h, ortho_h
+    return table
 
 
 def _run_attitude_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
@@ -188,25 +183,12 @@ def _run_attitude_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
 
     # reference samples on the half grid cover every RK4 stage time
     t_half = 0.5 * dt * np.arange(2 * n + 1)
-    r_hist, w_hist, psi_h, er_h, eom_h, q_h, v_h, ortho_h = _attitude_loop_numpy(
-        *_euler_321_raw(t_half, coeffs), sc
-    )
-
-    cols: dict[str, np.ndarray] = {"t": t_half[::2].copy()}
-    for i in range(3):
-        for j in range(3):
-            cols[f"R{i}{j}"] = r_hist[:, i, j].copy()
-    for a, ax in enumerate(("x", "y", "z")):
-        cols[f"w_{ax}"] = w_hist[:, a].copy()
-    cols["psi"] = psi_h
-    cols["e_R_norm"] = er_h
-    cols["e_Omega_norm"] = eom_h
-    for a, ax in enumerate(("x", "y", "z")):
-        cols[f"q_{ax}"] = q_h[:, a].copy()
-    cols["V_storage"] = v_h
-    cols["ortho_defect"] = ortho_h
-    cols["gimbal_proximity"] = gimbal_proximity(t_half[::2], coeffs).astype(float)
-
+    table = _attitude_loop_numpy(*_euler_321_raw(t_half, coeffs), sc)
+    t = t_half[::2].copy()
+    cols = {"t": t}
+    # contiguous copies free the table before encoding (lower peak RSS)
+    cols.update((name, table[:, j].copy()) for j, name in enumerate(_ATTITUDE_COLUMNS))
+    cols["gimbal_proximity"] = gimbal_proximity(t, coeffs).astype(float)
     series = TimeSeries(cols)
     psi_col = series.column("psi")
     settle, settled = settling_time(series.t, psi_col)
@@ -228,6 +210,13 @@ def _run_attitude_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
 
 # -------------------------------------------------------- quadrotor tracking
 
+_QUAD_COLUMNS = (
+    *(f"{name}_{ax}" for name in ("r", "v", "Omega", "e_r", "q") for ax in "xyz"),
+    *(f"R{i}{j}" for i in range(3) for j in range(3)),
+    "e_r_norm", "e_v_norm", "psi_cmd", "e_R_norm", "e_Omega_norm", "f",
+    "V_translational", "thrust_negative", "ortho_defect",
+)
+
 
 class _AeroModel:
     """Rotor-level actuation: converts the commanded (thrust, torque) into
@@ -242,43 +231,35 @@ class _AeroModel:
         self.arms = rotor_positions(params.arm_length)
         hover = params.mass * params.g / 4.0
         self.calibration = HoverCalibration(self.geom, self.rho, hover)
-        omega_h = hover_rotor_speed(self.geom, hover, self.rho)
-        nu_h = induced_velocity(
-            AirState(rho=self.rho, weight_supported=hover), self.geom
-        )
-        lam_h = nu_h / (omega_h * self.geom.radius)
+        air = AirState(self.rho, 0.0, 0.0, hover_rotor_speed(self.geom, hover, self.rho), hover)
+        lam_h = inflow_ratio(air, self.geom, induced_velocity(air, self.geom))
         # shaft reaction per unit thrust at the hover operating point
-        self.kappa = (
-            torque_coefficient(self.geom, lam_h, 0.0)
-            * self.geom.radius
-            / thrust_coefficient(self.geom, lam_h, 0.0)
-        )
-        self.thrust_floor = 1e-3
+        self.kappa = (torque_coefficient(self.geom, lam_h, 0.0) * self.geom.radius
+                      / thrust_coefficient(self.geom, lam_h, 0.0))
 
     def wrench(self, state, f_cmd: float, q_cmd: np.ndarray) -> BodyWrench:
-        thrusts = rotor_thrusts(f_cmd, q_cmd, self.params.arm_length, self.kappa)
-        thrusts = np.clip(thrusts, self.thrust_floor, None)
+        thrusts = self.calibration.saturate(
+            rotor_thrusts(f_cmd, q_cmd, self.params.arm_length, self.kappa)
+        )
         omegas = self.calibration(thrusts)
         force = np.zeros(3)
         moment = np.zeros(3)
-        for i in range(4):
-            hub_inertial = state.v + state.R @ cross3(state.Omega, self.arms[i])
-            v_h = float(np.hypot(hub_inertial[0], hub_inertial[1]))
-            air = AirState(
-                self.rho, v_h, float(hub_inertial[2]), float(omegas[i]), float(thrusts[i])
-            )
+        for i, arm in enumerate(self.arms):
+            hub_inertial = state.v + state.R @ cross3(state.Omega, arm)
+            air = AirState(self.rho, float(np.hypot(hub_inertial[0], hub_inertial[1])),
+                           float(hub_inertial[2]), float(omegas[i]), float(thrusts[i]))
             w = rotor_wrench(self.geom, air, coupled=True)
             f_i = np.array([0.0, 0.0, w.thrust])
             m_i = -ROTOR_SPIN[i] * w.torque_shaft * np.array([0.0, 0.0, 1.0])
             in_plane = state.R.T @ hub_inertial
-            in_plane = np.array([in_plane[0], in_plane[1], 0.0])
+            in_plane[2] = 0.0
             norm = np.linalg.norm(in_plane)
             if norm > 1e-9:
                 direction = in_plane / norm
                 f_i = f_i - w.h_force * direction
                 m_i = m_i + ROTOR_SPIN[i] * w.roll_moment * direction
             force += f_i
-            moment += m_i + cross3(self.arms[i], f_i)
+            moment += m_i + cross3(arm, f_i)
         return BodyWrench(force, moment)
 
 
@@ -291,59 +272,35 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     memory = ControllerMemory()
     aero = _AeroModel(sc) if sc.aero.enabled else None
 
-    n_rec = n + 1
-    cols: dict[str, np.ndarray] = {"t": dt * np.arange(n_rec)}
-    vector_groups = [("r", 3), ("v", 3), ("Omega", 3), ("e_r", 3), ("q", 3)]
-    for name, _ in vector_groups:
-        for ax in ("x", "y", "z"):
-            cols[f"{name}_{ax}"] = np.empty(n_rec)
-    for i in range(3):
-        for j in range(3):
-            cols[f"R{i}{j}"] = np.empty(n_rec)
-    for name in (
-        "e_r_norm",
-        "e_v_norm",
-        "psi_cmd",
-        "e_R_norm",
-        "e_Omega_norm",
-        "f",
-        "V_translational",
-        "thrust_negative",
-        "ortho_defect",
-    ):
-        cols[name] = np.empty(n_rec)
+    table = np.empty((n + 1, len(_QUAD_COLUMNS)))
 
-    def record(k, t, f, q, diag):
-        ref = circle_reference(t, coeffs)
-        for vec, name in ((state.r, "r"), (state.v, "v"), (state.Omega, "Omega"),
-                          (diag.e_r, "e_r"), (q, "q")):
-            cols[f"{name}_x"][k], cols[f"{name}_y"][k], cols[f"{name}_z"][k] = vec
-        for i in range(3):
-            for j in range(3):
-                cols[f"R{i}{j}"][k] = state.R[i, j]
-        cols["e_r_norm"][k] = np.linalg.norm(diag.e_r)
-        cols["e_v_norm"][k] = np.linalg.norm(diag.e_v)
-        cols["psi_cmd"][k] = diag.psi_command
-        cols["e_R_norm"][k] = np.linalg.norm(diag.e_R)
-        cols["e_Omega_norm"][k] = np.linalg.norm(diag.e_Omega)
-        cols["f"][k] = f
-        cols["V_translational"][k] = translational_storage(state, ref, gains)
-        cols["thrust_negative"][k] = float(diag.thrust_negative)
-        cols["ortho_defect"][k] = np.linalg.norm(state.R.T @ state.R - _EYE3)
+    def record(k, ref, f, q, diag):
+        table[k] = [
+            *state.r, *state.v, *state.Omega, *diag.e_r, *q, *state.R.ravel(),
+            np.linalg.norm(diag.e_r), np.linalg.norm(diag.e_v), diag.psi_command,
+            np.linalg.norm(diag.e_R), np.linalg.norm(diag.e_Omega), f,
+            translational_storage(state, ref, gains), float(diag.thrust_negative),
+            np.linalg.norm(state.R.T @ state.R - _EYE3),
+        ]
 
-    for k in range(n + 1):
-        t = k * dt
-        ref = circle_reference(t, coeffs)
-        f, q, diag = tracking_step(state, ref, params, gains, att_gains, dt, memory)
-        record(k, t, f, q, diag)
-        if k == n:
-            break
-        if aero is None:
-            state = rk4_quadrotor_step(state, params, f, q, None, dt)
-        else:
-            extra = aero.wrench(state, f, q)
-            state = rk4_quadrotor_step(state, params, 0.0, np.zeros(3), extra, dt)
+    try:
+        for k in range(n + 1):
+            t = k * dt
+            ref = circle_reference(t, coeffs)
+            f, q, diag = tracking_step(state, ref, params, gains, att_gains, dt, memory)
+            record(k, ref, f, q, diag)
+            if k == n:
+                break
+            if aero is None:
+                state = rk4_quadrotor_step(state, params, f, q, None, dt)
+            else:
+                extra = aero.wrench(state, f, q)
+                state = rk4_quadrotor_step(state, params, 0.0, np.zeros(3), extra, dt)
+    except GeomechError as exc:
+        raise SolverError(f"step {k} (t={k * dt:.6g}): {exc}") from None
 
+    cols = {"t": dt * np.arange(n + 1)}
+    cols.update((name, table[:, j]) for j, name in enumerate(_QUAD_COLUMNS))
     series = TimeSeries(cols)
     e_r_norm = series.column("e_r_norm")
     settle, settled = settling_time(series.t, e_r_norm)
@@ -406,10 +363,12 @@ def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     }
     series = TimeSeries(cols)
     metrics = _free_body_metrics(vi_series)
-    h0 = h_vi[0]
+    h0 = abs(h_vi[0])
+    drift = np.abs(h_rk4 - h_rk4[0])
+    # relative drifts are undefined for a body at rest (H0 = 0): null
     metrics.extras = {
-        "rk4_energy_drift_end_rel": float(abs(h_rk4[-1] - h_rk4[0]) / abs(h0)),
-        "rk4_energy_drift_max_rel": float(np.max(np.abs(h_rk4 - h_rk4[0])) / abs(h0)),
+        "rk4_energy_drift_end_rel": float(drift[-1] / h0) if h0 else None,
+        "rk4_energy_drift_max_rel": float(np.max(drift) / h0) if h0 else None,
         "rk4_momentum_drift_max": float(np.max(mom_rk4)),
         "rk4_orthogonality_defect_max": float(np.max(ortho_rk4)),
     }

@@ -7,7 +7,9 @@ files are byte-identical across runs and parse back to the exact values.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -56,7 +58,7 @@ class MetricsSummary:
     settled: bool = False
     steady_state_error: float | None = None
     newton_iters_mean: float | None = None
-    extras: dict[str, float] = field(default_factory=dict)
+    extras: dict[str, float | None] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {
@@ -103,8 +105,22 @@ def metrics_to_json_bytes(metrics: MetricsSummary) -> bytes:
 def write_outputs(
     series: TimeSeries, metrics: MetricsSummary, csv_path, metrics_path
 ) -> None:
-    """Write the CSV time series and JSON metrics summary."""
-    with open(csv_path, "wb") as fh:
-        fh.write(series_to_csv_bytes(series))
-    with open(metrics_path, "wb") as fh:
-        fh.write(metrics_to_json_bytes(metrics))
+    """Write the CSV time series and JSON metrics summary.
+
+    Both payloads are encoded before any file is opened, then written to
+    temporary files beside their targets and renamed into place, so a failed
+    encode or write leaves no partial file behind.
+    """
+    payloads = {
+        Path(csv_path): series_to_csv_bytes(series),
+        Path(metrics_path): metrics_to_json_bytes(metrics),
+    }
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in payloads}
+    try:
+        for path, data in payloads.items():
+            temps[path].write_bytes(data)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)

@@ -1,8 +1,14 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from geomech.errors import ScenarioValidationError, ZeroRotorSpeedError
+from geomech.errors import NoConvergenceError, ScenarioValidationError, ZeroRotorSpeedError
 from geomech.rotor_aero import (
+    HOVER_THRUST_MAX_FRAC,
+    HOVER_THRUST_MIN_FRAC,
     AirState,
     HoverCalibration,
     RotorGeometry,
@@ -237,13 +243,130 @@ def test_hover_fixed_point_consistency():
     assert static.thrust == pytest.approx(wrench.thrust, abs=1e-6)
 
 
+def hover_speed_brentq(geom, thrust, rho):
+    """Bracketed root of the static hover model ``thrust = C_T(lambda_h) rho A
+    (Omega R)^2`` with ``lambda_h = sqrt(thrust / (2 rho A)) / (Omega R)``:
+    the oracle for the closed-form root."""
+    area = geom.disk_area
+    nu_h = np.sqrt(thrust / (2.0 * rho * area))
+
+    def defect(omega):
+        lam = nu_h / (omega * geom.radius)
+        return thrust_coefficient(geom, lam, 0.0) * rho * area * (omega * geom.radius) ** 2 - thrust
+
+    return brentq(defect, 1e-3, 1e6, xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
+
+
+def test_hover_rotor_speed_matches_bracketed_root():
+    for geom in (GEOM, RotorGeometry(radius=0.315, chord=0.03, theta0=0.1, theta_tw=0.07)):
+        for thrust in 10.0 * np.geomspace(1e-4, 10.0, 25):
+            assert hover_rotor_speed(geom, thrust, 1.1) == pytest.approx(
+                hover_speed_brentq(geom, thrust, 1.1), rel=1e-12
+            )
+
+
+def test_hover_rotor_speed_arrays_and_validation():
+    thrusts = np.array([0.5, 2.0, 10.0, 40.0])
+    speeds = hover_rotor_speed(GEOM, thrusts, 1.225)
+    assert speeds.shape == (4,)
+    for t, omega in zip(thrusts, speeds):
+        assert omega == hover_rotor_speed(GEOM, float(t), 1.225)
+    assert isinstance(hover_rotor_speed(GEOM, 2.0, 1.225), float)
+    for bad in (0.0, -1.0, np.array([1.0, 0.0]), float("nan")):
+        with pytest.raises(ScenarioValidationError):
+            hover_rotor_speed(GEOM, bad, 1.225)
+    # theta0/6 - theta_tw/8 <= 0: the blades make no hover thrust at any speed
+    with pytest.raises(ScenarioValidationError):
+        hover_rotor_speed(RotorGeometry(theta0=0.03, theta_tw=0.04), 1.0, 1.225)
+
+
 def test_hover_calibration_lookup():
     weight = 10.0
     cal = HoverCalibration(GEOM, 1.225, weight)
     for t in (0.2 * weight, weight, 3.0 * weight):
         omega = float(cal(t))
-        direct = hover_rotor_speed(GEOM, t, 1.225)
-        assert omega == pytest.approx(direct, rel=2e-4)
+        assert omega == pytest.approx(hover_speed_brentq(GEOM, t, 1.225), rel=1e-12)
+
+
+def test_hover_calibration_clips_to_actuator_range():
+    weight = 10.0
+    cal = HoverCalibration(GEOM, 1.225, weight)
+    lo = hover_speed_brentq(GEOM, HOVER_THRUST_MIN_FRAC * weight, 1.225)
+    hi = hover_speed_brentq(GEOM, HOVER_THRUST_MAX_FRAC * weight, 1.225)
+    assert float(cal(1e-4 * weight)) == pytest.approx(lo, rel=1e-12)
+    assert float(cal(10.0 * weight)) == pytest.approx(hi, rel=1e-12)
+    speeds = cal(np.array([-5.0, 1e-4 * weight, weight, 10.0 * weight]))
+    np.testing.assert_allclose(speeds, [lo, lo, hover_speed_brentq(GEOM, weight, 1.225), hi],
+                               rtol=1e-12)
+
+
+def damped_fixed_point(geom, air, iters=20000):
+    """The damped fixed point ``L <- L + (T_BE(L) - L) / 2`` that the Newton
+    solve replaced, iterated to a relative step of 1e-14; ``None`` when it
+    does not settle."""
+    tip = air.omega_rotor * geom.radius
+    mu = air.v_horiz / tip
+    pressure = air.rho * geom.disk_area * tip**2
+    load = air.weight_supported
+    for _ in range(iters):
+        nu1 = induced_velocity(dataclasses.replace(air, weight_supported=load), geom)
+        thrust = thrust_coefficient(geom, (nu1 - air.z_dot) / tip, mu) * pressure
+        if abs(thrust - load) <= 1e-14 * max(abs(load), 1e-3):
+            return thrust
+        load += 0.5 * (thrust - load)
+    return None
+
+
+def test_coupled_solve_matches_fixed_point_over_runner_envelope():
+    # the runner's states: V <= 5 m/s, z_dot in [-5, 8] m/s, shaft speed from
+    # the calibration's clip range, starting load = the commanded thrust
+    rng = np.random.default_rng(20261018)
+    hover = 4.34 * 9.81 / 4.0
+    agreed = positive_instead = 0
+    for _ in range(1500):
+        thrust = hover * math.exp(rng.uniform(math.log(HOVER_THRUST_MIN_FRAC),
+                                              math.log(HOVER_THRUST_MAX_FRAC)))
+        air = AirState(1.225, rng.uniform(0.0, 5.0), rng.uniform(-5.0, 8.0),
+                       hover_rotor_speed(GEOM, thrust, 1.225), thrust)
+        got = rotor_wrench(GEOM, air).thrust
+        oracle = damped_fixed_point(GEOM, air)
+        if oracle is None:
+            continue
+        if oracle < 0.0 < got:
+            # strong descent: the fixed point settled on a negative root although
+            # r(0) > 0, where the Newton solve returns the unique positive root
+            static = rotor_wrench(GEOM, dataclasses.replace(air, weight_supported=got), False)
+            assert static.thrust == pytest.approx(got, rel=1e-12)
+            positive_instead += 1
+            continue
+        assert got == pytest.approx(oracle, rel=1e-9, abs=1e-15)
+        agreed += 1
+    assert agreed >= 1450 and positive_instead <= 5
+
+
+@pytest.mark.parametrize(
+    "v_horiz,z_dot,omega,start",
+    [
+        (0.0, 0.0, 900.0, 10.0),    # static hover neighbourhood
+        (0.0, -25.0, 150.0, 10.0),  # negative root, V = 0: nu1' unbounded at L = 0
+        (3.0, -12.0, 200.0, 0.01),  # negative root with forward speed
+        (4.0, 6.0, 300.0, 200.0),   # fast climb, start far above the root
+        (0.0, 0.0, 900.0, -3.0),    # negative start, positive root
+    ],
+)
+def test_coupled_solve_is_self_consistent(v_horiz, z_dot, omega, start):
+    air = AirState(1.225, v_horiz, z_dot, omega, start)
+    coupled = rotor_wrench(GEOM, air)
+    static = rotor_wrench(GEOM, dataclasses.replace(air, weight_supported=coupled.thrust),
+                          coupled=False)
+    assert static.thrust == pytest.approx(coupled.thrust, rel=1e-12, abs=1e-14)
+    assert static.torque_shaft == pytest.approx(coupled.torque_shaft, rel=1e-12, abs=1e-14)
+
+
+def test_coupled_solve_non_finite_state_raises():
+    air = AirState(1.225, 1.0, float("nan"), 900.0, 10.0)
+    with pytest.raises(NoConvergenceError):
+        rotor_wrench(GEOM, air)
 
 
 def test_zero_rotor_speed_raises():

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +14,13 @@ from geomech.references import euler_321_reference
 from geomech.rigid_body import rk4_attitude_step
 from geomech.runner import run, settling_time, steady_state_value
 from geomech.scenario import parse_scenario
-from geomech.timeseries import parse_csv_bytes
+from geomech.timeseries import (
+    MetricsSummary,
+    TimeSeries,
+    parse_csv_bytes,
+    series_to_csv_bytes,
+    write_outputs,
+)
 
 
 def load(name, **overrides):
@@ -218,3 +228,59 @@ def test_cli_compare_rejects_quad_scenario(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "quad_track" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_compare_at_rest_reports_null_relative_drifts(tmp_path, capsys):
+    # the shipped attitude scenario starts at rest, so H0 = 0
+    code = main(["compare", "scenarios/attitude_track.json", "--out-dir", str(tmp_path),
+                 "--t-final", "0.1"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "attitude_track_compare.metrics.json").read_bytes())
+    assert doc["rk4_energy_drift_end_rel"] is None
+    assert doc["rk4_energy_drift_max_rel"] is None
+    assert doc["rk4_momentum_drift_max"] == 0.0
+
+
+def test_write_outputs_failed_encode_leaves_no_file(tmp_path):
+    series = TimeSeries({"t": np.arange(3.0), "x": np.ones(3)})
+    csv_path, metrics_path = tmp_path / "run.csv", tmp_path / "run.metrics.json"
+    with pytest.raises(ValueError, match="not finite"):
+        write_outputs(series, MetricsSummary(extras={"bad": float("nan")}),
+                      csv_path, metrics_path)
+    assert list(tmp_path.iterdir()) == []
+    # an earlier output stays as it was
+    csv_path.write_bytes(b"old\n")
+    bad_series = TimeSeries({"t": np.arange(3.0), "é": np.ones(3)})
+    with pytest.raises(UnicodeEncodeError):
+        write_outputs(bad_series, MetricsSummary(), csv_path, metrics_path)
+    assert list(tmp_path.iterdir()) == [csv_path]
+    assert csv_path.read_bytes() == b"old\n"
+    write_outputs(series, MetricsSummary(), csv_path, metrics_path)
+    assert sorted(tmp_path.iterdir()) == [csv_path, metrics_path]
+    assert csv_path.read_bytes() == series_to_csv_bytes(series)
+
+
+def test_cli_quad_divergence_exits_3_without_outputs(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code = main(["run", "scenarios/quad_track.json", "--out-dir", str(out_dir),
+                 "--dt", "0.5", "--t-final", "5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert re.match(r"solver failure: step \d+ \(t=[0-9.e+-]+\): \S", err)
+    assert not out_dir.exists()
+
+
+def test_aero_run_keeps_scipy_unimported(tmp_path):
+    script = (
+        "import sys\n"
+        "from geomech.cli import main\n"
+        f"code = main(['run', 'scenarios/quad_track_aero.json', '--t-final', '0.01',"
+        f" '--out-dir', {str(tmp_path)!r}])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]
