@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -78,13 +79,13 @@ def _load_scenario(path: Path):
 def _apply_overrides(scenario, args):
     updates = {}
     if getattr(args, "dt", None) is not None:
-        if not args.dt > 0.0:
-            print("error: --dt must be > 0", file=sys.stderr)
+        if not (math.isfinite(args.dt) and args.dt > 0.0):
+            print("error: --dt must be finite and > 0", file=sys.stderr)
             return None
         updates["dt"] = args.dt
     if getattr(args, "t_final", None) is not None:
-        if args.t_final < 0.0:
-            print("error: --t-final must be >= 0", file=sys.stderr)
+        if not (math.isfinite(args.t_final) and args.t_final >= 0.0):
+            print("error: --t-final must be finite and >= 0", file=sys.stderr)
             return None
         updates["t_final"] = args.t_final
     aero = getattr(args, "aero", None)

@@ -31,6 +31,11 @@ class NoConvergenceError(SolverError):
     """Implicit solver failed to reach the requested residual tolerance."""
 
 
+class DivergenceError(SolverError):
+    """A stepped state left the domain of the model (non-finite entries, or
+    an attitude that no longer preserves orientation)."""
+
+
 class AntipodalError(SolverError):
     """Attitude error is at 180 degrees, where the control law is undefined."""
 

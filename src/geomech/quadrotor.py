@@ -21,10 +21,8 @@ import numpy as np
 from .attitude_control import (
     AttitudeGains,
     AttitudeReference,
-    angular_velocity_error,
-    attitude_error_psi,
-    attitude_error_vector,
-    control_torque,
+    _checked_error_matrix,
+    _torque_kernel,
 )
 from .errors import DegenerateHeadingError, ScenarioValidationError, ZeroForceError
 from .rigid_body import QuadrotorParams, QuadrotorState
@@ -206,16 +204,21 @@ def tracking_step(
     memory.r_c_prev = r_c
     memory.omega_c_prev = omega_c
 
-    att_ref = AttitudeReference(r_c, omega_c, omega_c_dot)
-    q = control_torque(state.R, state.Omega, att_ref, params.inertia, att_gains)
+    # validates the commanded attitude and rates, as the public torque law's input
+    AttitudeReference(r_c, omega_c, omega_c_dot)
+    e, one_plus_tr = _checked_error_matrix(state.R, r_c)
+    q, e_R, e_Omega = _torque_kernel(
+        e, one_plus_tr, omega_c, omega_c_dot, state.Omega,
+        params.inertia.j, att_gains.P, att_gains.F,
+    )
 
     diagnostics = TrackingDiagnostics(
         e_r=state.r - ref.r_d,
         e_v=state.v - ref.v_d,
         v_minus_v_target=state.v - velocity_target(state.r, ref, gains),
-        psi_command=attitude_error_psi(state.R, r_c),
-        e_R=attitude_error_vector(state.R, r_c),
-        e_Omega=angular_velocity_error(state.R, state.Omega, att_ref),
+        psi_command=2.0 - np.sqrt(one_plus_tr),
+        e_R=e_R,
+        e_Omega=e_Omega,
         thrust_negative=f < 0.0,
         R_c=r_c,
         Omega_c=omega_c,

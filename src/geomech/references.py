@@ -127,7 +127,7 @@ class TrajectoryReference:
         self.b_1d = np.asarray(self.b_1d, dtype=float)
         for name in ("r_d", "v_d", "a_d", "b_1d"):
             v = getattr(self, name)
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
+            if v.shape != (3,) or not np.isfinite(v).all():
                 raise ScenarioValidationError([(name, "must be a finite 3-vector")])
         if abs(np.linalg.norm(self.b_1d) - 1.0) > 1e-9:
             raise ScenarioValidationError([("b_1d", "must be a unit vector")])

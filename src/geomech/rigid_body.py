@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ScenarioValidationError
+from .errors import DivergenceError, ScenarioValidationError
 from .so3 import Array, cross3, hat, polar_project, require_rotation
 
 GRAVITY = 9.81
@@ -28,7 +28,7 @@ _EYE3 = np.eye(3)
 
 def _require_finite_vec3(v, name: str) -> Array:
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
+    if v.shape != (3,) or not np.isfinite(v).all():
         raise ScenarioValidationError([(name, "must be a finite 3-vector")])
     return v
 
@@ -273,29 +273,55 @@ def _quadrotor_rk4_core(
     m_body: Array,
     dt: float,
 ) -> tuple[Array, Array, Array, Array]:
-    """RK4 quadrotor step with inputs held constant over the step (ZOH)."""
+    """RK4 quadrotor step with inputs held constant over the step (ZOH).
+
+    The position derivative is the stage velocity, so stage positions are
+    never formed.  Raises ``DivergenceError`` when the stepped state has a
+    non-finite entry or the stepped attitude has ``det <= 0`` before its
+    projection onto SO(3).
+    """
     grav = params.gravity_vector
     mass = params.mass
     jj, jinv = params.inertia.j, params.inertia.j_inv
+    h = 0.5 * dt
 
-    def deriv(ri, vi, Ri, Oi):
-        return (
-            vi,
-            grav + (Ri @ f_body) / mass,
-            Ri @ hat(Oi),
-            jinv @ (m_body - cross3(Oi, jj @ Oi)),
+    k1v = grav + (R @ f_body) / mass
+    k1R = R @ hat(Om)
+    k1O = jinv @ (m_body - cross3(Om, jj @ Om))
+    v2, R2, O2 = v + h * k1v, R + h * k1R, Om + h * k1O
+    k2v = grav + (R2 @ f_body) / mass
+    k2R = R2 @ hat(O2)
+    k2O = jinv @ (m_body - cross3(O2, jj @ O2))
+    v3, R3, O3 = v + h * k2v, R + h * k2R, Om + h * k2O
+    k3v = grav + (R3 @ f_body) / mass
+    k3R = R3 @ hat(O3)
+    k3O = jinv @ (m_body - cross3(O3, jj @ O3))
+    v4, R4, O4 = v + dt * k3v, R + dt * k3R, Om + dt * k3O
+    k4v = grav + (R4 @ f_body) / mass
+    k4R = R4 @ hat(O4)
+    k4O = jinv @ (m_body - cross3(O4, jj @ O4))
+
+    sixth = dt / 6.0
+    r_new = r + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+    v_new = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    R_new = R + sixth * (k1R + 2.0 * k2R + 2.0 * k3R + k4R)
+    O_new = Om + sixth * (k1O + 2.0 * k2O + 2.0 * k3O + k4O)
+    _require_not_diverged(r_new, v_new, R_new, O_new)
+    return r_new, v_new, _fast_polar(R_new), O_new
+
+
+def _require_not_diverged(r: Array, v: Array, R: Array, Om: Array) -> None:
+    """``DivergenceError`` unless every entry is finite and ``det R > 0``."""
+    if not np.isfinite(np.concatenate((r, v, R.ravel(), Om))).all():
+        bad = [n for n, x in (("r", r), ("v", v), ("R", R), ("Omega", Om))
+               if not np.isfinite(x).all()]
+        raise DivergenceError(f"state diverged: non-finite {', '.join(bad)}")
+    det = np.linalg.det(R)
+    if not det > 0.0:
+        raise DivergenceError(
+            f"state diverged: attitude determinant {det:.3e} is not positive "
+            "before projection"
         )
-
-    k1 = deriv(r, v, R, Om)
-    k2 = deriv(*(x + 0.5 * dt * k for x, k in zip((r, v, R, Om), k1)))
-    k3 = deriv(*(x + 0.5 * dt * k for x, k in zip((r, v, R, Om), k2)))
-    k4 = deriv(*(x + dt * k for x, k in zip((r, v, R, Om), k3)))
-    out = [
-        x + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for x, a, b, c, d in zip((r, v, R, Om), k1, k2, k3, k4)
-    ]
-    out[2] = _fast_polar(out[2])
-    return tuple(out)
 
 
 def rk4_quadrotor_step(

@@ -18,10 +18,12 @@ Scenario kinds
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .attitude_control import _checked_error_matrix, _torque_kernel
-from .errors import AntipodalError, GeomechError, SolverError
+from .errors import AntipodalError, DivergenceError, GeomechError, SolverError
 from .quadrotor import (
     ControllerMemory,
     ROTOR_SPIN,
@@ -32,7 +34,7 @@ from .quadrotor import (
 )
 from .references import _euler_321_raw, circle_reference, gimbal_proximity
 from .rigid_body import BodyWrench, _attitude_rk4_core, rk4_quadrotor_step
-from .so3 import cross3
+from .so3 import hat
 from .rotor_aero import (
     AirState,
     HoverCalibration,
@@ -229,6 +231,9 @@ class _AeroModel:
         self.rho = sc.aero.rho
         self.params = params
         self.arms = rotor_positions(params.arm_length)
+        # per rotor: arm x, arm y (the arms lie in the body x-y plane), spin sign
+        self.rotors = [(ax, ay, spin) for (ax, ay, _), spin
+                       in zip(self.arms.tolist(), ROTOR_SPIN.tolist())]
         hover = params.mass * params.g / 4.0
         self.calibration = HoverCalibration(self.geom, self.rho, hover)
         air = AirState(self.rho, 0.0, 0.0, hover_rotor_speed(self.geom, hover, self.rho), hover)
@@ -241,26 +246,34 @@ class _AeroModel:
         thrusts = self.calibration.saturate(
             rotor_thrusts(f_cmd, q_cmd, self.params.arm_length, self.kappa)
         )
-        omegas = self.calibration(thrusts)
-        force = np.zeros(3)
-        moment = np.zeros(3)
-        for i, arm in enumerate(self.arms):
-            hub_inertial = state.v + state.R @ cross3(state.Omega, arm)
-            air = AirState(self.rho, float(np.hypot(hub_inertial[0], hub_inertial[1])),
-                           float(hub_inertial[2]), float(omegas[i]), float(thrusts[i]))
-            w = rotor_wrench(self.geom, air, coupled=True)
-            f_i = np.array([0.0, 0.0, w.thrust])
-            m_i = -ROTOR_SPIN[i] * w.torque_shaft * np.array([0.0, 0.0, 1.0])
-            in_plane = state.R.T @ hub_inertial
-            in_plane[2] = 0.0
-            norm = np.linalg.norm(in_plane)
+        omegas = hover_rotor_speed(self.geom, thrusts, self.rho)
+        # hub velocities of the four rotors as columns, inertial and body frame
+        hub = state.v[:, None] + state.R @ (hat(state.Omega) @ self.arms.T)
+        body_x, body_y, _ = (state.R.T @ hub).tolist()
+        fx = fy = fz = mx = my = mz = 0.0
+        for (ax, ay, spin), (hx, hy, hz), bx, by, omega, thrust in zip(
+            self.rotors, hub.T.tolist(), body_x, body_y, omegas.tolist(), thrusts.tolist()
+        ):
+            w = rotor_wrench(
+                self.geom, AirState(self.rho, math.hypot(hx, hy), hz, omega, thrust),
+                coupled=True,
+            )
+            # rotor force (-H dx, -H dy, T) and moment spin (R_roll dx, R_roll dy, -Q),
+            # with (dx, dy) the unit in-plane hub velocity in the body frame
+            f_x = f_y = m_x = m_y = 0.0
+            norm = math.hypot(bx, by)
             if norm > 1e-9:
-                direction = in_plane / norm
-                f_i = f_i - w.h_force * direction
-                m_i = m_i + ROTOR_SPIN[i] * w.roll_moment * direction
-            force += f_i
-            moment += m_i + cross3(arm, f_i)
-        return BodyWrench(force, moment)
+                dx, dy = bx / norm, by / norm
+                f_x, f_y = -w.h_force * dx, -w.h_force * dy
+                m_x, m_y = spin * w.roll_moment * dx, spin * w.roll_moment * dy
+            fx += f_x
+            fy += f_y
+            fz += w.thrust
+            # plus arm x f_i, with the arm in the body x-y plane
+            mx += m_x + ay * w.thrust
+            my += m_y - ax * w.thrust
+            mz += -spin * w.torque_shaft + ax * f_y - ay * f_x
+        return BodyWrench(np.array([fx, fy, fz]), np.array([mx, my, mz]))
 
 
 def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
@@ -283,21 +296,27 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
             np.linalg.norm(state.R.T @ state.R - _EYE3),
         ]
 
+    # a floating-point overflow or invalid operation inside a tick means the
+    # state is leaving every finite bound: report it as divergence at that step
     try:
-        for k in range(n + 1):
-            t = k * dt
-            ref = circle_reference(t, coeffs)
-            f, q, diag = tracking_step(state, ref, params, gains, att_gains, dt, memory)
-            record(k, ref, f, q, diag)
-            if k == n:
-                break
-            if aero is None:
-                state = rk4_quadrotor_step(state, params, f, q, None, dt)
-            else:
-                extra = aero.wrench(state, f, q)
-                state = rk4_quadrotor_step(state, params, 0.0, np.zeros(3), extra, dt)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for k in range(n + 1):
+                t = k * dt
+                ref = circle_reference(t, coeffs)
+                f, q, diag = tracking_step(state, ref, params, gains, att_gains, dt, memory)
+                record(k, ref, f, q, diag)
+                if k == n:
+                    break
+                if aero is None:
+                    state = rk4_quadrotor_step(state, params, f, q, None, dt)
+                else:
+                    extra = aero.wrench(state, f, q)
+                    state = rk4_quadrotor_step(state, params, 0.0, np.zeros(3), extra, dt)
+    except (FloatingPointError, OverflowError) as exc:
+        raise DivergenceError(f"step {k} (t={k * dt:.6g}): state diverged: {exc}") from None
     except GeomechError as exc:
-        raise SolverError(f"step {k} (t={k * dt:.6g}): {exc}") from None
+        kind = DivergenceError if isinstance(exc, DivergenceError) else SolverError
+        raise kind(f"step {k} (t={k * dt:.6g}): {exc}") from None
 
     cols = {"t": dt * np.arange(n + 1)}
     cols.update((name, table[:, j]) for j, name in enumerate(_QUAD_COLUMNS))

@@ -12,6 +12,7 @@ at once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,6 +166,9 @@ def parse_scenario(text: bytes | str) -> Scenario:
             value = float(value)
         except (TypeError, ValueError):
             violations.append((name, "must be a number"))
+            return default
+        if not math.isfinite(value):
+            violations.append((name, "must be finite"))
             return default
         if positive and not value > 0.0:
             violations.append((name, "> 0"))
@@ -331,6 +335,10 @@ def parse_scenario(text: bytes | str) -> Scenario:
         except (ScenarioValidationError, TypeError) as exc:
             violations.append(("aero.geometry", str(exc)))
             geom = RotorGeometry()
+        # checked whether or not aero is enabled: `--aero on` can enable it later
+        if not geom.theta0 / 6.0 - geom.theta_tw / 8.0 > 0.0:
+            violations.append(("aero.geometry", "theta0/6 - theta_tw/8 must be > 0 "
+                               "(the blades make no hover thrust at any speed)"))
         rho = float(aero.get("rho", 1.225))
         if not rho > 0.0:
             violations.append(("aero.rho", "> 0"))

@@ -169,7 +169,7 @@ def require_rotation(m: Array, tol: float = 1e-9) -> Array:
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise InvalidRotationError(f"expected shape (3, 3), got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidRotationError("matrix has non-finite entries")
     defect = orthogonality_defect(m)
     if defect > tol:

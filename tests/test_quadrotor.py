@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from geomech.attitude_control import AttitudeGains
+from geomech.attitude_control import (
+    AttitudeGains,
+    AttitudeReference,
+    angular_velocity_error,
+    attitude_error_psi,
+    attitude_error_vector,
+    control_torque,
+)
 from geomech.errors import (
     DegenerateHeadingError,
     ScenarioValidationError,
@@ -25,7 +32,7 @@ from geomech.references import CircleCoeffs, TrajectoryReference, circle_referen
 from geomech.rigid_body import InertiaTensor, QuadrotorState
 from geomech.so3 import is_rotation
 
-from conftest import rot_x, rot_y
+from conftest import random_rotation, rot_x, rot_y
 
 
 def params():
@@ -168,6 +175,29 @@ def test_tracking_step_initial_errors_match_scenario():
     np.testing.assert_allclose(diag.e_v, -ref.v_d, atol=1e-12)
     assert f > 0.0
     assert np.all(np.isfinite(q))
+
+
+def test_tracking_step_matches_the_public_attitude_laws(rng):
+    # the tick takes q, psi, e_R and e_Omega from one error matrix; the
+    # public per-law functions, each forming its own, are the oracle
+    p = params()
+    att_gains = AttitudeGains(P=16.0 * np.eye(3), F=8.0 * p.inertia.j)
+    memory, dt, omega_c_prev = ControllerMemory(), 0.01, None
+    for k in range(6):
+        state = QuadrotorState(rng.normal(size=3), rng.normal(size=3), random_rotation(rng),
+                               rng.normal(size=3))
+        ref = circle_reference(k * dt, CircleCoeffs())
+        f, q, diag = tracking_step(state, ref, p, PositionGains(), att_gains, dt, memory)
+        omega_c_dot = np.zeros(3) if k == 0 else (diag.Omega_c - omega_c_prev) / dt
+        omega_c_prev = diag.Omega_c
+        att_ref = AttitudeReference(diag.R_c, diag.Omega_c, omega_c_dot)
+        np.testing.assert_array_equal(
+            q, control_torque(state.R, state.Omega, att_ref, p.inertia, att_gains))
+        assert diag.psi_command == attitude_error_psi(state.R, diag.R_c)
+        np.testing.assert_array_equal(diag.e_R, attitude_error_vector(state.R, diag.R_c))
+        np.testing.assert_allclose(diag.e_Omega,
+                                   angular_velocity_error(state.R, state.Omega, att_ref),
+                                   atol=1e-14, rtol=0.0)
 
 
 def test_translational_storage_zero_at_perfect_tracking():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geomech.errors import ScenarioValidationError
+from geomech.errors import DivergenceError, ScenarioValidationError
 from geomech.rigid_body import (
     BodyWrench,
     InertiaTensor,
@@ -12,11 +12,12 @@ from geomech.rigid_body import (
     kinetic_energy,
     quadrotor_rhs,
     rk4_attitude_step,
+    rk4_quadrotor_step,
     rk4_step,
     spatial_momentum,
 )
 
-from conftest import random_rotation
+from conftest import polar_newton, random_rotation
 
 
 @pytest.fixture
@@ -173,3 +174,44 @@ def test_rk4_attitude_stays_on_so3(j321):
     for k in range(200):
         s = rk4_attitude_step(s, j321, lambda t, T, w: np.zeros(3), 0.01 * k, 0.01)
     assert np.linalg.norm(s.T.T @ s.T - np.eye(3)) < 1e-13
+
+
+def test_rk4_quadrotor_step_matches_flat_rk4(rng):
+    # oracle: generic rk4_step on the flat 18-vector (r, v, R, Omega) with a
+    # test-local right-hand side, then the polar factor of the attitude
+    p = quad_params()
+    f_body, m_body = np.array([0.3, -0.2, 50.0]), np.array([0.4, -0.1, 0.05])
+    jj, jinv = p.inertia.j, p.inertia.j_inv
+
+    def rhs(t, y):
+        v, rot, om = y[3:6], y[6:15].reshape(3, 3), y[15:]
+        hat_om = np.array([[0.0, -om[2], om[1]], [om[2], 0.0, -om[0]], [-om[1], om[0], 0.0]])
+        return np.concatenate([
+            v, np.array([0.0, 0.0, -p.g]) + rot @ f_body / p.mass, (rot @ hat_om).ravel(),
+            jinv @ (m_body - np.cross(om, jj @ om)),
+        ])
+
+    for _ in range(10):
+        s = QuadrotorState(rng.normal(size=3), rng.normal(size=3), random_rotation(rng),
+                           rng.normal(size=3))
+        dt = rng.uniform(1e-3, 0.05)
+        out = rk4_quadrotor_step(s, p, f_body[2], m_body, BodyWrench(
+            np.array([f_body[0], f_body[1], 0.0]), np.zeros(3)), dt)
+        y = rk4_step(rhs, np.concatenate([s.r, s.v, s.R.ravel(), s.Omega]), 0.0, dt)
+        np.testing.assert_allclose(out.r, y[:3], atol=1e-14, rtol=0.0)
+        np.testing.assert_allclose(out.v, y[3:6], atol=1e-14, rtol=0.0)
+        np.testing.assert_allclose(out.R, polar_newton(y[6:15].reshape(3, 3)), atol=1e-14,
+                                   rtol=0.0)
+        np.testing.assert_allclose(out.Omega, y[15:], atol=1e-14, rtol=0.0)
+
+
+def test_rk4_quadrotor_step_divergence_raises():
+    p = quad_params()
+    # a 10 rad/s roll under a 5 N m yaw moment, one 1 s step: the RK4 attitude
+    # update reverses orientation (for constant Omega its determinant stays > 0)
+    spin = QuadrotorState(np.zeros(3), np.zeros(3), np.eye(3), np.array([10.0, 0.0, 0.0]))
+    with pytest.raises(DivergenceError, match="state diverged: attitude determinant -"):
+        rk4_quadrotor_step(spin, p, 0.0, np.array([0.0, 0.0, 5.0]), None, 1.0)
+    fast = QuadrotorState(np.zeros(3), np.array([1e308, 0.0, 0.0]), np.eye(3), np.zeros(3))
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="non-finite r$"):
+        rk4_quadrotor_step(fast, p, 0.0, np.zeros(3), None, 10.0)

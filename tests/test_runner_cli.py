@@ -1,18 +1,26 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomech.attitude_control import control_torque
 from geomech.cli import main
-from geomech.references import euler_321_reference
-from geomech.rigid_body import rk4_attitude_step
-from geomech.runner import run, settling_time, steady_state_value
+from geomech.quadrotor import ControllerMemory, tracking_step
+from geomech.references import circle_reference, euler_321_reference
+from geomech.rigid_body import rk4_attitude_step, rk4_quadrotor_step
+from geomech.runner import _AeroModel, run, settling_time, steady_state_value
 from geomech.scenario import parse_scenario
 from geomech.timeseries import (
     MetricsSummary,
@@ -143,6 +151,43 @@ def test_quad_track_run_and_columns():
     assert "steady_abs_error_z" in metrics.extras
 
 
+def test_quad_run_uses_the_public_tick_wrench_and_rk4_step():
+    # 200 steps of the aero cascade: tracking_step -> _AeroModel.wrench ->
+    # rk4_quadrotor_step reproduces the runner's closed loop
+    sc = load("quad_track_aero", t_final=0.2)
+    series, _ = run(sc)
+    aero = _AeroModel(sc)
+    state, memory = sc.quad_initial, ControllerMemory()
+    names = [*(f"{v}_{ax}" for v in ("r", "v") for ax in "xyz"),
+             *(f"R{i}{j}" for i in range(3) for j in range(3)),
+             *(f"{v}_{ax}" for v in ("Omega", "q") for ax in "xyz")]
+    n = len(series)
+    assert n == 201
+    rows = np.empty((n, len(names)))
+    for k in range(n):
+        ref = circle_reference(k * sc.dt, sc.circle_coeffs)
+        f, q, _ = tracking_step(state, ref, sc.vehicle, sc.position_gains,
+                                sc.attitude_gains, sc.dt, memory)
+        rows[k] = [*state.r, *state.v, *state.R.ravel(), *state.Omega, *q]
+        if k < n - 1:
+            state = rk4_quadrotor_step(state, sc.vehicle, 0.0, np.zeros(3),
+                                       aero.wrench(state, f, q), sc.dt)
+    for j, name in enumerate(names):
+        np.testing.assert_allclose(series.column(name), rows[:, j], atol=1e-9, rtol=0.0,
+                                   err_msg=name)
+
+
+def test_cli_quad_aero_rerun_byte_identical(tmp_path):
+    outs = []
+    for label in ("a", "b"):
+        out = tmp_path / label
+        assert main(["run", "scenarios/quad_track_aero.json", "--t-final", "0.2",
+                     "--out-dir", str(out)]) == 0
+        outs.append([(out / name).read_bytes()
+                     for name in ("quad_track_aero.csv", "quad_track_aero.metrics.json")])
+    assert outs[0] == outs[1]
+
+
 def test_quad_translational_storage_decreases_once_inner_loop_converged():
     # 0.5 e_r.A e_r + 0.5 ev.C ev is non-increasing per tick whenever the
     # commanded-attitude error is small at both tick endpoints
@@ -269,6 +314,7 @@ def test_cli_quad_divergence_exits_3_without_outputs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert re.match(r"solver failure: step \d+ \(t=[0-9.e+-]+\): \S", err)
+    assert "state diverged" in err
     assert not out_dir.exists()
 
 
@@ -284,3 +330,40 @@ def test_aero_run_keeps_scipy_unimported(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.split()[-2:] == ["0", "False"]
+
+
+# each invalid override (one flag at a time) against sixteen valid draws
+_BAD_OVERRIDES = [("dt", v) for v in (0.0, -0.5, math.inf, math.nan)] + [
+    ("t_final", v) for v in (-1.0, math.inf, math.nan)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    dt=st.floats(-3.0, 0.3).map(lambda e: 10.0**e),  # 1e-3 .. 2 s, log-uniform
+    steps=st.integers(0, 300),
+    bad=st.sampled_from([None] * 16 + _BAD_OVERRIDES),
+    aero=st.sampled_from(["on", "off"]),
+)
+def test_cli_quad_overrides_end_cleanly(dt, steps, bad, aero):
+    # any --dt / --t-final / --aero override ends with a documented exit code,
+    # one stderr line on failure and either both outputs or none; warnings
+    # are errors so nothing but that line could reach stderr
+    values = {"dt": dt, "t_final": steps * dt}
+    if bad is not None:
+        values[bad[0]] = bad[1]
+    argv = ["run", "scenarios/quad_track.json", f"--dt={values['dt']!r}",
+            f"--t-final={values['t_final']!r}", "--aero", aero]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--out-dir", str(out)])
+        files = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+        assert files == ["quad_track.csv", "quad_track.metrics.json"]
+    else:
+        assert len(err.getvalue().strip().splitlines()) == 1
+        assert files == []

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from geomech.cli import main
 from geomech.errors import ScenarioParseError, ScenarioValidationError
 from geomech.scenario import parse_scenario
 
@@ -109,3 +110,25 @@ def test_matrix_forms():
     doc = {"kind": "free_body", "inertia": 2.5}
     sc = parse_scenario(json.dumps(doc))
     np.testing.assert_array_equal(sc.inertia.j, 2.5 * np.eye(3))
+
+
+def test_rotor_geometry_without_hover_thrust_is_a_violation(tmp_path):
+    # theta0/6 - theta_tw/8 <= 0 is refused even with aero disabled, because
+    # `--aero on` can enable the rotor model after validation
+    doc = json.loads(open("scenarios/quad_track.json", "rb").read())
+    assert not doc["aero"]["enabled"]
+    doc["aero"]["geometry"] = {"theta0": 0.02, "theta_tw": 0.04}
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(json.dumps(doc))
+    assert [field for field, _ in err.value.violations] == ["aero.geometry"]
+    path = tmp_path / "no_hover.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("field", ["dt", "t_final"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_timing_is_a_violation(field, value):
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(f'{{"kind": "quad_track", "{field}": {value}}}')
+    assert (field, "must be finite") in err.value.violations
