@@ -17,6 +17,7 @@ so no saturated fallback is provided.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,7 +104,7 @@ def _error_vector(e: Array, one_plus_tr: float) -> Array:
     """``e_R`` from ``E = R_d^T R`` and ``1 + tr(E)``."""
     return np.array(
         [e[2, 1] - e[1, 2], e[0, 2] - e[2, 0], e[1, 0] - e[0, 1]]
-    ) / (2.0 * np.sqrt(one_plus_tr))
+    ) / (2.0 * math.sqrt(one_plus_tr))
 
 
 def _beta(e: Array, one_plus_tr: float, e_r: Array) -> Array:
@@ -126,16 +127,20 @@ def _torque_kernel(
     """Raw-array torque law shared by :func:`control_torque` and the runner.
 
     Takes ``E = R_d^T R`` with ``1 + tr(E)`` already checked against
-    ``ANTIPODAL_TOL`` and returns ``(q, e_R, e_Omega)``.
+    ``ANTIPODAL_TOL`` and returns ``(q, e_R, e_Omega)``.  ``J`` is applied
+    once, to ``E^T dOmega_d - Omega x E^T Omega_d - P beta e_Omega``, and
+    ``beta e_Omega`` is formed without ``beta`` (see :func:`_beta`).
     """
     e_r = _error_vector(e, one_plus_tr)
-    transported = e.T @ omega_d  # R^T R_d Omega_d
+    e_t = e.T
+    transported = e_t @ omega_d  # R^T R_d Omega_d
     e_om = omega - transported
+    beta_e_om = (
+        2.0 * float(e_r @ e_om) * e_r + (one_plus_tr - 1.0) * e_om - e_t @ e_om
+    ) / (2.0 * math.sqrt(one_plus_tr))
     return (
         cross3(omega, jj @ omega)
-        + jj @ (e.T @ omega_d_dot)
-        - jj @ cross3(omega, transported)
-        - jj @ (p @ (_beta(e, one_plus_tr, e_r) @ e_om))
+        + jj @ (e_t @ omega_d_dot - cross3(omega, transported) - p @ beta_e_om)
         - f @ (omega + p @ e_r - transported),  # F (Omega - Omega_target)
         e_r,
         e_om,

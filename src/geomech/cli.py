@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import GeomechError, ScenarioParseError, ScenarioValidationError, SolverError
 from .runner import run, write_outputs
-from .scenario import parse_scenario
+from .scenario import parse_scenario, step_count_error
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -88,6 +88,11 @@ def _apply_overrides(scenario, args):
             print("error: --t-final must be finite and >= 0", file=sys.stderr)
             return None
         updates["t_final"] = args.t_final
+    too_many = step_count_error(updates.get("dt", scenario.dt),
+                                updates.get("t_final", scenario.t_final))
+    if too_many:
+        print(f"error: {too_many}", file=sys.stderr)
+        return None
     aero = getattr(args, "aero", None)
     if aero is not None:
         updates["aero"] = dataclasses.replace(scenario.aero, enabled=(aero == "on"))

@@ -230,19 +230,25 @@ def _attitude_rk4_core(
     torque_fn: TorqueFn,
     t: float,
     dt: float,
+    q1: Array | None = None,
 ) -> tuple[Array, Array]:
-    """Raw-array RK4 stage loop for the closed attitude loop (hot path)."""
+    """Raw-array RK4 stage loop for the closed attitude loop (hot path).
+
+    ``q1``, when given, is the stage-1 torque ``torque_fn(t, t_mat, w)``
+    that the caller has already evaluated; stage 1 then takes ``t_mat`` as
+    it is, which must be a rotation (a previous step's projected result).
+    """
     jj, jinv = inertia.j, inertia.j_inv
 
-    def deriv(ti, tm, wi):
-        # stage attitudes drift off SO(3) at O(dt^2); project before handing
-        # them to the torque law, whose domain is the group itself
-        tm = _fast_polar(tm)
-        td = tm @ hat(wi)
-        wd = jinv @ (torque_fn(ti, tm, wi) - cross3(wi, jj @ wi))
-        return td, wd
+    def deriv(ti, tm, wi, q=None):
+        if q is None:
+            # stage attitudes drift off SO(3) at O(dt^2); project before
+            # handing them to the torque law, whose domain is the group itself
+            tm = _fast_polar(tm)
+            q = torque_fn(ti, tm, wi)
+        return tm @ hat(wi), jinv @ (q - cross3(wi, jj @ wi))
 
-    k1t, k1w = deriv(t, t_mat, w)
+    k1t, k1w = deriv(t, t_mat, w, q1)
     k2t, k2w = deriv(t + 0.5 * dt, t_mat + 0.5 * dt * k1t, w + 0.5 * dt * k1w)
     k3t, k3w = deriv(t + 0.5 * dt, t_mat + 0.5 * dt * k2t, w + 0.5 * dt * k2w)
     k4t, k4w = deriv(t + dt, t_mat + dt * k3t, w + dt * k3w)

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .attitude_control import _checked_error_matrix, _torque_kernel
-from .errors import AntipodalError, DivergenceError, GeomechError, SolverError
+from .errors import DivergenceError, GeomechError, SingularInputError, SolverError
 from .quadrotor import (
     ControllerMemory,
     ROTOR_SPIN,
@@ -51,6 +51,9 @@ from .variational import IntegratorConfig, simulate
 
 _EYE3 = np.eye(3)
 
+# floating-point events the run loops trap as divergence (see _step_failure)
+_TRAP_FP = {"over": "raise", "invalid": "raise", "divide": "raise"}
+
 
 def settling_time(t: np.ndarray, signal: np.ndarray, fraction: float = 0.05):
     """First time after which ``signal`` stays below ``fraction`` of its
@@ -73,6 +76,33 @@ def steady_state_value(signal: np.ndarray, fraction: float = 0.1) -> float:
     """Mean of the last ``fraction`` of the samples."""
     n = max(1, int(round(fraction * len(signal))))
     return float(np.mean(signal[-n:]))
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``v``."""
+    return np.sqrt(np.einsum("ni,ni->n", v, v))
+
+
+def _ortho_defects(rows: np.ndarray) -> np.ndarray:
+    """Frobenius norm of ``R^T R - I`` for each row-major attitude in ``rows``."""
+    r = rows.reshape(-1, 3, 3)
+    gram = np.einsum("nki,nkj->nij", r, r) - _EYE3
+    return np.sqrt(np.einsum("nij,nij->n", gram, gram))
+
+
+def _step_failure(exc: Exception, k: int, dt: float) -> SolverError:
+    """The error ``exc`` raised inside step ``k`` of a run loop, naming the step.
+
+    The loops run under ``np.errstate(**_TRAP_FP)``.  A floating-point trap,
+    or a polar projection that meets ``det <= 0``, means the state is
+    leaving every finite bound and is reported as divergence.  Solver errors
+    keep their class; any other library error becomes a ``SolverError``.
+    """
+    where = f"step {k} (t={k * dt:.6g})"
+    if isinstance(exc, (FloatingPointError, OverflowError, SingularInputError)):
+        return DivergenceError(f"{where}: state diverged: {exc}")
+    kind = type(exc) if isinstance(exc, SolverError) else SolverError
+    return kind(f"{where}: {exc}")
 
 
 def run(scenario: Scenario) -> tuple[TimeSeries, MetricsSummary]:
@@ -140,15 +170,21 @@ def _attitude_loop_numpy(rd_all, wd_all, wdd_all, sc: Scenario):
     """Closed attitude loop: the shared torque kernel on the shared RK4 core.
 
     The reference samples sit on the half-step grid, so stage time ``t``
-    reads sample ``round(2 t / dt)``.  Returns one row per step with the
-    columns of ``_ATTITUDE_COLUMNS``.  The name is kept because the
+    reads sample ``round(2 t / dt)``.  The torque at ``(t_k, T_k, Omega_k)``
+    is recorded and reused as the step's RK4 stage 1.  Each step records
+    only the state, the torque, ``e_R``, ``e_Omega`` and ``1 + tr E``; the
+    derived columns are formed after the loop.  Returns one row per step
+    with the columns of ``_ATTITUDE_COLUMNS``.  The name is kept because the
     benchmark's tracer (``perfbench/tracer.py``) and its tests look the loop
     up as ``runner._attitude_loop_numpy``.
     """
     dt, inertia, gains = sc.dt, sc.inertia, sc.attitude_gains
-    jj, p_g, f_g, s_g, k_r = inertia.j, gains.P, gains.F, gains.S, gains.k_R
+    jj, p_g, f_g = inertia.j, gains.P, gains.F
     n = (rd_all.shape[0] - 1) // 2
+    col = _ATTITUDE_COLUMNS.index
+    q_cols = slice(col("q_x"), col("q_z") + 1)
     table = np.empty((n + 1, len(_ATTITUDE_COLUMNS)))
+    side = np.empty((n + 1, 7))  # e_R, e_Omega, 1 + tr E
     t_mat = np.asarray(sc.initial.T, dtype=float)
     w = np.asarray(sc.initial.omega, dtype=float)
 
@@ -163,18 +199,28 @@ def _attitude_loop_numpy(rd_all, wd_all, wdd_all, sc: Scenario):
         return torque(round(2.0 * t / dt), tm, wi)[0]
 
     try:
-        for k in range(n + 1):
-            q, one_plus_tr, e_r, e_om = torque(2 * k, t_mat, w)
-            err = e_om + p_g @ e_r
-            psi = 2.0 - np.sqrt(one_plus_tr)
-            table[k] = [
-                *t_mat.ravel(), *w, psi, np.linalg.norm(e_r), np.linalg.norm(e_om), *q,
-                k_r * psi + 0.5 * err @ (s_g @ err), np.linalg.norm(t_mat.T @ t_mat - _EYE3),
-            ]
-            if k < n:
-                t_mat, w = _attitude_rk4_core(t_mat, w, inertia, stage_torque, k * dt, dt)
-    except AntipodalError as exc:
-        raise AntipodalError(f"step {k} (t={k * dt:.6g}): {exc}") from None
+        with np.errstate(**_TRAP_FP):
+            for k in range(n + 1):
+                q, one_plus_tr, e_r, e_om = torque(2 * k, t_mat, w)
+                table[k, :9], table[k, 9:12], table[k, q_cols] = t_mat.ravel(), w, q
+                side[k, :3], side[k, 3:6], side[k, 6] = e_r, e_om, one_plus_tr
+                if k < n:
+                    t_mat, w = _attitude_rk4_core(
+                        t_mat, w, inertia, stage_torque, k * dt, dt, q
+                    )
+    except (FloatingPointError, OverflowError, GeomechError) as exc:
+        raise _step_failure(exc, k, dt) from None
+
+    e_r, e_om = side[:, :3], side[:, 3:6]
+    err = e_om + e_r @ p_g.T  # Omega - Omega_target
+    psi = 2.0 - np.sqrt(side[:, 6])
+    table[:, col("psi")] = psi
+    table[:, col("e_R_norm")] = _row_norms(e_r)
+    table[:, col("e_Omega_norm")] = _row_norms(e_om)
+    table[:, col("V_storage")] = (
+        gains.k_R * psi + 0.5 * np.einsum("ni,ij,nj->n", err, gains.S, err)
+    )
+    table[:, col("ortho_defect")] = _ortho_defects(table[:, :9])
     return table
 
 
@@ -288,18 +334,16 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     table = np.empty((n + 1, len(_QUAD_COLUMNS)))
 
     def record(k, ref, f, q, diag):
+        # e_r_norm and ortho_defect (the two 0.0 slots) are formed after the loop
         table[k] = [
             *state.r, *state.v, *state.Omega, *diag.e_r, *q, *state.R.ravel(),
-            np.linalg.norm(diag.e_r), np.linalg.norm(diag.e_v), diag.psi_command,
+            0.0, np.linalg.norm(diag.e_v), diag.psi_command,
             np.linalg.norm(diag.e_R), np.linalg.norm(diag.e_Omega), f,
-            translational_storage(state, ref, gains), float(diag.thrust_negative),
-            np.linalg.norm(state.R.T @ state.R - _EYE3),
+            translational_storage(state, ref, gains), float(diag.thrust_negative), 0.0,
         ]
 
-    # a floating-point overflow or invalid operation inside a tick means the
-    # state is leaving every finite bound: report it as divergence at that step
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with np.errstate(**_TRAP_FP):
             for k in range(n + 1):
                 t = k * dt
                 ref = circle_reference(t, coeffs)
@@ -312,12 +356,12 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
                 else:
                     extra = aero.wrench(state, f, q)
                     state = rk4_quadrotor_step(state, params, 0.0, np.zeros(3), extra, dt)
-    except (FloatingPointError, OverflowError) as exc:
-        raise DivergenceError(f"step {k} (t={k * dt:.6g}): state diverged: {exc}") from None
-    except GeomechError as exc:
-        kind = DivergenceError if isinstance(exc, DivergenceError) else SolverError
-        raise kind(f"step {k} (t={k * dt:.6g}): {exc}") from None
+    except (FloatingPointError, OverflowError, GeomechError) as exc:
+        raise _step_failure(exc, k, dt) from None
 
+    col = _QUAD_COLUMNS.index
+    table[:, col("e_r_norm")] = _row_norms(table[:, col("e_r_x"):col("e_r_z") + 1])
+    table[:, col("ortho_defect")] = _ortho_defects(table[:, col("R00"):col("R22") + 1])
     cols = {"t": dt * np.arange(n + 1)}
     cols.update((name, table[:, j]) for j, name in enumerate(_QUAD_COLUMNS))
     series = TimeSeries(cols)
@@ -352,22 +396,23 @@ def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     moment = np.zeros(3) if sc.moment is None else np.asarray(sc.moment, dtype=float)
     t_mat = np.asarray(sc.initial.T, dtype=float)
     w = np.asarray(sc.initial.omega, dtype=float)
-    h_rk4 = np.empty(n + 1)
-    mom_rk4 = np.empty(n + 1)
-    ortho_rk4 = np.empty(n + 1)
-    pi0 = t_mat @ (jj.j @ w)
+    rows = np.empty((n + 1, 12))  # T (row-major), omega
+    rows[0, :9], rows[0, 9:] = t_mat.ravel(), w
+    try:
+        with np.errstate(**_TRAP_FP):
+            for k in range(n):
+                t_mat, w = _attitude_rk4_core(
+                    t_mat, w, jj, lambda t, T, wi: moment, k * dt, dt, moment
+                )
+                rows[k + 1, :9], rows[k + 1, 9:] = t_mat.ravel(), w
+    except (FloatingPointError, OverflowError, GeomechError) as exc:
+        raise _step_failure(exc, k, dt) from None
 
-    def fill(k):
-        h_rk4[k] = 0.5 * w @ (jj.j @ w)
-        mom_rk4[k] = np.linalg.norm(t_mat @ (jj.j @ w) - pi0)
-        ortho_rk4[k] = np.linalg.norm(t_mat.T @ t_mat - _EYE3)
-
-    fill(0)
-    for k in range(n):
-        t_mat, w = _attitude_rk4_core(
-            t_mat, w, jj, lambda t, T, wi: moment, k * dt, dt
-        )
-        fill(k + 1)
+    jw = rows[:, 9:] @ jj.j.T  # J omega per row
+    h_rk4 = 0.5 * np.einsum("ni,ni->n", rows[:, 9:], jw)
+    pi_rk4 = np.einsum("nij,nj->ni", rows[:, :9].reshape(-1, 3, 3), jw)  # T J omega
+    mom_rk4 = _row_norms(pi_rk4 - pi_rk4[0])
+    ortho_rk4 = _ortho_defects(rows[:, :9])
 
     h_vi = vi_series.column("H")
     pi_vi = vi_series.vector("Pi")

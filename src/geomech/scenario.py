@@ -40,6 +40,20 @@ _DEFAULT_T_FINAL = {
     "quad_track": 20.0,
 }
 
+# The run loops size their tables up front, one row per step.
+MAX_STEPS = 10**8
+
+
+def step_count_error(dt: float, t_final: float) -> str | None:
+    """Why a run of ``round(t_final / dt)`` steps is refused, or ``None``.
+
+    ``dt`` must be finite and positive and ``t_final`` finite.
+    """
+    steps = t_final / dt
+    if math.isfinite(steps) and round(steps) <= MAX_STEPS:
+        return None
+    return f"t_final={t_final!r} and dt={dt!r} make more than {MAX_STEPS} steps"
+
 
 @dataclass
 class AeroConfig:
@@ -180,6 +194,8 @@ def parse_scenario(text: bytes | str) -> Scenario:
     t_final = number("t_final", _DEFAULT_T_FINAL[kind], positive=False, minimum=0.0)
     if t_final > 0.0 and t_final < dt:
         violations.append(("t_final", ">= dt (or 0 for a single record)"))
+    elif dt > 0.0 and (too_many := step_count_error(dt, t_final)):
+        violations.append(("t_final", too_many))
 
     scenario = Scenario(kind=kind, dt=dt, t_final=t_final)
     scenario.csv_name = doc.get("csv_name")

@@ -4,6 +4,7 @@ import pytest
 from geomech.errors import DivergenceError, ScenarioValidationError
 from geomech.rigid_body import (
     BodyWrench,
+    _attitude_rk4_core,
     InertiaTensor,
     QuadrotorParams,
     QuadrotorState,
@@ -174,6 +175,27 @@ def test_rk4_attitude_stays_on_so3(j321):
     for k in range(200):
         s = rk4_attitude_step(s, j321, lambda t, T, w: np.zeros(3), 0.01 * k, 0.01)
     assert np.linalg.norm(s.T.T @ s.T - np.eye(3)) < 1e-13
+
+
+def test_attitude_rk4_core_reuses_a_given_stage_one_torque(rng, j321):
+    # q1 = torque_fn(t, T, w) skips the stage-1 torque call and projection;
+    # on a rotation (as the previous step's result is) the step is unchanged
+    gain = np.diag([2.0, 1.5, 1.0])
+
+    def torque(t, r, w):
+        return -gain @ w + np.sin(t) * (r[:, 2] - r[2])
+
+    calls = []
+    counted = lambda t, r, w: calls.append(t) or torque(t, r, w)  # noqa: E731
+    for _ in range(20):
+        t_mat, w = polar_newton(random_rotation(rng)), rng.normal(size=3)
+        t, dt = rng.uniform(0.0, 10.0), rng.uniform(1e-3, 0.05)
+        ref = _attitude_rk4_core(t_mat, w, j321, torque, t, dt)
+        calls.clear()
+        out = _attitude_rk4_core(t_mat, w, j321, counted, t, dt, torque(t, t_mat, w))
+        assert calls == [t + 0.5 * dt, t + 0.5 * dt, t + dt]
+        np.testing.assert_allclose(out[0], ref[0], atol=1e-15, rtol=0.0)
+        np.testing.assert_allclose(out[1], ref[1], atol=1e-15, rtol=0.0)
 
 
 def test_rk4_quadrotor_step_matches_flat_rk4(rng):

@@ -15,13 +15,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomech.attitude_control import control_torque
+from geomech.attitude_control import (
+    angular_velocity_error,
+    attitude_error_psi,
+    attitude_error_vector,
+    control_torque,
+    storage_function,
+)
+from geomech.errors import (
+    AntipodalError,
+    DivergenceError,
+    InvalidRotationError,
+    NoConvergenceError,
+    SingularInputError,
+    SolverError,
+)
 from geomech.cli import main
 from geomech.quadrotor import ControllerMemory, tracking_step
 from geomech.references import circle_reference, euler_321_reference
 from geomech.rigid_body import rk4_attitude_step, rk4_quadrotor_step
-from geomech.runner import _AeroModel, run, settling_time, steady_state_value
+from geomech.runner import _AeroModel, _step_failure, run, settling_time, steady_state_value
 from geomech.scenario import parse_scenario
+from geomech.so3 import orthogonality_defect
 from geomech.timeseries import (
     MetricsSummary,
     TimeSeries,
@@ -119,6 +134,100 @@ def test_attitude_run_uses_the_public_torque_law_and_rk4_step():
                                    atol=1e-9, rtol=0.0)
         np.testing.assert_allclose(series.column(f"q_{ax}"), q_hist[:, a],
                                    atol=1e-9, rtol=0.0)
+
+
+def test_attitude_derived_columns_match_the_per_row_formulas():
+    # the loop records state, torque, e_R, e_Omega and 1 + tr E per step and
+    # forms the derived columns after it; check them row by row on 200 steps
+    doc = {
+        "kind": "attitude_track",
+        "dt": 1e-3,
+        "t_final": 0.2,
+        "inertia": [3.0, 2.0, 1.0],
+        "initial": {"T": None, "omega": [0.1, 0.0, 0.0]},
+        "gains": {"P": [3.0, 2.0, 1.0], "F": [3.0, 2.0, 1.0], "k_R": 1.5, "S": [1.0, 2.0, 0.5]},
+        "reference": {"roll": [2.5, 0.3], "pitch": [0.1, 0.0, 0.05], "yaw": [0.0, 0.2]},
+    }
+    sc = parse_scenario(json.dumps(doc))
+    series, _ = run(sc)
+    assert len(series) == 201
+    expected = {name: [] for name in ("psi", "e_R_norm", "e_Omega_norm", "V_storage",
+                                      "ortho_defect")}
+    for k, t in enumerate(series.t):
+        r = np.array([[series.column(f"R{i}{j}")[k] for j in range(3)] for i in range(3)])
+        w = np.array([series.column(f"w_{ax}")[k] for ax in "xyz"])
+        ref = euler_321_reference(t, sc.euler_coeffs)
+        expected["psi"].append(attitude_error_psi(r, ref.R_d))
+        expected["e_R_norm"].append(np.linalg.norm(attitude_error_vector(r, ref.R_d)))
+        expected["e_Omega_norm"].append(np.linalg.norm(angular_velocity_error(r, w, ref)))
+        expected["V_storage"].append(storage_function(r, w, ref, sc.attitude_gains))
+        expected["ortho_defect"].append(orthogonality_defect(r))
+    for name, values in expected.items():
+        np.testing.assert_allclose(series.column(name), values, atol=1e-14, rtol=0.0,
+                                   err_msg=name)
+
+
+def test_quad_and_compare_derived_columns_match_the_per_row_formulas():
+    series, _ = run(load("quad_track_aero", t_final=0.2))
+    for k in range(len(series)):
+        e_r = [series.column(f"e_r_{ax}")[k] for ax in "xyz"]
+        r = np.array([[series.column(f"R{i}{j}")[k] for j in range(3)] for i in range(3)])
+        assert series.column("e_r_norm")[k] == pytest.approx(np.linalg.norm(e_r),
+                                                             abs=1e-14, rel=0.0)
+        assert series.column("ortho_defect")[k] == pytest.approx(orthogonality_defect(r),
+                                                                 abs=1e-14, rel=0.0)
+    moment = np.array([0.1, -0.2, 0.05])
+    sc = load("integrator_compare", t_final=1.0, moment=moment)
+    series, _ = run(sc)
+    jj, state = sc.inertia, sc.initial
+    pi0 = state.T @ (jj.j @ state.omega)
+    h, mom, ortho = [], [], []
+    for k in range(len(series)):
+        h.append(0.5 * state.omega @ (jj.j @ state.omega))
+        mom.append(np.linalg.norm(state.T @ (jj.j @ state.omega) - pi0))
+        ortho.append(orthogonality_defect(state.T))
+        state = rk4_attitude_step(state, jj, lambda t, T, w: moment, k * sc.dt, sc.dt)
+    np.testing.assert_allclose(series.column("H_rk4"), h, atol=1e-14, rtol=0.0)
+    np.testing.assert_allclose(series.column("mom_err_rk4"), mom, atol=1e-13, rtol=0.0)
+    np.testing.assert_allclose(series.column("ortho_rk4"), ortho, atol=1e-14, rtol=0.0)
+
+
+def test_step_failure_names_the_step_and_keeps_solver_classes():
+    for cause in (FloatingPointError("overflow encountered in matmul"),
+                  SingularInputError("determinant -2.5e+01 is not positive")):
+        exc = _step_failure(cause, 7, 0.5)
+        assert type(exc) is DivergenceError
+        assert str(exc) == f"step 7 (t=3.5): state diverged: {cause}"
+    for cause in (AntipodalError("at 180 degrees"), NoConvergenceError("no"),
+                  DivergenceError("state diverged: non-finite v")):
+        exc = _step_failure(cause, 2, 0.1)
+        assert type(exc) is type(cause) and str(exc) == f"step 2 (t=0.2): {cause}"
+    exc = _step_failure(InvalidRotationError("not a rotation"), 0, 0.1)
+    assert type(exc) is SolverError and str(exc) == "step 0 (t=0): not a rotation"
+
+
+def test_cli_attitude_divergence_exits_3_without_outputs(tmp_path, capsys):
+    # a 0.5 s step on the shipped loop blows up; the polar projection meets a
+    # negative determinant, which is divergence, not invalid input
+    out_dir = tmp_path / "out"
+    code = main(["run", "scenarios/attitude_track.json", "--out-dir", str(out_dir),
+                 "--dt", "0.5", "--t-final", "25"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert re.match(r"solver failure: step \d+ \(t=[0-9.e+-]+\): state diverged: \S", err)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name", ["free_body", "quad_track"])
+def test_cli_step_count_bound_exits_2(tmp_path, capsys, name):
+    out_dir = tmp_path / "out"
+    code = main(["run", f"scenarios/{name}.json", "--out-dir", str(out_dir), "--dt", "1e-300"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "dt=1e-300" in err and "t_final=" in err and "100000000 steps" in err
+    assert not out_dir.exists()
 
 
 def test_cli_antipodal_start_exits_3_without_outputs(tmp_path, capsys):

@@ -132,3 +132,20 @@ def test_non_finite_timing_is_a_violation(field, value):
     with pytest.raises(ScenarioValidationError) as err:
         parse_scenario(f'{{"kind": "quad_track", "{field}": {value}}}')
     assert (field, "must be finite") in err.value.violations
+
+
+def test_step_count_is_bounded(tmp_path):
+    # the run loops allocate one table row per step up front
+    doc = {"kind": "free_body", "dt": 1e-300, "t_final": 1.0, "inertia": 1.0}
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(json.dumps(doc))
+    [(field, msg)] = err.value.violations
+    assert field == "t_final" and "1e-300" in msg and "1.0" in msg
+    doc.update(t_final=1e10)  # t_final / dt overflows to inf
+    with pytest.raises(ScenarioValidationError, match="more than 100000000 steps"):
+        parse_scenario(json.dumps(doc))
+    doc.update(dt=1e-8, t_final=1.0)  # exactly MAX_STEPS steps
+    assert parse_scenario(json.dumps(doc)).dt == 1e-8
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
