@@ -150,11 +150,16 @@ def _free_body_metrics(series: TimeSeries) -> MetricsSummary:
     pi = series.vector("Pi")
     iters = series.column("newton_iters")
     drift = float(np.max(np.abs(h - h[0])) / abs(h[0])) if h[0] != 0.0 else 0.0
+    # the initial row records 0 iterations and residual, so both maxima exist
     return MetricsSummary(
         energy_drift_max_rel=drift,
         momentum_drift_max=float(np.max(np.linalg.norm(pi - pi[0], axis=1))),
         orthogonality_defect_max=float(np.max(series.column("ortho_defect"))),
         newton_iters_mean=float(np.mean(iters[1:])) if len(iters) > 1 else 0.0,
+        extras={
+            "newton_iters_max": float(np.max(iters)),
+            "residual_max": float(np.max(series.column("residual"))),
+        },
     )
 
 
@@ -430,10 +435,11 @@ def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     h0 = abs(h_vi[0])
     drift = np.abs(h_rk4 - h_rk4[0])
     # relative drifts are undefined for a body at rest (H0 = 0): null
-    metrics.extras = {
+    metrics.extras.update({
         "rk4_energy_drift_end_rel": float(drift[-1] / h0) if h0 else None,
         "rk4_energy_drift_max_rel": float(np.max(drift) / h0) if h0 else None,
+        "rk4_energy_drift_max_abs": float(np.max(drift)),
         "rk4_momentum_drift_max": float(np.max(mom_rk4)),
         "rk4_orthogonality_defect_max": float(np.max(ortho_rk4)),
-    }
+    })
     return series, metrics

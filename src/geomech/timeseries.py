@@ -81,11 +81,11 @@ class MetricsSummary:
 
 def series_to_csv_bytes(series: TimeSeries) -> bytes:
     names = list(series.columns)
-    lines = [",".join(names)]
-    cols = [series.columns[n] for n in names]
-    for i in range(len(series)):
-        lines.append(",".join(repr(float(col[i])) for col in cols))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    table = np.array([series.columns[n] for n in names]).T
+    # one row of Python floats at a time, so the float objects stay transient;
+    # one str, encoded once; the trailing "" ends the last row with a newline
+    rows = (",".join(map(repr, row.tolist())) for row in table)
+    return "\n".join([",".join(names), *rows, ""]).encode("ascii")
 
 
 def parse_csv_bytes(data: bytes) -> TimeSeries:

@@ -17,27 +17,30 @@ momentum covectors ``theta_minus`` (at the lower node) and ``theta_plus``
 every pair, which is exactly why the free flow conserves ``T J omega``.
 External moments enter through weighted midpoint samples (``discrete_forces``).
 
-A forced or ``"arc"`` step solves
+A step matches momenta at the lower node, ``theta_minus(T_k, T_{k+1}) -
+dt f_minus = pi_k``, and solves that equation in the body frame for the
+increment ``f`` with ``T_{k+1} = T_k exp_so3(f)``:
 
-    theta_minus(T_k, T_{k+1}) - dt * force_minus = T_k J omega_k
+    G(f) - dt^2 F_minus(f, M) = dt Pi_k,    Pi_k = T_k^T pi_k.
 
-for the space-frame increment ``eta`` (``T_{k+1} = exp_so3(eta) @ T_k``) by a
-damped Newton iteration with a forward-difference Jacobian, then reads the
-new momentum off the upper transform.
+The step energy is left-invariant, so ``G(f)``, ``dt T_k^T`` times the
+lower momentum covector, depends on ``f`` alone; the step measure (below)
+picks it:
 
-A free ``"chord"`` step uses the same discrete Lagrangian written as
-``(1/dt) tr((I - F) J_d)`` with ``F = T_k^T T_{k+1}`` and
-``J_d = tr(J)/2 I - J``: the Lie group variational integrator of Lee, Leok &
-McClamroch (CMAME 2007), i.e. the Moser-Veselov discrete rigid body.  It
-solves the body-frame equation
+* ``"chord"``: ``G = (sin|f|/|f|) J f + ((1 - cos|f|)/|f|^2) f x J f``, the
+  Lie group variational integrator of Lee, Leok & McClamroch (CMAME 2007),
+  i.e. the Moser-Veselov discrete rigid body;
+* ``"arc"``: ``G = dexp_f^{-T} J f = J f + f x J f / 2 + c f x (f x J f)``
+  with ``c = 1/|f|^2 - (1 + cos|f|)/(2 |f| sin|f|)``.
 
-    dt Pi_k = (sin|f|/|f|) J f + ((1 - cos|f|)/|f|^2) f x J f,
-    Pi_k = T_k^T pi_k,
-
-for the body increment ``f`` (``T_{k+1} = T_k exp_so3(f)``) by undamped
-Newton with the closed-form Jacobian; it converges in about two iterations.
-Attitudes stay on SO(3) exactly by construction; no re-orthogonalisation is
-ever applied.
+``F_minus = (M + (tan(|f|/4)/|f|) f x M)/2`` is ``T_k^T`` times the lower
+force covector of ``discrete_forces`` for the body moment ``M`` sampled at
+the midpoint time.  The two force covectors sum to ``T_mid M``, so the
+forced discrete Lagrange-d'Alembert update (Marsden & West, Acta Numerica
+2001) is ``pi_{k+1} = pi_k + dt T_mid M``.  Newton runs on ``f`` with the
+closed-form Jacobian of ``G``; the O(dt^2) force term is left out of the
+Jacobian, and every case converges in about two iterations.  Attitudes stay
+on SO(3) exactly by construction; no re-orthogonalisation is ever applied.
 
 Two measures of the step rotation are supported in the discrete kinetic
 energy (``IntegratorConfig.step_measure``):
@@ -57,6 +60,7 @@ covectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,9 +72,6 @@ from .so3 import SMALL_ANGLE, Array, cross3, exp_so3, hat, log_so3, tilde
 from .timeseries import TimeSeries
 
 _EYE3 = np.eye(3)
-
-# Forward-difference step for the Newton Jacobian on the rotation increment.
-_FD_STEP = 1e-7
 
 
 @dataclass
@@ -141,30 +142,23 @@ def _f_matrix(psi: Array) -> Array:
     return c_outer * np.outer(psi, psi) + c_eye * _EYE3
 
 
-def _mids_from_psi(t_k: Array, psi: Array, t_k1: Array | None, dt: float) -> MidpointQuantities:
+def midpoint_quantities(t_k: Array, t_k1: Array, dt: float) -> MidpointQuantities:
+    """Midpoint attitude, polar factor, step vector, and variation factors
+    for the interval ``[T_k, T_{k+1}]``."""
+    t_k1 = np.asarray(t_k1, dtype=float)
+    psi = log_so3(t_k1 @ t_k.T)
     _check_step_angle(float(psi @ psi))
-    r_rel = exp_so3(psi)
-    if t_k1 is None:
-        t_k1 = r_rel @ t_k
     t_mid = exp_so3(0.5 * psi) @ t_k
-    v = (t_k + t_k1) @ t_mid.T
     return MidpointQuantities(
         T_mid=t_mid,
-        V=v,
-        R_rel=r_rel,
+        V=(t_k + t_k1) @ t_mid.T,
+        R_rel=exp_so3(psi),
         psi=psi,
         omega_mid=(t_mid.T @ psi) / dt,
         Y_k=t_k @ t_mid.T,
         Y_k1=t_k1 @ t_mid.T,
         F_mat=_f_matrix(psi),
     )
-
-
-def midpoint_quantities(t_k: Array, t_k1: Array, dt: float) -> MidpointQuantities:
-    """Midpoint attitude, polar factor, step vector, and variation factors
-    for the interval ``[T_k, T_{k+1}]``."""
-    psi = log_so3(t_k1 @ t_k.T)
-    return _mids_from_psi(t_k, psi, np.asarray(t_k1, dtype=float), dt)
 
 
 def _momentum_covector(
@@ -220,12 +214,6 @@ def theta_plus(t_km1: Array, t_k: Array, dt: float, inertia: InertiaTensor) -> A
     )
 
 
-def _force_covector(mids: MidpointQuantities, y: Array, moment_body: Array) -> Array:
-    """Weighted space-frame moment sample: ``tilde(Y)^T tilde(V)^-1 T_mid M``."""
-    m_space = mids.T_mid @ moment_body
-    return tilde(y).T @ np.linalg.solve(tilde(mids.V), m_space)
-
-
 def discrete_forces(
     m_minus_half: Array,
     m_plus_half: Array,
@@ -279,57 +267,48 @@ def _trajectory_series(
     return TimeSeries(cols)
 
 
-def _free_chord_step(
-    t_k: Array, omega_k: Array, pi_k: Array, inertia: InertiaTensor, cfg: IntegratorConfig
-) -> StepResult:
-    """Free ``"chord"`` step: Newton on the body increment ``f`` of
-    ``dt Pi_k = a J f + b f x J f`` with ``a = sin|f|/|f|`` and
-    ``b = (1 - cos|f|)/|f|^2``, started from ``f = dt omega_k``.
+def _chord_coefficients(theta2: float) -> tuple[float, float, float, float]:
+    """``a = sin x/x``, ``b = (1 - cos x)/x^2``, ``a'(x)/x`` and ``b'(x)/x``
+    at ``x^2 = theta2``."""
+    if theta2 < SMALL_ANGLE * SMALL_ANGLE:
+        return (
+            1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0,
+            0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0,
+            -1.0 / 3.0 + theta2 / 30.0 - theta2 * theta2 / 840.0,
+            -1.0 / 12.0 + theta2 / 180.0 - theta2 * theta2 / 6720.0,
+        )
+    theta = math.sqrt(theta2)
+    s, c = math.sin(theta), math.cos(theta)
+    return (
+        s / theta,
+        (1.0 - c) / theta2,
+        (theta * c - s) / (theta2 * theta),
+        (theta * s - 2.0 * (1.0 - c)) / (theta2 * theta2),
+    )
 
-    The Jacobian is ``a J + b (hat(f) J - hat(J f)) + (da J f + db f x J f) f^T``
-    with ``da = a'(|f|)/|f|`` and ``db = b'(|f|)/|f|``.  The residual is
-    reported in momentum units (body residual / dt).
-    """
-    dt = cfg.dt
-    jj = inertia.j
-    target = dt * (t_k.T @ pi_k)
-    f = dt * omega_k
-    iters = 0
-    while True:
-        theta2 = float(f @ f)
-        _check_step_angle(theta2)
-        if theta2 < SMALL_ANGLE * SMALL_ANGLE:
-            a = 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0
-            b = 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0
-            da = -1.0 / 3.0 + theta2 / 30.0 - theta2 * theta2 / 840.0
-            db = -1.0 / 12.0 + theta2 / 180.0 - theta2 * theta2 / 6720.0
-        else:
-            theta = np.sqrt(theta2)
-            s, c = np.sin(theta), np.cos(theta)
-            a = s / theta
-            b = (1.0 - c) / theta2
-            da = (theta * c - s) / (theta2 * theta)
-            db = (theta * s - 2.0 * (1.0 - c)) / (theta2 * theta2)
-        jf = jj @ f
-        fxjf = cross3(f, jf)
-        res = a * jf + b * fxjf - target
-        res_norm = float(np.abs(res).max()) / dt
-        if res_norm <= cfg.newton_tol:
-            break
-        if iters == cfg.max_iters:
-            raise NoConvergenceError(
-                f"residual {res_norm:.3e} above tolerance {cfg.newton_tol:.1e} "
-                f"after {iters} iterations"
-            )
-        jac = a * jj + b * (hat(f) @ jj - hat(jf)) + np.outer(da * jf + db * fxjf, f)
-        try:
-            f = f - np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"singular Newton Jacobian at iter {iters}") from exc
-        iters += 1
-    t_k1 = t_k @ exp_so3(f)
-    omega_k1 = inertia.j_inv @ (t_k1.T @ pi_k)
-    return StepResult(t_k1, omega_k1, iters, res_norm, pi_k)
+
+def _arc_coefficients(theta2: float) -> tuple[float, float]:
+    """``c = 1/x^2 - (1 + cos x)/(2 x sin x)`` and ``c'(x)/x`` at ``x^2 = theta2``."""
+    if theta2 < SMALL_ANGLE * SMALL_ANGLE:
+        return (
+            1.0 / 12.0 + theta2 / 720.0 + theta2 * theta2 / 30240.0,
+            1.0 / 360.0 + theta2 / 7560.0 + theta2 * theta2 / 201600.0,
+        )
+    theta = math.sqrt(theta2)
+    s, c = math.sin(theta), math.cos(theta)
+    coeff = 1.0 / theta2 - (1.0 + c) / (2.0 * theta * s)
+    return coeff, (0.5 / (1.0 - c) - 1.0 / theta2 - coeff) / theta2
+
+
+def _body_force_minus(f: Array, theta2: float, moment_body: Array) -> Array:
+    """``T_k^T`` times the lower force covector of ``discrete_forces``:
+    ``(M + (tan(|f|/4)/|f|) f x M)/2`` for the body increment ``f``."""
+    if theta2 < SMALL_ANGLE * SMALL_ANGLE:
+        tau = 0.25 + theta2 / 192.0 + theta2 * theta2 / 7680.0
+    else:
+        theta = math.sqrt(theta2)
+        tau = math.tan(0.25 * theta) / theta
+    return 0.5 * (moment_body + tau * cross3(f, moment_body))
 
 
 def vi_step(
@@ -347,142 +326,73 @@ def vi_step(
     midpoint time; pass ``None`` for free motion.  ``pi_k`` optionally
     supplies the spatial momentum directly (``simulate`` threads it through
     so long runs never re-derive the covariant state from ``omega``).
-    Free ``"chord"`` steps solve the body-frame Lie group equation by
-    Newton with the closed-form Jacobian; forced and ``"arc"`` steps solve
-    the space-frame covector equation by damped Newton with a
-    forward-difference Jacobian.  ``residual`` is the max-abs momentum
-    residual at the returned step.  Raises ``NoConvergenceError`` if the
-    Newton iteration stalls or ``max_iters`` runs out before ``newton_tol``
-    is met, and ``DegenerateMeanError`` if an iterate reaches a 180-degree
-    relative rotation (reduce ``dt``).
+
+    Solves ``G(f) - dt^2 F_minus(f, M) = dt T_k^T pi_k`` for the body
+    increment ``f`` (see the module docstring) by Newton from
+    ``f = dt omega_k``, with the closed-form Jacobian of the measure's left
+    side ``G``; the O(dt^2) force term is left out of the Jacobian.  The new
+    momentum is ``pi_k + dt T_mid M``.  ``residual`` is the max-abs body
+    residual divided by ``dt`` (momentum units) at the returned step.
+    Raises ``NoConvergenceError`` if ``max_iters`` runs out before
+    ``newton_tol`` is met or the Jacobian is singular, and
+    ``DegenerateMeanError`` if an iterate reaches a 180-degree relative
+    rotation (reduce ``dt``).
     """
     dt = cfg.dt
     jj = inertia.j
     if pi_k is None:
         pi_k = t_k @ (jj @ omega_k)
     chord = cfg.step_measure == "chord"
-    if moment_fn is None and chord:
-        return _free_chord_step(t_k, omega_k, pi_k, inertia, cfg)
     m_body = None
     if moment_fn is not None:
         m_body = np.asarray(moment_fn(t + 0.5 * dt), dtype=float)
-
-    def residual(eta: Array) -> Array:
-        # Fused lower-node covector evaluation.  With half = exp_so3(eta/2)
-        # the interval quantities collapse to Y_k = half^T, Y_k1 = half,
-        # V = half + half^T, R_rel = half half.
-        theta2 = float(eta @ eta)
-        _check_step_angle(theta2)
-        half = exp_so3(0.5 * eta)
-        r_rel = half @ half
-        v_t = tilde(half + half.T)
-        yk_t = tilde(half.T)
-        g = 0.5 * np.linalg.solve(_f_matrix(eta), tilde(r_rel))
-        if chord:
-            theta = np.sqrt(theta2)
-            if theta < SMALL_ANGLE:
-                scale = 1.0 - theta2 / 24.0 + theta2 * theta2 / 1920.0
-                dscale = -1.0 / 12.0 + theta2 / 480.0
-            else:
-                h = 0.5 * theta
-                scale = 2.0 * np.sin(h) / theta
-                dscale = (theta * np.cos(h) - 2.0 * np.sin(h)) / (theta2 * theta)
-            psi_eff = scale * eta
-            g = (scale * _EYE3 + dscale * np.outer(eta, eta)) @ g
-        else:
-            psi_eff = eta
-        t_mid = half @ t_k
-        w = t_mid @ (jj @ (t_k.T @ psi_eff)) / dt
-        a = g @ r_rel - hat(psi_eff) @ np.linalg.solve(v_t, yk_t)
-        th = a.T @ w
-        if m_body is not None:
-            th = th - dt * (yk_t.T @ np.linalg.solve(v_t, t_mid @ m_body))
-        return th - pi_k
-
-    eta = dt * (t_k @ omega_k)
-    res = residual(eta)
-    res_norm = float(np.max(np.abs(res)))
+    target = dt * (t_k.T @ pi_k)
+    f = dt * omega_k
     iters = 0
-    jac: Array | None = None
-
-    def fd_jacobian(eta0: Array, res0: Array) -> Array:
-        out = np.empty((3, 3))
-        for col in range(3):
-            bumped = eta0.copy()
-            bumped[col] += _FD_STEP
-            out[:, col] = (residual(bumped) - res0) / _FD_STEP
-        return out
-
-    while res_norm > cfg.newton_tol and iters < cfg.max_iters:
-        if jac is None:
-            jac = fd_jacobian(eta, res)
+    while True:
+        theta2 = float(f @ f)
+        _check_step_angle(theta2)
+        jf = jj @ f
+        fxjf = cross3(f, jf)
+        if chord:
+            a, b, da, db = _chord_coefficients(theta2)
+            res = a * jf + b * fxjf - target
+        else:
+            c, dc = _arc_coefficients(theta2)
+            fxfxjf = cross3(f, fxjf)
+            res = jf + 0.5 * fxjf + c * fxfxjf - target
+        if m_body is not None:
+            res = res - (dt * dt) * _body_force_minus(f, theta2, m_body)
+        res_norm = float(np.abs(res).max()) / dt
+        if res_norm <= cfg.newton_tol:
+            break
+        if iters == cfg.max_iters:
+            raise NoConvergenceError(
+                f"residual {res_norm:.3e} above tolerance {cfg.newton_tol:.1e} "
+                f"after {iters} iterations"
+            )
+        f_hat = hat(f)
+        d_fxjf = f_hat @ jj - hat(jf)  # derivative of f x J f
+        if chord:
+            jac = a * jj + b * d_fxjf + np.outer(da * jf + db * fxjf, f)
+        else:
+            jac = (
+                jj
+                + 0.5 * d_fxjf
+                + c * (f_hat @ d_fxjf - hat(fxjf))
+                + np.outer(dc * fxfxjf, f)
+            )
         try:
-            delta = np.linalg.solve(jac, -res)
+            f = f - np.linalg.solve(jac, res)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"singular Newton Jacobian at iter {iters}") from exc
-        step_scale = 1.0
-        improved = False
-        for _ in range(12):
-            trial = eta + step_scale * delta
-            trial_res = residual(trial)
-            trial_norm = float(np.max(np.abs(trial_res)))
-            if trial_norm < res_norm:
-                eta, res, res_norm = trial, trial_res, trial_norm
-                improved = True
-                break
-            step_scale *= 0.5
         iters += 1
-        if not improved:
-            if step_scale < 1.0:
-                # refresh once before giving up
-                jac = fd_jacobian(eta, res)
-                try:
-                    delta = np.linalg.solve(jac, -res)
-                except np.linalg.LinAlgError as exc:
-                    raise NoConvergenceError(
-                        f"singular Newton Jacobian at iter {iters}"
-                    ) from exc
-                trial = eta + delta
-                trial_res = residual(trial)
-                trial_norm = float(np.max(np.abs(trial_res)))
-                if trial_norm < res_norm:
-                    eta, res, res_norm = trial, trial_res, trial_norm
-                    continue
-            raise NoConvergenceError(
-                f"Newton stalled at residual {res_norm:.3e} after {iters} iterations"
-            )
-    if res_norm > cfg.newton_tol:
-        raise NoConvergenceError(
-            f"residual {res_norm:.3e} above tolerance {cfg.newton_tol:.1e} "
-            f"after {iters} iterations"
-        )
-    # polish toward the floating-point floor: keeps the per-step momentum
-    # defect at machine noise so 1e4-step runs accumulate no visible drift
-    while jac is not None and iters < cfg.max_iters and res_norm > 0.0:
-        trial = eta + np.linalg.solve(jac, -res)
-        trial_res = residual(trial)
-        trial_norm = float(np.max(np.abs(trial_res)))
-        if trial_norm >= res_norm:
-            break
-        prev_norm = res_norm
-        eta, res, res_norm = trial, trial_res, trial_norm
-        iters += 1
-        if trial_norm > 0.25 * prev_norm:
-            break  # gains flattened out; at the noise floor
-
-    mids = _mids_from_psi(t_k, eta, None, dt)
-    t_k1 = mids.R_rel @ t_k
-    # The step kinetic energy is left-invariant, so the upper covector equals
-    # the lower one identically (tested as the theta_plus == theta_minus
-    # property).  The converged solve is treated as exact, making the
-    # momentum update pure bookkeeping: free motion transports pi unchanged
-    # and forcing adds the two weighted moment samples.
+    t_k1 = t_k @ exp_so3(f)
+    # The two force covectors sum to the midpoint moment T_mid M, and
+    # T_mid = T_k exp_so3(f/2); free motion transports pi unchanged.
     pi_k1 = pi_k
     if m_body is not None:
-        pi_k1 = pi_k1 + dt * (
-            _force_covector(mids, mids.Y_k, m_body)
-            + _force_covector(mids, mids.Y_k1, m_body)
-        )
+        pi_k1 = pi_k + dt * (t_k @ (exp_so3(0.5 * f) @ m_body))
     omega_k1 = inertia.j_inv @ (t_k1.T @ pi_k1)
     return StepResult(t_k1, omega_k1, iters, res_norm, pi_k1)
 

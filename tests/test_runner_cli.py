@@ -44,6 +44,7 @@ from geomech.timeseries import (
     series_to_csv_bytes,
     write_outputs,
 )
+from geomech.variational import IntegratorConfig, vi_step
 
 
 def load(name, **overrides):
@@ -177,19 +178,32 @@ def test_quad_and_compare_derived_columns_match_the_per_row_formulas():
         assert series.column("ortho_defect")[k] == pytest.approx(orthogonality_defect(r),
                                                                  abs=1e-14, rel=0.0)
     moment = np.array([0.1, -0.2, 0.05])
-    sc = load("integrator_compare", t_final=1.0, moment=moment)
-    series, _ = run(sc)
-    jj, state = sc.inertia, sc.initial
-    pi0 = state.T @ (jj.j @ state.omega)
-    h, mom, ortho = [], [], []
-    for k in range(len(series)):
-        h.append(0.5 * state.omega @ (jj.j @ state.omega))
-        mom.append(np.linalg.norm(state.T @ (jj.j @ state.omega) - pi0))
-        ortho.append(orthogonality_defect(state.T))
-        state = rk4_attitude_step(state, jj, lambda t, T, w: moment, k * sc.dt, sc.dt)
-    np.testing.assert_allclose(series.column("H_rk4"), h, atol=1e-14, rtol=0.0)
-    np.testing.assert_allclose(series.column("mom_err_rk4"), mom, atol=1e-13, rtol=0.0)
-    np.testing.assert_allclose(series.column("ortho_rk4"), ortho, atol=1e-14, rtol=0.0)
+    for measure in ("chord", "arc"):
+        sc = load("integrator_compare", t_final=1.0, moment=moment, step_measure=measure)
+        series, _ = run(sc)
+        jj, state = sc.inertia, sc.initial
+        pi0 = state.T @ (jj.j @ state.omega)
+        h, mom, ortho = [], [], []
+        for k in range(len(series)):
+            h.append(0.5 * state.omega @ (jj.j @ state.omega))
+            mom.append(np.linalg.norm(state.T @ (jj.j @ state.omega) - pi0))
+            ortho.append(orthogonality_defect(state.T))
+            state = rk4_attitude_step(state, jj, lambda t, T, w: moment, k * sc.dt, sc.dt)
+        np.testing.assert_allclose(series.column("H_rk4"), h, atol=1e-14, rtol=0.0)
+        np.testing.assert_allclose(series.column("mom_err_rk4"), mom, atol=1e-13, rtol=0.0)
+        np.testing.assert_allclose(series.column("ortho_rk4"), ortho, atol=1e-14, rtol=0.0)
+        # the VI half steps the public vi_step with the scenario's measure
+        cfg = IntegratorConfig(dt=sc.dt, step_measure=measure)
+        t_mat, w = sc.initial.T, sc.initial.omega
+        pi = t_mat @ (jj.j @ w)
+        h_vi, mom_vi = [0.5 * w @ (jj.j @ w)], [0.0]
+        for k in range(len(series) - 1):
+            r = vi_step(t_mat, w, lambda t: moment, jj, cfg, t=k * sc.dt, pi_k=pi)
+            t_mat, w, pi = r.T_next, r.omega_next, r.pi_next
+            h_vi.append(0.5 * w @ (jj.j @ w))
+            mom_vi.append(np.linalg.norm(pi - pi0))
+        np.testing.assert_allclose(series.column("H_vi"), h_vi, atol=1e-14, rtol=0.0)
+        np.testing.assert_allclose(series.column("mom_err_vi"), mom_vi, atol=1e-14, rtol=0.0)
 
 
 def test_step_failure_names_the_step_and_keeps_solver_classes():
@@ -394,6 +408,44 @@ def test_cli_compare_at_rest_reports_null_relative_drifts(tmp_path, capsys):
     assert doc["rk4_energy_drift_end_rel"] is None
     assert doc["rk4_energy_drift_max_rel"] is None
     assert doc["rk4_momentum_drift_max"] == 0.0
+
+
+def test_vi_metrics_carry_solver_health_and_absolute_rk4_drift(tmp_path):
+    vi, free = run(load("free_body", t_final=1.0))
+    series, metrics = run(load("integrator_compare", t_final=1.0))
+    for m in (free, metrics):
+        assert m.extras["newton_iters_max"] == np.max(vi.column("newton_iters")) > 0
+        assert m.extras["residual_max"] == np.max(vi.column("residual")) <= 1e-12
+    drift = np.abs(series.column("H_rk4") - series.column("H_rk4")[0])
+    assert metrics.extras["rk4_energy_drift_max_abs"] == np.max(drift) > 0.0
+    # at rest the relative drifts are null and the absolute one is a number
+    assert main(["compare", "scenarios/attitude_track.json", "--out-dir", str(tmp_path),
+                 "--t-final", "0.1"]) == 0
+    doc = json.loads((tmp_path / "attitude_track_compare.metrics.json").read_bytes())
+    assert doc["rk4_energy_drift_max_rel"] is None
+    assert doc["rk4_energy_drift_max_abs"] == 0.0
+    assert doc["newton_iters_max"] == 0.0 and doc["residual_max"] >= 0.0
+    zero = run(load("free_body", t_final=0.0))[1]
+    assert zero.extras == {"newton_iters_max": 0.0, "residual_max": 0.0}
+
+
+def test_cli_forced_arc_free_body_reruns_byte_identical(tmp_path):
+    doc = json.loads(open("scenarios/free_body.json").read())
+    doc.update(t_final=2.0, moment=[0.1, -0.2, 0.05], integrator={"step_measure": "arc"})
+    path = tmp_path / "forced_arc.json"
+    path.write_text(json.dumps(doc))
+    outs = []
+    for label in ("a", "b"):
+        out = tmp_path / label
+        assert main(["run", str(path), "--out-dir", str(out)]) == 0
+        outs.append([(out / name).read_bytes()
+                     for name in ("forced_arc.csv", "forced_arc.metrics.json")])
+    assert outs[0] == outs[1]
+    series = parse_csv_bytes(outs[0][0])
+    assert len(series) == 201
+    assert np.all(series.column("residual")[1:] <= 1e-12)
+    metrics = json.loads(outs[0][1])
+    assert 0.0 < metrics["newton_iters_mean"] <= metrics["newton_iters_max"] <= 3.0
 
 
 def test_write_outputs_failed_encode_leaves_no_file(tmp_path):

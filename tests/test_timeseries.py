@@ -33,6 +33,20 @@ def test_csv_header_names_every_column():
     assert header == "t,x"
 
 
+def test_csv_bytes_pinned_for_edge_values():
+    # signed zero, a tiny normal and the smallest subnormal keep their
+    # shortest round-trip spelling
+    s = TimeSeries({
+        "t": np.array([0.0, 0.5]),
+        "x": np.array([-0.0, 5e-324]),
+        "y": np.array([1e-300, -1.0 / 3.0]),
+    })
+    data = series_to_csv_bytes(s)
+    assert data == b"t,x,y\n0.0,-0.0,1e-300\n0.5,5e-324,-0.3333333333333333\n"
+    back = parse_csv_bytes(data)
+    assert np.signbit(back.column("x")[0]) and back.column("x")[1] == 5e-324
+
+
 def test_empty_series_header_only():
     s = TimeSeries({"t": np.array([]), "x": np.array([])})
     data = series_to_csv_bytes(s)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ellipj, ellipkinc
 
 from geomech.errors import DegenerateMeanError, NoConvergenceError
 from geomech.rigid_body import (
@@ -269,6 +270,77 @@ def test_free_body_exactness_along_trajectory():
         tp = theta_plus(states[k - 1][0], states[k][0], cfg.dt, J321)
         tm = theta_minus(states[k][0], states[k + 1][0], cfg.dt, J321)
         np.testing.assert_allclose(tp, tm, atol=1e-10)
+
+
+@pytest.mark.parametrize("measure", ["arc", "chord"])
+@pytest.mark.parametrize("forced", [False, True])
+def test_vi_step_solves_its_momentum_matching_equation(rng, measure, forced):
+    # per-step oracle: the returned pair satisfies theta_minus - dt f_minus = pi_k
+    # with the public covector and force operations, and the new momentum adds
+    # both force covectors of the interval
+    for _ in range(50):
+        inertia = InertiaTensor.from_diag(*rng.uniform(1.5, 3.0, size=3))
+        t0 = random_rotation(rng)
+        w = rng.uniform(0.1, 3.0) * rng.normal(size=3)
+        dt = rng.uniform(0.001, 0.05)
+        m = rng.uniform(-5.0, 5.0, size=3) if forced else np.zeros(3)
+        pi0 = t0 @ (inertia.j @ w)
+        cfg = IntegratorConfig(dt=dt, step_measure=measure)
+        r = vi_step(t0, w, (lambda t: m) if forced else None, inertia, cfg)
+        mids = midpoint_quantities(t0, r.T_next, dt)
+        m_space = mids.T_mid @ m
+        f_plus, f_minus = discrete_forces(m_space, m_space, mids, mids)
+        if measure == "arc":
+            lower = theta_minus(t0, r.T_next, dt, inertia)
+        else:
+            lower = _momentum_covector(mids, inertia, upper=False, measure="chord")
+        np.testing.assert_allclose(lower - dt * f_minus, pi0, rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(r.pi_next, pi0 + dt * (f_plus + f_minus),
+                                   rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(r.omega_next, inertia.j_inv @ (r.T_next.T @ r.pi_next),
+                                   rtol=0.0, atol=1e-13)
+
+
+def _exact_free_rates(principal, w0, t):
+    """Body rates of the free rigid body with ``J = diag(principal)``,
+    ``J1 > J2 > J3`` and ``|L|^2 > 2 E J2``, through Jacobi elliptic functions:
+    ``w = (A dn(u), B sn(u), C cn(u))`` with ``u = u0 + lam t``."""
+    i1, i2, i3 = principal
+    e2 = float(np.dot(principal, w0 * w0))  # 2E
+    l2 = float(np.dot(principal * principal, w0 * w0))  # |L|^2
+    assert i1 > i2 > i3 and l2 > e2 * i2
+    a = np.sign(w0[0]) * np.sqrt((l2 - e2 * i3) / (i1 * (i1 - i3)))
+    b = np.sqrt((e2 * i1 - l2) / (i2 * (i1 - i2)))
+    c = np.sqrt((e2 * i1 - l2) / (i3 * (i1 - i3)))
+    m = (i2 - i3) * (e2 * i1 - l2) / ((i1 - i2) * (l2 - e2 * i3))
+    lam = -np.sign(a) * np.sqrt((l2 - e2 * i3) * (i1 - i2) / (i1 * i2 * i3))
+    u0 = ellipkinc(np.arctan2(w0[1] / b, w0[2] / c), m)
+    sn, cn, dn, _ = ellipj(u0 + lam * t, m)
+    return np.column_stack([a * dn, b * sn, c * cn])
+
+
+def test_exact_free_rates_solve_euler_equations():
+    principal, w0 = np.array([3.0, 2.0, 1.0]), np.array([-0.7, 0.4, -1.2])
+    t = np.linspace(0.0, 2.0, 401)
+    w = _exact_free_rates(principal, w0, t)
+    np.testing.assert_allclose(w[0], w0, atol=1e-14)
+    # central differences against Euler's equations J w' = (J w) x w
+    h = 1e-5
+    dw = (_exact_free_rates(principal, w0, t + h) - _exact_free_rates(principal, w0, t - h))
+    rhs = np.cross(w * principal, w) / principal
+    np.testing.assert_allclose(dw / (2 * h), rhs, atol=1e-8)
+
+
+@pytest.mark.parametrize("measure", ["arc", "chord"])
+def test_vi_rates_second_order_against_exact_free_body(measure):
+    principal, w0 = np.array([3.0, 2.0, 1.0]), np.array([1.0, 1.0, 1.0])
+    errs = []
+    for dt in (0.02, 0.01):
+        series = simulate(RigidBodyState(np.eye(3), w0), J321, None,
+                          IntegratorConfig(dt=dt, step_measure=measure), 2.0)
+        exact = _exact_free_rates(principal, w0, series.t)
+        errs.append(np.max(np.abs(series.vector("w") - exact)))
+    assert 3.2 <= errs[0] / errs[1] <= 4.8
 
 
 def test_vi_step_second_order_against_fine_rk4():
