@@ -16,7 +16,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import GeomechError, ScenarioParseError, ScenarioValidationError, SolverError
+from .errors import ScenarioParseError, ScenarioValidationError, SolverError
 from .runner import run, write_outputs
 from .scenario import parse_scenario, step_count_error
 
@@ -59,21 +59,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_scenario(path: Path):
+    """The parsed scenario, or ``None`` after printing why it is refused."""
     try:
-        text = path.read_bytes()
+        return parse_scenario(path.read_bytes())
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None, EXIT_INVALID
-    try:
-        return parse_scenario(text), EXIT_OK
     except ScenarioParseError as exc:
         print(f"parse error in {path}: {exc}", file=sys.stderr)
-        return None, EXIT_INVALID
     except ScenarioValidationError as exc:
         print(f"invalid scenario {path}:", file=sys.stderr)
         for field, msg in exc.violations:
             print(f"  - {field}: {msg}", file=sys.stderr)
-        return None, EXIT_INVALID
+    return None
 
 
 def _apply_overrides(scenario, args):
@@ -101,9 +98,9 @@ def _apply_overrides(scenario, args):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    scenario, status = _load_scenario(args.scenario)
+    scenario = _load_scenario(args.scenario)
     if scenario is None:
-        return status
+        return EXIT_INVALID
 
     if args.command == "validate":
         print(f"{args.scenario}: OK ({scenario.kind}, dt={scenario.dt}, "
@@ -125,16 +122,13 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except GeomechError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = args.scenario.stem
     suffix = "_compare" if args.command == "compare" else ""
-    csv_path = out_dir / (scenario.csv_name or f"{stem}{suffix}.csv")
-    metrics_path = out_dir / (scenario.metrics_name or f"{stem}{suffix}.metrics.json")
+    csv_path = out_dir / f"{stem}{suffix}.csv"
+    metrics_path = out_dir / f"{stem}{suffix}.metrics.json"
     try:
         write_outputs(series, metrics, csv_path, metrics_path)
     except OSError as exc:

@@ -67,3 +67,24 @@ class ScenarioValidationError(GeomechError):
         self.violations = list(violations)
         lines = "; ".join(f"{field}: {msg}" for field, msg in self.violations)
         super().__init__(f"invalid scenario ({lines})")
+
+
+# floating-point events the run loops trap as divergence (see _step_failure)
+_TRAP_FP = {"over": "raise", "invalid": "raise", "divide": "raise"}
+
+
+def _step_failure(exc: Exception, k: int, dt: float) -> SolverError:
+    """The error ``exc`` raised inside step ``k`` of a run loop, naming the step.
+
+    The loops run under ``np.errstate(**_TRAP_FP)`` (set by ``runner.run``
+    and ``variational.simulate``).  An ``ArithmeticError`` (a trapped
+    floating-point event, a float overflow or a division by zero), or a
+    polar projection that meets ``det <= 0``, means the state is leaving
+    every finite bound and is reported as divergence.  Solver errors keep
+    their class; any other library error becomes a ``SolverError``.
+    """
+    where = f"step {k} (t={k * dt:.6g})"
+    if isinstance(exc, (ArithmeticError, SingularInputError)):
+        return DivergenceError(f"{where}: state diverged: {exc}")
+    kind = type(exc) if isinstance(exc, SolverError) else SolverError
+    return kind(f"{where}: {exc}")

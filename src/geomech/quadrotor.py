@@ -22,9 +22,10 @@ from .attitude_control import (
     AttitudeGains,
     AttitudeReference,
     _checked_error_matrix,
+    _require_spd,
     _torque_kernel,
 )
-from .errors import DegenerateHeadingError, ScenarioValidationError, ZeroForceError
+from .errors import DegenerateHeadingError, ZeroForceError
 from .rigid_body import QuadrotorParams, QuadrotorState
 from .references import TrajectoryReference
 from .so3 import Array, cross3, log_so3
@@ -47,15 +48,6 @@ __all__ = [
 ]
 
 
-def _spd(m, name):
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3) or np.max(np.abs(m - m.T)) > 1e-9:
-        raise ScenarioValidationError([(name, "must be a symmetric 3x3 matrix")])
-    if np.linalg.eigvalsh(m)[0] <= 0.0:
-        raise ScenarioValidationError([(name, "must be positive definite")])
-    return m
-
-
 @dataclass
 class PositionGains:
     """Translational gains: A/C weight the storage function, B shapes the
@@ -67,10 +59,10 @@ class PositionGains:
     D: Array = field(default_factory=lambda: 6.0 * np.eye(3))
 
     def __post_init__(self):
-        self.A = _spd(self.A, "A")
-        self.B = _spd(self.B, "B")
-        self.C = _spd(self.C, "C")
-        self.D = _spd(self.D, "D")
+        self.A = _require_spd(self.A, "A")
+        self.B = _require_spd(self.B, "B")
+        self.C = _require_spd(self.C, "C")
+        self.D = _require_spd(self.D, "D")
 
 
 def velocity_target(r: Array, ref: TrajectoryReference, gains: PositionGains) -> Array:

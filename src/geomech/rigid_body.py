@@ -56,12 +56,14 @@ class InertiaTensor:
             raise ScenarioValidationError(
                 [("inertia", f"eigenvalues must be positive, got {lams}")]
             )
-        if lams[0] + lams[1] < lams[2] - 1e-9:
+        if lams[2] - lams[1] - lams[0] > 1e-9:  # l0 + l1 < l2, free of overflow
             raise ScenarioValidationError(
                 [("inertia", f"principal moments {lams} violate the triangle inequality")]
             )
         self.j = j
         self.j_inv = np.linalg.inv(j)
+        if not np.isfinite(self.j_inv).all():
+            raise ScenarioValidationError([("inertia", "inverse is not finite")])
 
     @classmethod
     def from_diag(cls, a: float, b: float, c: float) -> "InertiaTensor":

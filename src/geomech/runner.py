@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .attitude_control import _checked_error_matrix, _torque_kernel
-from .errors import DivergenceError, GeomechError, SingularInputError, SolverError
+from .errors import _TRAP_FP, GeomechError, SolverError, _step_failure
 from .quadrotor import (
     ControllerMemory,
     ROTOR_SPIN,
@@ -50,10 +50,6 @@ from .timeseries import MetricsSummary, TimeSeries, write_outputs  # noqa: F401
 from .variational import IntegratorConfig, simulate
 
 _EYE3 = np.eye(3)
-
-# floating-point events the run loops trap as divergence (see _step_failure)
-_TRAP_FP = {"over": "raise", "invalid": "raise", "divide": "raise"}
-
 
 def settling_time(t: np.ndarray, signal: np.ndarray, fraction: float = 0.05):
     """First time after which ``signal`` stays below ``fraction`` of its
@@ -90,32 +86,27 @@ def _ortho_defects(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("nij,nij->n", gram, gram))
 
 
-def _step_failure(exc: Exception, k: int, dt: float) -> SolverError:
-    """The error ``exc`` raised inside step ``k`` of a run loop, naming the step.
-
-    The loops run under ``np.errstate(**_TRAP_FP)``.  A floating-point trap,
-    or a polar projection that meets ``det <= 0``, means the state is
-    leaving every finite bound and is reported as divergence.  Solver errors
-    keep their class; any other library error becomes a ``SolverError``.
-    """
-    where = f"step {k} (t={k * dt:.6g})"
-    if isinstance(exc, (FloatingPointError, OverflowError, SingularInputError)):
-        return DivergenceError(f"{where}: state diverged: {exc}")
-    kind = type(exc) if isinstance(exc, SolverError) else SolverError
-    return kind(f"{where}: {exc}")
-
-
 def run(scenario: Scenario) -> tuple[TimeSeries, MetricsSummary]:
-    """Execute a scenario deterministically."""
-    if scenario.kind == "free_body":
-        return _run_free_body(scenario)
-    if scenario.kind == "attitude_track":
-        return _run_attitude_track(scenario)
-    if scenario.kind == "quad_track":
-        return _run_quad_track(scenario)
-    if scenario.kind == "integrator_compare":
-        return _run_integrator_compare(scenario)
-    raise ValueError(f"unknown scenario kind {scenario.kind!r}")
+    """Execute a scenario deterministically.
+
+    The whole run is under the floating-point trap ``_TRAP_FP``.  The step
+    loops name the step that fails (``_step_failure``); any other library or
+    arithmetic error, in setting the run up or in its derived columns and
+    metrics, becomes a ``SolverError`` too.
+    """
+    kinds = {
+        "free_body": _run_free_body,
+        "attitude_track": _run_attitude_track,
+        "quad_track": _run_quad_track,
+        "integrator_compare": _run_integrator_compare,
+    }
+    try:
+        with np.errstate(**_TRAP_FP):
+            return kinds[scenario.kind](scenario)
+    except SolverError:
+        raise
+    except (ArithmeticError, GeomechError) as exc:
+        raise SolverError(f"outside the step loop: {exc}") from None
 
 
 # ------------------------------------------------------------- free body
@@ -204,16 +195,15 @@ def _attitude_loop_numpy(rd_all, wd_all, wdd_all, sc: Scenario):
         return torque(round(2.0 * t / dt), tm, wi)[0]
 
     try:
-        with np.errstate(**_TRAP_FP):
-            for k in range(n + 1):
-                q, one_plus_tr, e_r, e_om = torque(2 * k, t_mat, w)
-                table[k, :9], table[k, 9:12], table[k, q_cols] = t_mat.ravel(), w, q
-                side[k, :3], side[k, 3:6], side[k, 6] = e_r, e_om, one_plus_tr
-                if k < n:
-                    t_mat, w = _attitude_rk4_core(
-                        t_mat, w, inertia, stage_torque, k * dt, dt, q
-                    )
-    except (FloatingPointError, OverflowError, GeomechError) as exc:
+        for k in range(n + 1):
+            q, one_plus_tr, e_r, e_om = torque(2 * k, t_mat, w)
+            table[k, :9], table[k, 9:12], table[k, q_cols] = t_mat.ravel(), w, q
+            side[k, :3], side[k, 3:6], side[k, 6] = e_r, e_om, one_plus_tr
+            if k < n:
+                t_mat, w = _attitude_rk4_core(
+                    t_mat, w, inertia, stage_torque, k * dt, dt, q
+                )
+    except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
 
     e_r, e_om = side[:, :3], side[:, 3:6]
@@ -348,20 +338,19 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
         ]
 
     try:
-        with np.errstate(**_TRAP_FP):
-            for k in range(n + 1):
-                t = k * dt
-                ref = circle_reference(t, coeffs)
-                f, q, diag = tracking_step(state, ref, params, gains, att_gains, dt, memory)
-                record(k, ref, f, q, diag)
-                if k == n:
-                    break
-                if aero is None:
-                    state = rk4_quadrotor_step(state, params, f, q, None, dt)
-                else:
-                    extra = aero.wrench(state, f, q)
-                    state = rk4_quadrotor_step(state, params, 0.0, np.zeros(3), extra, dt)
-    except (FloatingPointError, OverflowError, GeomechError) as exc:
+        for k in range(n + 1):
+            t = k * dt
+            ref = circle_reference(t, coeffs)
+            f, q, diag = tracking_step(state, ref, params, gains, att_gains, dt, memory)
+            record(k, ref, f, q, diag)
+            if k == n:
+                break
+            if aero is None:
+                state = rk4_quadrotor_step(state, params, f, q, None, dt)
+            else:
+                extra = aero.wrench(state, f, q)
+                state = rk4_quadrotor_step(state, params, 0.0, np.zeros(3), extra, dt)
+    except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
 
     col = _QUAD_COLUMNS.index
@@ -404,13 +393,12 @@ def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     rows = np.empty((n + 1, 12))  # T (row-major), omega
     rows[0, :9], rows[0, 9:] = t_mat.ravel(), w
     try:
-        with np.errstate(**_TRAP_FP):
-            for k in range(n):
-                t_mat, w = _attitude_rk4_core(
-                    t_mat, w, jj, lambda t, T, wi: moment, k * dt, dt, moment
-                )
-                rows[k + 1, :9], rows[k + 1, 9:] = t_mat.ravel(), w
-    except (FloatingPointError, OverflowError, GeomechError) as exc:
+        for k in range(n):
+            t_mat, w = _attitude_rk4_core(
+                t_mat, w, jj, lambda t, T, wi: moment, k * dt, dt, moment
+            )
+            rows[k + 1, :9], rows[k + 1, 9:] = t_mat.ravel(), w
+    except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
 
     jw = rows[:, 9:] @ jj.j.T  # J omega per row

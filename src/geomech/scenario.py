@@ -5,20 +5,21 @@ A scenario is a JSON object with a ``kind`` discriminator
 ``integrator_compare``), timing fields, and kind-specific sections.  All
 quantities are SI with angles in radians.  Matrices may be given as a
 scalar (multiple of the identity), a 3-list (diagonal), or a full 3x3
-nested list.  Parsing validates every field and reports *all* violations
-at once.
+nested list.  Every value is a finite JSON number (or list of them), and
+``null`` means the default for every field.  Parsing validates every field
+and reports *all* violations at once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .attitude_control import AttitudeGains
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import _TRAP_FP, GeomechError, ScenarioParseError, ScenarioValidationError
 from .quadrotor import PositionGains
 from .references import AnglePolynomial, CircleCoeffs, Euler321Coeffs
 from .rigid_body import InertiaTensor, QuadrotorParams, QuadrotorState, RigidBodyState
@@ -27,17 +28,12 @@ from .so3 import Array
 
 KINDS = ("free_body", "attitude_track", "quad_track", "integrator_compare")
 
-_DEFAULT_DT = {
-    "free_body": 0.01,
-    "integrator_compare": 0.01,
-    "attitude_track": 1e-4,
-    "quad_track": 1e-3,
-}
-_DEFAULT_T_FINAL = {
-    "free_body": 10.0,
-    "integrator_compare": 10.0,
-    "attitude_track": 20.0,
-    "quad_track": 20.0,
+# default (dt, t_final) of each kind
+_DEFAULT_TIMING = {
+    "free_body": (0.01, 10.0),
+    "integrator_compare": (0.01, 10.0),
+    "attitude_track": (1e-4, 20.0),
+    "quad_track": (1e-3, 20.0),
 }
 
 # The run loops size their tables up front, one row per step.
@@ -84,69 +80,120 @@ class Scenario:
     position_gains: PositionGains | None = None
     circle_coeffs: CircleCoeffs | None = None
     aero: AeroConfig = field(default_factory=AeroConfig)
-    # output file names (relative to the CLI --out-dir)
-    csv_name: str | None = None
-    metrics_name: str | None = None
 
 
-def _as_matrix(value, name, collect) -> Array | None:
-    """Scalar -> scalar*I, 3-list -> diag, 3x3 nested -> full."""
-    try:
-        if isinstance(value, (int, float)):
-            return float(value) * np.eye(3)
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        collect.append((name, "must be a scalar, 3-list, or 3x3 matrix"))
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite_array(value) -> Array | None:
+    """``value`` as a float array if it is a JSON number, or a list of numbers
+    or of lists of numbers, all finite and of regular shape; else ``None``."""
+    rows = value if isinstance(value, list) else [value]
+    leaves = [x for row in rows for x in (row if isinstance(row, list) else [row])]
+    if not all(map(_is_number, leaves)):
         return None
-    if arr.shape == (3,):
-        return np.diag(arr)
-    if arr.shape == (3, 3):
+    try:
+        arr = np.array(value, dtype=float)
+    except (ValueError, OverflowError):  # ragged, or an integer beyond float range
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+class _Fields:
+    """One JSON object of a scenario document, read one typed field at a time.
+
+    ``path`` is the dotted prefix of the object's fields (``""``,
+    ``"aero.geometry."``).  A reader appends ``(path + key, message)`` to
+    the shared ``violations`` list and returns ``None`` for a bad value; a
+    missing key and ``null`` both give the default.
+    """
+
+    def __init__(self, obj: dict, path: str, violations: list[tuple[str, str]]):
+        self.obj, self.path, self.violations = obj, path, violations
+
+    def fail(self, key: str, message: str) -> None:
+        self.violations.append((self.path + key, message))
+
+    def section(self, key: str) -> "_Fields":
+        value = self.obj.get(key)
+        if value is not None and not isinstance(value, dict):
+            self.fail(key, "must be an object")
+            value = None
+        return _Fields(value or {}, f"{self.path}{key}.", self.violations)
+
+    def number(self, key, default, *, positive=False, minimum=None, integer=False):
+        value = self.obj.get(key)
+        if value is None:
+            return default
+        if not _is_number(value):
+            return self.fail(key, "must be a number")
+        if integer and not isinstance(value, int):
+            return self.fail(key, "must be an integer")
+        if _finite_array(value) is None:  # NaN, +-Infinity, or an integer beyond float range
+            return self.fail(key, "must be finite")
+        x = float(value)
+        if positive and not x > 0.0:
+            return self.fail(key, "must be > 0")
+        if minimum is not None and x < minimum:
+            return self.fail(key, f"must be >= {minimum:g}")
+        return value if integer else x
+
+    def choice(self, key, default, options):
+        """One of ``options``, which share the type of ``default``."""
+        value = self.obj.get(key)
+        if value is None:
+            return default
+        if type(value) is type(default) and value in options:
+            return value
+        return self.fail(key, "must be " + " or ".join(map(json.dumps, options)))
+
+    def array(self, key, default: Array, *, matrix=False) -> Array | None:
+        """A finite 3-vector; with ``matrix`` a finite 3x3 matrix, given in
+        full, as a diagonal 3-list, or as a scalar multiple of the identity."""
+        value = self.obj.get(key)
+        if value is None:
+            return default
+        arr = _finite_array(value)
+        if matrix and arr is not None and arr.ndim < 2:
+            arr = arr * np.eye(3) if arr.ndim == 0 else np.diag(arr)
+        if arr is None or arr.shape != ((3, 3) if matrix else (3,)):
+            return self.fail(key, "must be a finite scalar, 3-list or 3x3 matrix"
+                             if matrix else "must be a finite 3-vector")
         return arr
-    collect.append((name, f"bad shape {arr.shape}; expected scalar, 3-list, or 3x3"))
-    return None
 
+    def polynomial(self, key) -> AnglePolynomial | None:
+        """Coefficients ``[a0, a1, a2]`` of an angle signal, trailing ones optional."""
+        value = self.obj.get(key)
+        if value is None:
+            return AnglePolynomial()
+        arr = _finite_array(value)
+        if arr is None or arr.shape not in ((1,), (2,), (3,)):
+            return self.fail(key, "must be a list of 1 to 3 finite coefficients [a0, a1, a2]")
+        return AnglePolynomial(*arr.tolist())
 
-def _as_vec3(value, name, collect, default=None) -> Array | None:
-    if value is None:
-        return default
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        collect.append((name, "must be a 3-vector"))
+    def build(self, cls, **kwargs):
+        """``cls(**kwargs)``, with the violations it raises named under this
+        object; ``None`` if it refuses them or an argument is already
+        invalid (``None``)."""
+        if any(value is None for value in kwargs.values()):
+            return None
+        try:
+            with np.errstate(**_TRAP_FP):
+                return cls(**kwargs)
+        except ScenarioValidationError as exc:
+            self.violations.extend((self.path + fld, msg) for fld, msg in exc.violations)
+        except (GeomechError, ArithmeticError) as exc:
+            # e.g. an attitude that is no rotation, or entries whose check overflows
+            self.violations.append((self.path[:-1] or cls.__name__, str(exc)))
         return None
-    if arr.shape != (3,) or not np.all(np.isfinite(arr)):
-        collect.append((name, "must be a finite 3-vector"))
-        return None
-    return arr
 
 
-def _as_rotation(value, name, collect) -> Array | None:
-    if value is None:
-        return np.eye(3)
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        collect.append((name, "must be a 3x3 rotation matrix or null"))
-        return None
-    if arr.shape != (3, 3):
-        collect.append((name, f"bad shape {arr.shape}; expected 3x3"))
-        return None
-    return arr
-
-
-def _angle_poly(value, name, collect) -> AnglePolynomial:
-    if value is None:
-        return AnglePolynomial()
-    try:
-        coeffs = [float(v) for v in value]
-    except (TypeError, ValueError):
-        collect.append((name, "must be a list of 1 to 3 polynomial coefficients"))
-        return AnglePolynomial()
-    if not 1 <= len(coeffs) <= 3:
-        collect.append((name, "must have 1 to 3 coefficients [a0, a1, a2]"))
-        return AnglePolynomial()
-    coeffs += [0.0] * (3 - len(coeffs))
-    return AnglePolynomial(*coeffs)
+def _attitude_gains(gains: _Fields, p: Array | None, f: Array | None) -> AttitudeGains | None:
+    """Either attitude gains section; ``p`` and ``f`` are the defaults of P and F."""
+    return gains.build(AttitudeGains, P=gains.array("P", p, matrix=True),
+                       F=gains.array("F", f, matrix=True), k_R=gains.number("k_R", 1.0),
+                       S=gains.array("S", np.eye(3), matrix=True))
 
 
 def parse_scenario(text: bytes | str) -> Scenario:
@@ -155,211 +202,115 @@ def parse_scenario(text: bytes | str) -> Scenario:
     Raises ``ScenarioParseError`` for malformed JSON (with position) and
     ``ScenarioValidationError`` listing every violated invariant otherwise.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"line {exc.lineno}, column {exc.colno} (char {exc.pos}): {exc.msg}"
         ) from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+        raise ScenarioParseError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ScenarioParseError("top-level value must be an object")
 
-    violations: list[tuple[str, str]] = []
-
     kind = doc.get("kind")
     if kind not in KINDS:
-        raise ScenarioValidationError(
-            [("kind", f"must be one of {KINDS}, got {kind!r}")]
-        )
+        raise ScenarioValidationError([("kind", f"must be one of {KINDS}, got {kind!r}")])
 
-    def number(name, default, positive=True, minimum=None):
-        value = doc.get(name, default)
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            violations.append((name, "must be a number"))
-            return default
-        if not math.isfinite(value):
-            violations.append((name, "must be finite"))
-            return default
-        if positive and not value > 0.0:
-            violations.append((name, "> 0"))
-        if minimum is not None and value < minimum:
-            violations.append((name, f">= {minimum}"))
-        return value
-
-    dt = number("dt", _DEFAULT_DT[kind])
-    t_final = number("t_final", _DEFAULT_T_FINAL[kind], positive=False, minimum=0.0)
-    if t_final > 0.0 and t_final < dt:
-        violations.append(("t_final", ">= dt (or 0 for a single record)"))
-    elif dt > 0.0 and (too_many := step_count_error(dt, t_final)):
-        violations.append(("t_final", too_many))
+    violations: list[tuple[str, str]] = []
+    root = _Fields(doc, "", violations)
+    default_dt, default_t_final = _DEFAULT_TIMING[kind]
+    dt = root.number("dt", default_dt, positive=True)
+    t_final = root.number("t_final", default_t_final, minimum=0.0)
+    if dt is not None and t_final is not None:
+        if 0.0 < t_final < dt:
+            root.fail("t_final", ">= dt (or 0 for a single record)")
+        elif too_many := step_count_error(dt, t_final):
+            root.fail("t_final", too_many)
 
     scenario = Scenario(kind=kind, dt=dt, t_final=t_final)
-    scenario.csv_name = doc.get("csv_name")
-    scenario.metrics_name = doc.get("metrics_name")
-
-    integ = doc.get("integrator", {})
-    if not isinstance(integ, dict):
-        violations.append(("integrator", "must be an object"))
-        integ = {}
-    scenario.newton_tol = float(integ.get("newton_tol", 1e-12))
-    scenario.max_iters = int(integ.get("max_iters", 50))
-    scenario.step_measure = str(integ.get("step_measure", "chord"))
-    if not scenario.newton_tol > 0.0:
-        violations.append(("integrator.newton_tol", "> 0"))
-    if scenario.max_iters < 1:
-        violations.append(("integrator.max_iters", ">= 1"))
-    if scenario.step_measure not in ("chord", "arc"):
-        violations.append(("integrator.step_measure", "must be 'chord' or 'arc'"))
-
-    initial = doc.get("initial", {})
-    if not isinstance(initial, dict):
-        violations.append(("initial", "must be an object"))
-        initial = {}
+    integ = root.section("integrator")
+    scenario.newton_tol = integ.number("newton_tol", 1e-12, positive=True)
+    scenario.max_iters = integ.number("max_iters", 50, minimum=1, integer=True)
+    scenario.step_measure = integ.choice("step_measure", "chord", ("chord", "arc"))
+    initial = root.section("initial")
 
     if kind in ("free_body", "integrator_compare", "attitude_track"):
-        inertia_m = _as_matrix(doc.get("inertia", [1.0, 1.0, 1.0]), "inertia", violations)
-        if inertia_m is not None:
-            try:
-                scenario.inertia = InertiaTensor(inertia_m)
-            except ScenarioValidationError as exc:
-                violations.extend(exc.violations)
-        t0 = _as_rotation(initial.get("T"), "initial.T", violations)
-        omega0 = _as_vec3(initial.get("omega"), "initial.omega", violations, np.zeros(3))
-        if t0 is not None and omega0 is not None:
-            try:
-                scenario.initial = RigidBodyState(t0, omega0)
-            except (ScenarioValidationError, Exception) as exc:
-                violations.append(("initial", str(exc)))
-        scenario.moment = _as_vec3(doc.get("moment"), "moment", violations)
+        scenario.inertia = root.build(
+            InertiaTensor, j=root.array("inertia", np.eye(3), matrix=True)
+        )
+        scenario.initial = initial.build(
+            RigidBodyState,
+            T=initial.array("T", np.eye(3), matrix=True),
+            omega=initial.array("omega", np.zeros(3)),
+        )
+        scenario.moment = root.array("moment", None)
 
     if kind == "attitude_track":
-        gains = doc.get("gains", {})
-        if not isinstance(gains, dict):
-            violations.append(("gains", "must be an object"))
-            gains = {}
         # P and F default to the inertia tensor itself
-        default_pf = scenario.inertia.j if scenario.inertia is not None else 1.0
-        p = _as_matrix(gains.get("P", default_pf), "gains.P", violations)
-        f = _as_matrix(gains.get("F", default_pf), "gains.F", violations)
-        s = _as_matrix(gains.get("S", 1.0), "gains.S", violations)
-        k_r = float(gains.get("k_R", 1.0))
-        if p is not None and f is not None and s is not None:
-            try:
-                scenario.attitude_gains = AttitudeGains(P=p, F=f, k_R=k_r, S=s)
-            except ScenarioValidationError as exc:
-                violations.extend([(f"gains.{fld}", msg) for fld, msg in exc.violations])
-        ref = doc.get("reference", {})
-        if not isinstance(ref, dict):
-            violations.append(("reference", "must be an object"))
-            ref = {}
-        scenario.euler_coeffs = Euler321Coeffs(
-            roll=_angle_poly(ref.get("roll"), "reference.roll", violations),
-            pitch=_angle_poly(ref.get("pitch"), "reference.pitch", violations),
-            yaw=_angle_poly(ref.get("yaw"), "reference.yaw", violations),
+        j = scenario.inertia.j if scenario.inertia is not None else None
+        scenario.attitude_gains = _attitude_gains(root.section("gains"), j, j)
+        ref = root.section("reference")
+        scenario.euler_coeffs = ref.build(
+            Euler321Coeffs, **{axis: ref.polynomial(axis) for axis in ("roll", "pitch", "yaw")}
         )
 
     if kind == "quad_track":
-        veh = doc.get("vehicle", {})
-        if not isinstance(veh, dict):
-            violations.append(("vehicle", "must be an object"))
-            veh = {}
-        inertia_m = _as_matrix(veh.get("inertia", [0.084, 0.085, 0.12]), "vehicle.inertia", violations)
-        inertia = None
-        if inertia_m is not None:
-            try:
-                inertia = InertiaTensor(inertia_m)
-            except ScenarioValidationError as exc:
-                violations.extend([(f"vehicle.{fld}", msg) for fld, msg in exc.violations])
-        if inertia is not None:
-            try:
-                scenario.vehicle = QuadrotorParams(
-                    mass=float(veh.get("mass", 4.34)),
-                    inertia=inertia,
-                    arm_length=float(veh.get("arm_length", 0.315)),
-                    g=float(veh.get("g", 9.81)),
-                )
-            except ScenarioValidationError as exc:
-                violations.extend([(f"vehicle.{fld}", msg) for fld, msg in exc.violations])
-        r0 = _as_vec3(initial.get("r"), "initial.r", violations, np.zeros(3))
-        v0 = _as_vec3(initial.get("v"), "initial.v", violations, np.zeros(3))
-        rot0 = _as_rotation(initial.get("R"), "initial.R", violations)
-        om0 = _as_vec3(initial.get("Omega"), "initial.Omega", violations, np.zeros(3))
-        if all(x is not None for x in (r0, v0, rot0, om0)):
-            try:
-                scenario.quad_initial = QuadrotorState(r0, v0, rot0, om0)
-            except (ScenarioValidationError, Exception) as exc:
-                violations.append(("initial", str(exc)))
-        pg = doc.get("position_gains", {})
-        if not isinstance(pg, dict):
-            violations.append(("position_gains", "must be an object"))
-            pg = {}
-        mats = {}
-        for name, default in (("A", 1.0), ("B", 2.0), ("C", 1.0), ("D", 6.0)):
-            m = _as_matrix(pg.get(name, default), f"position_gains.{name}", violations)
-            if m is not None:
-                mats[name] = m
-        if len(mats) == 4:
-            try:
-                scenario.position_gains = PositionGains(**mats)
-            except ScenarioValidationError as exc:
-                violations.extend(
-                    [(f"position_gains.{fld}", msg) for fld, msg in exc.violations]
-                )
-        ag = doc.get("attitude_gains", {})
-        if not isinstance(ag, dict):
-            violations.append(("attitude_gains", "must be an object"))
-            ag = {}
-        p = _as_matrix(ag.get("P", 16.0), "attitude_gains.P", violations)
-        default_f = (8.0 * inertia.j) if inertia is not None else 1.0
-        f = _as_matrix(ag.get("F", default_f), "attitude_gains.F", violations)
-        s = _as_matrix(ag.get("S", 1.0), "attitude_gains.S", violations)
-        if p is not None and f is not None and s is not None:
-            try:
-                scenario.attitude_gains = AttitudeGains(
-                    P=p, F=f, k_R=float(ag.get("k_R", 1.0)), S=s
-                )
-            except ScenarioValidationError as exc:
-                violations.extend(
-                    [(f"attitude_gains.{fld}", msg) for fld, msg in exc.violations]
-                )
-        ref = doc.get("reference", {})
-        if not isinstance(ref, dict):
-            violations.append(("reference", "must be an object"))
-            ref = {}
-        b_1d = _as_vec3(ref.get("b_1d"), "reference.b_1d", violations, np.array([1.0, 0.0, 0.0]))
-        scenario.circle_coeffs = CircleCoeffs(
-            amplitude=float(ref.get("amplitude", 4.0)),
-            omega=float(ref.get("omega", 0.5)),
-            b_1d=tuple(b_1d) if b_1d is not None else (1.0, 0.0, 0.0),
+        veh = root.section("vehicle")
+        inertia = veh.build(
+            InertiaTensor, j=veh.array("inertia", np.diag([0.084, 0.085, 0.12]), matrix=True)
         )
-        if abs(np.linalg.norm(np.asarray(scenario.circle_coeffs.b_1d)) - 1.0) > 1e-9:
-            violations.append(("reference.b_1d", "must be a unit vector"))
-        aero = doc.get("aero", {})
-        if not isinstance(aero, dict):
-            violations.append(("aero", "must be an object"))
-            aero = {}
-        geometry = aero.get("geometry", {})
-        if not isinstance(geometry, dict):
-            violations.append(("aero.geometry", "must be an object"))
-            geometry = {}
-        try:
-            geom = RotorGeometry(**geometry)
-        except (ScenarioValidationError, TypeError) as exc:
-            violations.append(("aero.geometry", str(exc)))
-            geom = RotorGeometry()
+        scenario.vehicle = veh.build(
+            QuadrotorParams,
+            mass=veh.number("mass", 4.34),
+            inertia=inertia,
+            arm_length=veh.number("arm_length", 0.315),
+            g=veh.number("g", 9.81),
+        )
+        scenario.quad_initial = initial.build(
+            QuadrotorState,
+            r=initial.array("r", np.zeros(3)),
+            v=initial.array("v", np.zeros(3)),
+            R=initial.array("R", np.eye(3), matrix=True),
+            Omega=initial.array("Omega", np.zeros(3)),
+        )
+        pos = root.section("position_gains")
+        scenario.position_gains = pos.build(PositionGains, **{
+            name: pos.array(name, scale * np.eye(3), matrix=True)
+            for name, scale in (("A", 1.0), ("B", 2.0), ("C", 1.0), ("D", 6.0))
+        })
+        with np.errstate(over="ignore"):  # an overflowing default F is refused as non-finite
+            default_f = 8.0 * inertia.j if inertia is not None else None
+        scenario.attitude_gains = _attitude_gains(
+            root.section("attitude_gains"), 16.0 * np.eye(3), default_f
+        )
+        ref = root.section("reference")
+        b_1d = ref.array("b_1d", np.array([1.0, 0.0, 0.0]))
+        if b_1d is not None and abs(np.linalg.norm(b_1d) - 1.0) > 1e-9:
+            b_1d = ref.fail("b_1d", "must be a unit vector")
+        scenario.circle_coeffs = ref.build(
+            CircleCoeffs,
+            amplitude=ref.number("amplitude", 4.0),
+            omega=ref.number("omega", 0.5),
+            b_1d=None if b_1d is None else tuple(b_1d),
+        )
+        aero = root.section("aero")
+        geo = aero.section("geometry")
+        geo_fields = fields(RotorGeometry)
+        for key in sorted(set(geo.obj) - {fld.name for fld in geo_fields}):
+            geo.fail(key, "unknown field")
+        geom = geo.build(RotorGeometry, **{
+            fld.name: geo.number(fld.name, fld.default, integer=isinstance(fld.default, int))
+            for fld in geo_fields
+        })
         # checked whether or not aero is enabled: `--aero on` can enable it later
-        if not geom.theta0 / 6.0 - geom.theta_tw / 8.0 > 0.0:
-            violations.append(("aero.geometry", "theta0/6 - theta_tw/8 must be > 0 "
-                               "(the blades make no hover thrust at any speed)"))
-        rho = float(aero.get("rho", 1.225))
-        if not rho > 0.0:
-            violations.append(("aero.rho", "> 0"))
+        if geom is not None and not geom.theta0 / 6.0 - geom.theta_tw / 8.0 > 0.0:
+            aero.fail("geometry", "theta0/6 - theta_tw/8 must be > 0 "
+                      "(the blades make no hover thrust at any speed)")
         scenario.aero = AeroConfig(
-            enabled=bool(aero.get("enabled", False)), rho=rho, geometry=geom
+            enabled=aero.choice("enabled", False, (False, True)),
+            rho=aero.number("rho", 1.225, positive=True),
+            geometry=geom,
         )
 
     if violations:

@@ -66,7 +66,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateMeanError, NoConvergenceError
+from .errors import _TRAP_FP, DegenerateMeanError, GeomechError, NoConvergenceError, _step_failure
 from .rigid_body import InertiaTensor, RigidBodyState
 from .so3 import SMALL_ANGLE, Array, cross3, exp_so3, hat, log_so3, tilde
 from .timeseries import TimeSeries
@@ -124,7 +124,7 @@ class StepResult:
 def _check_step_angle(theta2: float) -> None:
     if theta2 > (np.pi - 1e-8) ** 2:
         raise DegenerateMeanError(
-            f"relative rotation {np.sqrt(theta2):.6f} rad is (numerically) at pi;"
+            f"relative rotation {np.sqrt(theta2):.6g} rad is (numerically) at pi;"
             " reduce dt"
         )
 
@@ -409,8 +409,8 @@ def simulate(
     Columns: time, the nine attitude entries, body rates, kinetic energy
     ``H``, spatial momentum ``Pi``, the orthogonality defect, and per-step
     Newton diagnostics.  ``t_final = 0`` yields the single initial record.
-    Each step runs :func:`vi_step`; a solver failure is re-raised with the
-    step index and time.
+    The steps run under the floating-point trap of the run loops, and any
+    failure is re-raised through ``errors._step_failure``, naming the step.
     """
     dt = cfg.dt
     n_steps = int(round(t_final / dt)) if t_final > 0.0 else 0
@@ -423,12 +423,13 @@ def simulate(
     res_h = np.zeros(n_steps + 1)
     t_hist[0], w_hist[0] = t_mat, omega
     pi = t_mat @ (inertia.j @ omega)
-    for k in range(n_steps):
-        try:
-            result = vi_step(t_mat, omega, moment_fn, inertia, cfg, t=k * dt, pi_k=pi)
-        except (NoConvergenceError, DegenerateMeanError) as exc:
-            raise type(exc)(f"step {k} (t={k * dt:.6g}): {exc}") from exc
-        t_mat, omega, pi = result.T_next, result.omega_next, result.pi_next
-        t_hist[k + 1], w_hist[k + 1] = t_mat, omega
-        iters_h[k + 1], res_h[k + 1] = result.newton_iters, result.residual
+    try:
+        with np.errstate(**_TRAP_FP):
+            for k in range(n_steps):
+                result = vi_step(t_mat, omega, moment_fn, inertia, cfg, t=k * dt, pi_k=pi)
+                t_mat, omega, pi = result.T_next, result.omega_next, result.pi_next
+                t_hist[k + 1], w_hist[k + 1] = t_mat, omega
+                iters_h[k + 1], res_h[k + 1] = result.newton_iters, result.residual
+    except (ArithmeticError, GeomechError) as exc:
+        raise _step_failure(exc, k, dt) from None
     return _trajectory_series(t_hist, w_hist, iters_h, res_h, dt, inertia)

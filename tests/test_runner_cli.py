@@ -377,6 +377,50 @@ def test_cli_aero_override(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("omega, message", [
+    ([1e200, 0.0, 0.0], "state diverged: overflow"),  # |omega|^2 overflows
+    ([1e155, 1e155, 0.0], "relative rotation 1.41421e+153 rad"),  # finite, far past pi
+])
+def test_cli_vi_blowup_exits_3_with_one_line(tmp_path, capsys, command, omega, message):
+    # the VI steps run under the same floating-point trap and step-naming
+    # error map as the other loops; warnings are errors, so nothing but the
+    # one failure line can reach stderr
+    doc = json.loads(open("scenarios/free_body.json", "rb").read())
+    doc["initial"]["omega"] = omega
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path), "--out-dir", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"solver failure: step 0 (t=0): {message}")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name, section, key, value", [
+    ("quad_track_aero", "aero", "rho", 1e-300),  # the hover calibration overflows
+    ("attitude_track", "gains", "k_R", 1e308),  # the storage column overflows
+])
+def test_cli_overflow_outside_the_steps_exits_3(tmp_path, capsys, name, section, key, value):
+    # valid but absurd values whose arithmetic overflows while the run is
+    # set up or summarised: a solver failure of the run, never a traceback
+    doc = json.loads(open(f"scenarios/{name}.json", "rb").read())
+    doc[section][key] = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--t-final", "0", "--out-dir", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("solver failure: outside the step loop: ")
+    assert not out_dir.exists()
+
+
 def test_cli_solver_failure_exit_code(tmp_path):
     doc = {
         "kind": "free_body",
@@ -496,6 +540,8 @@ def test_aero_run_keeps_scipy_unimported(tmp_path):
 # each invalid override (one flag at a time) against sixteen valid draws
 _BAD_OVERRIDES = [("dt", v) for v in (0.0, -0.5, math.inf, math.nan)] + [
     ("t_final", v) for v in (-1.0, math.inf, math.nan)]
+_SHIPPED = ["attitude_track", "free_body", "integrator_compare", "quad_track",
+            "quad_track_aero"]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -504,16 +550,20 @@ _BAD_OVERRIDES = [("dt", v) for v in (0.0, -0.5, math.inf, math.nan)] + [
     steps=st.integers(0, 300),
     bad=st.sampled_from([None] * 16 + _BAD_OVERRIDES),
     aero=st.sampled_from(["on", "off"]),
+    name=st.sampled_from(_SHIPPED),
 )
-def test_cli_quad_overrides_end_cleanly(dt, steps, bad, aero):
-    # any --dt / --t-final / --aero override ends with a documented exit code,
-    # one stderr line on failure and either both outputs or none; warnings
-    # are errors so nothing but that line could reach stderr
+def test_cli_quad_overrides_end_cleanly(dt, steps, bad, aero, name):
+    # any --dt / --t-final (and, for the quadrotor, --aero) override of any
+    # shipped scenario ends with a documented exit code, one stderr line on
+    # failure and either both outputs or none; warnings are errors so nothing
+    # but that line could reach stderr
     values = {"dt": dt, "t_final": steps * dt}
     if bad is not None:
         values[bad[0]] = bad[1]
-    argv = ["run", "scenarios/quad_track.json", f"--dt={values['dt']!r}",
-            f"--t-final={values['t_final']!r}", "--aero", aero]
+    argv = ["run", f"scenarios/{name}.json", f"--dt={values['dt']!r}",
+            f"--t-final={values['t_final']!r}"]
+    if name.startswith("quad_track"):
+        argv += ["--aero", aero]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -524,7 +574,7 @@ def test_cli_quad_overrides_end_cleanly(dt, steps, bad, aero):
     assert code in (0, 2, 3)
     if code == 0:
         assert err.getvalue() == ""
-        assert files == ["quad_track.csv", "quad_track.metrics.json"]
+        assert files == [f"{name}.csv", f"{name}.metrics.json"]
     else:
         assert len(err.getvalue().strip().splitlines()) == 1
         assert files == []

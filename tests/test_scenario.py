@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomech.cli import main
 from geomech.errors import ScenarioParseError, ScenarioValidationError
@@ -149,3 +156,143 @@ def test_step_count_is_bounded(tmp_path):
     path = tmp_path / "long.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 0
+
+
+def _set(doc, path, value):
+    *head, last = path.split(".")
+    for key in head:
+        doc = doc.setdefault(key, {})
+    doc[last] = value
+
+
+@pytest.mark.parametrize("name, path, value, message", [
+    ("free_body", "integrator.newton_tol", "abc", "must be a number"),
+    ("free_body", "integrator.max_iters", 1.5, "must be an integer"),
+    ("free_body", "dt", True, "must be a number"),
+    ("free_body", "t_final", "10", "must be a number"),
+    ("attitude_track", "gains.k_R", "abc", "must be a number"),
+    ("attitude_track", "gains.k_R", math.inf, "must be finite"),
+    ("attitude_track", "reference.roll", [math.inf], "finite coefficients"),
+    ("quad_track", "vehicle.mass", "abc", "must be a number"),
+    ("quad_track", "position_gains.A", math.nan, "finite scalar, 3-list or 3x3"),
+    ("quad_track", "position_gains.D", [1, math.inf, 1], "finite scalar, 3-list or 3x3"),
+    ("quad_track", "reference.amplitude", math.inf, "must be finite"),
+    ("quad_track", "reference.omega", math.nan, "must be finite"),
+    ("quad_track", "aero.enabled", "no", "must be false or true"),
+    ("quad_track_aero", "aero.rho", "abc", "must be a number"),
+    ("quad_track_aero", "aero.geometry.n_blades", "abc", "must be a number"),
+    ("quad_track_aero", "aero.geometry.n_blades", 2.0, "must be an integer"),
+    ("quad_track_aero", "aero.geometry.chord", math.inf, "must be finite"),
+    ("quad_track_aero", "aero.geometry.chord", 10**400, "must be finite"),
+    ("quad_track_aero", "aero.geometry.pitch", 0.1, "unknown field"),
+])
+def test_cli_validate_names_the_bad_field(tmp_path, capsys, name, path, value, message):
+    # one mutated field of a shipped scenario: exit 2 and exactly one
+    # violation line, naming that field
+    doc = json.loads(open(f"scenarios/{name}.json", "rb").read())
+    _set(doc, path, value)
+    target = tmp_path / f"{name}.json"
+    target.write_text(json.dumps(doc))
+    assert main(["validate", str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"invalid scenario {target}:"
+    [line] = err[1:]
+    assert line.startswith(f"  - {path}: ") and message in line
+
+
+@pytest.mark.parametrize("name", ["attitude_track", "free_body", "integrator_compare",
+                                  "quad_track", "quad_track_aero"])
+def test_null_means_the_default_for_every_field(name):
+    # a shipped scenario with any one field or section set to null parses
+    # exactly as with that key left out
+    doc = json.loads(open(f"scenarios/{name}.json", "rb").read())
+
+    def paths(node, prefix=""):
+        for key, value in node.items():
+            if key != "kind":
+                yield prefix + key
+            if isinstance(value, dict):
+                yield from paths(value, f"{prefix}{key}.")
+
+    for path in paths(doc):
+        *head, last = path.split(".")
+        nulled, dropped = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
+        _set(nulled, path, None)
+        node = dropped
+        for key in head:
+            node = node[key]
+        del node[last]
+        assert repr(parse_scenario(json.dumps(nulled))) == repr(
+            parse_scenario(json.dumps(dropped))), path
+
+
+def test_outputs_are_always_named_after_the_stem(tmp_path):
+    # former `csv_name` / `metrics_name` keys are unknown keys, ignored like any other
+    doc = json.loads(open("scenarios/free_body.json", "rb").read())
+    doc.update(t_final=0.0, csv_name="../escaped.csv", metrics_name=5)
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out_dir)]) == 0
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [
+        "named.csv", "named.json", "named.metrics.json"]
+
+
+_DELETE = object()
+# ill-typed, non-finite, wrong-shape, nested and out-of-range replacements
+_MUTANTS = [_DELETE, "abc", "1.0", "", True, False, None, math.nan, math.inf, -math.inf,
+            [], [1.0, 2.0], [0.5, 0.5, 0.5, 0.5], [[1.0, 0.0, 0.0]], [1.0, "x", 0.0],
+            [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], {}, {"a": {"b": 1.0}},
+            0, -1.0, 1.5, 1e154, -1e308, 1e308, 10**400, 1e-300, 5e-324]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_validate_fuzzed_documents_end_cleanly(data):
+    # one leaf or section of a shipped scenario replaced or deleted: validate
+    # exits 0 or 2 and never raises; a document it accepts runs one record
+    # (exit 0) or fails as a run (exit 3), never as invalid input.  Warnings
+    # are errors, so nothing but the documented lines reach stderr.
+    name = data.draw(st.sampled_from(["attitude_track", "free_body", "integrator_compare",
+                                      "quad_track", "quad_track_aero"]))
+    doc = json.loads(open(f"scenarios/{name}.json", "rb").read())
+    paths = []
+    stack = [(doc, "")]
+    while stack:
+        node, prefix = stack.pop()
+        for key, value in node.items():
+            paths.append(prefix + key)
+            if isinstance(value, dict):
+                stack.append((value, f"{prefix}{key}."))
+    path = data.draw(st.sampled_from(sorted(paths)))
+    value = data.draw(st.sampled_from(_MUTANTS))
+    *head, last = path.split(".")
+    node = doc
+    for key in head:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        target = Path(tmp) / f"{name}.json"
+        target.write_text(json.dumps(doc))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["validate", str(target)])
+            assert code in (0, 2)
+            if code == 0:
+                code = main(["run", str(target), "--t-final", "0", "--out-dir", str(out)])
+                assert code in (0, 3)
+        files = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert lines[0].startswith(("invalid scenario", "parse error"))
+        assert lines[1:] and all(line.startswith("  - ") for line in lines[1:])
+    elif code == 3:
+        assert len(lines) == 1 and lines[0].startswith("solver failure: ")
+        assert files == []
+    else:
+        assert lines == [] and files == [f"{name}.csv", f"{name}.metrics.json"]

@@ -8,6 +8,7 @@ from geomech.rigid_body import (
     RigidBodyState,
     rk4_attitude_step,
 )
+from geomech import variational
 from geomech.so3 import exp_so3, log_so3
 from geomech.variational import (
     IntegratorConfig,
@@ -236,9 +237,8 @@ def test_vi_step_no_convergence_when_starved():
 
 
 def test_free_chord_step_matches_covector_route(rng):
-    # the body-frame Lie group solve of a free chord step and the space-frame
-    # covector solve (reached through an identically zero moment) are two
-    # routes to the same discrete Euler-Lagrange equation
+    # an identically zero moment_fn takes the same Newton solve as None and
+    # adds an exact zero force, so both give bit-identical steps
     zero = lambda t: np.zeros(3)  # noqa: E731
     for _ in range(200):
         inertia = InertiaTensor.from_diag(*rng.uniform(1.5, 3.0, size=3))
@@ -247,9 +247,49 @@ def test_free_chord_step_matches_covector_route(rng):
         cfg = IntegratorConfig(dt=rng.uniform(0.001, 0.05))
         free = vi_step(t0, w, None, inertia, cfg)
         ref = vi_step(t0, w, zero, inertia, cfg)
-        np.testing.assert_allclose(free.T_next, ref.T_next, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(free.omega_next, ref.omega_next, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(free.T_next, ref.T_next)
+        np.testing.assert_array_equal(free.omega_next, ref.omega_next)
         np.testing.assert_array_equal(free.pi_next, ref.pi_next)
+
+
+def _series_and_closed_forms(monkeypatch, theta):
+    """The step coefficients at angle ``theta`` from the closed forms and,
+    with the small-angle threshold raised above ``theta``, from the series.
+    ``tau = tan(theta/4)/theta`` is read off the lower force covector."""
+    f, moment = np.array([theta, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+
+    def coefficients():
+        theta2 = theta * theta
+        tau = -2.0 * variational._body_force_minus(f, theta2, moment)[1] / theta
+        return (*variational._chord_coefficients(theta2),
+                *variational._arc_coefficients(theta2), tau)
+
+    closed = coefficients()
+    monkeypatch.setattr(variational, "SMALL_ANGLE", 1.0)
+    series = coefficients()
+    monkeypatch.undo()
+    return dict(zip(("a", "b", "da", "db", "c", "dc", "tau"), zip(series, closed)))
+
+
+@pytest.mark.parametrize("theta", [1e-2, 2e-2, 3e-2])
+def test_small_angle_series_values_match_closed_forms(monkeypatch, theta):
+    # the series run only below 1e-4 rad in use; at 1e-2 the closed forms
+    # still keep their digits and a wrong series coefficient shows (the arc
+    # c with theta^2/700 for theta^2/720 is off by 4.8e-8 at 1e-2)
+    pairs = _series_and_closed_forms(monkeypatch, theta)
+    for name in ("a", "b", "da", "c", "tau"):
+        series, closed = pairs[name]
+        assert series == pytest.approx(closed, rel=1e-10, abs=0.0), name
+
+
+def test_small_angle_series_derivatives_match_closed_forms(monkeypatch):
+    # the closed-form b'/x and c'/x lose their digits to cancellation at
+    # small angles (c'/x is 1% off at 1e-2), so these are compared at 0.2,
+    # where the first omitted series term is below 4e-9 relative
+    pairs = _series_and_closed_forms(monkeypatch, 0.2)
+    for name in ("db", "dc"):
+        series, closed = pairs[name]
+        assert series == pytest.approx(closed, rel=1e-8, abs=0.0), name
 
 
 def test_free_chord_step_no_convergence_when_starved():
