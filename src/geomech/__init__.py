@@ -19,7 +19,6 @@ from . import (  # noqa: F401
     variational,
 )
 from .rigid_body import (  # noqa: F401
-    BodyWrench,
     InertiaTensor,
     QuadrotorParams,
     QuadrotorState,

@@ -20,7 +20,9 @@ class SolverError(GeomechError):
 
 
 class DegenerateMeanError(SolverError):
-    """Rotation pair is (numerically) antipodal; the polar mean is undefined."""
+    """Rotation pair is (numerically) antipodal, so the polar mean is
+    undefined, or one integrator step rotates by an angle of pi or more
+    (reduce dt)."""
 
 
 class SingularInputError(GeomechError):

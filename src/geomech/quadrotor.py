@@ -156,7 +156,6 @@ class ControllerMemory:
 class TrackingDiagnostics:
     e_r: Array
     e_v: Array
-    v_minus_v_target: Array
     psi_command: float
     e_R: Array
     e_Omega: Array
@@ -207,7 +206,6 @@ def tracking_step(
     diagnostics = TrackingDiagnostics(
         e_r=state.r - ref.r_d,
         e_v=state.v - ref.v_d,
-        v_minus_v_target=state.v - velocity_target(state.r, ref, gains),
         psi_command=2.0 - np.sqrt(one_plus_tr),
         e_R=e_R,
         e_Omega=e_Omega,

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, ScenarioValidationError
-from .so3 import Array, cross3, hat, polar_project, require_rotation
+from .so3 import Array, _check_step_angle, cross3, hat, polar_project, require_rotation
 
 GRAVITY = 9.81
 
@@ -99,22 +99,6 @@ class QuadrotorState:
 
 
 @dataclass
-class BodyWrench:
-    """Extra body-frame force (N) and moment (N m), e.g. from the rotor model."""
-
-    force_body: Array
-    moment_body: Array
-
-    def __post_init__(self):
-        self.force_body = _require_finite_vec3(self.force_body, "force_body")
-        self.moment_body = _require_finite_vec3(self.moment_body, "moment_body")
-
-    @classmethod
-    def zero(cls) -> "BodyWrench":
-        return cls(np.zeros(3), np.zeros(3))
-
-
-@dataclass
 class QuadrotorParams:
     """Vehicle constants: mass (kg), inertia, rotor arm length (m), gravity."""
 
@@ -139,53 +123,42 @@ class QuadrotorParams:
         return np.array([0.0, 0.0, -self.g])
 
 
-PotentialMoment = Callable[[Array], Array]
+def _rates(R: Array, Om: Array, m_body: Array, jj: Array, jinv: Array) -> tuple[Array, Array]:
+    """The rotational law of both plants: ``Rdot = R hat(Om)`` and
+    ``J Omdot = M - Om x J Om`` (``jj = J``, ``jinv = J^-1``)."""
+    return R @ hat(Om), jinv @ (m_body - cross3(Om, jj @ Om))
 
 
 def attitude_rhs(
     state: RigidBodyState,
     inertia: InertiaTensor,
     moment: Array,
-    potential_moment: PotentialMoment | None = None,
 ) -> tuple[Array, Array]:
-    """Rotational equations of motion.
+    """Rotational equations of motion under the body moment ``moment``.
 
-    ``Tdot = T hat(omega)`` and ``J omega_dot = M - omega x J omega``; an
-    optional callback supplies an attitude-dependent potential moment in the
-    body frame (none is built in).
+    A potential moment (none is built in) is added to ``moment`` by the caller.
     """
-    t, w = state.T, state.omega
     m = np.asarray(moment, dtype=float)
-    if potential_moment is not None:
-        m = m + potential_moment(t)
-    t_dot = t @ hat(w)
-    w_dot = inertia.j_inv @ (m - cross3(w, inertia.j @ w))
-    return t_dot, w_dot
+    return _rates(state.T, state.omega, m, inertia.j, inertia.j_inv)
 
 
 def quadrotor_rhs(
     state: QuadrotorState,
     params: QuadrotorParams,
-    thrust: float,
-    moment: Array,
-    extra: BodyWrench | None = None,
+    f_body: Array,
+    m_body: Array,
 ) -> tuple[Array, Array, Array, Array]:
-    """Quadrotor equations of motion with collective body-z thrust.
+    """Quadrotor equations of motion under the body wrench ``(f_body, m_body)``.
 
-    Translational dynamics: ``m vdot = m G + R (f e3 + extra force)``.
-    ``extra`` carries any additional body wrench (rotor aerodynamics).
+    Translational dynamics: ``m vdot = m G + R f_body``; ideal actuation is
+    ``f_body = (0, 0, thrust)``.
     """
-    f_body = np.array([0.0, 0.0, float(thrust)])
-    m_body = np.asarray(moment, dtype=float)
-    if extra is not None:
-        f_body = f_body + extra.force_body
-        m_body = m_body + extra.moment_body
-    r_dot = state.v
+    f_body = np.asarray(f_body, dtype=float)
+    m_body = np.asarray(m_body, dtype=float)
     v_dot = params.gravity_vector + (state.R @ f_body) / params.mass
-    R_dot = state.R @ hat(state.Omega)
     jj = params.inertia
-    Omega_dot = jj.j_inv @ (m_body - cross3(state.Omega, jj.j @ state.Omega))
-    return r_dot, v_dot, R_dot, Omega_dot
+    R_dot, Omega_dot = _rates(state.R, state.Omega, m_body, jj.j, jj.j_inv)
+    return state.v, v_dot, R_dot, Omega_dot
 
 
 def kinetic_energy(state: RigidBodyState, inertia: InertiaTensor) -> float:
@@ -196,6 +169,15 @@ def kinetic_energy(state: RigidBodyState, inertia: InertiaTensor) -> float:
 def spatial_momentum(state: RigidBodyState, inertia: InertiaTensor) -> Array:
     """Inertial-frame angular momentum ``T J omega``; conserved when M = 0."""
     return state.T @ (inertia.j @ state.omega)
+
+
+def energy_momentum_rows(T: Array, w: Array, inertia: InertiaTensor) -> tuple[Array, Array]:
+    """:func:`kinetic_energy` and :func:`spatial_momentum` of each row of a
+    trajectory: attitudes ``T`` (``(n, 3, 3)``, or ``(n, 9)`` row-major) and
+    body rates ``w`` (``(n, 3)``)."""
+    jw = w @ inertia.j.T
+    h = 0.5 * np.einsum("ni,ni->n", w, jw)
+    return h, np.einsum("nij,nj->ni", T.reshape(-1, 3, 3), jw)
 
 
 def rk4_step(rhs: Callable[[float, Array], Array], y: Array, t: float, dt: float) -> Array:
@@ -239,7 +221,10 @@ def _attitude_rk4_core(
     ``q1``, when given, is the stage-1 torque ``torque_fn(t, t_mat, w)``
     that the caller has already evaluated; stage 1 then takes ``t_mat`` as
     it is, which must be a rotation (a previous step's projected result).
+    Raises ``DivergenceError`` when ``dt |w|``, the rotation of the step,
+    reaches pi (``so3._check_step_angle``).
     """
+    _check_step_angle(float(w @ w) * (dt * dt), explicit=True)
     jj, jinv = inertia.j, inertia.j_inv
 
     def deriv(ti, tm, wi, q=None):
@@ -248,7 +233,7 @@ def _attitude_rk4_core(
             # handing them to the torque law, whose domain is the group itself
             tm = _fast_polar(tm)
             q = torque_fn(ti, tm, wi)
-        return tm @ hat(wi), jinv @ (q - cross3(wi, jj @ wi))
+        return _rates(tm, wi, q, jj, jinv)
 
     k1t, k1w = deriv(t, t_mat, w, q1)
     k2t, k2w = deriv(t + 0.5 * dt, t_mat + 0.5 * dt * k1t, w + 0.5 * dt * k1w)
@@ -293,21 +278,16 @@ def _quadrotor_rk4_core(
     jj, jinv = params.inertia.j, params.inertia.j_inv
     h = 0.5 * dt
 
-    k1v = grav + (R @ f_body) / mass
-    k1R = R @ hat(Om)
-    k1O = jinv @ (m_body - cross3(Om, jj @ Om))
+    def deriv(Ri, Oi):
+        return (grav + (Ri @ f_body) / mass, *_rates(Ri, Oi, m_body, jj, jinv))
+
+    k1v, k1R, k1O = deriv(R, Om)
     v2, R2, O2 = v + h * k1v, R + h * k1R, Om + h * k1O
-    k2v = grav + (R2 @ f_body) / mass
-    k2R = R2 @ hat(O2)
-    k2O = jinv @ (m_body - cross3(O2, jj @ O2))
+    k2v, k2R, k2O = deriv(R2, O2)
     v3, R3, O3 = v + h * k2v, R + h * k2R, Om + h * k2O
-    k3v = grav + (R3 @ f_body) / mass
-    k3R = R3 @ hat(O3)
-    k3O = jinv @ (m_body - cross3(O3, jj @ O3))
+    k3v, k3R, k3O = deriv(R3, O3)
     v4, R4, O4 = v + dt * k3v, R + dt * k3R, Om + dt * k3O
-    k4v = grav + (R4 @ f_body) / mass
-    k4R = R4 @ hat(O4)
-    k4O = jinv @ (m_body - cross3(O4, jj @ O4))
+    k4v, k4R, k4O = deriv(R4, O4)
 
     sixth = dt / 6.0
     r_new = r + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
@@ -335,18 +315,13 @@ def _require_not_diverged(r: Array, v: Array, R: Array, Om: Array) -> None:
 def rk4_quadrotor_step(
     state: QuadrotorState,
     params: QuadrotorParams,
-    thrust: float,
-    moment: Array,
-    extra: BodyWrench | None,
+    f_body: Array,
+    m_body: Array,
     dt: float,
 ) -> QuadrotorState:
-    """One RK4 step of the quadrotor with thrust/moment held over the step."""
-    f_body = np.array([0.0, 0.0, float(thrust)])
-    m_body = np.asarray(moment, dtype=float)
-    if extra is not None:
-        f_body = f_body + extra.force_body
-        m_body = m_body + extra.moment_body
+    """One RK4 step of the quadrotor with the body wrench held over the step."""
     r, v, R, Om = _quadrotor_rk4_core(
-        state.r, state.v, state.R, state.Omega, params, f_body, m_body, dt
+        state.r, state.v, state.R, state.Omega, params,
+        np.asarray(f_body, dtype=float), np.asarray(m_body, dtype=float), dt,
     )
     return QuadrotorState(r, v, R, Om)

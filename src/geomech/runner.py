@@ -33,8 +33,8 @@ from .quadrotor import (
     translational_storage,
 )
 from .references import _euler_321_raw, circle_reference, gimbal_proximity
-from .rigid_body import BodyWrench, _attitude_rk4_core, rk4_quadrotor_step
-from .so3 import hat
+from .rigid_body import _attitude_rk4_core, energy_momentum_rows, rk4_quadrotor_step
+from .so3 import hat, orthogonality_defects
 from .rotor_aero import (
     AirState,
     HoverCalibration,
@@ -49,7 +49,6 @@ from .scenario import Scenario
 from .timeseries import MetricsSummary, TimeSeries, write_outputs  # noqa: F401
 from .variational import IntegratorConfig, simulate
 
-_EYE3 = np.eye(3)
 
 def settling_time(t: np.ndarray, signal: np.ndarray, fraction: float = 0.05):
     """First time after which ``signal`` stays below ``fraction`` of its
@@ -77,13 +76,6 @@ def steady_state_value(signal: np.ndarray, fraction: float = 0.1) -> float:
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of ``v``."""
     return np.sqrt(np.einsum("ni,ni->n", v, v))
-
-
-def _ortho_defects(rows: np.ndarray) -> np.ndarray:
-    """Frobenius norm of ``R^T R - I`` for each row-major attitude in ``rows``."""
-    r = rows.reshape(-1, 3, 3)
-    gram = np.einsum("nki,nkj->nij", r, r) - _EYE3
-    return np.sqrt(np.einsum("nij,nij->n", gram, gram))
 
 
 def run(scenario: Scenario) -> tuple[TimeSeries, MetricsSummary]:
@@ -215,7 +207,7 @@ def _attitude_loop_numpy(rd_all, wd_all, wdd_all, sc: Scenario):
     table[:, col("V_storage")] = (
         gains.k_R * psi + 0.5 * np.einsum("ni,ij,nj->n", err, gains.S, err)
     )
-    table[:, col("ortho_defect")] = _ortho_defects(table[:, :9])
+    table[:, col("ortho_defect")] = orthogonality_defects(table[:, :9])
     return table
 
 
@@ -283,7 +275,7 @@ class _AeroModel:
         self.kappa = (torque_coefficient(self.geom, lam_h, 0.0) * self.geom.radius
                       / thrust_coefficient(self.geom, lam_h, 0.0))
 
-    def wrench(self, state, f_cmd: float, q_cmd: np.ndarray) -> BodyWrench:
+    def wrench(self, state, f_cmd: float, q_cmd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         thrusts = self.calibration.saturate(
             rotor_thrusts(f_cmd, q_cmd, self.params.arm_length, self.kappa)
         )
@@ -314,7 +306,7 @@ class _AeroModel:
             mx += m_x + ay * w.thrust
             my += m_y - ax * w.thrust
             mz += -spin * w.torque_shaft + ax * f_y - ay * f_x
-        return BodyWrench(np.array([fx, fy, fz]), np.array([mx, my, mz]))
+        return np.array([fx, fy, fz]), np.array([mx, my, mz])
 
 
 def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
@@ -327,35 +319,32 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     aero = _AeroModel(sc) if sc.aero.enabled else None
 
     table = np.empty((n + 1, len(_QUAD_COLUMNS)))
-
-    def record(k, ref, f, q, diag):
-        # e_r_norm and ortho_defect (the two 0.0 slots) are formed after the loop
-        table[k] = [
-            *state.r, *state.v, *state.Omega, *diag.e_r, *q, *state.R.ravel(),
-            0.0, np.linalg.norm(diag.e_v), diag.psi_command,
-            np.linalg.norm(diag.e_R), np.linalg.norm(diag.e_Omega), f,
-            translational_storage(state, ref, gains), float(diag.thrust_negative), 0.0,
-        ]
+    side = np.empty((n + 1, 9))  # e_v, e_R, e_Omega
 
     try:
         for k in range(n + 1):
-            t = k * dt
-            ref = circle_reference(t, coeffs)
+            ref = circle_reference(k * dt, coeffs)
             f, q, diag = tracking_step(state, ref, params, gains, att_gains, dt, memory)
-            record(k, ref, f, q, diag)
+            # the norm columns and ortho_defect (the 0.0 slots) are formed after the loop
+            table[k] = [
+                *state.r, *state.v, *state.Omega, *diag.e_r, *q, *state.R.ravel(),
+                0.0, 0.0, diag.psi_command, 0.0, 0.0, f,
+                translational_storage(state, ref, gains), float(diag.thrust_negative), 0.0,
+            ]
+            side[k, :3], side[k, 3:6], side[k, 6:] = diag.e_v, diag.e_R, diag.e_Omega
             if k == n:
                 break
-            if aero is None:
-                state = rk4_quadrotor_step(state, params, f, q, None, dt)
-            else:
-                extra = aero.wrench(state, f, q)
-                state = rk4_quadrotor_step(state, params, 0.0, np.zeros(3), extra, dt)
+            wrench = (np.array([0.0, 0.0, f]), q) if aero is None else aero.wrench(state, f, q)
+            state = rk4_quadrotor_step(state, params, *wrench, dt)
     except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
 
     col = _QUAD_COLUMNS.index
     table[:, col("e_r_norm")] = _row_norms(table[:, col("e_r_x"):col("e_r_z") + 1])
-    table[:, col("ortho_defect")] = _ortho_defects(table[:, col("R00"):col("R22") + 1])
+    table[:, col("e_v_norm")] = _row_norms(side[:, :3])
+    table[:, col("e_R_norm")] = _row_norms(side[:, 3:6])
+    table[:, col("e_Omega_norm")] = _row_norms(side[:, 6:])
+    table[:, col("ortho_defect")] = orthogonality_defects(table[:, col("R00"):col("R22") + 1])
     cols = {"t": dt * np.arange(n + 1)}
     cols.update((name, table[:, j]) for j, name in enumerate(_QUAD_COLUMNS))
     series = TimeSeries(cols)
@@ -401,11 +390,9 @@ def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
 
-    jw = rows[:, 9:] @ jj.j.T  # J omega per row
-    h_rk4 = 0.5 * np.einsum("ni,ni->n", rows[:, 9:], jw)
-    pi_rk4 = np.einsum("nij,nj->ni", rows[:, :9].reshape(-1, 3, 3), jw)  # T J omega
+    h_rk4, pi_rk4 = energy_momentum_rows(rows[:, :9], rows[:, 9:], jj)
     mom_rk4 = _row_norms(pi_rk4 - pi_rk4[0])
-    ortho_rk4 = _ortho_defects(rows[:, :9])
+    ortho_rk4 = orthogonality_defects(rows[:, :9])
 
     h_vi = vi_series.column("H")
     pi_vi = vi_series.vector("Pi")

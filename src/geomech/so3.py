@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DegenerateMeanError,
+    DivergenceError,
     InvalidRotationError,
     NotSkewError,
     SingularInputError,
@@ -151,6 +152,24 @@ def rotation_mean(ta: Array, tb: Array) -> Array:
 def orthogonality_defect(m: Array) -> float:
     """Frobenius norm of ``m^T m - I``."""
     return float(np.linalg.norm(m.T @ m - _EYE3))
+
+
+def orthogonality_defects(rows: Array) -> Array:
+    """:func:`orthogonality_defect` of each matrix of a trajectory, given as
+    ``(n, 3, 3)`` or as ``(n, 9)`` row-major rows."""
+    r = rows.reshape(-1, 3, 3)
+    gram = np.einsum("nki,nkj->nij", r, r) - _EYE3
+    return np.sqrt(np.einsum("nij,nij->n", gram, gram))
+
+
+def _check_step_angle(theta2: float, explicit: bool = False) -> None:
+    """The step-angle rule of every attitude integrator: refuse a step whose
+    relative rotation, of squared angle ``theta2``, reaches pi.  The implicit
+    VI step raises ``DegenerateMeanError``; an ``explicit`` (RK4) step that
+    long is far outside its stability region, so it raises ``DivergenceError``."""
+    if theta2 > (np.pi - 1e-8) ** 2:
+        msg = f"relative rotation {np.sqrt(theta2):.6g} rad reaches pi; reduce dt"
+        raise DivergenceError(f"state diverged: {msg}") if explicit else DegenerateMeanError(msg)
 
 
 def is_rotation(m: Array, tol: float = 1e-9) -> bool:

@@ -66,9 +66,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import _TRAP_FP, DegenerateMeanError, GeomechError, NoConvergenceError, _step_failure
-from .rigid_body import InertiaTensor, RigidBodyState
-from .so3 import SMALL_ANGLE, Array, cross3, exp_so3, hat, log_so3, tilde
+from .errors import _TRAP_FP, GeomechError, NoConvergenceError, _step_failure
+from .rigid_body import InertiaTensor, RigidBodyState, energy_momentum_rows
+from .so3 import (
+    SMALL_ANGLE, Array, _check_step_angle, cross3, exp_so3, hat, log_so3, orthogonality_defects,
+    tilde,
+)
 from .timeseries import TimeSeries
 
 _EYE3 = np.eye(3)
@@ -119,14 +122,6 @@ class StepResult:
     newton_iters: int
     residual: float
     pi_next: Array | None = None
-
-
-def _check_step_angle(theta2: float) -> None:
-    if theta2 > (np.pi - 1e-8) ** 2:
-        raise DegenerateMeanError(
-            f"relative rotation {np.sqrt(theta2):.6g} rad is (numerically) at pi;"
-            " reduce dt"
-        )
 
 
 def _f_matrix(psi: Array) -> Array:
@@ -237,34 +232,6 @@ def discrete_forces(
 
 
 MomentFn = Callable[[float], Array]
-
-
-def _trajectory_series(
-    t_hist: Array,
-    w_hist: Array,
-    iters_h: Array,
-    res_h: Array,
-    dt: float,
-    inertia: InertiaTensor,
-) -> TimeSeries:
-    """Assemble the standard free-body columns from trajectory arrays."""
-    n_rec = t_hist.shape[0]
-    cols: dict[str, np.ndarray] = {"t": dt * np.arange(n_rec)}
-    for i in range(3):
-        for j in range(3):
-            cols[f"T{i}{j}"] = t_hist[:, i, j].copy()
-    for a, ax in enumerate(("x", "y", "z")):
-        cols[f"w_{ax}"] = w_hist[:, a].copy()
-    jw = w_hist @ inertia.j.T
-    cols["H"] = 0.5 * np.einsum("ij,ij->i", w_hist, jw)
-    pi = np.einsum("kij,kj->ki", t_hist, jw)
-    for a, ax in enumerate(("x", "y", "z")):
-        cols[f"Pi_{ax}"] = pi[:, a].copy()
-    gram = np.einsum("kji,kjl->kil", t_hist, t_hist) - np.eye(3)
-    cols["ortho_defect"] = np.sqrt(np.einsum("kij,kij->k", gram, gram))
-    cols["newton_iters"] = np.asarray(iters_h, dtype=float)
-    cols["residual"] = np.asarray(res_h, dtype=float)
-    return TimeSeries(cols)
 
 
 def _chord_coefficients(theta2: float) -> tuple[float, float, float, float]:
@@ -432,4 +399,12 @@ def simulate(
                 iters_h[k + 1], res_h[k + 1] = result.newton_iters, result.residual
     except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
-    return _trajectory_series(t_hist, w_hist, iters_h, res_h, dt, inertia)
+    h, pi = energy_momentum_rows(t_hist, w_hist, inertia)
+    cols = {"t": dt * np.arange(n_steps + 1)}
+    cols.update((f"T{i}{j}", t_hist[:, i, j].copy()) for i in range(3) for j in range(3))
+    cols.update((f"w_{ax}", w_hist[:, a].copy()) for a, ax in enumerate("xyz"))
+    cols["H"] = h
+    cols.update((f"Pi_{ax}", pi[:, a].copy()) for a, ax in enumerate("xyz"))
+    cols["ortho_defect"] = orthogonality_defects(t_hist)
+    cols["newton_iters"], cols["residual"] = iters_h, res_h
+    return TimeSeries(cols)

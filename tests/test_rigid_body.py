@@ -3,7 +3,6 @@ import pytest
 
 from geomech.errors import DivergenceError, ScenarioValidationError
 from geomech.rigid_body import (
-    BodyWrench,
     _attitude_rk4_core,
     InertiaTensor,
     QuadrotorParams,
@@ -67,9 +66,10 @@ def test_attitude_rhs_gyroscopic_term(j321):
     np.testing.assert_allclose(w_dot, np.array([0.0, 0.0, 1.0]), atol=1e-14)
 
 
-def test_attitude_rhs_potential_callback(j321):
+def test_attitude_rhs_moment_input(j321):
+    # at rest, J omega_dot = M: M = (3, 0, 0) about the J = 3 axis gives (1, 0, 0)
     s = RigidBodyState(np.eye(3), np.zeros(3))
-    _, w_dot = attitude_rhs(s, j321, np.zeros(3), potential_moment=lambda T: np.array([3.0, 0.0, 0.0]))
+    _, w_dot = attitude_rhs(s, j321, np.array([3.0, 0.0, 0.0]))
     np.testing.assert_allclose(w_dot, np.array([1.0, 0.0, 0.0]), atol=1e-15)
 
 
@@ -89,7 +89,8 @@ def quad_params():
 def test_quadrotor_hover_fixed_point():
     p = quad_params()
     s = QuadrotorState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
-    r_dot, v_dot, R_dot, O_dot = quadrotor_rhs(s, p, p.mass * p.g, np.zeros(3))
+    r_dot, v_dot, R_dot, O_dot = quadrotor_rhs(s, p, np.array([0.0, 0.0, p.mass * p.g]),
+                                               np.zeros(3))
     for out in (r_dot, v_dot, O_dot):
         np.testing.assert_allclose(out, np.zeros(3), atol=1e-12)
     np.testing.assert_array_equal(R_dot, np.zeros((3, 3)))
@@ -98,19 +99,32 @@ def test_quadrotor_hover_fixed_point():
 def test_quadrotor_free_fall_and_double_thrust():
     p = quad_params()
     s = QuadrotorState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
-    _, v_dot, _, _ = quadrotor_rhs(s, p, 0.0, np.zeros(3))
+    _, v_dot, _, _ = quadrotor_rhs(s, p, np.zeros(3), np.zeros(3))
     np.testing.assert_allclose(v_dot, np.array([0.0, 0.0, -9.81]), atol=1e-12)
-    _, v_dot, _, _ = quadrotor_rhs(s, p, 2.0 * p.mass * p.g, np.zeros(3))
+    _, v_dot, _, _ = quadrotor_rhs(s, p, np.array([0.0, 0.0, 2.0 * p.mass * p.g]), np.zeros(3))
     np.testing.assert_allclose(v_dot, np.array([0.0, 0.0, 9.81]), atol=1e-12)
 
 
 def test_quadrotor_extra_wrench():
     p = quad_params()
     s = QuadrotorState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
-    extra = BodyWrench(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.012]))
-    _, v_dot, _, O_dot = quadrotor_rhs(s, p, 0.0, np.zeros(3), extra)
+    _, v_dot, _, O_dot = quadrotor_rhs(s, p, np.array([1.0, 0.0, 0.0]),
+                                       np.array([0.0, 0.0, 0.012]))
     np.testing.assert_allclose(v_dot[0], 1.0 / p.mass, atol=1e-14)
     np.testing.assert_allclose(O_dot[2], 0.012 / 0.12, atol=1e-12)
+
+
+def test_quadrotor_rotation_is_the_attitude_law(rng):
+    # both plants share one rotational law: bit for bit, the rotational half
+    # of quadrotor_rhs is attitude_rhs at the same R, Omega, moment and J
+    p = quad_params()
+    for _ in range(20):
+        R, om, m = random_rotation(rng), rng.normal(size=3), rng.normal(size=3)
+        s = QuadrotorState(rng.normal(size=3), rng.normal(size=3), R, om)
+        _, _, R_dot, O_dot = quadrotor_rhs(s, p, rng.normal(size=3), m)
+        t_dot, w_dot = attitude_rhs(RigidBodyState(R, om), p.inertia, m)
+        np.testing.assert_array_equal(R_dot, t_dot)
+        np.testing.assert_array_equal(O_dot, w_dot)
 
 
 def test_kinetic_energy_and_momentum(j321, rng):
@@ -217,8 +231,7 @@ def test_rk4_quadrotor_step_matches_flat_rk4(rng):
         s = QuadrotorState(rng.normal(size=3), rng.normal(size=3), random_rotation(rng),
                            rng.normal(size=3))
         dt = rng.uniform(1e-3, 0.05)
-        out = rk4_quadrotor_step(s, p, f_body[2], m_body, BodyWrench(
-            np.array([f_body[0], f_body[1], 0.0]), np.zeros(3)), dt)
+        out = rk4_quadrotor_step(s, p, f_body, m_body, dt)
         y = rk4_step(rhs, np.concatenate([s.r, s.v, s.R.ravel(), s.Omega]), 0.0, dt)
         np.testing.assert_allclose(out.r, y[:3], atol=1e-14, rtol=0.0)
         np.testing.assert_allclose(out.v, y[3:6], atol=1e-14, rtol=0.0)
@@ -233,7 +246,7 @@ def test_rk4_quadrotor_step_divergence_raises():
     # update reverses orientation (for constant Omega its determinant stays > 0)
     spin = QuadrotorState(np.zeros(3), np.zeros(3), np.eye(3), np.array([10.0, 0.0, 0.0]))
     with pytest.raises(DivergenceError, match="state diverged: attitude determinant -"):
-        rk4_quadrotor_step(spin, p, 0.0, np.array([0.0, 0.0, 5.0]), None, 1.0)
+        rk4_quadrotor_step(spin, p, np.zeros(3), np.array([0.0, 0.0, 5.0]), 1.0)
     fast = QuadrotorState(np.zeros(3), np.array([1e308, 0.0, 0.0]), np.eye(3), np.zeros(3))
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="non-finite r$"):
-        rk4_quadrotor_step(fast, p, 0.0, np.zeros(3), None, 10.0)
+        rk4_quadrotor_step(fast, p, np.zeros(3), np.zeros(3), 10.0)

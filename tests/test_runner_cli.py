@@ -221,8 +221,9 @@ def test_step_failure_names_the_step_and_keeps_solver_classes():
 
 
 def test_cli_attitude_divergence_exits_3_without_outputs(tmp_path, capsys):
-    # a 0.5 s step on the shipped loop blows up; the polar projection meets a
-    # negative determinant, which is divergence, not invalid input
+    # a 0.5 s step on the shipped loop blows up: a step rotates past pi (before
+    # the polar projection meets a negative determinant), which is divergence,
+    # not invalid input
     out_dir = tmp_path / "out"
     code = main(["run", "scenarios/attitude_track.json", "--out-dir", str(out_dir),
                  "--dt", "0.5", "--t-final", "25"])
@@ -230,6 +231,21 @@ def test_cli_attitude_divergence_exits_3_without_outputs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert re.match(r"solver failure: step \d+ \(t=[0-9.e+-]+\): state diverged: \S", err)
+    assert not out_dir.exists()
+
+
+def test_cli_attitude_step_past_pi_exits_3_without_outputs(tmp_path, capsys):
+    # a 10 s step: step 0 from the shipped rest start is fine, and its result
+    # spins so fast that step 1 would rotate far past pi; the step-angle rule
+    # of every attitude integrator ends the run there instead of writing it out
+    out_dir = tmp_path / "out"
+    code = main(["run", "scenarios/attitude_track.json", "--out-dir", str(out_dir),
+                 "--dt", "10"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert re.match(r"solver failure: step 1 \(t=10\): state diverged: relative rotation \S+"
+                    r" rad reaches pi; reduce dt$", err.strip())
     assert not out_dir.exists()
 
 
@@ -274,12 +290,14 @@ def test_quad_track_run_and_columns():
     assert "steady_abs_error_z" in metrics.extras
 
 
-def test_quad_run_uses_the_public_tick_wrench_and_rk4_step():
-    # 200 steps of the aero cascade: tracking_step -> _AeroModel.wrench ->
-    # rk4_quadrotor_step reproduces the runner's closed loop
-    sc = load("quad_track_aero", t_final=0.2)
+@pytest.mark.parametrize("scenario", ["quad_track", "quad_track_aero"])
+def test_quad_run_uses_the_public_tick_wrench_and_rk4_step(scenario):
+    # 200 steps of the cascade: tracking_step -> body wrench (ideal
+    # ([0, 0, f], q), or _AeroModel.wrench) -> rk4_quadrotor_step reproduces
+    # the runner's closed loop
+    sc = load(scenario, t_final=0.2)
     series, _ = run(sc)
-    aero = _AeroModel(sc)
+    aero = _AeroModel(sc) if sc.aero.enabled else None
     state, memory = sc.quad_initial, ControllerMemory()
     names = [*(f"{v}_{ax}" for v in ("r", "v") for ax in "xyz"),
              *(f"R{i}{j}" for i in range(3) for j in range(3)),
@@ -287,16 +305,26 @@ def test_quad_run_uses_the_public_tick_wrench_and_rk4_step():
     n = len(series)
     assert n == 201
     rows = np.empty((n, len(names)))
+    norms = np.empty((n, 3))  # the tick's e_v, e_R, e_Omega norms, one at a time
     for k in range(n):
         ref = circle_reference(k * sc.dt, sc.circle_coeffs)
-        f, q, _ = tracking_step(state, ref, sc.vehicle, sc.position_gains,
-                                sc.attitude_gains, sc.dt, memory)
+        f, q, diag = tracking_step(state, ref, sc.vehicle, sc.position_gains,
+                                   sc.attitude_gains, sc.dt, memory)
         rows[k] = [*state.r, *state.v, *state.R.ravel(), *state.Omega, *q]
+        norms[k] = [np.linalg.norm(x) for x in (diag.e_v, diag.e_R, diag.e_Omega)]
         if k < n - 1:
-            state = rk4_quadrotor_step(state, sc.vehicle, 0.0, np.zeros(3),
-                                       aero.wrench(state, f, q), sc.dt)
+            if aero is None:
+                f_body, m_body = np.array([0.0, 0.0, f]), q
+            else:
+                f_body, m_body = aero.wrench(state, f, q)
+            state = rk4_quadrotor_step(state, sc.vehicle, f_body, m_body, sc.dt)
     for j, name in enumerate(names):
         np.testing.assert_allclose(series.column(name), rows[:, j], atol=1e-9, rtol=0.0,
+                                   err_msg=name)
+    # the runner forms these norms after the loop, in another summation order:
+    # the same values to within one rounding
+    for j, name in enumerate(("e_v_norm", "e_R_norm", "e_Omega_norm")):
+        np.testing.assert_allclose(series.column(name), norms[:, j], rtol=2.3e-16, atol=0.0,
                                    err_msg=name)
 
 
