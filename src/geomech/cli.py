@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
 from .errors import ScenarioParseError, ScenarioValidationError, SolverError
 from .runner import run, write_outputs
-from .scenario import parse_scenario, step_count_error
+from .scenario import parse_scenario
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -58,47 +57,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(path: Path):
-    """The parsed scenario, or ``None`` after printing why it is refused."""
+def _overrides(args) -> dict:
+    """The scenario fields that the ``--dt``, ``--t-final`` and ``--aero`` flags replace."""
+    flags = {"dt": getattr(args, "dt", None), "t_final": getattr(args, "t_final", None)}
+    if getattr(args, "aero", None) is not None:
+        flags["aero.enabled"] = args.aero == "on"
+    return {name: value for name, value in flags.items() if value is not None}
+
+
+def _load_scenario(path: Path, overrides: dict):
+    """The parsed scenario with ``overrides`` applied, or ``None`` after
+    printing why it is refused.  Each violation is one ``  - <field>:
+    <message>`` line; the ``invalid scenario`` header before them is left out
+    when flags override fields, so a bad flag gives one line."""
     try:
-        return parse_scenario(path.read_bytes())
+        return parse_scenario(path.read_bytes(), overrides)
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
     except ScenarioParseError as exc:
         print(f"parse error in {path}: {exc}", file=sys.stderr)
     except ScenarioValidationError as exc:
-        print(f"invalid scenario {path}:", file=sys.stderr)
+        if not overrides:
+            print(f"invalid scenario {path}:", file=sys.stderr)
         for field, msg in exc.violations:
             print(f"  - {field}: {msg}", file=sys.stderr)
     return None
 
 
-def _apply_overrides(scenario, args):
-    updates = {}
-    if getattr(args, "dt", None) is not None:
-        if not (math.isfinite(args.dt) and args.dt > 0.0):
-            print("error: --dt must be finite and > 0", file=sys.stderr)
-            return None
-        updates["dt"] = args.dt
-    if getattr(args, "t_final", None) is not None:
-        if not (math.isfinite(args.t_final) and args.t_final >= 0.0):
-            print("error: --t-final must be finite and >= 0", file=sys.stderr)
-            return None
-        updates["t_final"] = args.t_final
-    too_many = step_count_error(updates.get("dt", scenario.dt),
-                                updates.get("t_final", scenario.t_final))
-    if too_many:
-        print(f"error: {too_many}", file=sys.stderr)
-        return None
-    aero = getattr(args, "aero", None)
-    if aero is not None:
-        updates["aero"] = dataclasses.replace(scenario.aero, enabled=(aero == "on"))
-    return dataclasses.replace(scenario, **updates) if updates else scenario
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    scenario = _load_scenario(args.scenario)
+    scenario = _load_scenario(args.scenario, _overrides(args))
     if scenario is None:
         return EXIT_INVALID
 
@@ -107,9 +95,6 @@ def main(argv=None) -> int:
               f"t_final={scenario.t_final})")
         return EXIT_OK
 
-    scenario = _apply_overrides(scenario, args)
-    if scenario is None:
-        return EXIT_INVALID
     if args.command == "compare":
         if scenario.initial is None:
             print(f"error: compare needs a rigid-body scenario, got kind "

@@ -196,10 +196,13 @@ def _attitude_gains(gains: _Fields, p: Array | None, f: Array | None) -> Attitud
                        S=gains.array("S", np.eye(3), matrix=True))
 
 
-def parse_scenario(text: bytes | str) -> Scenario:
+def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario:
     """Parse and validate a scenario document.
 
-    Raises ``ScenarioParseError`` for malformed JSON (with position) and
+    ``overrides`` maps field names, top-level (``"dt"``) or one section deep
+    (``"aero.enabled"``), to values that replace the document's before it is
+    read, so they meet the same rules as the file's own values.  Raises
+    ``ScenarioParseError`` for malformed JSON (with position) and
     ``ScenarioValidationError`` listing every violated invariant otherwise.
     """
     try:
@@ -212,6 +215,13 @@ def parse_scenario(text: bytes | str) -> Scenario:
         raise ScenarioParseError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ScenarioParseError("top-level value must be an object")
+    for name, value in (overrides or {}).items():
+        section, _, key = name.rpartition(".")
+        if section and doc.get(section) is None:
+            doc[section] = {}
+        node = doc[section] if section else doc
+        if isinstance(node, dict):  # else the reader refuses the section itself
+            node[key] = value
 
     kind = doc.get("kind")
     if kind not in KINDS:

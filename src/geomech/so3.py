@@ -6,14 +6,22 @@ inertial coordinates; rotation vectors are ``(3,)`` arrays.  ``hat`` and
 the closed-form Rodrigues exponential, ``log_so3`` its inverse, and
 ``rotation_mean`` the polar-decomposition mean of two rotations.
 
-Two increment conventions coexist in this library and are deliberately not
-unified: body-frame increments multiply on the right
-(``T @ exp_so3(eta)``), space-frame increments on the left
-(``exp_so3(eta) @ T``).  Use :func:`apply_body_increment` and
-:func:`apply_space_increment` so each call site names its convention.
+Every angle-dependent coefficient of the library comes from one pair,
+``a(x) = sin x / x`` and ``d(x) = a'(x)/x = (x cos x - sin x)/x^3``
+(:func:`_sinc`), at the angle or a fraction of it, by exact identities:
+with ``y = x/2``,
+
+* ``(1 - cos x)/x^2 = a(y)^2 / 2``, whose derivative over ``x`` is
+  ``a(y) d(y) / 4``;
+* ``1/x^2 - (1 + cos x)/(2 x sin x) = -d(y) / (4 a(y))``, the ``dexp^{-1}``
+  coefficient;
+* ``2 sin(y)/x = a(y)``, whose derivative over ``x`` is ``d(y) / 4``;
+* ``tan(x/4)/x = a(x/4) / (4 cos(x/4))`` and ``x / (2 sin x) = 1 / (2 a(x))``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,11 +35,25 @@ from .errors import (
 
 Array = np.ndarray
 
-# Below this angle, sin(x)/x style factors switch to 4th-order Taylor
-# expansions to avoid cancellation.
-SMALL_ANGLE = 1e-4
-
 _EYE3 = np.eye(3)
+
+# d(x) = sum_{n>=1} (-1)^n 2n x^(2n-2) / (2n+1)!, highest power first; below
+# x = 1 nine terms reach rounding, above it the closed form keeps its digits
+_D_SERIES = tuple((-1) ** n * 2 * n / math.factorial(2 * n + 1) for n in range(9, 0, -1))
+
+
+def _sinc(x: float) -> tuple[float, float]:
+    """``a(x) = sin x / x`` and ``d(x) = a'(x)/x`` for ``x >= 0``, each within
+    a few ulps on ``[0, pi]``.  The closed form of ``d`` cancels to about
+    ``eps / x^2`` relative, so below 1 rad it is summed from its series."""
+    if x < 1.0:
+        x2 = x * x
+        d = 0.0
+        for coeff in _D_SERIES:
+            d = d * x2 + coeff
+        return (math.sin(x) / x if x > 0.0 else 1.0), d
+    s = math.sin(x)
+    return s / x, (x * math.cos(x) - s) / (x * x * x)
 
 
 def hat(v: Array) -> Array:
@@ -71,22 +93,18 @@ def tilde(m: Array) -> Array:
 def exp_so3(v: Array) -> Array:
     """Rodrigues exponential: rotation by angle ``|v|`` about axis ``v/|v|``."""
     v = np.asarray(v, dtype=float)
-    theta2 = float(v @ v)
-    theta = np.sqrt(theta2)
-    if theta < SMALL_ANGLE:
-        a = 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0
-        b = 0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / theta2
+    theta = math.sqrt(float(v @ v))
+    half = _sinc(0.5 * theta)[0]
     k = hat(v)
-    return _EYE3 + a * k + b * (k @ k)
+    return _EYE3 + _sinc(theta)[0] * k + (0.5 * half * half) * (k @ k)
 
 
 def log_so3(r: Array) -> Array:
     """Rotation vector of ``r`` with ``|result| <= pi``.
 
-    The generic branch uses ``theta / (2 sin theta) * vee(r - r^T)``.  Near
+    The generic branch, down to the identity, uses
+    ``theta / (2 sin theta) * vee(r - r^T)``, written ``vee(r - r^T) / (2 a(theta))``
+    with ``a(x) = sin x / x``.  Near
     180 degrees that expression cancels catastrophically, so the axis is
     instead recovered from the dominant column of the symmetric part of
     ``r``, with the sign fixed by the residual skew component.
@@ -95,9 +113,6 @@ def log_so3(r: Array) -> Array:
     norm_w = np.linalg.norm(w)  # == 2 sin(theta)
     trace = r[0, 0] + r[1, 1] + r[2, 2]
     theta = np.arctan2(norm_w, trace - 1.0)
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        return 0.5 * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0) * w
     if theta > np.pi - 1e-3:
         # nn^T = (sym(r) - cos(theta) I) / (1 - cos(theta))
         c = 0.5 * (trace - 1.0)
@@ -109,7 +124,16 @@ def log_so3(r: Array) -> Array:
         elif abs(w @ n) == 0.0 and (n[np.argmax(np.abs(n))] < 0.0):
             n = -n  # deterministic sign at exactly 180 degrees
         return theta * n
-    return (theta / (2.0 * np.sin(theta))) * w
+    return w / (2.0 * _sinc(theta)[0])
+
+
+def _polar_factor(u: Array, vt: Array) -> Array:
+    """The rotation factor ``u vt`` of an SVD ``u diag(s) vt``, with the last
+    singular axis flipped if ``u vt`` is a reflection."""
+    r = u @ vt
+    if np.linalg.det(r) < 0.0:
+        r = (u * np.array([1.0, 1.0, -1.0])) @ vt
+    return r
 
 
 def polar_project(m: Array) -> Array:
@@ -122,10 +146,7 @@ def polar_project(m: Array) -> Array:
     if det <= 1e-12:
         raise SingularInputError(f"determinant {det:.3e} is not positive")
     u, _, vt = np.linalg.svd(m)
-    r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        r = (u * np.array([1.0, 1.0, -1.0])) @ vt
-    return r
+    return _polar_factor(u, vt)
 
 
 def rotation_mean(ta: Array, tb: Array) -> Array:
@@ -137,16 +158,12 @@ def rotation_mean(ta: Array, tb: Array) -> Array:
     """
     ta = require_rotation(ta)
     tb = require_rotation(tb)
-    m = ta + tb
-    u, s, vt = np.linalg.svd(m)
+    u, s, vt = np.linalg.svd(ta + tb)
     if s[-1] < 1e-8:
         raise DegenerateMeanError(
             f"rotations are antipodal (smallest singular value {s[-1]:.3e})"
         )
-    r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        r = (u * np.array([1.0, 1.0, -1.0])) @ vt
-    return r
+    return _polar_factor(u, vt)
 
 
 def orthogonality_defect(m: Array) -> float:
@@ -200,12 +217,3 @@ def require_rotation(m: Array, tol: float = 1e-9) -> Array:
         raise InvalidRotationError(f"determinant {det!r} is not +1 within {tol:.1e}")
     return m
 
-
-def apply_space_increment(eta: Array, t: Array) -> Array:
-    """Left (space-frame) update ``exp_so3(eta) @ t``."""
-    return exp_so3(eta) @ t
-
-
-def apply_body_increment(t: Array, eta: Array) -> Array:
-    """Right (body-frame) update ``t @ exp_so3(eta)``."""
-    return t @ exp_so3(eta)

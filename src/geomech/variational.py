@@ -38,8 +38,12 @@ force covector of ``discrete_forces`` for the body moment ``M`` sampled at
 the midpoint time.  The two force covectors sum to ``T_mid M``, so the
 forced discrete Lagrange-d'Alembert update (Marsden & West, Acta Numerica
 2001) is ``pi_{k+1} = pi_k + dt T_mid M``.  Newton runs on ``f`` with the
-closed-form Jacobian of ``G``; the O(dt^2) force term is left out of the
-Jacobian, and every case converges in about two iterations.  Attitudes stay
+closed-form Jacobian of ``G``; the O(dt^2) force term and the O(|f|^4)
+derivative of the arc ``c`` are left out of the Jacobian, and every case
+converges in about two iterations.  Every coefficient comes from
+``so3._sinc`` by the half-angle identities listed in ``so3``: with
+``y = |f|/2``, the chord ``(1 - cos|f|)/|f|^2 = a(y)^2/2``, the arc
+``c = -d(y)/(4 a(y))`` and ``tan(|f|/4)/|f| = a(|f|/4)/(4 cos(|f|/4))``.  Attitudes stay
 on SO(3) exactly by construction; no re-orthogonalisation is ever applied.
 
 Two measures of the step rotation are supported in the discrete kinetic
@@ -69,8 +73,7 @@ import numpy as np
 from .errors import _TRAP_FP, GeomechError, NoConvergenceError, _step_failure
 from .rigid_body import InertiaTensor, RigidBodyState, energy_momentum_rows
 from .so3 import (
-    SMALL_ANGLE, Array, _check_step_angle, cross3, exp_so3, hat, log_so3, orthogonality_defects,
-    tilde,
+    Array, _check_step_angle, _sinc, cross3, exp_so3, hat, log_so3, orthogonality_defects, tilde,
 )
 from .timeseries import TimeSeries
 
@@ -125,16 +128,8 @@ class StepResult:
 
 
 def _f_matrix(psi: Array) -> Array:
-    theta2 = float(psi @ psi)
-    theta = np.sqrt(theta2)
-    if theta < SMALL_ANGLE:
-        c_outer = -1.0 / 3.0 + theta2 / 30.0 - theta2 * theta2 / 840.0
-        c_eye = 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0
-    else:
-        s, c = np.sin(theta), np.cos(theta)
-        c_outer = (theta * c - s) / (theta2 * theta)
-        c_eye = s / theta
-    return c_outer * np.outer(psi, psi) + c_eye * _EYE3
+    a, d = _sinc(math.sqrt(float(psi @ psi)))
+    return d * np.outer(psi, psi) + a * _EYE3
 
 
 def midpoint_quantities(t_k: Array, t_k1: Array, dt: float) -> MidpointQuantities:
@@ -173,15 +168,9 @@ def _momentum_covector(
         psi_eff = mids.psi
         omega_eff = mids.omega_mid
     else:
-        theta2 = float(mids.psi @ mids.psi)
-        theta = np.sqrt(theta2)
-        if theta < SMALL_ANGLE:
-            scale = 1.0 - theta2 / 24.0 + theta2 * theta2 / 1920.0
-            dscale = -1.0 / 12.0 + theta2 / 480.0
-        else:
-            half = 0.5 * theta
-            scale = 2.0 * np.sin(half) / theta
-            dscale = (theta * np.cos(half) - 2.0 * np.sin(half)) / (theta2 * theta)
+        # 2 sin(|psi|/2)/|psi| = a(|psi|/2), with derivative over |psi| d(|psi|/2)/4
+        scale, dscale = _sinc(0.5 * math.sqrt(float(mids.psi @ mids.psi)))
+        dscale *= 0.25
         psi_eff = scale * mids.psi
         omega_eff = scale * mids.omega_mid
         g = (scale * _EYE3 + dscale * np.outer(mids.psi, mids.psi)) @ g
@@ -234,47 +223,12 @@ def discrete_forces(
 MomentFn = Callable[[float], Array]
 
 
-def _chord_coefficients(theta2: float) -> tuple[float, float, float, float]:
-    """``a = sin x/x``, ``b = (1 - cos x)/x^2``, ``a'(x)/x`` and ``b'(x)/x``
-    at ``x^2 = theta2``."""
-    if theta2 < SMALL_ANGLE * SMALL_ANGLE:
-        return (
-            1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0,
-            0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0,
-            -1.0 / 3.0 + theta2 / 30.0 - theta2 * theta2 / 840.0,
-            -1.0 / 12.0 + theta2 / 180.0 - theta2 * theta2 / 6720.0,
-        )
-    theta = math.sqrt(theta2)
-    s, c = math.sin(theta), math.cos(theta)
-    return (
-        s / theta,
-        (1.0 - c) / theta2,
-        (theta * c - s) / (theta2 * theta),
-        (theta * s - 2.0 * (1.0 - c)) / (theta2 * theta2),
-    )
-
-
-def _arc_coefficients(theta2: float) -> tuple[float, float]:
-    """``c = 1/x^2 - (1 + cos x)/(2 x sin x)`` and ``c'(x)/x`` at ``x^2 = theta2``."""
-    if theta2 < SMALL_ANGLE * SMALL_ANGLE:
-        return (
-            1.0 / 12.0 + theta2 / 720.0 + theta2 * theta2 / 30240.0,
-            1.0 / 360.0 + theta2 / 7560.0 + theta2 * theta2 / 201600.0,
-        )
-    theta = math.sqrt(theta2)
-    s, c = math.sin(theta), math.cos(theta)
-    coeff = 1.0 / theta2 - (1.0 + c) / (2.0 * theta * s)
-    return coeff, (0.5 / (1.0 - c) - 1.0 / theta2 - coeff) / theta2
-
-
-def _body_force_minus(f: Array, theta2: float, moment_body: Array) -> Array:
+def _body_force_minus(f: Array, theta: float, moment_body: Array) -> Array:
     """``T_k^T`` times the lower force covector of ``discrete_forces``:
-    ``(M + (tan(|f|/4)/|f|) f x M)/2`` for the body increment ``f``."""
-    if theta2 < SMALL_ANGLE * SMALL_ANGLE:
-        tau = 0.25 + theta2 / 192.0 + theta2 * theta2 / 7680.0
-    else:
-        theta = math.sqrt(theta2)
-        tau = math.tan(0.25 * theta) / theta
+    ``(M + (tan(|f|/4)/|f|) f x M)/2`` for the body increment ``f`` of angle
+    ``theta``, with ``tan(x/4)/x = a(x/4) / (4 cos(x/4))``."""
+    quarter = 0.25 * theta
+    tau = 0.25 * _sinc(quarter)[0] / math.cos(quarter)
     return 0.5 * (moment_body + tau * cross3(f, moment_body))
 
 
@@ -297,7 +251,8 @@ def vi_step(
     Solves ``G(f) - dt^2 F_minus(f, M) = dt T_k^T pi_k`` for the body
     increment ``f`` (see the module docstring) by Newton from
     ``f = dt omega_k``, with the closed-form Jacobian of the measure's left
-    side ``G``; the O(dt^2) force term is left out of the Jacobian.  The new
+    side ``G``; the O(dt^2) force term and the O(|f|^4) derivative of the arc
+    coefficient are left out of the Jacobian.  The new
     momentum is ``pi_k + dt T_mid M``.  ``residual`` is the max-abs body
     residual divided by ``dt`` (momentum units) at the returned step.
     Raises ``NoConvergenceError`` if ``max_iters`` runs out before
@@ -319,17 +274,21 @@ def vi_step(
     while True:
         theta2 = float(f @ f)
         _check_step_angle(theta2)
+        theta = math.sqrt(theta2)
+        half_a, half_d = _sinc(0.5 * theta)
         jf = jj @ f
         fxjf = cross3(f, jf)
         if chord:
-            a, b, da, db = _chord_coefficients(theta2)
+            # a = sin|f|/|f|, b = (1 - cos|f|)/|f|^2, and their derivatives over |f|
+            a, da = _sinc(theta)
+            b, db = 0.5 * half_a * half_a, 0.25 * half_a * half_d
             res = a * jf + b * fxjf - target
         else:
-            c, dc = _arc_coefficients(theta2)
+            c = -0.25 * half_d / half_a  # the dexp^{-1} coefficient (module docstring)
             fxfxjf = cross3(f, fxjf)
             res = jf + 0.5 * fxjf + c * fxfxjf - target
         if m_body is not None:
-            res = res - (dt * dt) * _body_force_minus(f, theta2, m_body)
+            res = res - (dt * dt) * _body_force_minus(f, theta, m_body)
         res_norm = float(np.abs(res).max()) / dt
         if res_norm <= cfg.newton_tol:
             break
@@ -343,12 +302,7 @@ def vi_step(
         if chord:
             jac = a * jj + b * d_fxjf + np.outer(da * jf + db * fxjf, f)
         else:
-            jac = (
-                jj
-                + 0.5 * d_fxjf
-                + c * (f_hat @ d_fxjf - hat(fxjf))
-                + np.outer(dc * fxfxjf, f)
-            )
+            jac = jj + 0.5 * d_fxjf + c * (f_hat @ d_fxjf - hat(fxjf))
         try:
             f = f - np.linalg.solve(jac, res)
         except np.linalg.LinAlgError as exc:

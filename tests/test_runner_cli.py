@@ -260,6 +260,28 @@ def test_cli_step_count_bound_exits_2(tmp_path, capsys, name):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("name, flag, value", [
+    ("free_body", "dt", 200.0),
+    ("attitude_track", "t_final", 5e-5),
+])
+def test_cli_override_meets_the_file_rules(tmp_path, capsys, name, flag, value):
+    # a flag is written into the document before it is read, so a step longer
+    # than the run is refused with the same line as when the file says so
+    out_dir = tmp_path / "out"
+    code = main(["run", f"scenarios/{name}.json", "--out-dir", str(out_dir),
+                 f"--{flag.replace('_', '-')}", repr(value)])
+    assert code == 2
+    line = "  - t_final: >= dt (or 0 for a single record)"
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out_dir.exists()
+    doc = json.loads(open(f"scenarios/{name}.json", "rb").read())
+    doc[flag] = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"invalid scenario {path}:", line]
+
+
 def test_cli_antipodal_start_exits_3_without_outputs(tmp_path, capsys):
     doc = {
         "kind": "attitude_track",

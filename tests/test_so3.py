@@ -8,8 +8,6 @@ from geomech.errors import (
     SingularInputError,
 )
 from geomech.so3 import (
-    apply_body_increment,
-    apply_space_increment,
     exp_so3,
     hat,
     is_rotation,
@@ -91,7 +89,8 @@ def test_exp_inverse_rotation():
 
 
 def test_exp_small_angle_branch(rng):
-    # straddle the Taylor switch-over and compare with the series oracle
+    # small angles, where the closed form (1 - cos x)/x^2 would lose its
+    # digits to cancellation, against the series oracle
     for scale in (1e-9, 1e-6, 9e-5, 1.1e-4, 1e-3):
         v = scale * np.array([1.0, -2.0, 0.5]) / np.linalg.norm([1.0, -2.0, 0.5])
         np.testing.assert_allclose(exp_so3(v), mexp_series(hat(v)), atol=1e-15)
@@ -233,12 +232,3 @@ def test_require_rotation_accepts_and_refuses(rng):
     with pytest.raises(InvalidRotationError):
         require_rotation(np.full((3, 3), np.nan))
 
-
-def test_increment_conventions_differ(rng):
-    t = random_rotation(rng)
-    eta = np.array([0.2, -0.1, 0.4])
-    left = apply_space_increment(eta, t)
-    right = apply_body_increment(t, eta)
-    np.testing.assert_allclose(left, exp_so3(eta) @ t, atol=1e-15)
-    np.testing.assert_allclose(right, t @ exp_so3(eta), atol=1e-15)
-    assert not np.allclose(left, right)

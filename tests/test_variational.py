@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal, getcontext, localcontext
+
 import numpy as np
 import pytest
 from scipy.special import ellipj, ellipkinc
@@ -9,7 +12,7 @@ from geomech.rigid_body import (
     rk4_attitude_step,
 )
 from geomech import variational
-from geomech.so3 import exp_so3, log_so3
+from geomech.so3 import _sinc, exp_so3, log_so3
 from geomech.variational import (
     IntegratorConfig,
     _momentum_covector,
@@ -252,44 +255,107 @@ def test_free_chord_step_matches_covector_route(rng):
         np.testing.assert_array_equal(free.pi_next, ref.pi_next)
 
 
-def _series_and_closed_forms(monkeypatch, theta):
-    """The step coefficients at angle ``theta`` from the closed forms and,
-    with the small-angle threshold raised above ``theta``, from the series.
-    ``tau = tan(theta/4)/theta`` is read off the lower force covector."""
-    f, moment = np.array([theta, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+def _exact_sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
+    """Taylor sums of sin and cos at ``x`` to the context precision."""
+    sin = cos = Decimal(0)
+    term, n, tiny = Decimal(1), 0, Decimal(10) ** -(getcontext().prec + 5)
+    while abs(term) > tiny:
+        if n % 2:
+            sin += term if n % 4 == 1 else -term
+        else:
+            cos += term if n % 4 == 0 else -term
+        n += 1
+        term = term * x / n
+    return sin, cos
 
-    def coefficients():
-        theta2 = theta * theta
-        tau = -2.0 * variational._body_force_minus(f, theta2, moment)[1] / theta
-        return (*variational._chord_coefficients(theta2),
-                *variational._arc_coefficients(theta2), tau)
 
-    closed = coefficients()
-    monkeypatch.setattr(variational, "SMALL_ANGLE", 1.0)
-    series = coefficients()
-    monkeypatch.undo()
-    return dict(zip(("a", "b", "da", "db", "c", "dc", "tau"), zip(series, closed)))
+def _exact_coefficients(theta: float) -> dict[str, Decimal]:
+    """Every step coefficient at ``theta`` from its defining closed form, in
+    120-digit decimal arithmetic, which outlasts their cancellation."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        x = Decimal(theta)
+        s, c = _exact_sin_cos(x)
+        s2, c2 = _exact_sin_cos(x / 2)
+        s4, c4 = _exact_sin_cos(x / 4)
+        return {
+            "a": s / x,
+            "d": (x * c - s) / x**3,
+            "b": (1 - c) / x**2,
+            "db": (x * s - 2 * (1 - c)) / x**4,
+            "c": 1 / x**2 - (1 + c) / (2 * x * s),
+            "chord": 2 * s2 / x,
+            "dchord": (x * c2 - 2 * s2) / x**3,
+            "tau": s4 / (c4 * x),
+            "log": x / (2 * s),
+        }
+
+
+def _scheme_coefficients(theta: float) -> dict[str, float]:
+    """Every step coefficient at ``theta`` as the scheme builds it from
+    ``_sinc`` by half-angle identities; ``tan(theta/4)/theta`` is read off
+    the lower force covector."""
+    a, d = _sinc(theta)
+    half_a, half_d = _sinc(0.5 * theta)
+    f_dir, moment = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    force = variational._body_force_minus(theta * f_dir, theta, moment)
+    return {
+        "a": a, "d": d,
+        "b": 0.5 * half_a * half_a, "db": 0.25 * half_a * half_d,
+        "c": -0.25 * half_d / half_a,
+        "chord": half_a, "dchord": 0.25 * half_d,
+        "tau": -2.0 * force[1] / theta,
+        "log": 0.5 / a,
+    }
+
+
+def _float_closed_forms(theta: float) -> dict[str, float]:
+    """The defining closed forms of the step coefficients in double precision."""
+    x, s, c = theta, math.sin(theta), math.cos(theta)
+    s2, c2 = math.sin(0.5 * x), math.cos(0.5 * x)
+    return {
+        "a": s / x,
+        "d": (x * c - s) / x**3,
+        "b": (1 - c) / x**2,
+        "db": (x * s - 2 * (1 - c)) / x**4,
+        "c": 1 / x**2 - (1 + c) / (2 * x * s),
+        "chord": 2 * s2 / x,
+        "dchord": (x * c2 - 2 * s2) / x**3,
+        "tau": math.tan(0.25 * x) / x,
+        "log": x / (2 * s),
+    }
 
 
 @pytest.mark.parametrize("theta", [1e-2, 2e-2, 3e-2])
-def test_small_angle_series_values_match_closed_forms(monkeypatch, theta):
-    # the series run only below 1e-4 rad in use; at 1e-2 the closed forms
-    # still keep their digits and a wrong series coefficient shows (the arc
-    # c with theta^2/700 for theta^2/720 is off by 4.8e-8 at 1e-2)
-    pairs = _series_and_closed_forms(monkeypatch, theta)
-    for name in ("a", "b", "da", "c", "tau"):
-        series, closed = pairs[name]
-        assert series == pytest.approx(closed, rel=1e-10, abs=0.0), name
+def test_small_angle_series_values_match_closed_forms(theta):
+    # below 1 rad d comes from its series; at 1e-2 the double-precision
+    # closed forms of the values still keep ten digits, so a wrong series
+    # term or half-angle identity shows against them
+    got, closed = _scheme_coefficients(theta), _float_closed_forms(theta)
+    for name in ("a", "b", "c", "chord", "tau", "log"):
+        assert got[name] == pytest.approx(closed[name], rel=1e-10, abs=0.0), name
 
 
-def test_small_angle_series_derivatives_match_closed_forms(monkeypatch):
-    # the closed-form b'/x and c'/x lose their digits to cancellation at
-    # small angles (c'/x is 1% off at 1e-2), so these are compared at 0.2,
-    # where the first omitted series term is below 4e-9 relative
-    pairs = _series_and_closed_forms(monkeypatch, 0.2)
-    for name in ("db", "dc"):
-        series, closed = pairs[name]
-        assert series == pytest.approx(closed, rel=1e-8, abs=0.0), name
+def test_small_angle_series_derivatives_match_closed_forms():
+    # the closed-form derivative terms lose their digits to cancellation at
+    # small angles, so these are compared at 0.2, where they keep eight
+    got, closed = _scheme_coefficients(0.2), _float_closed_forms(0.2)
+    for name in ("d", "db", "dchord"):
+        assert got[name] == pytest.approx(closed[name], rel=1e-8, abs=0.0), name
+
+
+def test_sinc_coefficients_match_exact_reference():
+    # a(x) = sin x/x and d(x) = a'(x)/x, and every coefficient the scheme
+    # builds from them by half-angle identities, against exact arithmetic on
+    # a log grid that straddles the series switch of d at 1 rad (and at
+    # 2 rad for the half-angle ones)
+    assert _sinc(0.0) == (1.0, -1.0 / 3.0)  # the limits at the identity
+    for theta in np.concatenate([np.geomspace(1e-8, 3.0, 120), [0.99, 1.01, 1.99, 2.01]]):
+        theta = float(theta)
+        got = _scheme_coefficients(theta)
+        for name, exact in _exact_coefficients(theta).items():
+            rel = abs(Decimal(got[name]) / exact - 1)
+            assert rel <= Decimal("1e-14"), (name, theta, float(rel))
 
 
 def test_free_chord_step_no_convergence_when_starved():
