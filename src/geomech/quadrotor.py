@@ -21,12 +21,11 @@ import numpy as np
 from .attitude_control import (
     AttitudeGains,
     AttitudeReference,
-    _checked_error_matrix,
     _require_spd,
     _torque_kernel,
 )
 from .errors import DegenerateHeadingError, ZeroForceError
-from .rigid_body import QuadrotorParams, QuadrotorState
+from .rigid_body import QuadrotorParams, QuadrotorState, _floats
 from .references import TrajectoryReference
 from .so3 import Array, cross3, log_so3
 
@@ -197,23 +196,23 @@ def tracking_step(
 
     # validates the commanded attitude and rates, as the public torque law's input
     AttitudeReference(r_c, omega_c, omega_c_dot)
-    e, one_plus_tr = _checked_error_matrix(state.R, r_c)
-    q, e_R, e_Omega = _torque_kernel(
-        e, one_plus_tr, omega_c, omega_c_dot, state.Omega,
-        params.inertia.j, att_gains.P, att_gains.F,
+    q, e_R, e_Omega, one_plus_tr = _torque_kernel(
+        _floats(state.R), _floats(r_c), _floats(omega_c), _floats(omega_c_dot),
+        _floats(state.Omega), _floats(params.inertia.j), _floats(att_gains.P),
+        _floats(att_gains.F),
     )
 
     diagnostics = TrackingDiagnostics(
         e_r=state.r - ref.r_d,
         e_v=state.v - ref.v_d,
         psi_command=2.0 - np.sqrt(one_plus_tr),
-        e_R=e_R,
-        e_Omega=e_Omega,
+        e_R=np.array(e_R),
+        e_Omega=np.array(e_Omega),
         thrust_negative=f < 0.0,
         R_c=r_c,
         Omega_c=omega_c,
     )
-    return f, q, diagnostics
+    return f, np.array(q), diagnostics
 
 
 def translational_storage(

@@ -13,17 +13,16 @@ is not confounded with orthogonality drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import DivergenceError, ScenarioValidationError
-from .so3 import Array, _check_step_angle, cross3, hat, polar_project, require_rotation
+from .so3 import Array, _check_step_angle, polar_project, require_rotation
 
 GRAVITY = 9.81
-
-_EYE3 = np.eye(3)
 
 
 def _require_finite_vec3(v, name: str) -> Array:
@@ -123,10 +122,30 @@ class QuadrotorParams:
         return np.array([0.0, 0.0, -self.g])
 
 
-def _rates(R: Array, Om: Array, m_body: Array, jj: Array, jinv: Array) -> tuple[Array, Array]:
-    """The rotational law of both plants: ``Rdot = R hat(Om)`` and
-    ``J Omdot = M - Om x J Om`` (``jj = J``, ``jinv = J^-1``)."""
-    return R @ hat(Om), jinv @ (m_body - cross3(Om, jj @ Om))
+def _floats(a) -> list[float]:
+    """``a`` flattened row-major to Python floats: the float kernels' input."""
+    return np.asarray(a, dtype=float).ravel().tolist()
+
+
+def _rates(tm, w, m, jj, jinv) -> tuple[tuple, tuple]:
+    """The rotational law of both plants on Python floats: ``Tdot = T hat(w)``
+    and ``J wdot = M - w x J w``.  ``tm``, ``jj`` (``J``) and ``jinv``
+    (``J^-1``) are row-major 9-sequences, ``w`` and ``m`` 3-sequences."""
+    t0, t1, t2, t3, t4, t5, t6, t7, t8 = tm
+    w0, w1, w2 = w
+    j0, j1, j2, j3, j4, j5, j6, j7, j8 = jj
+    i0, i1, i2, i3, i4, i5, i6, i7, i8 = jinv
+    h0, h1, h2 = (j0 * w0 + j1 * w1 + j2 * w2, j3 * w0 + j4 * w1 + j5 * w2,
+                  j6 * w0 + j7 * w1 + j8 * w2)
+    m0, m1, m2 = m
+    m0, m1, m2 = m0 - (w1 * h2 - w2 * h1), m1 - (w2 * h0 - w0 * h2), m2 - (w0 * h1 - w1 * h0)
+    # row i of T hat(w) is (row i of T) x w
+    return (
+        (t1 * w2 - t2 * w1, t2 * w0 - t0 * w2, t0 * w1 - t1 * w0,
+         t4 * w2 - t5 * w1, t5 * w0 - t3 * w2, t3 * w1 - t4 * w0,
+         t7 * w2 - t8 * w1, t8 * w0 - t6 * w2, t6 * w1 - t7 * w0),
+        (i0 * m0 + i1 * m1 + i2 * m2, i3 * m0 + i4 * m1 + i5 * m2, i6 * m0 + i7 * m1 + i8 * m2),
+    )
 
 
 def attitude_rhs(
@@ -138,8 +157,9 @@ def attitude_rhs(
 
     A potential moment (none is built in) is added to ``moment`` by the caller.
     """
-    m = np.asarray(moment, dtype=float)
-    return _rates(state.T, state.omega, m, inertia.j, inertia.j_inv)
+    t_dot, w_dot = _rates(_floats(state.T), _floats(state.omega), _floats(moment),
+                          _floats(inertia.j), _floats(inertia.j_inv))
+    return np.reshape(t_dot, (3, 3)), np.array(w_dot)
 
 
 def quadrotor_rhs(
@@ -153,12 +173,10 @@ def quadrotor_rhs(
     Translational dynamics: ``m vdot = m G + R f_body``; ideal actuation is
     ``f_body = (0, 0, thrust)``.
     """
-    f_body = np.asarray(f_body, dtype=float)
-    m_body = np.asarray(m_body, dtype=float)
-    v_dot = params.gravity_vector + (state.R @ f_body) / params.mass
-    jj = params.inertia
-    R_dot, Omega_dot = _rates(state.R, state.Omega, m_body, jj.j, jj.j_inv)
-    return state.v, v_dot, R_dot, Omega_dot
+    v_dot = params.gravity_vector + (state.R @ np.asarray(f_body, dtype=float)) / params.mass
+    R_dot, Omega_dot = _rates(_floats(state.R), _floats(state.Omega), _floats(m_body),
+                              _floats(params.inertia.j), _floats(params.inertia.j_inv))
+    return state.v, v_dot, np.reshape(R_dot, (3, 3)), np.array(Omega_dot)
 
 
 def kinetic_energy(state: RigidBodyState, inertia: InertiaTensor) -> float:
@@ -180,136 +198,152 @@ def energy_momentum_rows(T: Array, w: Array, inertia: InertiaTensor) -> tuple[Ar
     return h, np.einsum("nij,nj->ni", T.reshape(-1, 3, 3), jw)
 
 
-def rk4_step(rhs: Callable[[float, Array], Array], y: Array, t: float, dt: float) -> Array:
-    """One classical Runge-Kutta step for a flat state vector."""
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _gram(m) -> tuple:
+    """Entries 00, 01, 02, 11, 12, 22 of the symmetric ``m^T m``."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    return (m0 * m0 + m3 * m3 + m6 * m6, m0 * m1 + m3 * m4 + m6 * m7, m0 * m2 + m3 * m5 + m6 * m8,
+            m1 * m1 + m4 * m4 + m7 * m7, m1 * m2 + m4 * m5 + m7 * m8, m2 * m2 + m5 * m5 + m8 * m8)
 
 
-def _fast_polar(m: Array) -> Array:
-    """Polar factor for a near-rotation matrix via two Newton-Schulz sweeps.
+def _times_sym(m, s0, s1, s2, s4, s5, s8) -> tuple:
+    """``m S`` for the symmetric ``S`` of entries 00, 01, 02, 11, 12, 22."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    return (m0 * s0 + m1 * s1 + m2 * s2, m0 * s1 + m1 * s4 + m2 * s5, m0 * s2 + m1 * s5 + m2 * s8,
+            m3 * s0 + m4 * s1 + m5 * s2, m3 * s1 + m4 * s4 + m5 * s5, m3 * s2 + m4 * s5 + m5 * s8,
+            m6 * s0 + m7 * s1 + m8 * s2, m6 * s1 + m7 * s4 + m8 * s5, m6 * s2 + m7 * s5 + m8 * s8)
+
+
+def _fast_polar(m) -> tuple:
+    """Polar factor of a near-rotation (row-major 9 floats) via two
+    Newton-Schulz sweeps.
 
     Agrees with :func:`geomech.so3.polar_project` to machine precision for the
     small orthogonality defects RK4 produces in one step; falls back to the
-    SVD route otherwise.
+    SVD route when an entry of ``e = m^T m - I`` exceeds 1e-4.  Raises
+    ``DivergenceError`` when ``e`` is not finite.
     """
-    e = m.T @ m - _EYE3
-    if np.abs(e).max() > 1e-4:
-        return polar_project(m)
-    x = m @ (_EYE3 - 0.5 * e + 0.375 * (e @ e))
-    e = x.T @ x - _EYE3
-    return x @ (_EYE3 - 0.5 * e)
+    a, b, c, d, f, g = _gram(m)
+    a, d, g = a - 1.0, d - 1.0, g - 1.0
+    lim = 1e-4
+    if not (-lim <= a <= lim and -lim <= b <= lim and -lim <= c <= lim
+            and -lim <= d <= lim and -lim <= f <= lim and -lim <= g <= lim):
+        if not math.isfinite(a + b + c + d + f + g):
+            raise DivergenceError("state diverged: attitude entries overflow")
+        return tuple(polar_project(np.reshape(m, (3, 3))).ravel().tolist())
+    x = _times_sym(  # m (I - e/2 + 3/8 e^2)
+        m, 1.0 - 0.5 * a + 0.375 * (a * a + b * b + c * c),
+        -0.5 * b + 0.375 * (a * b + b * d + c * f), -0.5 * c + 0.375 * (a * c + b * f + c * g),
+        1.0 - 0.5 * d + 0.375 * (b * b + d * d + f * f), -0.5 * f + 0.375 * (b * c + d * f + f * g),
+        1.0 - 0.5 * g + 0.375 * (c * c + f * f + g * g))
+    a, b, c, d, f, g = _gram(x)  # x (I - (x^T x - I)/2)
+    return _times_sym(x, 1.5 - 0.5 * a, -0.5 * b, -0.5 * c, 1.5 - 0.5 * d, -0.5 * f, 1.5 - 0.5 * g)
 
 
-TorqueFn = Callable[[float, Array, Array], Array]
+def _axpy(x, a: float, y) -> list[float]:
+    """``x + a y`` entry by entry."""
+    return [xi + a * yi for xi, yi in zip(x, y)]
 
 
-def _attitude_rk4_core(
-    t_mat: Array,
-    w: Array,
-    inertia: InertiaTensor,
-    torque_fn: TorqueFn,
-    t: float,
-    dt: float,
-    q1: Array | None = None,
-) -> tuple[Array, Array]:
-    """Raw-array RK4 stage loop for the closed attitude loop (hot path).
+def _rk4_sum(x, h: float, k1, k2, k3, k4) -> list[float]:
+    """``x + h (k1 + 2 k2 + 2 k3 + k4)`` entry by entry."""
+    return [xi + h * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
-    ``q1``, when given, is the stage-1 torque ``torque_fn(t, t_mat, w)``
-    that the caller has already evaluated; stage 1 then takes ``t_mat`` as
-    it is, which must be a rotation (a previous step's projected result).
-    Raises ``DivergenceError`` when ``dt |w|``, the rotation of the step,
-    reaches pi (``so3._check_step_angle``).
+
+def _require_finite(state: dict) -> None:
+    """``DivergenceError`` naming each part of a stepped ``state`` (name to
+    floats) with an entry that overflowed to ``inf`` or ``nan``."""
+    bad = [name for name, x in state.items() if not all(map(math.isfinite, x))]
+    if bad:
+        raise DivergenceError(f"state diverged: non-finite {', '.join(bad)}")
+
+
+def _attitude_rk4_core(tm, w, jj, jinv, torque_fn, t: float, dt: float, q1=None):
+    """One RK4 step of the attitude plant on Python floats (the hot path).
+
+    ``tm`` (``T``, row-major), ``jj`` and ``jinv`` are 9-sequences, ``w`` a
+    3-sequence; ``torque_fn(t, tm, w)`` returns a 3-sequence.  ``q1``, when
+    given, is the stage-1 torque ``torque_fn(t, tm, w)`` that the caller has
+    already evaluated; stage 1 then takes ``tm`` as it is, which must be a
+    rotation (a previous step's projected result).  Every later stage
+    attitude drifts off SO(3) at O(dt^2) and is projected before it reaches
+    the torque law, whose domain is the group itself.  Returns the projected
+    ``T`` and ``w``.  Raises ``DivergenceError`` when ``dt |w|``, the
+    rotation of the step, reaches pi (``so3._check_step_angle``) or the
+    stepped state is not finite.
     """
-    _check_step_angle(float(w @ w) * (dt * dt), explicit=True)
-    jj, jinv = inertia.j, inertia.j_inv
-
-    def deriv(ti, tm, wi, q=None):
-        if q is None:
-            # stage attitudes drift off SO(3) at O(dt^2); project before
-            # handing them to the torque law, whose domain is the group itself
-            tm = _fast_polar(tm)
-            q = torque_fn(ti, tm, wi)
-        return _rates(tm, wi, q, jj, jinv)
-
-    k1t, k1w = deriv(t, t_mat, w, q1)
-    k2t, k2w = deriv(t + 0.5 * dt, t_mat + 0.5 * dt * k1t, w + 0.5 * dt * k1w)
-    k3t, k3w = deriv(t + 0.5 * dt, t_mat + 0.5 * dt * k2t, w + 0.5 * dt * k2w)
-    k4t, k4w = deriv(t + dt, t_mat + dt * k3t, w + dt * k3w)
-    t_new = t_mat + (dt / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-    w_new = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+    w0, w1, w2 = w
+    _check_step_angle((w0 * w0 + w1 * w1 + w2 * w2) * (dt * dt), explicit=True)
+    s = tm
+    if q1 is None:
+        s = _fast_polar(tm)
+        q1 = torque_fn(t, s, w)
+    stages = [_rates(s, w, q1, jj, jinv)]
+    for a in (0.5 * dt, 0.5 * dt, dt):
+        kt, kw = stages[-1]
+        s, v = _fast_polar(_axpy(tm, a, kt)), _axpy(w, a, kw)
+        stages.append(_rates(s, v, torque_fn(t + a, s, v), jj, jinv))
+    kt, kw = zip(*stages)
+    t_new, w_new = _rk4_sum(tm, dt / 6.0, *kt), _rk4_sum(w, dt / 6.0, *kw)
+    _require_finite({"T": t_new, "omega": w_new})
     return _fast_polar(t_new), w_new
 
 
 def rk4_attitude_step(
     state: RigidBodyState,
     inertia: InertiaTensor,
-    torque_fn: TorqueFn,
+    torque_fn: Callable[[float, Array, Array], Array],
     t: float,
     dt: float,
 ) -> RigidBodyState:
-    """RK4 attitude step with per-stage torque evaluation and SO(3) re-projection."""
-    t_new, w_new = _attitude_rk4_core(state.T, state.omega, inertia, torque_fn, t, dt)
-    return RigidBodyState(t_new, w_new)
+    """RK4 attitude step with per-stage torque evaluation and SO(3) re-projection.
+
+    ``torque_fn(t, T, w)`` takes and returns arrays.
+    """
+    def torque(ti, tm, wi):
+        return _floats(torque_fn(ti, np.reshape(tm, (3, 3)), np.array(wi)))
+
+    t_new, w_new = _attitude_rk4_core(_floats(state.T), _floats(state.omega),
+                                      _floats(inertia.j), _floats(inertia.j_inv), torque, t, dt)
+    return RigidBodyState(np.reshape(t_new, (3, 3)), np.array(w_new))
 
 
-def _quadrotor_rk4_core(
-    r: Array,
-    v: Array,
-    R: Array,
-    Om: Array,
-    params: QuadrotorParams,
-    f_body: Array,
-    m_body: Array,
-    dt: float,
-) -> tuple[Array, Array, Array, Array]:
-    """RK4 quadrotor step with inputs held constant over the step (ZOH).
+def _quadrotor_rk4_core(r, v, R, Om, params: QuadrotorParams, f_body, m_body, dt: float):
+    """RK4 quadrotor step on Python floats with the body wrench held over the
+    step (ZOH): ``R`` row-major 9 floats, the rest 3-sequences.
 
-    The position derivative is the stage velocity, so stage positions are
-    never formed.  Raises ``DivergenceError`` when the stepped state has a
+    The rotational half is :func:`_rates`, the attitude plant's law.  The
+    position derivative is the stage velocity, so stage positions are never
+    formed.  Raises ``DivergenceError`` when the stepped state has a
     non-finite entry or the stepped attitude has ``det <= 0`` before its
     projection onto SO(3).
     """
-    grav = params.gravity_vector
-    mass = params.mass
-    jj, jinv = params.inertia.j, params.inertia.j_inv
-    h = 0.5 * dt
+    g, mass = params.g, params.mass
+    jj, jinv = _floats(params.inertia.j), _floats(params.inertia.j_inv)
+    f0, f1, f2 = f_body
 
     def deriv(Ri, Oi):
-        return (grav + (Ri @ f_body) / mass, *_rates(Ri, Oi, m_body, jj, jinv))
+        # m vdot = m G + R f_body
+        acc = [(Ri[i] * f0 + Ri[i + 1] * f1 + Ri[i + 2] * f2) / mass for i in (0, 3, 6)]
+        acc[2] -= g
+        return (acc, *_rates(Ri, Oi, m_body, jj, jinv))
 
-    k1v, k1R, k1O = deriv(R, Om)
-    v2, R2, O2 = v + h * k1v, R + h * k1R, Om + h * k1O
-    k2v, k2R, k2O = deriv(R2, O2)
-    v3, R3, O3 = v + h * k2v, R + h * k2R, Om + h * k2O
-    k3v, k3R, k3O = deriv(R3, O3)
-    v4, R4, O4 = v + dt * k3v, R + dt * k3R, Om + dt * k3O
-    k4v, k4R, k4O = deriv(R4, O4)
-
+    stages, vel = [deriv(R, Om)], [v]
+    for a in (0.5 * dt, 0.5 * dt, dt):
+        kv, kR, kO = stages[-1]
+        vel.append(_axpy(v, a, kv))
+        stages.append(deriv(_axpy(R, a, kR), _axpy(Om, a, kO)))
+    kv, kR, kO = zip(*stages)
     sixth = dt / 6.0
-    r_new = r + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
-    v_new = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    R_new = R + sixth * (k1R + 2.0 * k2R + 2.0 * k3R + k4R)
-    O_new = Om + sixth * (k1O + 2.0 * k2O + 2.0 * k3O + k4O)
-    _require_not_diverged(r_new, v_new, R_new, O_new)
-    return r_new, v_new, _fast_polar(R_new), O_new
-
-
-def _require_not_diverged(r: Array, v: Array, R: Array, Om: Array) -> None:
-    """``DivergenceError`` unless every entry is finite and ``det R > 0``."""
-    if not np.isfinite(np.concatenate((r, v, R.ravel(), Om))).all():
-        bad = [n for n, x in (("r", r), ("v", v), ("R", R), ("Omega", Om))
-               if not np.isfinite(x).all()]
-        raise DivergenceError(f"state diverged: non-finite {', '.join(bad)}")
-    det = np.linalg.det(R)
+    r_new, v_new = _rk4_sum(r, sixth, *vel), _rk4_sum(v, sixth, *kv)
+    R_new, O_new = _rk4_sum(R, sixth, *kR), _rk4_sum(Om, sixth, *kO)
+    _require_finite({"r": r_new, "v": v_new, "R": R_new, "Omega": O_new})
+    det = np.linalg.det(np.reshape(R_new, (3, 3)))
     if not det > 0.0:
         raise DivergenceError(
             f"state diverged: attitude determinant {det:.3e} is not positive "
             "before projection"
         )
+    return r_new, v_new, _fast_polar(R_new), O_new
 
 
 def rk4_quadrotor_step(
@@ -321,7 +355,7 @@ def rk4_quadrotor_step(
 ) -> QuadrotorState:
     """One RK4 step of the quadrotor with the body wrench held over the step."""
     r, v, R, Om = _quadrotor_rk4_core(
-        state.r, state.v, state.R, state.Omega, params,
-        np.asarray(f_body, dtype=float), np.asarray(m_body, dtype=float), dt,
+        _floats(state.r), _floats(state.v), _floats(state.R), _floats(state.Omega), params,
+        _floats(f_body), _floats(m_body), dt,
     )
-    return QuadrotorState(r, v, R, Om)
+    return QuadrotorState(np.array(r), np.array(v), np.reshape(R, (3, 3)), np.array(Om))

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .attitude_control import _checked_error_matrix, _torque_kernel
+from .attitude_control import _torque_kernel
 from .errors import _TRAP_FP, GeomechError, SolverError, _step_failure
 from .quadrotor import (
     ControllerMemory,
@@ -33,7 +33,7 @@ from .quadrotor import (
     translational_storage,
 )
 from .references import _euler_321_raw, circle_reference, gimbal_proximity
-from .rigid_body import _attitude_rk4_core, energy_momentum_rows, rk4_quadrotor_step
+from .rigid_body import _attitude_rk4_core, _floats, energy_momentum_rows, rk4_quadrotor_step
 from .so3 import hat, orthogonality_defects
 from .rotor_aero import (
     AirState,
@@ -154,52 +154,49 @@ _ATTITUDE_COLUMNS = (
 )
 
 
-def _attitude_loop_numpy(rd_all, wd_all, wdd_all, sc: Scenario):
-    """Closed attitude loop: the shared torque kernel on the shared RK4 core.
+def _attitude_loop_numpy(ref, sc: Scenario):
+    """Closed attitude loop: the float torque kernel on the float RK4 core.
 
-    The reference samples sit on the half-step grid, so stage time ``t``
-    reads sample ``round(2 t / dt)``.  The torque at ``(t_k, T_k, Omega_k)``
-    is recorded and reused as the step's RK4 stage 1.  Each step records
-    only the state, the torque, ``e_R``, ``e_Omega`` and ``1 + tr E``; the
+    ``ref`` holds ``R_d`` (row-major), ``Omega_d`` and ``dOmega_d`` on the
+    half-step grid, so stage time ``t`` reads row ``round(2 t / dt)``, one
+    row of Python floats at a time.
+    The torque at ``(t_k, T_k, Omega_k)`` is recorded and reused as the
+    step's RK4 stage 1.  Each step writes only the state, the torque,
+    ``e_R``, ``e_Omega`` and ``1 + tr E`` into the preallocated tables; the
     derived columns are formed after the loop.  Returns one row per step
-    with the columns of ``_ATTITUDE_COLUMNS``.  The name is kept because the
-    benchmark's tracer (``perfbench/tracer.py``) and its tests look the loop
-    up as ``runner._attitude_loop_numpy``.
+    with the columns of ``_ATTITUDE_COLUMNS``.  The loop is no longer numpy;
+    its name is kept only because the benchmark's tracer
+    (``perfbench/tracer.py``) looks it up as ``runner._attitude_loop_numpy``.
     """
-    dt, inertia, gains = sc.dt, sc.inertia, sc.attitude_gains
-    jj, p_g, f_g = inertia.j, gains.P, gains.F
-    n = (rd_all.shape[0] - 1) // 2
-    col = _ATTITUDE_COLUMNS.index
-    q_cols = slice(col("q_x"), col("q_z") + 1)
-    table = np.empty((n + 1, len(_ATTITUDE_COLUMNS)))
-    side = np.empty((n + 1, 7))  # e_R, e_Omega, 1 + tr E
-    t_mat = np.asarray(sc.initial.T, dtype=float)
-    w = np.asarray(sc.initial.omega, dtype=float)
+    dt, gains = sc.dt, sc.attitude_gains
+    jj, jinv = _floats(sc.inertia.j), _floats(sc.inertia.j_inv)
+    p_g, f_g = _floats(gains.P), _floats(gains.F)
+    n = (ref.shape[0] - 1) // 2
+    buf = np.empty((n + 1, len(_ATTITUDE_COLUMNS) + 7))  # one block, so it is freed whole
+    table, side = buf[:, :-7], buf[:, -7:]  # side: e_R, e_Omega, 1 + tr E
+    t_mat, w = _floats(sc.initial.T), _floats(sc.initial.omega)
 
     def torque(idx, tm, wi):
-        e, one_plus_tr = _checked_error_matrix(tm, rd_all[idx])
-        q, e_r, e_om = _torque_kernel(
-            e, one_plus_tr, wd_all[idx], wdd_all[idx], wi, jj, p_g, f_g
-        )
-        return q, one_plus_tr, e_r, e_om
+        row = ref[idx].tolist()
+        return _torque_kernel(tm, row[:9], row[9:12], row[12:], wi, jj, p_g, f_g)
 
     def stage_torque(t, tm, wi):
         return torque(round(2.0 * t / dt), tm, wi)[0]
 
     try:
         for k in range(n + 1):
-            q, one_plus_tr, e_r, e_om = torque(2 * k, t_mat, w)
-            table[k, :9], table[k, 9:12], table[k, q_cols] = t_mat.ravel(), w, q
-            side[k, :3], side[k, 3:6], side[k, 6] = e_r, e_om, one_plus_tr
+            q, e_r, e_om, one_plus_tr = torque(2 * k, t_mat, w)
+            # psi, the norms, V_storage and ortho_defect (the 0.0 slots) come after the loop
+            table[k] = (*t_mat, *w, 0.0, 0.0, 0.0, *q, 0.0, 0.0)
+            side[k] = (*e_r, *e_om, one_plus_tr)
             if k < n:
-                t_mat, w = _attitude_rk4_core(
-                    t_mat, w, inertia, stage_torque, k * dt, dt, q
-                )
+                t_mat, w = _attitude_rk4_core(t_mat, w, jj, jinv, stage_torque, k * dt, dt, q)
     except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
 
+    col = _ATTITUDE_COLUMNS.index
     e_r, e_om = side[:, :3], side[:, 3:6]
-    err = e_om + e_r @ p_g.T  # Omega - Omega_target
+    err = e_om + e_r @ gains.P.T  # Omega - Omega_target
     psi = 2.0 - np.sqrt(side[:, 6])
     table[:, col("psi")] = psi
     table[:, col("e_R_norm")] = _row_norms(e_r)
@@ -216,9 +213,11 @@ def _run_attitude_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     n = int(round(sc.t_final / dt)) if sc.t_final > 0.0 else 0
     coeffs = sc.euler_coeffs
 
-    # reference samples on the half grid cover every RK4 stage time
+    # reference samples on the half grid cover every RK4 stage time, in one
+    # (2n+1, 15) array; the three arrays it is built from die with this statement
     t_half = 0.5 * dt * np.arange(2 * n + 1)
-    table = _attitude_loop_numpy(*_euler_321_raw(t_half, coeffs), sc)
+    table = _attitude_loop_numpy(np.concatenate(
+        [a.reshape(2 * n + 1, -1) for a in _euler_321_raw(t_half, coeffs)], axis=1), sc)
     t = t_half[::2].copy()
     cols = {"t": t}
     # contiguous copies free the table before encoding (lower peak RSS)
@@ -376,17 +375,17 @@ def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     dt = sc.dt
     jj = sc.inertia
 
-    moment = np.zeros(3) if sc.moment is None else np.asarray(sc.moment, dtype=float)
-    t_mat = np.asarray(sc.initial.T, dtype=float)
-    w = np.asarray(sc.initial.omega, dtype=float)
+    moment = [0.0] * 3 if sc.moment is None else _floats(sc.moment)
+    j_rows, jinv_rows = _floats(jj.j), _floats(jj.j_inv)
+    t_mat, w = _floats(sc.initial.T), _floats(sc.initial.omega)
     rows = np.empty((n + 1, 12))  # T (row-major), omega
-    rows[0, :9], rows[0, 9:] = t_mat.ravel(), w
+    rows[0] = (*t_mat, *w)
     try:
         for k in range(n):
             t_mat, w = _attitude_rk4_core(
-                t_mat, w, jj, lambda t, T, wi: moment, k * dt, dt, moment
+                t_mat, w, j_rows, jinv_rows, lambda t, T, wi: moment, k * dt, dt, moment
             )
-            rows[k + 1, :9], rows[k + 1, 9:] = t_mat.ravel(), w
+            rows[k + 1] = (*t_mat, *w)
     except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
 

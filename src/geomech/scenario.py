@@ -322,6 +322,14 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
             rho=aero.number("rho", 1.225, positive=True),
             geometry=geom,
         )
+    elif doc.get("aero") is not None:
+        # only the quadrotor has rotors: refuse `--aero` or an aero section
+        # instead of running without it
+        msg = f"kind {kind!r} has no rotors; only quad_track reads aero"
+        if isinstance(doc["aero"], dict) and set(doc["aero"]) == {"enabled"}:
+            root.section("aero").fail("enabled", msg)
+        else:
+            root.fail("aero", msg)
 
     if violations:
         raise ScenarioValidationError(violations)

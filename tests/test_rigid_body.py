@@ -13,11 +13,11 @@ from geomech.rigid_body import (
     quadrotor_rhs,
     rk4_attitude_step,
     rk4_quadrotor_step,
-    rk4_step,
     spatial_momentum,
 )
 
 from conftest import polar_newton, random_rotation
+from oracles import rk4_step
 
 
 @pytest.fixture
@@ -191,22 +191,35 @@ def test_rk4_attitude_stays_on_so3(j321):
     assert np.linalg.norm(s.T.T @ s.T - np.eye(3)) < 1e-13
 
 
+@pytest.mark.parametrize("omega", [[0.0, 0.0, 0.0], [0.5, -1.0, 2.0]])
+@pytest.mark.parametrize("dt", [1e-4, 1e-2, 0.5])
+def test_rk4_attitude_step_overflow_raises_divergence(j321, omega, dt):
+    # plain float arithmetic overflows to inf/nan without a trap; the step
+    # must refuse, never return a state holding inf or nan
+    s = RigidBodyState(np.eye(3), np.array(omega))
+    with pytest.raises(DivergenceError, match="^state diverged: "):
+        rk4_attitude_step(s, j321, lambda t, T, w: np.full(3, 1e308), 0.0, dt)
+
+
 def test_attitude_rk4_core_reuses_a_given_stage_one_torque(rng, j321):
     # q1 = torque_fn(t, T, w) skips the stage-1 torque call and projection;
     # on a rotation (as the previous step's result is) the step is unchanged
     gain = np.diag([2.0, 1.5, 1.0])
 
-    def torque(t, r, w):
-        return -gain @ w + np.sin(t) * (r[:, 2] - r[2])
+    def torque(t, r, w):  # the core's torque_fn takes and returns Python floats
+        r, w = np.reshape(r, (3, 3)), np.array(w)
+        return (-gain @ w + np.sin(t) * (r[:, 2] - r[2])).tolist()
 
     calls = []
     counted = lambda t, r, w: calls.append(t) or torque(t, r, w)  # noqa: E731
+    jj, jinv = j321.j.ravel().tolist(), j321.j_inv.ravel().tolist()
     for _ in range(20):
-        t_mat, w = polar_newton(random_rotation(rng)), rng.normal(size=3)
+        t_mat = polar_newton(random_rotation(rng)).ravel().tolist()
+        w = rng.normal(size=3).tolist()
         t, dt = rng.uniform(0.0, 10.0), rng.uniform(1e-3, 0.05)
-        ref = _attitude_rk4_core(t_mat, w, j321, torque, t, dt)
+        ref = _attitude_rk4_core(t_mat, w, jj, jinv, torque, t, dt)
         calls.clear()
-        out = _attitude_rk4_core(t_mat, w, j321, counted, t, dt, torque(t, t_mat, w))
+        out = _attitude_rk4_core(t_mat, w, jj, jinv, counted, t, dt, torque(t, t_mat, w))
         assert calls == [t + 0.5 * dt, t + 0.5 * dt, t + dt]
         np.testing.assert_allclose(out[0], ref[0], atol=1e-15, rtol=0.0)
         np.testing.assert_allclose(out[1], ref[1], atol=1e-15, rtol=0.0)
