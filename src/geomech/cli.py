@@ -24,12 +24,19 @@ EXIT_INVALID = 2
 EXIT_SOLVER = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with one ``error: <message>`` line (exit 2)."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geomech",
         description="Rigid-body simulation and tracking-control scenario runner.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_common(p):
         p.add_argument("scenario", type=Path, help="scenario JSON file")

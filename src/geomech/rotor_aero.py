@@ -33,6 +33,7 @@ equals the blade-element thrust) is a scalar root that
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,11 +77,11 @@ class RotorGeometry:
         if violations:
             raise ScenarioValidationError(violations)
 
-    @property
+    @functools.cached_property
     def solidity(self) -> float:
         return self.n_blades * self.chord / (np.pi * self.radius)
 
-    @property
+    @functools.cached_property
     def disk_area(self) -> float:
         return np.pi * self.radius**2
 

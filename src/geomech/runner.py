@@ -149,8 +149,9 @@ def _free_body_metrics(series: TimeSeries) -> MetricsSummary:
 # -------------------------------------------------------- attitude tracking
 
 _ATTITUDE_COLUMNS = (
-    *(f"R{i}{j}" for i in range(3) for j in range(3)), "w_x", "w_y", "w_z",
+    "t", *(f"R{i}{j}" for i in range(3) for j in range(3)), "w_x", "w_y", "w_z",
     "psi", "e_R_norm", "e_Omega_norm", "q_x", "q_y", "q_z", "V_storage", "ortho_defect",
+    "gimbal_proximity",
 )
 
 
@@ -163,17 +164,17 @@ def _attitude_loop_numpy(ref, sc: Scenario):
     The torque at ``(t_k, T_k, Omega_k)`` is recorded and reused as the
     step's RK4 stage 1.  Each step writes only the state, the torque,
     ``e_R``, ``e_Omega`` and ``1 + tr E`` into the preallocated tables; the
-    derived columns are formed after the loop.  Returns one row per step
-    with the columns of ``_ATTITUDE_COLUMNS``.  The loop is no longer numpy;
-    its name is kept only because the benchmark's tracer
-    (``perfbench/tracer.py``) looks it up as ``runner._attitude_loop_numpy``.
+    derived columns are formed after the loop.  Returns the table of
+    ``_ATTITUDE_COLUMNS``, one row per step; the caller fills ``t`` and
+    ``gimbal_proximity``.  The loop is no longer numpy; its name is kept only
+    because the benchmark's tracer looks it up as ``runner._attitude_loop_numpy``.
     """
     dt, gains = sc.dt, sc.attitude_gains
     jj, jinv = _floats(sc.inertia.j), _floats(sc.inertia.j_inv)
     p_g, f_g = _floats(gains.P), _floats(gains.F)
     n = (ref.shape[0] - 1) // 2
-    buf = np.empty((n + 1, len(_ATTITUDE_COLUMNS) + 7))  # one block, so it is freed whole
-    table, side = buf[:, :-7], buf[:, -7:]  # side: e_R, e_Omega, 1 + tr E
+    table = np.empty((n + 1, len(_ATTITUDE_COLUMNS)))
+    side = np.empty((n + 1, 7))  # e_R, e_Omega, 1 + tr E
     t_mat, w = _floats(sc.initial.T), _floats(sc.initial.omega)
 
     def torque(idx, tm, wi):
@@ -186,8 +187,8 @@ def _attitude_loop_numpy(ref, sc: Scenario):
     try:
         for k in range(n + 1):
             q, e_r, e_om, one_plus_tr = torque(2 * k, t_mat, w)
-            # psi, the norms, V_storage and ortho_defect (the 0.0 slots) come after the loop
-            table[k] = (*t_mat, *w, 0.0, 0.0, 0.0, *q, 0.0, 0.0)
+            # t and the derived columns (the 0.0 slots) are filled after the loop
+            table[k] = (0.0, *t_mat, *w, 0.0, 0.0, 0.0, *q, 0.0, 0.0, 0.0)
             side[k] = (*e_r, *e_om, one_plus_tr)
             if k < n:
                 t_mat, w = _attitude_rk4_core(t_mat, w, jj, jinv, stage_torque, k * dt, dt, q)
@@ -204,7 +205,7 @@ def _attitude_loop_numpy(ref, sc: Scenario):
     table[:, col("V_storage")] = (
         gains.k_R * psi + 0.5 * np.einsum("ni,ij,nj->n", err, gains.S, err)
     )
-    table[:, col("ortho_defect")] = orthogonality_defects(table[:, :9])
+    table[:, col("ortho_defect")] = orthogonality_defects(table[:, col("R00"):col("R22") + 1])
     return table
 
 
@@ -219,11 +220,8 @@ def _run_attitude_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     table = _attitude_loop_numpy(np.concatenate(
         [a.reshape(2 * n + 1, -1) for a in _euler_321_raw(t_half, coeffs)], axis=1), sc)
     t = t_half[::2].copy()
-    cols = {"t": t}
-    # contiguous copies free the table before encoding (lower peak RSS)
-    cols.update((name, table[:, j].copy()) for j, name in enumerate(_ATTITUDE_COLUMNS))
-    cols["gimbal_proximity"] = gimbal_proximity(t, coeffs).astype(float)
-    series = TimeSeries(cols)
+    table[:, 0], table[:, -1] = t, gimbal_proximity(t, coeffs)
+    series = TimeSeries(_ATTITUDE_COLUMNS, table)
     psi_col = series.column("psi")
     settle, settled = settling_time(series.t, psi_col)
     storage = series.column("V_storage")
@@ -245,7 +243,7 @@ def _run_attitude_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
 # -------------------------------------------------------- quadrotor tracking
 
 _QUAD_COLUMNS = (
-    *(f"{name}_{ax}" for name in ("r", "v", "Omega", "e_r", "q") for ax in "xyz"),
+    "t", *(f"{name}_{ax}" for name in ("r", "v", "Omega", "e_r", "q") for ax in "xyz"),
     *(f"R{i}{j}" for i in range(3) for j in range(3)),
     "e_r_norm", "e_v_norm", "psi_cmd", "e_R_norm", "e_Omega_norm", "f",
     "V_translational", "thrust_negative", "ortho_defect",
@@ -324,9 +322,9 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
         for k in range(n + 1):
             ref = circle_reference(k * dt, coeffs)
             f, q, diag = tracking_step(state, ref, params, gains, att_gains, dt, memory)
-            # the norm columns and ortho_defect (the 0.0 slots) are formed after the loop
+            # t, the norm columns and ortho_defect (the 0.0 slots) are formed after the loop
             table[k] = [
-                *state.r, *state.v, *state.Omega, *diag.e_r, *q, *state.R.ravel(),
+                0.0, *state.r, *state.v, *state.Omega, *diag.e_r, *q, *state.R.ravel(),
                 0.0, 0.0, diag.psi_command, 0.0, 0.0, f,
                 translational_storage(state, ref, gains), float(diag.thrust_negative), 0.0,
             ]
@@ -339,14 +337,13 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
         raise _step_failure(exc, k, dt) from None
 
     col = _QUAD_COLUMNS.index
+    table[:, col("t")] = dt * np.arange(n + 1)
     table[:, col("e_r_norm")] = _row_norms(table[:, col("e_r_x"):col("e_r_z") + 1])
     table[:, col("e_v_norm")] = _row_norms(side[:, :3])
     table[:, col("e_R_norm")] = _row_norms(side[:, 3:6])
     table[:, col("e_Omega_norm")] = _row_norms(side[:, 6:])
     table[:, col("ortho_defect")] = orthogonality_defects(table[:, col("R00"):col("R22") + 1])
-    cols = {"t": dt * np.arange(n + 1)}
-    cols.update((name, table[:, j]) for j, name in enumerate(_QUAD_COLUMNS))
-    series = TimeSeries(cols)
+    series = TimeSeries(_QUAD_COLUMNS, table)
     e_r_norm = series.column("e_r_norm")
     settle, settled = settling_time(series.t, e_r_norm)
     metrics = MetricsSummary(
@@ -395,16 +392,11 @@ def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
 
     h_vi = vi_series.column("H")
     pi_vi = vi_series.vector("Pi")
-    cols = {
-        "t": vi_series.t.copy(),
-        "H_vi": h_vi.copy(),
-        "H_rk4": h_rk4,
-        "mom_err_vi": np.linalg.norm(pi_vi - pi_vi[0], axis=1),
-        "mom_err_rk4": mom_rk4,
-        "ortho_vi": vi_series.column("ortho_defect").copy(),
-        "ortho_rk4": ortho_rk4,
-    }
-    series = TimeSeries(cols)
+    series = TimeSeries(
+        ("t", "H_vi", "H_rk4", "mom_err_vi", "mom_err_rk4", "ortho_vi", "ortho_rk4"),
+        np.column_stack((vi_series.t, h_vi, h_rk4, np.linalg.norm(pi_vi - pi_vi[0], axis=1),
+                         mom_rk4, vi_series.column("ortho_defect"), ortho_rk4)),
+    )
     metrics = _free_body_metrics(vi_series)
     h0 = abs(h_vi[0])
     drift = np.abs(h_rk4 - h_rk4[0])

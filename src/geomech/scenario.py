@@ -122,7 +122,7 @@ class _Fields:
             value = None
         return _Fields(value or {}, f"{self.path}{key}.", self.violations)
 
-    def number(self, key, default, *, positive=False, minimum=None, integer=False):
+    def number(self, key, default, *, positive=False, minimum=None, maximum=None, integer=False):
         value = self.obj.get(key)
         if value is None:
             return default
@@ -137,6 +137,8 @@ class _Fields:
             return self.fail(key, "must be > 0")
         if minimum is not None and x < minimum:
             return self.fail(key, f"must be >= {minimum:g}")
+        if maximum is not None and x > maximum:
+            return self.fail(key, f"must be <= {maximum:g}")
         return value if integer else x
 
     def choice(self, key, default, options):
@@ -319,7 +321,7 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
                       "(the blades make no hover thrust at any speed)")
         scenario.aero = AeroConfig(
             enabled=aero.choice("enabled", False, (False, True)),
-            rho=aero.number("rho", 1.225, positive=True),
+            rho=aero.number("rho", 1.225, minimum=1e-3, maximum=1e2),
             geometry=geom,
         )
     elif doc.get("aero") is not None:

@@ -318,6 +318,12 @@ def vi_step(
     return StepResult(t_k1, omega_k1, iters, res_norm, pi_k1)
 
 
+_SIMULATE_COLUMNS = (
+    "t", *(f"T{i}{j}" for i in range(3) for j in range(3)), "w_x", "w_y", "w_z", "H",
+    "Pi_x", "Pi_y", "Pi_z", "ortho_defect", "newton_iters", "residual",
+)
+
+
 def simulate(
     initial: RigidBodyState,
     inertia: InertiaTensor,
@@ -338,27 +344,23 @@ def simulate(
     t_mat = np.asarray(initial.T, dtype=float)
     omega = np.asarray(initial.omega, dtype=float)
 
-    t_hist = np.empty((n_steps + 1, 3, 3))
-    w_hist = np.empty((n_steps + 1, 3))
-    iters_h = np.zeros(n_steps + 1)
-    res_h = np.zeros(n_steps + 1)
-    t_hist[0], w_hist[0] = t_mat, omega
+    table = np.zeros((n_steps + 1, len(_SIMULATE_COLUMNS)))
+    col = _SIMULATE_COLUMNS.index
+    t_hist, w_hist = table[:, col("T00"):col("T22") + 1], table[:, col("w_x"):col("w_z") + 1]
+    iters_h, res_h = table[:, col("newton_iters")], table[:, col("residual")]
+    t_hist[0], w_hist[0] = t_mat.ravel(), omega
     pi = t_mat @ (inertia.j @ omega)
     try:
         with np.errstate(**_TRAP_FP):
             for k in range(n_steps):
                 result = vi_step(t_mat, omega, moment_fn, inertia, cfg, t=k * dt, pi_k=pi)
                 t_mat, omega, pi = result.T_next, result.omega_next, result.pi_next
-                t_hist[k + 1], w_hist[k + 1] = t_mat, omega
+                t_hist[k + 1], w_hist[k + 1] = t_mat.ravel(), omega
                 iters_h[k + 1], res_h[k + 1] = result.newton_iters, result.residual
     except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
-    h, pi = energy_momentum_rows(t_hist, w_hist, inertia)
-    cols = {"t": dt * np.arange(n_steps + 1)}
-    cols.update((f"T{i}{j}", t_hist[:, i, j].copy()) for i in range(3) for j in range(3))
-    cols.update((f"w_{ax}", w_hist[:, a].copy()) for a, ax in enumerate("xyz"))
-    cols["H"] = h
-    cols.update((f"Pi_{ax}", pi[:, a].copy()) for a, ax in enumerate("xyz"))
-    cols["ortho_defect"] = orthogonality_defects(t_hist)
-    cols["newton_iters"], cols["residual"] = iters_h, res_h
-    return TimeSeries(cols)
+    table[:, col("t")] = dt * np.arange(n_steps + 1)
+    table[:, col("H")], table[:, col("Pi_x"):col("Pi_z") + 1] = energy_momentum_rows(
+        t_hist, w_hist, inertia)
+    table[:, col("ortho_defect")] = orthogonality_defects(t_hist)
+    return TimeSeries(_SIMULATE_COLUMNS, table)

@@ -77,7 +77,7 @@ def test_free_body_run_records_and_metrics():
     # column contract for the free-body kind
     for name in ("t", "T00", "T22", "w_x", "H", "Pi_z", "ortho_defect",
                  "newton_iters", "residual"):
-        assert name in series.columns
+        assert name in series.names
 
 
 def test_free_body_determinism_byte_identical(tmp_path):
@@ -93,7 +93,7 @@ def test_attitude_track_columns_and_storage():
     series, metrics = run(load("attitude_track", dt=1e-3, t_final=1.0))
     for name in ("t", "R00", "w_x", "psi", "e_R_norm", "e_Omega_norm", "q_x",
                  "V_storage", "ortho_defect", "gimbal_proximity"):
-        assert name in series.columns
+        assert name in series.names
     # storage decreases from the near-antipodal start
     v = series.column("V_storage")
     assert v[-1] < v[0]
@@ -308,7 +308,7 @@ def test_quad_track_run_and_columns():
                  "psi_cmd", "e_R_norm", "e_Omega_norm", "f", "q_x",
                  "V_translational", "thrust_negative", "ortho_defect",
                  "e_r_x", "e_r_y", "e_r_z"):
-        assert name in series.columns
+        assert name in series.names
     assert series.column("e_r_norm")[0] == pytest.approx(np.sqrt(17.0))
     assert "steady_abs_error_z" in metrics.extras
 
@@ -377,7 +377,7 @@ def test_quad_translational_storage_decreases_once_inner_loop_converged():
 def test_integrator_compare_pairs_identical_inputs():
     series, metrics = run(load("integrator_compare", t_final=1.0))
     for name in ("H_vi", "H_rk4", "mom_err_vi", "mom_err_rk4", "ortho_vi", "ortho_rk4"):
-        assert name in series.columns
+        assert name in series.names
     assert series.column("H_vi")[0] == series.column("H_rk4")[0]
     assert "rk4_energy_drift_end_rel" in metrics.extras
 
@@ -417,7 +417,7 @@ def test_cli_overrides_and_compare(tmp_path):
     assert code == 0
     series = parse_csv_bytes((tmp_path / "free_body_compare.csv").read_bytes())
     assert len(series) == 101  # 0.5 / 0.005 + 1
-    assert "H_rk4" in series.columns
+    assert "H_rk4" in series.names
 
 
 def test_cli_aero_override(tmp_path):
@@ -494,7 +494,7 @@ def test_cli_vi_blowup_exits_3_with_one_line(tmp_path, capsys, command, omega, m
 
 
 @pytest.mark.parametrize("name, section, key, value", [
-    ("quad_track_aero", "aero", "rho", 1e-300),  # the hover calibration overflows
+    ("quad_track_aero", "vehicle", "mass", 1e200),  # the hover calibration overflows
     ("attitude_track", "gains", "k_R", 1e308),  # the storage column overflows
 ])
 def test_cli_overflow_outside_the_steps_exits_3(tmp_path, capsys, name, section, key, value):
@@ -533,6 +533,28 @@ def test_cli_compare_rejects_quad_scenario(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "quad_track" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "scenarios/free_body.json", "--dt", "abc"],
+     "error: argument --dt: invalid float value: 'abc'"),
+    (["compare", "scenarios/integrator_compare.json", "--aero", "on"],
+     "error: unrecognized arguments: --aero on"),
+])
+def test_cli_bad_flag_prints_one_line_and_exits_2(tmp_path, capsys, args, message):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*args, "--out-dir", str(out_dir)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out_dir.exists()
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    assert "--out-dir" in capsys.readouterr().out
 
 
 def test_cli_compare_at_rest_reports_null_relative_drifts(tmp_path, capsys):
@@ -586,7 +608,7 @@ def test_cli_forced_arc_free_body_reruns_byte_identical(tmp_path):
 
 
 def test_write_outputs_failed_encode_leaves_no_file(tmp_path):
-    series = TimeSeries({"t": np.arange(3.0), "x": np.ones(3)})
+    series = TimeSeries(("t", "x"), np.column_stack((np.arange(3.0), np.ones(3))))
     csv_path, metrics_path = tmp_path / "run.csv", tmp_path / "run.metrics.json"
     with pytest.raises(ValueError, match="not finite"):
         write_outputs(series, MetricsSummary(extras={"bad": float("nan")}),
@@ -594,7 +616,7 @@ def test_write_outputs_failed_encode_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
     # an earlier output stays as it was
     csv_path.write_bytes(b"old\n")
-    bad_series = TimeSeries({"t": np.arange(3.0), "é": np.ones(3)})
+    bad_series = TimeSeries(("t", "é"), series.table)
     with pytest.raises(UnicodeEncodeError):
         write_outputs(bad_series, MetricsSummary(), csv_path, metrics_path)
     assert list(tmp_path.iterdir()) == [csv_path]

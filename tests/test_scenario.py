@@ -180,6 +180,8 @@ def _set(doc, path, value):
     ("quad_track", "reference.omega", math.nan, "must be finite"),
     ("quad_track", "aero.enabled", "no", "must be false or true"),
     ("quad_track_aero", "aero.rho", "abc", "must be a number"),
+    ("quad_track_aero", "aero.rho", 1e-300, "must be >= 0.001"),
+    ("quad_track_aero", "aero.rho", 1e300, "must be <= 100"),
     ("quad_track_aero", "aero.geometry.n_blades", "abc", "must be a number"),
     ("quad_track_aero", "aero.geometry.n_blades", 2.0, "must be an integer"),
     ("quad_track_aero", "aero.geometry.chord", math.inf, "must be finite"),

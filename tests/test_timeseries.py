@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geomech.timeseries import (
+    _CSV_BLOCK_ROWS,
     MetricsSummary,
     TimeSeries,
     metrics_to_json_bytes,
@@ -15,16 +16,14 @@ from geomech.timeseries import (
 
 def small_series():
     return TimeSeries(
-        {
-            "t": np.array([0.0, 0.1, 0.2]),
-            "x": np.array([1.0, 1.0 / 3.0, -2.5e-17]),
-        }
+        ("t", "x"),
+        np.column_stack(([0.0, 0.1, 0.2], [1.0, 1.0 / 3.0, -2.5e-17])),
     )
 
 
-def test_ragged_columns_rejected():
-    with pytest.raises(ValueError, match="ragged"):
-        TimeSeries({"t": np.zeros(3), "x": np.zeros(2)})
+def test_table_width_must_match_names():
+    with pytest.raises(ValueError, match=r"shape \(3, 1\) does not fit 2 names"):
+        TimeSeries(("t", "x"), np.zeros((3, 1)))
 
 
 def test_csv_header_names_every_column():
@@ -36,11 +35,11 @@ def test_csv_header_names_every_column():
 def test_csv_bytes_pinned_for_edge_values():
     # signed zero, a tiny normal and the smallest subnormal keep their
     # shortest round-trip spelling
-    s = TimeSeries({
-        "t": np.array([0.0, 0.5]),
-        "x": np.array([-0.0, 5e-324]),
-        "y": np.array([1e-300, -1.0 / 3.0]),
-    })
+    s = TimeSeries(("t", "x", "y"), np.column_stack((
+        [0.0, 0.5],
+        [-0.0, 5e-324],
+        [1e-300, -1.0 / 3.0],
+    )))
     data = series_to_csv_bytes(s)
     assert data == b"t,x,y\n0.0,-0.0,1e-300\n0.5,5e-324,-0.3333333333333333\n"
     back = parse_csv_bytes(data)
@@ -48,7 +47,7 @@ def test_csv_bytes_pinned_for_edge_values():
 
 
 def test_empty_series_header_only():
-    s = TimeSeries({"t": np.array([]), "x": np.array([])})
+    s = TimeSeries(("t", "x"), np.empty((0, 2)))
     data = series_to_csv_bytes(s)
     assert data == b"t,x\n"
 
@@ -56,7 +55,7 @@ def test_empty_series_header_only():
 def test_csv_round_trip_exact():
     s = small_series()
     back = parse_csv_bytes(series_to_csv_bytes(s))
-    for name in s.columns:
+    for name in s.names:
         assert np.array_equal(back.column(name), s.column(name))
 
 
@@ -99,13 +98,29 @@ def test_write_outputs(tmp_path):
     assert doc["custom"] == 2.0
 
 
+@pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+                                  3 * _CSV_BLOCK_ROWS + 5])
+def test_streamed_csv_file_equals_the_bytes_encoder(tmp_path, rows):
+    # the file is written block by block; block edges must not show
+    table = np.random.default_rng(rows).normal(size=(rows, 3)) * [1.0, 1e-300, 1e300]
+    s = TimeSeries(("t", "x", "y"), table)
+    csv_path = tmp_path / "run.csv"
+    write_outputs(s, MetricsSummary(), csv_path, tmp_path / "run.metrics.json")
+    data = csv_path.read_bytes()
+    assert data == series_to_csv_bytes(s)
+    assert data.count(b"\n") == rows + 1
+
+
+def test_failed_rename_leaves_no_temporary_or_metrics_file(tmp_path):
+    # the CSV target is a directory, so renaming the written CSV onto it fails
+    csv_path, metrics_path = tmp_path / "run.csv", tmp_path / "run.metrics.json"
+    csv_path.mkdir()
+    with pytest.raises(OSError):
+        write_outputs(small_series(), MetricsSummary(), csv_path, metrics_path)
+    assert list(tmp_path.iterdir()) == [csv_path]
+    assert list(csv_path.iterdir()) == []
+
+
 def test_vector_helper():
-    s = TimeSeries(
-        {
-            "t": np.array([0.0]),
-            "p_x": np.array([1.0]),
-            "p_y": np.array([2.0]),
-            "p_z": np.array([3.0]),
-        }
-    )
+    s = TimeSeries(("t", "p_x", "p_y", "p_z"), np.array([[0.0, 1.0, 2.0, 3.0]]))
     np.testing.assert_array_equal(s.vector("p"), [[1.0, 2.0, 3.0]])

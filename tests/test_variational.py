@@ -498,7 +498,7 @@ def test_simulate_determinism():
     cfg = IntegratorConfig(dt=0.01)
     a = simulate(s0, J321, None, cfg, 2.0)
     b = simulate(s0, J321, None, cfg, 2.0)
-    for name in a.columns:
+    for name in a.names:
         assert np.array_equal(a.column(name), b.column(name)), name
 
 
