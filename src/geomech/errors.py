@@ -20,9 +20,8 @@ class SolverError(GeomechError):
 
 
 class DegenerateMeanError(SolverError):
-    """Rotation pair is (numerically) antipodal, so the polar mean is
-    undefined, or one integrator step rotates by an angle of pi or more
-    (reduce dt)."""
+    """One variational step rotates by an angle of pi or more, where the
+    midpoint of the step is undefined (reduce dt)."""
 
 
 class SingularInputError(GeomechError):

@@ -276,7 +276,7 @@ class _AeroModel:
         thrusts = self.calibration.saturate(
             rotor_thrusts(f_cmd, q_cmd, self.params.arm_length, self.kappa)
         )
-        omegas = hover_rotor_speed(self.geom, thrusts, self.rho)
+        omegas = self.calibration(thrusts)  # clipping again is exact: same speeds
         # hub velocities of the four rotors as columns, inertial and body frame
         hub = state.v[:, None] + state.R @ (hat(state.Omega) @ self.arms.T)
         body_x, body_y, _ = (state.R.T @ hub).tolist()

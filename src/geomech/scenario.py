@@ -39,6 +39,10 @@ _DEFAULT_TIMING = {
 # The run loops size their tables up front, one row per step.
 MAX_STEPS = 10**8
 
+# (minimum, maximum) of the rotor geometry fields that have an envelope
+# (lift_slope in 1/rad); RotorGeometry itself checks signs and the solidity
+_GEOMETRY_ENVELOPES = {"lift_slope": {"minimum": 1e-1, "maximum": 1e2}}
+
 
 def step_count_error(dt: float, t_final: float) -> str | None:
     """Why a run of ``round(t_final / dt)`` steps is refused, or ``None``.
@@ -194,7 +198,8 @@ class _Fields:
 def _attitude_gains(gains: _Fields, p: Array | None, f: Array | None) -> AttitudeGains | None:
     """Either attitude gains section; ``p`` and ``f`` are the defaults of P and F."""
     return gains.build(AttitudeGains, P=gains.array("P", p, matrix=True),
-                       F=gains.array("F", f, matrix=True), k_R=gains.number("k_R", 1.0),
+                       F=gains.array("F", f, matrix=True),
+                       k_R=gains.number("k_R", 1.0, minimum=1e-6, maximum=1e6),
                        S=gains.array("S", np.eye(3), matrix=True))
 
 
@@ -274,10 +279,10 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
         )
         scenario.vehicle = veh.build(
             QuadrotorParams,
-            mass=veh.number("mass", 4.34),
+            mass=veh.number("mass", 4.34, minimum=1e-3, maximum=1e4),
             inertia=inertia,
             arm_length=veh.number("arm_length", 0.315),
-            g=veh.number("g", 9.81),
+            g=veh.number("g", 9.81, minimum=1e-2, maximum=1e3),
         )
         scenario.quad_initial = initial.build(
             QuadrotorState,
@@ -312,7 +317,8 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
         for key in sorted(set(geo.obj) - {fld.name for fld in geo_fields}):
             geo.fail(key, "unknown field")
         geom = geo.build(RotorGeometry, **{
-            fld.name: geo.number(fld.name, fld.default, integer=isinstance(fld.default, int))
+            fld.name: geo.number(fld.name, fld.default, integer=isinstance(fld.default, int),
+                                 **_GEOMETRY_ENVELOPES.get(fld.name, {}))
             for fld in geo_fields
         })
         # checked whether or not aero is enabled: `--aero on` can enable it later

@@ -4,7 +4,7 @@ Rotation matrices are plain ``(3, 3)`` float64 arrays mapping body to
 inertial coordinates; rotation vectors are ``(3,)`` arrays.  ``hat`` and
 ``vee`` convert between vectors and skew-symmetric matrices, ``exp_so3`` is
 the closed-form Rodrigues exponential, ``log_so3`` its inverse, and
-``rotation_mean`` the polar-decomposition mean of two rotations.
+``polar_project`` the nearest rotation to a matrix (its polar factor).
 
 Every angle-dependent coefficient of the library comes from one pair,
 ``a(x) = sin x / x`` and ``d(x) = a'(x)/x = (x cos x - sin x)/x^3``
@@ -127,15 +127,6 @@ def log_so3(r: Array) -> Array:
     return w / (2.0 * _sinc(theta)[0])
 
 
-def _polar_factor(u: Array, vt: Array) -> Array:
-    """The rotation factor ``u vt`` of an SVD ``u diag(s) vt``, with the last
-    singular axis flipped if ``u vt`` is a reflection."""
-    r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        r = (u * np.array([1.0, 1.0, -1.0])) @ vt
-    return r
-
-
 def polar_project(m: Array) -> Array:
     """Nearest rotation to ``m`` in the Frobenius norm (polar factor).
 
@@ -146,24 +137,10 @@ def polar_project(m: Array) -> Array:
     if det <= 1e-12:
         raise SingularInputError(f"determinant {det:.3e} is not positive")
     u, _, vt = np.linalg.svd(m)
-    return _polar_factor(u, vt)
-
-
-def rotation_mean(ta: Array, tb: Array) -> Array:
-    """Mean of two rotations: the polar rotation factor of ``ta + tb``.
-
-    Equals the geodesic midpoint when the arguments share a rotation axis.
-    Raises ``DegenerateMeanError`` when the rotations are antipodal (smallest
-    singular value of the sum below 1e-8).
-    """
-    ta = require_rotation(ta)
-    tb = require_rotation(tb)
-    u, s, vt = np.linalg.svd(ta + tb)
-    if s[-1] < 1e-8:
-        raise DegenerateMeanError(
-            f"rotations are antipodal (smallest singular value {s[-1]:.3e})"
-        )
-    return _polar_factor(u, vt)
+    r = u @ vt
+    if np.linalg.det(r) < 0.0:  # a reflection: flip the last singular axis
+        r = (u * np.array([1.0, 1.0, -1.0])) @ vt
+    return r
 
 
 def orthogonality_defect(m: Array) -> float:
@@ -187,13 +164,6 @@ def _check_step_angle(theta2: float, explicit: bool = False) -> None:
     if theta2 > (np.pi - 1e-8) ** 2:
         msg = f"relative rotation {np.sqrt(theta2):.6g} rad reaches pi; reduce dt"
         raise DivergenceError(f"state diverged: {msg}") if explicit else DegenerateMeanError(msg)
-
-
-def is_rotation(m: Array, tol: float = 1e-9) -> bool:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-        return False
-    return orthogonality_defect(m) <= tol and abs(np.linalg.det(m) - 1.0) <= tol
 
 
 def require_rotation(m: Array, tol: float = 1e-9) -> Array:

@@ -1,25 +1,10 @@
 """Second-order forced variational attitude integrator on SO(3).
 
-The scheme discretises the rotational action with the midpoint rule.  For a
-step from ``T_k`` to ``T_{k+1}``:
-
-* the midpoint attitude ``T_mid`` is the polar mean of the endpoints, with
-  symmetric positive-definite factor ``V`` satisfying
-  ``T_k + T_{k+1} = V T_mid``;
-* the relative rotation ``R_rel = T_{k+1} T_k^T = exp_so3(psi)`` carries the
-  space-frame step vector ``psi``;
-* the midpoint body rate is ``omega_mid = T_mid^T psi / dt``.
-
-Differentiating the step kinetic energy ``dt/2 * omega_mid . J omega_mid``
-with respect to space-frame endpoint variations yields the two one-sided
-momentum covectors ``theta_minus`` (at the lower node) and ``theta_plus``
-(at the upper node); both hold *spatial* angular momentum and are equal for
-every pair, which is exactly why the free flow conserves ``T J omega``.
-External moments enter through weighted midpoint samples (``discrete_forces``).
-
-A step matches momenta at the lower node, ``theta_minus(T_k, T_{k+1}) -
-dt f_minus = pi_k``, and solves that equation in the body frame for the
-increment ``f`` with ``T_{k+1} = T_k exp_so3(f)``:
+The scheme discretises the rotational action with the midpoint rule and
+matches discrete momenta at the lower node of each step (the forced
+discrete Lagrange-d'Alembert equation of Marsden & West, Acta Numerica
+2001).  A step solves that equation in the body frame for the increment
+``f`` with ``T_{k+1} = T_k exp_so3(f)``:
 
     G(f) - dt^2 F_minus(f, M) = dt Pi_k,    Pi_k = T_k^T pi_k.
 
@@ -34,10 +19,9 @@ picks it:
   with ``c = 1/|f|^2 - (1 + cos|f|)/(2 |f| sin|f|)``.
 
 ``F_minus = (M + (tan(|f|/4)/|f|) f x M)/2`` is ``T_k^T`` times the lower
-force covector of ``discrete_forces`` for the body moment ``M`` sampled at
-the midpoint time.  The two force covectors sum to ``T_mid M``, so the
-forced discrete Lagrange-d'Alembert update (Marsden & West, Acta Numerica
-2001) is ``pi_{k+1} = pi_k + dt T_mid M``.  Newton runs on ``f`` with the
+force covector for the body moment ``M`` sampled at the midpoint time.  The
+two force covectors sum to ``T_mid M``, so the momentum update is
+``pi_{k+1} = pi_k + dt T_mid M``.  Newton runs on ``f`` with the
 closed-form Jacobian of ``G``; the O(dt^2) force term and the O(|f|^4)
 derivative of the arc ``c`` are left out of the Jacobian, and every case
 converges in about two iterations.  Every coefficient comes from
@@ -45,21 +29,23 @@ converges in about two iterations.  Every coefficient comes from
 ``y = |f|/2``, the chord ``(1 - cos|f|)/|f|^2 = a(y)^2/2``, the arc
 ``c = -d(y)/(4 a(y))`` and ``tan(|f|/4)/|f| = a(|f|/4)/(4 cos(|f|/4))``.  Attitudes stay
 on SO(3) exactly by construction; no re-orthogonalisation is ever applied.
+The space-frame derivation of the same equation (midpoint quantities,
+momentum covectors ``theta_minus``/``theta_plus`` and ``discrete_forces``)
+is kept in ``tests/oracles.py``, as the oracle the tests check
+:func:`vi_step` against.
 
 Two measures of the step rotation are supported in the discrete kinetic
 energy (``IntegratorConfig.step_measure``):
 
-* ``"arc"`` uses the rotation angle itself, ``psi``.  This is the textbook
+* ``"arc"`` uses the rotation angle itself.  This is the textbook
   midpoint scheme; its free-body energy error is a bounded O(dt^2)
   oscillation.
-* ``"chord"`` (default) uses ``2 sin(|psi|/2)`` along the same axis.  The
+* ``"chord"`` (default) uses ``2 sin(angle/2)`` along the same axis.  The
   resulting discrete free rigid body is integrable and conserves the kinetic
   energy itself to solver precision, not just a nearby shadow energy, so
   long-horizon runs show no measurable energy band at all.
 
-Both are second-order accurate and conserve spatial momentum exactly.  The
-public ``theta_minus``/``theta_plus`` operations always evaluate the arc
-covectors.
+Both are second-order accurate and conserve spatial momentum exactly.
 """
 
 from __future__ import annotations
@@ -72,12 +58,8 @@ import numpy as np
 
 from .errors import _TRAP_FP, GeomechError, NoConvergenceError, _step_failure
 from .rigid_body import InertiaTensor, RigidBodyState, energy_momentum_rows
-from .so3 import (
-    Array, _check_step_angle, _sinc, cross3, exp_so3, hat, log_so3, orthogonality_defects, tilde,
-)
+from .so3 import Array, _check_step_angle, _sinc, cross3, exp_so3, hat, orthogonality_defects
 from .timeseries import TimeSeries
-
-_EYE3 = np.eye(3)
 
 
 @dataclass
@@ -99,26 +81,6 @@ class IntegratorConfig:
 
 
 @dataclass
-class MidpointQuantities:
-    """Per-interval geometric quantities shared by the momentum covectors.
-
-    ``Y_k = T_k T_mid^T`` and ``Y_k1 = T_{k+1} T_mid^T`` are the half-step
-    transforms; ``F_mat`` is the symmetric factor relating variations of
-    ``psi`` to space-frame variations of ``R_rel``:
-    ``F = ((|psi| cos|psi| - sin|psi|)/|psi|^3) psi psi^T + (sin|psi|/|psi|) I``.
-    """
-
-    T_mid: Array
-    V: Array
-    R_rel: Array
-    psi: Array
-    omega_mid: Array
-    Y_k: Array
-    Y_k1: Array
-    F_mat: Array
-
-
-@dataclass
 class StepResult:
     T_next: Array
     omega_next: Array
@@ -127,106 +89,13 @@ class StepResult:
     pi_next: Array | None = None
 
 
-def _f_matrix(psi: Array) -> Array:
-    a, d = _sinc(math.sqrt(float(psi @ psi)))
-    return d * np.outer(psi, psi) + a * _EYE3
-
-
-def midpoint_quantities(t_k: Array, t_k1: Array, dt: float) -> MidpointQuantities:
-    """Midpoint attitude, polar factor, step vector, and variation factors
-    for the interval ``[T_k, T_{k+1}]``."""
-    t_k1 = np.asarray(t_k1, dtype=float)
-    psi = log_so3(t_k1 @ t_k.T)
-    _check_step_angle(float(psi @ psi))
-    t_mid = exp_so3(0.5 * psi) @ t_k
-    return MidpointQuantities(
-        T_mid=t_mid,
-        V=(t_k + t_k1) @ t_mid.T,
-        R_rel=exp_so3(psi),
-        psi=psi,
-        omega_mid=(t_mid.T @ psi) / dt,
-        Y_k=t_k @ t_mid.T,
-        Y_k1=t_k1 @ t_mid.T,
-        F_mat=_f_matrix(psi),
-    )
-
-
-def _momentum_covector(
-    mids: MidpointQuantities,
-    inertia: InertiaTensor,
-    upper: bool,
-    measure: str = "arc",
-) -> Array:
-    """Spatial momentum covector at the lower (``upper=False``) or upper node.
-
-    For ``measure="chord"`` the step vector and its variation pick up the
-    factors of the map ``psi -> 2 sin(|psi|/2) psi/|psi|``.
-    """
-    v_t = tilde(mids.V)
-    g = 0.5 * np.linalg.solve(mids.F_mat, tilde(mids.R_rel))
-    if measure == "arc":
-        psi_eff = mids.psi
-        omega_eff = mids.omega_mid
-    else:
-        # 2 sin(|psi|/2)/|psi| = a(|psi|/2), with derivative over |psi| d(|psi|/2)/4
-        scale, dscale = _sinc(0.5 * math.sqrt(float(mids.psi @ mids.psi)))
-        dscale *= 0.25
-        psi_eff = scale * mids.psi
-        omega_eff = scale * mids.omega_mid
-        g = (scale * _EYE3 + dscale * np.outer(mids.psi, mids.psi)) @ g
-    w = mids.T_mid @ (inertia.j @ omega_eff)
-    if upper:
-        a = hat(psi_eff) @ np.linalg.solve(v_t, tilde(mids.Y_k1)) + g
-    else:
-        a = g @ mids.R_rel - hat(psi_eff) @ np.linalg.solve(v_t, tilde(mids.Y_k))
-    return a.T @ w
-
-
-def theta_minus(t_k: Array, t_k1: Array, dt: float, inertia: InertiaTensor) -> Array:
-    """One-sided discrete momentum at the lower node of ``[T_k, T_{k+1}]``
-    (arc measure)."""
-    return _momentum_covector(
-        midpoint_quantities(t_k, t_k1, dt), inertia, upper=False, measure="arc"
-    )
-
-
-def theta_plus(t_km1: Array, t_k: Array, dt: float, inertia: InertiaTensor) -> Array:
-    """One-sided discrete momentum at the upper node of ``[T_{k-1}, T_k]``
-    (arc measure)."""
-    return _momentum_covector(
-        midpoint_quantities(t_km1, t_k, dt), inertia, upper=True, measure="arc"
-    )
-
-
-def discrete_forces(
-    m_minus_half: Array,
-    m_plus_half: Array,
-    mids_before: MidpointQuantities,
-    mids_after: MidpointQuantities,
-) -> tuple[Array, Array]:
-    """Discrete force covectors at a node flanked by two intervals.
-
-    ``m_minus_half`` is the space-frame moment sampled on the earlier
-    interval (whose quantities are ``mids_before``), ``m_plus_half`` on the
-    later one.  Each output uses its own interval's ``V`` and the half-step
-    transform that touches the shared node.
-    """
-    m_minus_half = np.asarray(m_minus_half, dtype=float)
-    m_plus_half = np.asarray(m_plus_half, dtype=float)
-    f_plus = tilde(mids_before.Y_k1).T @ np.linalg.solve(
-        tilde(mids_before.V), m_minus_half
-    )
-    f_minus = tilde(mids_after.Y_k).T @ np.linalg.solve(tilde(mids_after.V), m_plus_half)
-    return f_plus, f_minus
-
-
 MomentFn = Callable[[float], Array]
 
 
 def _body_force_minus(f: Array, theta: float, moment_body: Array) -> Array:
-    """``T_k^T`` times the lower force covector of ``discrete_forces``:
-    ``(M + (tan(|f|/4)/|f|) f x M)/2`` for the body increment ``f`` of angle
-    ``theta``, with ``tan(x/4)/x = a(x/4) / (4 cos(x/4))``."""
+    """``T_k^T`` times the lower force covector (``discrete_forces`` of the
+    test oracle): ``(M + (tan(|f|/4)/|f|) f x M)/2`` for the body increment
+    ``f`` of angle ``theta``, with ``tan(x/4)/x = a(x/4) / (4 cos(x/4))``."""
     quarter = 0.25 * theta
     tau = 0.25 * _sinc(quarter)[0] / math.cos(quarter)
     return 0.5 * (moment_body + tau * cross3(f, moment_body))

@@ -1,22 +1,45 @@
-"""Numpy oracles of the per-step rigid-body laws.
+"""Independent oracles of the library's per-step laws.
 
-These are the array forms of the attitude torque law, the rotational rates,
-the Newton-Schulz polar factor and the attitude RK4 stage loop, kept as they
-were before the library moved each law onto one Python-float kernel.  The
+The numpy forms of the attitude torque law, the rotational rates, the
+Newton-Schulz polar factor and the attitude RK4 stage loop are kept as they
+were before the library moved each law onto one Python-float kernel; the
 parity tests compare the float kernels with them.  ``rk4_step`` is the
 generic RK4 step on a flat state vector that the quadrotor step is checked
 against.
+
+The space-frame covector route is the second derivation of the variational
+step's discrete Lagrange-d'Alembert equation (Marsden & West, Acta Numerica
+2001; Lee, Leok & McClamroch, CMAME 2007).  For a step from ``T_k`` to
+``T_{k+1}``, the midpoint attitude ``T_mid`` is the polar mean of the
+endpoints, with symmetric positive-definite factor ``V`` satisfying
+``T_k + T_{k+1} = V T_mid``; the relative rotation
+``R_rel = T_{k+1} T_k^T = exp_so3(psi)`` carries the space-frame step vector
+``psi``, and the midpoint body rate is ``omega_mid = T_mid^T psi / dt``.
+Differentiating the step kinetic energy ``dt/2 * omega_mid . J omega_mid``
+with respect to space-frame endpoint variations yields the two one-sided
+momentum covectors, ``theta_minus`` at the lower node and ``theta_plus`` at
+the upper one (arc measure; ``_momentum_covector`` takes either measure).
+Both hold spatial angular momentum and agree on every pair, which is why
+the free flow conserves ``T J omega``.  External moments enter through the
+two force covectors of ``discrete_forces``.  ``variational.vi_step`` solves
+the same equation in the body frame in closed form; the tests check that
+every step it returns satisfies ``theta_minus - dt f_minus = pi_k`` and
+``pi_{k+1} = pi_k + dt (f_plus + f_minus)`` on this route.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from geomech.attitude_control import ANTIPODAL_TOL
 from geomech.errors import AntipodalError
-from geomech.so3 import _check_step_angle, hat, polar_project
+from geomech.rigid_body import InertiaTensor
+from geomech.so3 import (
+    Array, _check_step_angle, _sinc, exp_so3, hat, log_so3, polar_project, tilde,
+)
 
 _EYE3 = np.eye(3)
 
@@ -100,3 +123,116 @@ def rk4_step(rhs, y, t, dt):
     k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
     k4 = rhs(t + dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@dataclass
+class MidpointQuantities:
+    """Per-interval geometric quantities shared by the momentum covectors.
+
+    ``Y_k = T_k T_mid^T`` and ``Y_k1 = T_{k+1} T_mid^T`` are the half-step
+    transforms; ``F_mat`` is the symmetric factor relating variations of
+    ``psi`` to space-frame variations of ``R_rel``:
+    ``F = ((|psi| cos|psi| - sin|psi|)/|psi|^3) psi psi^T + (sin|psi|/|psi|) I``.
+    """
+
+    T_mid: Array
+    V: Array
+    R_rel: Array
+    psi: Array
+    omega_mid: Array
+    Y_k: Array
+    Y_k1: Array
+    F_mat: Array
+
+
+def _f_matrix(psi: Array) -> Array:
+    a, d = _sinc(math.sqrt(float(psi @ psi)))
+    return d * np.outer(psi, psi) + a * _EYE3
+
+
+def midpoint_quantities(t_k: Array, t_k1: Array, dt: float) -> MidpointQuantities:
+    """Midpoint attitude, polar factor, step vector, and variation factors
+    for the interval ``[T_k, T_{k+1}]``."""
+    t_k1 = np.asarray(t_k1, dtype=float)
+    psi = log_so3(t_k1 @ t_k.T)
+    _check_step_angle(float(psi @ psi))
+    t_mid = exp_so3(0.5 * psi) @ t_k
+    return MidpointQuantities(
+        T_mid=t_mid,
+        V=(t_k + t_k1) @ t_mid.T,
+        R_rel=exp_so3(psi),
+        psi=psi,
+        omega_mid=(t_mid.T @ psi) / dt,
+        Y_k=t_k @ t_mid.T,
+        Y_k1=t_k1 @ t_mid.T,
+        F_mat=_f_matrix(psi),
+    )
+
+
+def _momentum_covector(
+    mids: MidpointQuantities,
+    inertia: InertiaTensor,
+    upper: bool,
+    measure: str = "arc",
+) -> Array:
+    """Spatial momentum covector at the lower (``upper=False``) or upper node.
+
+    For ``measure="chord"`` the step vector and its variation pick up the
+    factors of the map ``psi -> 2 sin(|psi|/2) psi/|psi|``.
+    """
+    v_t = tilde(mids.V)
+    g = 0.5 * np.linalg.solve(mids.F_mat, tilde(mids.R_rel))
+    if measure == "arc":
+        psi_eff = mids.psi
+        omega_eff = mids.omega_mid
+    else:
+        # 2 sin(|psi|/2)/|psi| = a(|psi|/2), with derivative over |psi| d(|psi|/2)/4
+        scale, dscale = _sinc(0.5 * math.sqrt(float(mids.psi @ mids.psi)))
+        dscale *= 0.25
+        psi_eff = scale * mids.psi
+        omega_eff = scale * mids.omega_mid
+        g = (scale * _EYE3 + dscale * np.outer(mids.psi, mids.psi)) @ g
+    w = mids.T_mid @ (inertia.j @ omega_eff)
+    if upper:
+        a = hat(psi_eff) @ np.linalg.solve(v_t, tilde(mids.Y_k1)) + g
+    else:
+        a = g @ mids.R_rel - hat(psi_eff) @ np.linalg.solve(v_t, tilde(mids.Y_k))
+    return a.T @ w
+
+
+def theta_minus(t_k: Array, t_k1: Array, dt: float, inertia: InertiaTensor) -> Array:
+    """One-sided discrete momentum at the lower node of ``[T_k, T_{k+1}]``
+    (arc measure)."""
+    return _momentum_covector(
+        midpoint_quantities(t_k, t_k1, dt), inertia, upper=False, measure="arc"
+    )
+
+
+def theta_plus(t_km1: Array, t_k: Array, dt: float, inertia: InertiaTensor) -> Array:
+    """One-sided discrete momentum at the upper node of ``[T_{k-1}, T_k]``
+    (arc measure)."""
+    return _momentum_covector(
+        midpoint_quantities(t_km1, t_k, dt), inertia, upper=True, measure="arc"
+    )
+
+
+def discrete_forces(
+    m_minus_half: Array,
+    m_plus_half: Array,
+    mids_before: MidpointQuantities,
+    mids_after: MidpointQuantities,
+) -> tuple[Array, Array]:
+    """Discrete force covectors at a node flanked by two intervals.
+
+    ``m_minus_half`` is the space-frame moment sampled on the earlier
+    interval (whose quantities are ``mids_before``), ``m_plus_half`` on the
+    later one.  Each output uses its own interval's ``V`` and the half-step
+    transform that touches the shared node.
+    """
+    m_minus_half = np.asarray(m_minus_half, dtype=float)
+    m_plus_half = np.asarray(m_plus_half, dtype=float)
+    f_plus = tilde(mids_before.Y_k1).T @ np.linalg.solve(
+        tilde(mids_before.V), m_minus_half
+    )
+    f_minus = tilde(mids_after.Y_k).T @ np.linalg.solve(tilde(mids_after.V), m_plus_half)
+    return f_plus, f_minus

@@ -30,7 +30,7 @@ from geomech.quadrotor import (
 )
 from geomech.references import CircleCoeffs, TrajectoryReference, circle_reference
 from geomech.rigid_body import InertiaTensor, QuadrotorState
-from geomech.so3 import is_rotation
+from geomech.so3 import require_rotation
 
 from conftest import random_rotation, rot_x, rot_y
 
@@ -107,7 +107,7 @@ def test_commanded_attitude_degenerate_and_zero():
 def test_commanded_attitude_tilted():
     cmd = np.array([1.0, 0.0, 1.0])
     r_c = commanded_attitude(cmd, np.array([1.0, 0.0, 0.0]))
-    assert is_rotation(r_c, tol=1e-10)
+    require_rotation(r_c, tol=1e-10)
     np.testing.assert_allclose(r_c[:, 2], cmd / np.sqrt(2.0), atol=1e-12)
     # Gram-Schmidt oracle: third axis, then the hint orthogonalised against it
     b3 = cmd / np.linalg.norm(cmd)
@@ -127,7 +127,7 @@ def test_commanded_attitude_invariants(rng):
         if np.linalg.norm(np.cross(cmd / np.linalg.norm(cmd), hint)) < 1e-3:
             continue
         r_c = commanded_attitude(cmd, hint)
-        assert is_rotation(r_c, tol=1e-10)
+        require_rotation(r_c, tol=1e-10)
         np.testing.assert_allclose(r_c[:, 2], cmd / np.linalg.norm(cmd), atol=1e-12)
         assert abs(r_c[:, 0] @ r_c[:, 2]) < 1e-12
         assert r_c[:, 0] @ hint > 0.0

@@ -494,14 +494,17 @@ def test_cli_vi_blowup_exits_3_with_one_line(tmp_path, capsys, command, omega, m
 
 
 @pytest.mark.parametrize("name, section, key, value", [
-    ("quad_track_aero", "vehicle", "mass", 1e200),  # the hover calibration overflows
-    ("attitude_track", "gains", "k_R", 1e308),  # the storage column overflows
+    ("quad_track_aero", "aero.geometry", "radius", 1e200),  # the hover calibration overflows
+    ("attitude_track", "reference", "roll", [0.0, 0.0, 1e308]),  # the reference samples overflow
 ])
 def test_cli_overflow_outside_the_steps_exits_3(tmp_path, capsys, name, section, key, value):
     # valid but absurd values whose arithmetic overflows while the run is
     # set up or summarised: a solver failure of the run, never a traceback
     doc = json.loads(open(f"scenarios/{name}.json", "rb").read())
-    doc[section][key] = value
+    node = doc
+    for part in section.split("."):
+        node = node[part]
+    node[key] = value
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
     out_dir = tmp_path / "out"

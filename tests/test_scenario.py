@@ -187,6 +187,12 @@ def _set(doc, path, value):
     ("quad_track_aero", "aero.geometry.chord", math.inf, "must be finite"),
     ("quad_track_aero", "aero.geometry.chord", 10**400, "must be finite"),
     ("quad_track_aero", "aero.geometry.pitch", 0.1, "unknown field"),
+    # finite values whose run would overflow while it is set up or summarised
+    ("quad_track_aero", "vehicle.mass", 1e154, "must be <= 10000"),
+    ("quad_track_aero", "vehicle.g", 1e300, "must be <= 1000"),
+    ("quad_track_aero", "aero.geometry.lift_slope", 1e200, "must be <= 100"),
+    ("attitude_track", "gains.k_R", 1e308, "must be <= 1e+06"),
+    ("quad_track", "vehicle.mass", 1e-300, "must be >= 0.001"),
 ])
 def test_cli_validate_names_the_bad_field(tmp_path, capsys, name, path, value, message):
     # one mutated field of a shipped scenario: exit 2 and exactly one

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from geomech.errors import (
-    DegenerateMeanError,
     InvalidRotationError,
     NotSkewError,
     SingularInputError,
@@ -10,11 +9,9 @@ from geomech.errors import (
 from geomech.so3 import (
     exp_so3,
     hat,
-    is_rotation,
     log_so3,
     polar_project,
     require_rotation,
-    rotation_mean,
     tilde,
     vee,
 )
@@ -183,7 +180,7 @@ def test_polar_project_small_perturbation(rng):
     r = random_rotation(rng)
     m = r + 1e-6 * rng.normal(size=(3, 3))
     projected = polar_project(m)
-    assert is_rotation(projected, tol=1e-12)
+    require_rotation(projected, tol=1e-12)
     assert np.linalg.norm(projected - r) < 1e-5
     np.testing.assert_allclose(projected, polar_newton(m), atol=1e-12)
 
@@ -193,33 +190,6 @@ def test_polar_project_rejects_singular():
         polar_project(np.zeros((3, 3)))
     with pytest.raises(SingularInputError):
         polar_project(-np.eye(3))
-
-
-def test_rotation_mean_of_equal_arguments(rng):
-    r = random_rotation(rng)
-    np.testing.assert_allclose(rotation_mean(r, r), r, atol=1e-12)
-
-
-def test_rotation_mean_same_axis_midpoint():
-    got = rotation_mean(np.eye(3), rot_z(np.pi / 2))
-    np.testing.assert_allclose(got, rot_z(np.pi / 4), atol=1e-12)
-    # polar-decomposition oracle on the sum
-    np.testing.assert_allclose(got, polar_newton(np.eye(3) + rot_z(np.pi / 2)), atol=1e-12)
-
-
-def test_rotation_mean_symmetric_and_left_equivariant(rng):
-    for _ in range(20):
-        a, b, q = random_rotation(rng), random_rotation(rng), random_rotation(rng)
-        if np.linalg.svd(a + b, compute_uv=False)[-1] < 1e-6:
-            continue
-        m = rotation_mean(a, b)
-        np.testing.assert_allclose(m, rotation_mean(b, a), atol=1e-13)
-        np.testing.assert_allclose(rotation_mean(q @ a, q @ b), q @ m, atol=1e-9)
-
-
-def test_rotation_mean_degenerate():
-    with pytest.raises(DegenerateMeanError):
-        rotation_mean(np.eye(3), rot_z(np.pi - 1e-9))
 
 
 def test_require_rotation_accepts_and_refuses(rng):

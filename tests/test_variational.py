@@ -13,18 +13,12 @@ from geomech.rigid_body import (
 )
 from geomech import variational
 from geomech.so3 import _sinc, exp_so3, log_so3
-from geomech.variational import (
-    IntegratorConfig,
-    _momentum_covector,
-    discrete_forces,
-    midpoint_quantities,
-    simulate,
-    theta_minus,
-    theta_plus,
-    vi_step,
-)
+from geomech.variational import IntegratorConfig, simulate, vi_step
 
 from conftest import random_rotation, rot_z
+from oracles import (
+    _momentum_covector, discrete_forces, midpoint_quantities, theta_minus, theta_plus,
+)
 
 
 J321 = InertiaTensor.from_diag(3.0, 2.0, 1.0)
@@ -382,8 +376,8 @@ def test_free_body_exactness_along_trajectory():
 @pytest.mark.parametrize("forced", [False, True])
 def test_vi_step_solves_its_momentum_matching_equation(rng, measure, forced):
     # per-step oracle: the returned pair satisfies theta_minus - dt f_minus = pi_k
-    # with the public covector and force operations, and the new momentum adds
-    # both force covectors of the interval
+    # on the space-frame covector route of tests/oracles.py, and the new
+    # momentum adds both force covectors of the interval
     for _ in range(50):
         inertia = InertiaTensor.from_diag(*rng.uniform(1.5, 3.0, size=3))
         t0 = random_rotation(rng)
