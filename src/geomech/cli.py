@@ -5,7 +5,8 @@
     geomech compare <scenario.json> [--out-dir DIR] [--dt X] [--t-final X]
 
 Flags override the corresponding scenario fields.  Exit codes: 0 on
-success, 2 on parse/validation errors, 3 on solver failures.
+success, 2 on parse/validation errors or outputs that cannot be written,
+3 on solver failures.
 """
 
 from __future__ import annotations
@@ -115,13 +116,12 @@ def main(argv=None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    out_dir = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = args.scenario.stem
     suffix = "_compare" if args.command == "compare" else ""
-    csv_path = out_dir / f"{stem}{suffix}.csv"
-    metrics_path = out_dir / f"{stem}{suffix}.metrics.json"
+    csv_path = args.out_dir / f"{stem}{suffix}.csv"
+    metrics_path = args.out_dir / f"{stem}{suffix}.metrics.json"
     try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         write_outputs(series, metrics, csv_path, metrics_path)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)

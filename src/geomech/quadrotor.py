@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude_control import (
-    AttitudeGains,
-    AttitudeReference,
-    _require_spd,
-    _torque_kernel,
-)
+from .attitude_control import AttitudeGains, _require_spd, _torque_kernel
 from .errors import DegenerateHeadingError, ZeroForceError
 from .rigid_body import QuadrotorParams, QuadrotorState, _floats
 from .references import TrajectoryReference
@@ -174,28 +169,26 @@ def tracking_step(
 ) -> tuple[float, Array, TrackingDiagnostics]:
     """One controller tick: thrust scalar, body torque, and diagnostics.
 
-    ``memory`` carries the previous commanded attitude so the inner loop's
-    rate feedforward can be formed by backward differences at the tick
-    period ``dt``; the first ticks fall back to zero rates.
+    ``memory`` carries the previous commanded attitude and rate so the
+    inner loop's feedforward can be formed by backward differences at the
+    tick period ``dt``.  Tick 0 has neither and uses zero rate and
+    acceleration; tick 1 has the first rate estimate but no earlier one to
+    difference it against, so the first two ticks have zero acceleration
+    feedforward.
     """
     force_cmd = force_command(state.r, state.v, ref, params, gains)
     f = thrust_scalar(force_cmd, state.R)
     r_c = commanded_attitude(force_cmd, ref.b_1d)
 
-    if memory.r_c_prev is None:
-        omega_c = np.zeros(3)
-        omega_c_dot = np.zeros(3)
-    else:
+    omega_c = omega_c_dot = np.zeros(3)
+    if memory.r_c_prev is not None:
         omega_c = log_so3(memory.r_c_prev.T @ r_c) / dt
-        if memory.omega_c_prev is None:
-            omega_c_dot = np.zeros(3)
-        else:
+        if memory.omega_c_prev is not None:
             omega_c_dot = (omega_c - memory.omega_c_prev) / dt
+        memory.omega_c_prev = omega_c  # an estimate: tick 0's zero rate is not one
     memory.r_c_prev = r_c
-    memory.omega_c_prev = omega_c
 
-    # validates the commanded attitude and rates, as the public torque law's input
-    AttitudeReference(r_c, omega_c, omega_c_dot)
+    # r_c is built orthonormal; the torque kernel refuses an antipodal error
     q, e_R, e_Omega, one_plus_tr = _torque_kernel(
         _floats(state.R), _floats(r_c), _floats(omega_c), _floats(omega_c_dot),
         _floats(state.Omega), _floats(params.inertia.j), _floats(att_gains.P),

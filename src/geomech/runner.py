@@ -58,9 +58,8 @@ def settling_time(t: np.ndarray, signal: np.ndarray, fraction: float = 0.05):
     if s0 <= 0.0:
         return float(t[0]), True
     threshold = fraction * s0
+    # index 0 is always above: a finite s0 > 0 is at least fraction * s0
     above = np.where(signal >= threshold)[0]
-    if len(above) == 0:
-        return float(t[0]), True
     last = int(above[-1])
     if last == len(t) - 1:
         return None, False
@@ -84,7 +83,8 @@ def run(scenario: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     The whole run is under the floating-point trap ``_TRAP_FP``.  The step
     loops name the step that fails (``_step_failure``); any other library or
     arithmetic error, in setting the run up or in its derived columns and
-    metrics, becomes a ``SolverError`` too.
+    metrics, becomes a ``SolverError`` too.  So does a non-finite column of
+    the record, which the trap misses where ``np.einsum`` overflows.
     """
     kinds = {
         "free_body": _run_free_body,
@@ -94,11 +94,16 @@ def run(scenario: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     }
     try:
         with np.errstate(**_TRAP_FP):
-            return kinds[scenario.kind](scenario)
+            series, metrics = kinds[scenario.kind](scenario)
     except SolverError:
         raise
     except (ArithmeticError, GeomechError) as exc:
         raise SolverError(f"outside the step loop: {exc}") from None
+    finite = np.isfinite(series.table).all(axis=0)
+    if not finite.all():
+        bad = ", ".join(name for name, ok in zip(series.names, finite) if not ok)
+        raise SolverError(f"outside the step loop: non-finite {bad}")
+    return series, metrics
 
 
 # ------------------------------------------------------------- free body
@@ -113,17 +118,8 @@ def _vi_config(sc: Scenario) -> IntegratorConfig:
     )
 
 
-def _constant_moment_fn(moment):
-    if moment is None:
-        return None
-    m = np.asarray(moment, dtype=float)
-    return lambda t: m
-
-
 def _run_free_body(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
-    series = simulate(
-        sc.initial, sc.inertia, _constant_moment_fn(sc.moment), _vi_config(sc), sc.t_final
-    )
+    series = simulate(sc.initial, sc.inertia, sc.moment, _vi_config(sc), sc.t_final)
     metrics = _free_body_metrics(series)
     return series, metrics
 
@@ -365,9 +361,7 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
 
 
 def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
-    vi_series = simulate(
-        sc.initial, sc.inertia, _constant_moment_fn(sc.moment), _vi_config(sc), sc.t_final
-    )
+    vi_series = simulate(sc.initial, sc.inertia, sc.moment, _vi_config(sc), sc.t_final)
     n = len(vi_series) - 1
     dt = sc.dt
     jj = sc.inertia

@@ -19,7 +19,8 @@ picks it:
   with ``c = 1/|f|^2 - (1 + cos|f|)/(2 |f| sin|f|)``.
 
 ``F_minus = (M + (tan(|f|/4)/|f|) f x M)/2`` is ``T_k^T`` times the lower
-force covector for the body moment ``M`` sampled at the midpoint time.  The
+force covector for the body moment ``M``, which is constant over the step
+(there is no time sampling: a step sees only the vector it is given).  The
 two force covectors sum to ``T_mid M``, so the momentum update is
 ``pi_{k+1} = pi_k + dt T_mid M``.  Newton runs on ``f`` with the
 closed-form Jacobian of ``G``; the O(dt^2) force term and the O(|f|^4)
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -86,10 +86,7 @@ class StepResult:
     omega_next: Array
     newton_iters: int
     residual: float
-    pi_next: Array | None = None
-
-
-MomentFn = Callable[[float], Array]
+    pi_next: Array
 
 
 def _body_force_minus(f: Array, theta: float, moment_body: Array) -> Array:
@@ -104,18 +101,17 @@ def _body_force_minus(f: Array, theta: float, moment_body: Array) -> Array:
 def vi_step(
     t_k: Array,
     omega_k: Array,
-    moment_fn: MomentFn | None,
+    moment: Array | None,
     inertia: InertiaTensor,
     cfg: IntegratorConfig,
-    t: float = 0.0,
     pi_k: Array | None = None,
 ) -> StepResult:
     """Advance ``(T_k, omega_k)`` by one step of the implicit scheme.
 
-    ``moment_fn(t_mid)`` supplies the body-frame moment at the interval
-    midpoint time; pass ``None`` for free motion.  ``pi_k`` optionally
-    supplies the spatial momentum directly (``simulate`` threads it through
-    so long runs never re-derive the covariant state from ``omega``).
+    ``moment`` is the body-frame moment ``M``, constant over the step; pass
+    ``None`` for free motion.  ``pi_k`` optionally supplies the spatial
+    momentum directly (``simulate`` threads it through so long runs never
+    re-derive the covariant state from ``omega``).
 
     Solves ``G(f) - dt^2 F_minus(f, M) = dt T_k^T pi_k`` for the body
     increment ``f`` (see the module docstring) by Newton from
@@ -134,9 +130,7 @@ def vi_step(
     if pi_k is None:
         pi_k = t_k @ (jj @ omega_k)
     chord = cfg.step_measure == "chord"
-    m_body = None
-    if moment_fn is not None:
-        m_body = np.asarray(moment_fn(t + 0.5 * dt), dtype=float)
+    m_body = None if moment is None else np.asarray(moment, dtype=float)
     target = dt * (t_k.T @ pi_k)
     f = dt * omega_k
     iters = 0
@@ -196,7 +190,7 @@ _SIMULATE_COLUMNS = (
 def simulate(
     initial: RigidBodyState,
     inertia: InertiaTensor,
-    moment_fn: MomentFn | None,
+    moment: Array | None,
     cfg: IntegratorConfig,
     t_final: float,
 ) -> TimeSeries:
@@ -205,6 +199,7 @@ def simulate(
     Columns: time, the nine attitude entries, body rates, kinetic energy
     ``H``, spatial momentum ``Pi``, the orthogonality defect, and per-step
     Newton diagnostics.  ``t_final = 0`` yields the single initial record.
+    Every step sees the same constant body ``moment`` (``None``: free motion).
     The steps run under the floating-point trap of the run loops, and any
     failure is re-raised through ``errors._step_failure``, naming the step.
     """
@@ -222,7 +217,7 @@ def simulate(
     try:
         with np.errstate(**_TRAP_FP):
             for k in range(n_steps):
-                result = vi_step(t_mat, omega, moment_fn, inertia, cfg, t=k * dt, pi_k=pi)
+                result = vi_step(t_mat, omega, moment, inertia, cfg, pi_k=pi)
                 t_mat, omega, pi = result.T_next, result.omega_next, result.pi_next
                 t_hist[k + 1], w_hist[k + 1] = t_mat.ravel(), omega
                 iters_h[k + 1], res_h[k + 1] = result.newton_iters, result.residual

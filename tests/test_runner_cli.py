@@ -197,8 +197,8 @@ def test_quad_and_compare_derived_columns_match_the_per_row_formulas():
         t_mat, w = sc.initial.T, sc.initial.omega
         pi = t_mat @ (jj.j @ w)
         h_vi, mom_vi = [0.5 * w @ (jj.j @ w)], [0.0]
-        for k in range(len(series) - 1):
-            r = vi_step(t_mat, w, lambda t: moment, jj, cfg, t=k * sc.dt, pi_k=pi)
+        for _ in range(len(series) - 1):
+            r = vi_step(t_mat, w, moment, jj, cfg, pi_k=pi)
             t_mat, w, pi = r.T_next, r.omega_next, r.pi_next
             h_vi.append(0.5 * w @ (jj.j @ w))
             mom_vi.append(np.linalg.norm(pi - pi0))
@@ -351,6 +351,14 @@ def test_quad_run_uses_the_public_tick_wrench_and_rk4_step(scenario):
                                    err_msg=name)
 
 
+def test_quad_tick_1_has_no_torque_spike():
+    # tick 1 has the first commanded-rate estimate and none before it to
+    # difference against: zero acceleration feedforward, as at tick 0
+    series, _ = run(load("quad_track", t_final=0.002))
+    q = np.linalg.norm(series.vector("q"), axis=1)
+    assert q[1] <= 2.0 * max(q[0], q[2])
+
+
 def test_cli_quad_aero_rerun_byte_identical(tmp_path):
     outs = []
     for label in ("a", "b"):
@@ -496,6 +504,7 @@ def test_cli_vi_blowup_exits_3_with_one_line(tmp_path, capsys, command, omega, m
 @pytest.mark.parametrize("name, section, key, value", [
     ("quad_track_aero", "aero.geometry", "radius", 1e200),  # the hover calibration overflows
     ("attitude_track", "reference", "roll", [0.0, 0.0, 1e308]),  # the reference samples overflow
+    ("attitude_track", "initial", "omega", [1e200, 0.0, 0.0]),  # einsum columns go inf untrapped
 ])
 def test_cli_overflow_outside_the_steps_exits_3(tmp_path, capsys, name, section, key, value):
     # valid but absurd values whose arithmetic overflows while the run is
@@ -515,6 +524,16 @@ def test_cli_overflow_outside_the_steps_exits_3(tmp_path, capsys, name, section,
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("solver failure: outside the step loop: ")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("out_dir", ["file", "file/x"])
+def test_cli_unusable_out_dir_exits_2(tmp_path, capsys, out_dir):
+    # an existing file where the directory should be, or a directory under one
+    (tmp_path / "file").write_text("")
+    assert main(["run", "scenarios/free_body.json", "--t-final", "0.1",
+                 "--out-dir", str(tmp_path / out_dir)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot write outputs: ")
 
 
 def test_cli_solver_failure_exit_code(tmp_path):

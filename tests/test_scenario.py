@@ -193,6 +193,10 @@ def _set(doc, path, value):
     ("quad_track_aero", "aero.geometry.lift_slope", 1e200, "must be <= 100"),
     ("attitude_track", "gains.k_R", 1e308, "must be <= 1e+06"),
     ("quad_track", "vehicle.mass", 1e-300, "must be >= 0.001"),
+    ("attitude_track", "gains.P", [[3, 1, 0], [0, 2, 0], [0, 0, 1]], "must be symmetric"),
+    ("quad_track", "vehicle.arm_length", 0, "must be > 0"),
+    ("quad_track_aero", "aero.geometry.theta0", -0.1, "must be >= 0"),
+    ("quad_track", "reference.b_1d", [2, 0, 0], "must be a unit vector"),
 ])
 def test_cli_validate_names_the_bad_field(tmp_path, capsys, name, path, value, message):
     # one mutated field of a shipped scenario: exit 2 and exactly one
@@ -206,6 +210,25 @@ def test_cli_validate_names_the_bad_field(tmp_path, capsys, name, path, value, m
     assert err[0] == f"invalid scenario {target}:"
     [line] = err[1:]
     assert line.startswith(f"  - {path}: ") and message in line
+
+
+@pytest.mark.parametrize("data", [
+    b'{"kind": "free_body"\xff}',  # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,  # deeper than the decoder's recursion limit
+], ids=["bad-byte", "deep-nesting"])
+def test_cli_unreadable_text_is_one_parse_error_line(tmp_path, capsys, data):
+    target = tmp_path / "bad.json"
+    target.write_bytes(data)
+    assert main(["validate", str(target)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"parse error in {target}: ")
+
+
+def test_cli_missing_file_is_one_error_line(tmp_path, capsys):
+    target = tmp_path / "missing.json"
+    assert main(["validate", str(target)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot read {target}: ")
 
 
 @pytest.mark.parametrize("name", ["attitude_track", "free_body", "integrator_compare",

@@ -191,6 +191,17 @@ def test_discrete_forces_linearity(rng):
 # ------------------------------------------------------------------ vi_step
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"dt": 0.0}, "dt must be > 0"),
+    ({"dt": 0.01, "newton_tol": 0.0}, "newton_tol must be > 0"),
+    ({"dt": 0.01, "max_iters": 0}, "max_iters must be >= 1"),
+    ({"dt": 0.01, "step_measure": "trapezoid"}, "unknown step_measure 'trapezoid'"),
+])
+def test_integrator_config_refuses_bad_settings(settings, message):
+    with pytest.raises(ValueError, match=message):
+        IntegratorConfig(**settings)
+
+
 def test_vi_step_rest_is_fixed_point(rng):
     t0 = random_rotation(rng)
     res = vi_step(t0, np.zeros(3), None, J321, IntegratorConfig(dt=0.01))
@@ -230,13 +241,13 @@ def test_vi_step_rejects_giant_step():
 def test_vi_step_no_convergence_when_starved():
     cfg = IntegratorConfig(dt=0.01, newton_tol=1e-15, max_iters=1)
     with pytest.raises(NoConvergenceError):
-        vi_step(np.eye(3), np.array([1.0, 1.0, 1.0]), lambda t: np.array([5.0, 0.0, 0.0]), J321, cfg)
+        vi_step(np.eye(3), np.array([1.0, 1.0, 1.0]), np.array([5.0, 0.0, 0.0]), J321, cfg)
 
 
 def test_free_chord_step_matches_covector_route(rng):
-    # an identically zero moment_fn takes the same Newton solve as None and
+    # an identically zero moment takes the same Newton solve as None and
     # adds an exact zero force, so both give bit-identical steps
-    zero = lambda t: np.zeros(3)  # noqa: E731
+    zero = np.zeros(3)
     for _ in range(200):
         inertia = InertiaTensor.from_diag(*rng.uniform(1.5, 3.0, size=3))
         t0 = random_rotation(rng)
@@ -363,8 +374,8 @@ def test_free_body_exactness_along_trajectory():
     cfg = IntegratorConfig(dt=0.01, step_measure="arc")
     t_mat, w = np.eye(3), np.array([1.0, 1.0, 1.0])
     states = [(t_mat, w)]
-    for k in range(5):
-        r = vi_step(states[-1][0], states[-1][1], None, J321, cfg, t=k * cfg.dt)
+    for _ in range(5):
+        r = vi_step(states[-1][0], states[-1][1], None, J321, cfg)
         states.append((r.T_next, r.omega_next))
     for k in range(1, 5):
         tp = theta_plus(states[k - 1][0], states[k][0], cfg.dt, J321)
@@ -386,7 +397,7 @@ def test_vi_step_solves_its_momentum_matching_equation(rng, measure, forced):
         m = rng.uniform(-5.0, 5.0, size=3) if forced else np.zeros(3)
         pi0 = t0 @ (inertia.j @ w)
         cfg = IntegratorConfig(dt=dt, step_measure=measure)
-        r = vi_step(t0, w, (lambda t: m) if forced else None, inertia, cfg)
+        r = vi_step(t0, w, m if forced else None, inertia, cfg)
         mids = midpoint_quantities(t0, r.T_next, dt)
         m_space = mids.T_mid @ m
         f_plus, f_minus = discrete_forces(m_space, m_space, mids, mids)
@@ -515,12 +526,9 @@ def test_simulate_time_reversibility():
 
 def test_simulate_error_reports_step_index():
     s0 = RigidBodyState(np.eye(3), np.array([0.0, 0.0, 1.0]))
-    # a moment that blows the step size up mid-run
-    def moment(t):
-        return np.array([0.0, 0.0, 1e8]) if t > 0.05 else np.zeros(3)
-
-    with pytest.raises(DegenerateMeanError, match="step"):
-        simulate(s0, J321, moment, IntegratorConfig(dt=0.01), 1.0)
+    # a moment that spins the body up until a step rotates by pi
+    with pytest.raises(DegenerateMeanError, match=r"step 10 \(t=0\.1\)"):
+        simulate(s0, J321, np.array([0.0, 0.0, 1e3]), IntegratorConfig(dt=0.01), 1.0)
 
 
 def test_forced_step_matches_fine_rk4_second_order():
@@ -535,8 +543,8 @@ def test_forced_step_matches_fine_rk4_second_order():
         cfg = IntegratorConfig(dt=dt)
         t_mat, w = np.eye(3), np.array([0.3, -0.2, 0.4])
         pi = t_mat @ (J321.j @ w)
-        for k in range(int(round(2.0 / dt))):
-            r = vi_step(t_mat, w, lambda t: m, J321, cfg, t=k * dt, pi_k=pi)
+        for _ in range(int(round(2.0 / dt))):
+            r = vi_step(t_mat, w, m, J321, cfg, pi_k=pi)
             t_mat, w, pi = r.T_next, r.omega_next, r.pi_next
         errs.append(np.linalg.norm(t_mat - ref.T) + np.linalg.norm(w - ref.omega))
     assert 3.0 < errs[0] / errs[1] < 5.0
