@@ -20,7 +20,7 @@ import numpy as np
 
 from .attitude_control import AttitudeGains, _require_spd, _torque_kernel
 from .errors import DegenerateHeadingError, ZeroForceError
-from .rigid_body import QuadrotorParams, QuadrotorState, _floats
+from .rigid_body import QuadrotorParams, _floats
 from .references import TrajectoryReference
 from .so3 import Array, cross3, log_so3
 
@@ -29,7 +29,6 @@ __all__ = [
     "QuadrotorParams",
     "PositionGains",
     "ControllerMemory",
-    "TrackingDiagnostics",
     "velocity_target",
     "force_command",
     "thrust_scalar",
@@ -146,28 +145,18 @@ class ControllerMemory:
     omega_c_prev: Array | None = None
 
 
-@dataclass
-class TrackingDiagnostics:
-    e_r: Array
-    e_v: Array
-    psi_command: float
-    e_R: Array
-    e_Omega: Array
-    thrust_negative: bool
-    R_c: Array
-    Omega_c: Array
-
-
 def tracking_step(
-    state: QuadrotorState,
+    x,
     ref: TrajectoryReference,
     params: QuadrotorParams,
     gains: PositionGains,
     att_gains: AttitudeGains,
     dt: float,
     memory: ControllerMemory,
-) -> tuple[float, Array, TrackingDiagnostics]:
-    """One controller tick: thrust scalar, body torque, and diagnostics.
+) -> tuple:
+    """One controller tick at the plant state ``x = (r, v, R, Omega)`` (``R``
+    row-major 9 floats, the rest 3-sequences): returns the thrust scalar
+    ``f`` and the torque kernel's ``(q, e_R, e_Omega, 1 + tr E)``.
 
     ``memory`` carries the previous commanded attitude and rate so the
     inner loop's feedforward can be formed by backward differences at the
@@ -176,8 +165,9 @@ def tracking_step(
     difference it against, so the first two ticks have zero acceleration
     feedforward.
     """
-    force_cmd = force_command(state.r, state.v, ref, params, gains)
-    f = thrust_scalar(force_cmd, state.R)
+    r, v, R, Om = x
+    force_cmd = force_command(r, v, ref, params, gains)
+    f = thrust_scalar(force_cmd, np.reshape(R, (3, 3)))
     r_c = commanded_attitude(force_cmd, ref.b_1d)
 
     omega_c = omega_c_dot = np.zeros(3)
@@ -189,32 +179,21 @@ def tracking_step(
     memory.r_c_prev = r_c
 
     # r_c is built orthonormal; the torque kernel refuses an antipodal error
-    q, e_R, e_Omega, one_plus_tr = _torque_kernel(
-        _floats(state.R), _floats(r_c), _floats(omega_c), _floats(omega_c_dot),
-        _floats(state.Omega), _floats(params.inertia.j), _floats(att_gains.P),
-        _floats(att_gains.F),
-    )
-
-    diagnostics = TrackingDiagnostics(
-        e_r=state.r - ref.r_d,
-        e_v=state.v - ref.v_d,
-        psi_command=2.0 - np.sqrt(one_plus_tr),
-        e_R=np.array(e_R),
-        e_Omega=np.array(e_Omega),
-        thrust_negative=f < 0.0,
-        R_c=r_c,
-        Omega_c=omega_c,
-    )
-    return f, np.array(q), diagnostics
+    return (f, *_torque_kernel(
+        R, _floats(r_c), _floats(omega_c), _floats(omega_c_dot), Om,
+        _floats(params.inertia.j), _floats(att_gains.P), _floats(att_gains.F),
+    ))
 
 
-def translational_storage(
-    state: QuadrotorState,
-    ref: TrajectoryReference,
-    gains: PositionGains,
-) -> float:
-    """Diagnostic value ``0.5 e_r . A e_r + 0.5 ev . C ev`` with
-    ``ev = v - v_target``."""
-    e_r = state.r - ref.r_d
-    ev = state.v - velocity_target(state.r, ref, gains)
-    return 0.5 * float(e_r @ (gains.A @ e_r)) + 0.5 * float(ev @ (gains.C @ ev))
+def translational_storage(r: Array, v: Array, r_d: Array, v_d: Array,
+                          gains: PositionGains) -> Array:
+    """Diagnostic ``0.5 e_r . A e_r + 0.5 ev . C ev`` of each row of the
+    ``(n, 3)`` positions, velocities and their references, with
+    ``e_r = r - r_d`` and ``ev = v - v_target`` (:func:`velocity_target`).
+
+    The stacked matmuls give each row the bits of the one-row products.
+    """
+    e_r = r - r_d
+    ev = v - (v_d - (gains.B @ e_r[:, :, None])[:, :, 0])
+    return (0.5 * (e_r[:, None, :] @ (gains.A @ e_r[:, :, None]))[:, 0, 0]
+            + 0.5 * (ev[:, None, :] @ (gains.C @ ev[:, :, None]))[:, 0, 0])

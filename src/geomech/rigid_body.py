@@ -307,16 +307,19 @@ def rk4_attitude_step(
     return RigidBodyState(np.reshape(t_new, (3, 3)), np.array(w_new))
 
 
-def _quadrotor_rk4_core(r, v, R, Om, params: QuadrotorParams, f_body, m_body, dt: float):
-    """RK4 quadrotor step on Python floats with the body wrench held over the
-    step (ZOH): ``R`` row-major 9 floats, the rest 3-sequences.
+def rk4_quadrotor_step(x, params: QuadrotorParams, f_body, m_body, dt: float):
+    """One RK4 step of the quadrotor on Python floats with the body wrench
+    ``(f_body, m_body)`` (3-sequences) held over the step (ZOH).
 
-    The rotational half is :func:`_rates`, the attitude plant's law.  The
+    ``x = (r, v, R, Omega)`` with ``R`` row-major 9 floats and the rest
+    3-sequences; the stepped state is returned in the same form.  The
+    rotational half is :func:`_rates`, the attitude plant's law.  The
     position derivative is the stage velocity, so stage positions are never
     formed.  Raises ``DivergenceError`` when the stepped state has a
     non-finite entry or the stepped attitude has ``det <= 0`` before its
     projection onto SO(3).
     """
+    r, v, R, Om = x
     g, mass = params.g, params.mass
     jj, jinv = _floats(params.inertia.j), _floats(params.inertia.j_inv)
     f0, f1, f2 = f_body
@@ -344,18 +347,3 @@ def _quadrotor_rk4_core(r, v, R, Om, params: QuadrotorParams, f_body, m_body, dt
             "before projection"
         )
     return r_new, v_new, _fast_polar(R_new), O_new
-
-
-def rk4_quadrotor_step(
-    state: QuadrotorState,
-    params: QuadrotorParams,
-    f_body: Array,
-    m_body: Array,
-    dt: float,
-) -> QuadrotorState:
-    """One RK4 step of the quadrotor with the body wrench held over the step."""
-    r, v, R, Om = _quadrotor_rk4_core(
-        _floats(state.r), _floats(state.v), _floats(state.R), _floats(state.Omega), params,
-        _floats(f_body), _floats(m_body), dt,
-    )
-    return QuadrotorState(np.array(r), np.array(v), np.reshape(R, (3, 3)), np.array(Om))

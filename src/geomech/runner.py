@@ -268,14 +268,17 @@ class _AeroModel:
         self.kappa = (torque_coefficient(self.geom, lam_h, 0.0) * self.geom.radius
                       / thrust_coefficient(self.geom, lam_h, 0.0))
 
-    def wrench(self, state, f_cmd: float, q_cmd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def wrench(self, x, f_cmd: float, q_cmd) -> tuple[tuple, tuple]:
+        """Body force and moment ``(f, m)`` delivered at the plant state ``x =
+        (r, v, R, Omega)`` (``R`` row-major) for the command ``(f_cmd, q_cmd)``."""
+        R = np.reshape(x[2], (3, 3))
         thrusts = self.calibration.saturate(
             rotor_thrusts(f_cmd, q_cmd, self.params.arm_length, self.kappa)
         )
         omegas = self.calibration(thrusts)  # clipping again is exact: same speeds
         # hub velocities of the four rotors as columns, inertial and body frame
-        hub = state.v[:, None] + state.R @ (hat(state.Omega) @ self.arms.T)
-        body_x, body_y, _ = (state.R.T @ hub).tolist()
+        hub = np.array(x[1])[:, None] + R @ (hat(x[3]) @ self.arms.T)
+        body_x, body_y, _ = (R.T @ hub).tolist()
         fx = fy = fz = mx = my = mz = 0.0
         for (ax, ay, spin), (hx, hy, hz), bx, by, omega, thrust in zip(
             self.rotors, hub.T.tolist(), body_x, body_y, omegas.tolist(), thrusts.tolist()
@@ -299,7 +302,7 @@ class _AeroModel:
             mx += m_x + ay * w.thrust
             my += m_y - ax * w.thrust
             mz += -spin * w.torque_shaft + ax * f_y - ay * f_x
-        return np.array([fx, fy, fz]), np.array([mx, my, mz])
+        return (fx, fy, fz), (mx, my, mz)
 
 
 def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
@@ -307,37 +310,46 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     n = int(round(sc.t_final / dt)) if sc.t_final > 0.0 else 0
     params, gains, att_gains = sc.vehicle, sc.position_gains, sc.attitude_gains
     coeffs = sc.circle_coeffs
-    state = sc.quad_initial
+    s0 = sc.quad_initial
+    x = (_floats(s0.r), _floats(s0.v), _floats(s0.R), _floats(s0.Omega))
     memory = ControllerMemory()
     aero = _AeroModel(sc) if sc.aero.enabled else None
 
     table = np.empty((n + 1, len(_QUAD_COLUMNS)))
-    side = np.empty((n + 1, 9))  # e_v, e_R, e_Omega
+    side = np.empty((n + 1, 13))  # r_d, v_d, e_R, e_Omega, 1 + tr E
 
     try:
         for k in range(n + 1):
             ref = circle_reference(k * dt, coeffs)
-            f, q, diag = tracking_step(state, ref, params, gains, att_gains, dt, memory)
-            # t, the norm columns and ortho_defect (the 0.0 slots) are formed after the loop
-            table[k] = [
-                0.0, *state.r, *state.v, *state.Omega, *diag.e_r, *q, *state.R.ravel(),
-                0.0, 0.0, diag.psi_command, 0.0, 0.0, f,
-                translational_storage(state, ref, gains), float(diag.thrust_negative), 0.0,
-            ]
-            side[k, :3], side[k, 3:6], side[k, 6:] = diag.e_v, diag.e_R, diag.e_Omega
+            f, q, e_R, e_Om, one_plus_tr = tracking_step(
+                x, ref, params, gains, att_gains, dt, memory)
+            r, v, R, Om = x
+            # t and the error columns (the 0.0 slots) are formed after the loop
+            table[k] = (0.0, *r, *v, *Om, 0.0, 0.0, 0.0, *q, *R,
+                        0.0, 0.0, 0.0, 0.0, 0.0, f, 0.0, 0.0, 0.0)
+            side[k] = (*ref.r_d, *ref.v_d, *e_R, *e_Om, one_plus_tr)
             if k == n:
                 break
-            wrench = (np.array([0.0, 0.0, f]), q) if aero is None else aero.wrench(state, f, q)
-            state = rk4_quadrotor_step(state, params, *wrench, dt)
+            wrench = ((0.0, 0.0, f), q) if aero is None else aero.wrench(x, f, q)
+            x = rk4_quadrotor_step(x, params, *wrench, dt)
     except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
 
     col = _QUAD_COLUMNS.index
+
+    def xyz(name):
+        return table[:, col(f"{name}_x"):col(f"{name}_z") + 1]
+
+    r_d, v_d = side[:, :3], side[:, 3:6]
     table[:, col("t")] = dt * np.arange(n + 1)
-    table[:, col("e_r_norm")] = _row_norms(table[:, col("e_r_x"):col("e_r_z") + 1])
-    table[:, col("e_v_norm")] = _row_norms(side[:, :3])
-    table[:, col("e_R_norm")] = _row_norms(side[:, 3:6])
-    table[:, col("e_Omega_norm")] = _row_norms(side[:, 6:])
+    xyz("e_r")[:] = e_r = xyz("r") - r_d
+    table[:, col("e_r_norm")] = _row_norms(e_r)
+    table[:, col("e_v_norm")] = _row_norms(xyz("v") - v_d)
+    table[:, col("psi_cmd")] = 2.0 - np.sqrt(side[:, 12])
+    table[:, col("e_R_norm")] = _row_norms(side[:, 6:9])
+    table[:, col("e_Omega_norm")] = _row_norms(side[:, 9:12])
+    table[:, col("V_translational")] = translational_storage(xyz("r"), xyz("v"), r_d, v_d, gains)
+    table[:, col("thrust_negative")] = table[:, col("f")] < 0.0
     table[:, col("ortho_defect")] = orthogonality_defects(table[:, col("R00"):col("R22") + 1])
     series = TimeSeries(_QUAD_COLUMNS, table)
     e_r_norm = series.column("e_r_norm")

@@ -40,8 +40,12 @@ _DEFAULT_TIMING = {
 MAX_STEPS = 10**8
 
 # (minimum, maximum) of the rotor geometry fields that have an envelope
-# (lift_slope in 1/rad); RotorGeometry itself checks signs and the solidity
-_GEOMETRY_ENVELOPES = {"lift_slope": {"minimum": 1e-1, "maximum": 1e2}}
+# (chord and radius in m, lift_slope in 1/rad, theta0 in rad); RotorGeometry
+# itself checks signs and the solidity
+_GEOMETRY_ENVELOPES = {"chord": {"minimum": 1e-4, "maximum": 1e1},
+                       "radius": {"minimum": 1e-3, "maximum": 1e2},
+                       "lift_slope": {"minimum": 1e-1, "maximum": 1e2},
+                       "theta0": {"maximum": 1.5}}
 
 
 def step_count_error(dt: float, t_final: float) -> str | None:
@@ -176,6 +180,8 @@ class _Fields:
         arr = _finite_array(value)
         if arr is None or arr.shape not in ((1,), (2,), (3,)):
             return self.fail(key, "must be a list of 1 to 3 finite coefficients [a0, a1, a2]")
+        if np.abs(arr).max() > 1e3:  # rad, rad/s, rad/s^2
+            return self.fail(key, "coefficients must lie in [-1000, 1000]")
         return AnglePolynomial(*arr.tolist())
 
     def build(self, cls, **kwargs):
@@ -307,8 +313,8 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
             b_1d = ref.fail("b_1d", "must be a unit vector")
         scenario.circle_coeffs = ref.build(
             CircleCoeffs,
-            amplitude=ref.number("amplitude", 4.0),
-            omega=ref.number("omega", 0.5),
+            amplitude=ref.number("amplitude", 4.0, minimum=-1e3, maximum=1e3),
+            omega=ref.number("omega", 0.5, minimum=-1e2, maximum=1e2),
             b_1d=None if b_1d is None else tuple(b_1d),
         )
         aero = root.section("aero")

@@ -60,6 +60,12 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def quad_x(r, v, R, Omega) -> tuple:
+    """The quadrotor plant state ``(r, v, R, Omega)`` as lists of Python
+    floats, ``R`` row-major: the form the quad tick and step take."""
+    return tuple(np.asarray(a, dtype=float).ravel().tolist() for a in (r, v, R, Omega))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,11 @@ from geomech.quadrotor import (
 )
 from geomech.references import CircleCoeffs, TrajectoryReference, circle_reference
 from geomech.rigid_body import InertiaTensor, QuadrotorState
-from geomech.so3 import require_rotation
+from geomech.runner import run
+from geomech.scenario import parse_scenario
+from geomech.so3 import log_so3, require_rotation
 
-from conftest import random_rotation, rot_x, rot_y
+from conftest import quad_x, random_rotation, rot_x, rot_y
 
 
 def params():
@@ -152,55 +156,66 @@ def test_rotor_mixer_roundtrip(rng):
 
 def test_tracking_step_perfect_hover():
     p = params()
-    state = QuadrotorState(np.array([1.0, 2.0, 3.0]), np.zeros(3), np.eye(3), np.zeros(3))
-    ref = hover_ref(state.r)
+    r = np.array([1.0, 2.0, 3.0])
+    x = quad_x(r, np.zeros(3), np.eye(3), np.zeros(3))
+    ref = hover_ref(r)
     att_gains = AttitudeGains(P=16.0 * np.eye(3), F=8.0 * p.inertia.j)
     memory = ControllerMemory()
     for _ in range(3):
-        f, q, diag = tracking_step(state, ref, p, PositionGains(), att_gains, 1e-3, memory)
+        f, q, _, _, one_plus_tr = tracking_step(x, ref, p, PositionGains(), att_gains, 1e-3,
+                                                memory)
     assert f == pytest.approx(p.mass * p.g, rel=1e-12)
     np.testing.assert_allclose(q, np.zeros(3), atol=1e-10)
-    assert not diag.thrust_negative
-    assert diag.psi_command == pytest.approx(0.0, abs=1e-12)
+    assert not f < 0.0  # the run's thrust_negative
+    assert 2.0 - np.sqrt(one_plus_tr) == pytest.approx(0.0, abs=1e-12)  # psi_cmd
 
 
 def test_tracking_step_initial_errors_match_scenario():
     # the stock full-tracking scenario at t = 0
     p = params()
-    state = QuadrotorState(np.array([0.0, 3.0, -4.0]), np.zeros(3), np.eye(3), np.zeros(3))
+    x = quad_x([0.0, 3.0, -4.0], np.zeros(3), np.eye(3), np.zeros(3))
     ref = circle_reference(0.0, CircleCoeffs())
     att_gains = AttitudeGains(P=16.0 * np.eye(3), F=8.0 * p.inertia.j)
-    f, q, diag = tracking_step(state, ref, p, PositionGains(), att_gains, 1e-3, ControllerMemory())
-    np.testing.assert_allclose(diag.e_r, [0.0, -1.0, -4.0], atol=1e-12)
-    np.testing.assert_allclose(diag.e_v, -ref.v_d, atol=1e-12)
+    f, q, *_ = tracking_step(x, ref, p, PositionGains(), att_gains, 1e-3, ControllerMemory())
     assert f > 0.0
     assert np.all(np.isfinite(q))
+    # the run forms the position and velocity errors after its loop: row 0
+    sc = parse_scenario(open("scenarios/quad_track.json", "rb").read())
+    series, _ = run(dataclasses.replace(sc, t_final=0.0))
+    np.testing.assert_allclose(series.vector("e_r")[0], [0.0, -1.0, -4.0], atol=1e-12)
+    np.testing.assert_allclose(series.vector("v")[0] - ref.v_d, -ref.v_d, atol=1e-12)
+    assert series.column("e_v_norm")[0] == pytest.approx(np.linalg.norm(ref.v_d), abs=1e-12)
 
 
 def test_tracking_step_matches_the_public_attitude_laws(rng):
     # the tick takes q, psi, e_R and e_Omega from one error matrix; the
     # public per-law functions, each forming its own, are the oracle
     p = params()
+    gains = PositionGains()
     att_gains = AttitudeGains(P=16.0 * np.eye(3), F=8.0 * p.inertia.j)
-    memory, dt, omega_c_prev = ControllerMemory(), 0.01, None
+    memory, dt, r_c_prev, omega_c_prev = ControllerMemory(), 0.01, None, None
     for k in range(6):
         state = QuadrotorState(rng.normal(size=3), rng.normal(size=3), random_rotation(rng),
                                rng.normal(size=3))
         ref = circle_reference(k * dt, CircleCoeffs())
-        f, q, diag = tracking_step(state, ref, p, PositionGains(), att_gains, dt, memory)
-        omega_c_dot = np.zeros(3) if k <= 1 else (diag.Omega_c - omega_c_prev) / dt
-        omega_c_prev = diag.Omega_c
-        att_ref = AttitudeReference(diag.R_c, diag.Omega_c, omega_c_dot)
+        f, q, e_R, e_Omega, one_plus_tr = tracking_step(
+            quad_x(state.r, state.v, state.R, state.Omega), ref, p, gains, att_gains, dt,
+            memory)
+        r_c = commanded_attitude(force_command(state.r, state.v, ref, p, gains), ref.b_1d)
+        omega_c = np.zeros(3) if k == 0 else log_so3(r_c_prev.T @ r_c) / dt
+        omega_c_dot = np.zeros(3) if k <= 1 else (omega_c - omega_c_prev) / dt
+        r_c_prev, omega_c_prev = r_c, omega_c
+        att_ref = AttitudeReference(r_c, omega_c, omega_c_dot)
         np.testing.assert_array_equal(
             q, control_torque(state.R, state.Omega, att_ref, p.inertia, att_gains))
-        assert diag.psi_command == attitude_error_psi(state.R, diag.R_c)
-        np.testing.assert_array_equal(diag.e_R, attitude_error_vector(state.R, diag.R_c))
-        np.testing.assert_allclose(diag.e_Omega,
+        assert 2.0 - np.sqrt(one_plus_tr) == attitude_error_psi(state.R, r_c)
+        np.testing.assert_array_equal(e_R, attitude_error_vector(state.R, r_c))
+        np.testing.assert_allclose(e_Omega,
                                    angular_velocity_error(state.R, state.Omega, att_ref),
                                    atol=1e-14, rtol=0.0)
 
 
 def test_translational_storage_zero_at_perfect_tracking():
     ref = circle_reference(1.3, CircleCoeffs())
-    state = QuadrotorState(ref.r_d, ref.v_d, np.eye(3), np.zeros(3))
-    assert translational_storage(state, ref, PositionGains()) == pytest.approx(0.0, abs=1e-12)
+    r, v = ref.r_d[None], ref.v_d[None]  # one row
+    assert translational_storage(r, v, r, v, PositionGains()) == pytest.approx([0.0], abs=1e-12)

@@ -16,7 +16,7 @@ from geomech.rigid_body import (
     spatial_momentum,
 )
 
-from conftest import polar_newton, random_rotation
+from conftest import polar_newton, quad_x, random_rotation
 from oracles import rk4_step
 
 
@@ -244,22 +244,23 @@ def test_rk4_quadrotor_step_matches_flat_rk4(rng):
         s = QuadrotorState(rng.normal(size=3), rng.normal(size=3), random_rotation(rng),
                            rng.normal(size=3))
         dt = rng.uniform(1e-3, 0.05)
-        out = rk4_quadrotor_step(s, p, f_body, m_body, dt)
+        r, v, rot, om = rk4_quadrotor_step(quad_x(s.r, s.v, s.R, s.Omega), p,
+                                           f_body.tolist(), m_body.tolist(), dt)
         y = rk4_step(rhs, np.concatenate([s.r, s.v, s.R.ravel(), s.Omega]), 0.0, dt)
-        np.testing.assert_allclose(out.r, y[:3], atol=1e-14, rtol=0.0)
-        np.testing.assert_allclose(out.v, y[3:6], atol=1e-14, rtol=0.0)
-        np.testing.assert_allclose(out.R, polar_newton(y[6:15].reshape(3, 3)), atol=1e-14,
-                                   rtol=0.0)
-        np.testing.assert_allclose(out.Omega, y[15:], atol=1e-14, rtol=0.0)
+        np.testing.assert_allclose(r, y[:3], atol=1e-14, rtol=0.0)
+        np.testing.assert_allclose(v, y[3:6], atol=1e-14, rtol=0.0)
+        np.testing.assert_allclose(np.reshape(rot, (3, 3)), polar_newton(y[6:15].reshape(3, 3)),
+                                   atol=1e-14, rtol=0.0)
+        np.testing.assert_allclose(om, y[15:], atol=1e-14, rtol=0.0)
 
 
 def test_rk4_quadrotor_step_divergence_raises():
     p = quad_params()
     # a 10 rad/s roll under a 5 N m yaw moment, one 1 s step: the RK4 attitude
     # update reverses orientation (for constant Omega its determinant stays > 0)
-    spin = QuadrotorState(np.zeros(3), np.zeros(3), np.eye(3), np.array([10.0, 0.0, 0.0]))
+    spin = quad_x(np.zeros(3), np.zeros(3), np.eye(3), [10.0, 0.0, 0.0])
     with pytest.raises(DivergenceError, match="state diverged: attitude determinant -"):
-        rk4_quadrotor_step(spin, p, np.zeros(3), np.array([0.0, 0.0, 5.0]), 1.0)
-    fast = QuadrotorState(np.zeros(3), np.array([1e308, 0.0, 0.0]), np.eye(3), np.zeros(3))
+        rk4_quadrotor_step(spin, p, [0.0, 0.0, 0.0], [0.0, 0.0, 5.0], 1.0)
+    fast = quad_x(np.zeros(3), [1e308, 0.0, 0.0], np.eye(3), np.zeros(3))
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="non-finite r$"):
-        rk4_quadrotor_step(fast, p, np.zeros(3), np.zeros(3), 10.0)
+        rk4_quadrotor_step(fast, p, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 10.0)

@@ -31,9 +31,10 @@ from geomech.errors import (
     SolverError,
 )
 from geomech.cli import main
-from geomech.quadrotor import ControllerMemory, tracking_step
-from geomech.references import circle_reference, euler_321_reference
-from geomech.rigid_body import rk4_attitude_step, rk4_quadrotor_step
+from geomech import cli, runner
+from geomech.quadrotor import ControllerMemory, tracking_step, velocity_target
+from geomech.references import AnglePolynomial, circle_reference, euler_321_reference
+from geomech.rigid_body import QuadrotorState, rk4_attitude_step, rk4_quadrotor_step
 from geomech.runner import _AeroModel, _step_failure, run, settling_time, steady_state_value
 from geomech.scenario import parse_scenario
 from geomech.so3 import orthogonality_defect
@@ -45,6 +46,8 @@ from geomech.timeseries import (
     write_outputs,
 )
 from geomech.variational import IntegratorConfig, vi_step
+
+from conftest import quad_x
 
 
 def load(name, **overrides):
@@ -169,14 +172,23 @@ def test_attitude_derived_columns_match_the_per_row_formulas():
 
 
 def test_quad_and_compare_derived_columns_match_the_per_row_formulas():
-    series, _ = run(load("quad_track_aero", t_final=0.2))
+    sc = load("quad_track_aero", t_final=0.2)
+    series, _ = run(sc)
+    gains, col = sc.position_gains, series.column
     for k in range(len(series)):
-        e_r = [series.column(f"e_r_{ax}")[k] for ax in "xyz"]
-        r = np.array([[series.column(f"R{i}{j}")[k] for j in range(3)] for i in range(3)])
-        assert series.column("e_r_norm")[k] == pytest.approx(np.linalg.norm(e_r),
-                                                             abs=1e-14, rel=0.0)
-        assert series.column("ortho_defect")[k] == pytest.approx(orthogonality_defect(r),
-                                                                 abs=1e-14, rel=0.0)
+        ref = circle_reference(k * sc.dt, sc.circle_coeffs)
+        e_r = np.array([col(f"e_r_{ax}")[k] for ax in "xyz"])
+        pos, vel = series.vector("r")[k], series.vector("v")[k]
+        r = np.array([[col(f"R{i}{j}")[k] for j in range(3)] for i in range(3)])
+        assert col("e_r_norm")[k] == pytest.approx(np.linalg.norm(e_r), abs=1e-14, rel=0.0)
+        assert col("ortho_defect")[k] == pytest.approx(orthogonality_defect(r),
+                                                       abs=1e-14, rel=0.0)
+        assert col("e_v_norm")[k] == pytest.approx(np.linalg.norm(vel - ref.v_d),
+                                                   abs=1e-14, rel=0.0)
+        ev = vel - velocity_target(pos, ref, gains)
+        assert col("V_translational")[k] == pytest.approx(
+            0.5 * e_r @ (gains.A @ e_r) + 0.5 * ev @ (gains.C @ ev), abs=1e-14, rel=0.0)
+        assert col("thrust_negative")[k] == float(col("f")[k] < 0.0)
     moment = np.array([0.1, -0.2, 0.05])
     for measure in ("chord", "arc"):
         sc = load("integrator_compare", t_final=1.0, moment=moment, step_measure=measure)
@@ -321,7 +333,8 @@ def test_quad_run_uses_the_public_tick_wrench_and_rk4_step(scenario):
     sc = load(scenario, t_final=0.2)
     series, _ = run(sc)
     aero = _AeroModel(sc) if sc.aero.enabled else None
-    state, memory = sc.quad_initial, ControllerMemory()
+    s0 = sc.quad_initial
+    x, memory = quad_x(s0.r, s0.v, s0.R, s0.Omega), ControllerMemory()
     names = [*(f"{v}_{ax}" for v in ("r", "v") for ax in "xyz"),
              *(f"R{i}{j}" for i in range(3) for j in range(3)),
              *(f"{v}_{ax}" for v in ("Omega", "q") for ax in "xyz")]
@@ -331,16 +344,17 @@ def test_quad_run_uses_the_public_tick_wrench_and_rk4_step(scenario):
     norms = np.empty((n, 3))  # the tick's e_v, e_R, e_Omega norms, one at a time
     for k in range(n):
         ref = circle_reference(k * sc.dt, sc.circle_coeffs)
-        f, q, diag = tracking_step(state, ref, sc.vehicle, sc.position_gains,
-                                   sc.attitude_gains, sc.dt, memory)
-        rows[k] = [*state.r, *state.v, *state.R.ravel(), *state.Omega, *q]
-        norms[k] = [np.linalg.norm(x) for x in (diag.e_v, diag.e_R, diag.e_Omega)]
+        f, q, e_R, e_Omega, _ = tracking_step(x, ref, sc.vehicle, sc.position_gains,
+                                              sc.attitude_gains, sc.dt, memory)
+        r, v, rot, om = x
+        rows[k] = [*r, *v, *rot, *om, *q]
+        norms[k] = [np.linalg.norm(e) for e in (np.subtract(v, ref.v_d), e_R, e_Omega)]
         if k < n - 1:
             if aero is None:
-                f_body, m_body = np.array([0.0, 0.0, f]), q
+                f_body, m_body = (0.0, 0.0, f), q
             else:
-                f_body, m_body = aero.wrench(state, f, q)
-            state = rk4_quadrotor_step(state, sc.vehicle, f_body, m_body, sc.dt)
+                f_body, m_body = aero.wrench(x, f, q)
+            x = rk4_quadrotor_step(x, sc.vehicle, f_body, m_body, sc.dt)
     for j, name in enumerate(names):
         np.testing.assert_allclose(series.column(name), rows[:, j], atol=1e-9, rtol=0.0,
                                    err_msg=name)
@@ -349,6 +363,21 @@ def test_quad_run_uses_the_public_tick_wrench_and_rk4_step(scenario):
     for j, name in enumerate(("e_v_norm", "e_R_norm", "e_Omega_norm")):
         np.testing.assert_allclose(series.column(name), norms[:, j], rtol=2.3e-16, atol=0.0,
                                    err_msg=name)
+
+
+def test_quad_run_carries_floats_and_forms_storage_once(monkeypatch):
+    # the loop passes the plant state as a float tuple: no QuadrotorState is
+    # built (and re-checked) per step, and the storage column is one call
+    sc = load("quad_track_aero", t_final=0.2)
+    built, storage = [], []
+    post_init, translational_storage = QuadrotorState.__post_init__, runner.translational_storage
+    monkeypatch.setattr(QuadrotorState, "__post_init__",
+                        lambda self: built.append(post_init(self)))
+    monkeypatch.setattr(runner, "translational_storage",
+                        lambda *args: storage.append(1) or translational_storage(*args))
+    series, _ = run(sc)
+    assert len(series) == 201
+    assert len(built) == 0 and len(storage) == 1
 
 
 def test_quad_tick_1_has_no_torque_spike():
@@ -501,25 +530,32 @@ def test_cli_vi_blowup_exits_3_with_one_line(tmp_path, capsys, command, omega, m
     assert not out_dir.exists()
 
 
+def _replaced(obj, path: str, value):
+    """``obj`` with the attribute at the dotted ``path`` replaced by ``value``;
+    each dataclass on the way is rebuilt, so it checks its fields again."""
+    head, _, rest = path.partition(".")
+    return dataclasses.replace(
+        obj, **{head: _replaced(getattr(obj, head), rest, value) if rest else value})
+
+
 @pytest.mark.parametrize("name, section, key, value", [
     ("quad_track_aero", "aero.geometry", "radius", 1e200),  # the hover calibration overflows
-    ("attitude_track", "reference", "roll", [0.0, 0.0, 1e308]),  # the reference samples overflow
+    # the reference samples overflow
+    ("attitude_track", "euler_coeffs", "roll", AnglePolynomial(0.0, 0.0, 1e308)),
     ("attitude_track", "initial", "omega", [1e200, 0.0, 0.0]),  # einsum columns go inf untrapped
 ])
-def test_cli_overflow_outside_the_steps_exits_3(tmp_path, capsys, name, section, key, value):
+def test_cli_overflow_outside_the_steps_exits_3(tmp_path, capsys, monkeypatch, name, section,
+                                                key, value):
     # valid but absurd values whose arithmetic overflows while the run is
-    # set up or summarised: a solver failure of the run, never a traceback
-    doc = json.loads(open(f"scenarios/{name}.json", "rb").read())
-    node = doc
-    for part in section.split("."):
-        node = node[part]
-    node[key] = value
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(doc))
+    # set up or summarised: a solver failure of the run, never a traceback.
+    # validate refuses the first two (their fields have envelopes), so each
+    # value replaces its field of the parsed scenario that the CLI runs
+    scenario = _replaced(load(name, t_final=0.0), f"{section}.{key}", value)
+    monkeypatch.setattr(cli, "parse_scenario", lambda text, overrides: scenario)
     out_dir = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["run", str(path), "--t-final", "0", "--out-dir", str(out_dir)]) == 3
+        assert main(["run", f"scenarios/{name}.json", "--out-dir", str(out_dir)]) == 3
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("solver failure: outside the step loop: ")

@@ -197,6 +197,14 @@ def _set(doc, path, value):
     ("quad_track", "vehicle.arm_length", 0, "must be > 0"),
     ("quad_track_aero", "aero.geometry.theta0", -0.1, "must be >= 0"),
     ("quad_track", "reference.b_1d", [2, 0, 0], "must be a unit vector"),
+    ("quad_track_aero", "aero.geometry.radius", 1e200, "must be <= 100"),
+    ("quad_track_aero", "aero.geometry.theta0", 1e308, "must be <= 1.5"),
+    ("quad_track_aero", "aero.geometry.chord", 5e-324, "must be >= 0.0001"),
+    ("attitude_track", "reference.roll", [0, 0, 1e308], "must lie in [-1000, 1000]"),
+    ("attitude_track", "reference.pitch", [0, 0, 1e308], "must lie in [-1000, 1000]"),
+    ("attitude_track", "reference.yaw", [0, 0, 1e308], "must lie in [-1000, 1000]"),
+    ("quad_track", "reference.amplitude", 1e308, "must be <= 1000"),
+    ("quad_track", "reference.omega", 1e200, "must be <= 100"),
 ])
 def test_cli_validate_names_the_bad_field(tmp_path, capsys, name, path, value, message):
     # one mutated field of a shipped scenario: exit 2 and exactly one

@@ -14,7 +14,9 @@ one per side, seed ``S = SEED + pair``, ``T`` the ``run_seconds`` of
 ``BENCHMARK.json``, the parent first in even pairs and the change first in
 odd ones, each side with its own ``perfbench/``.  Then it runs one
 ``--trace 1`` invocation per side at the first seed, and times the Tier-1
-suite once per side.
+suite once per side.  Every one of these children gets its own new, empty
+``PYTHONPYCACHEPREFIX`` directory, so neither side loads bytecode that an
+earlier run cached: both compile ``geomech`` alike.
 
 The file has one schema whatever the workloads: for every end-to-end metric
 the per-side median, quartiles and interquartile range, the relative change
@@ -47,20 +49,28 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def _bench(side: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def _child_env(tmp: Path, **extra: str) -> dict:
+    """The environment of one child, with ``PYTHONPYCACHEPREFIX`` at a new
+    empty directory under ``tmp``."""
+    cache = tempfile.mkdtemp(prefix="pycache_", dir=tmp)
+    return {**os.environ, "PYTHONPYCACHEPREFIX": cache, **extra}
+
+
+def _bench(side: Path, tmp: Path, workload: str, seed: int, seconds: float,
+           trace: int) -> dict:
     """The JSON result line of one ``perfbench/run.py`` invocation in ``side``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=side, capture_output=True, text=True)
+    out = subprocess.run(cmd, cwd=side, env=_child_env(tmp), capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
         raise SystemExit(f"bench_pr: {' '.join(cmd)} failed in {side}:\n{out.stderr}")
     return json.loads(lines[-1])
 
 
-def _tier1(side: Path) -> dict:
+def _tier1(side: Path, tmp: Path) -> dict:
     """Wall time and outcome counts of one Tier-1 run in ``side``."""
-    env = {**os.environ, "PYTHONPATH": "src"}
+    env = _child_env(tmp, PYTHONPATH="src")
     start = time.perf_counter()
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                           "--continue-on-collection-errors"],
@@ -143,11 +153,11 @@ def main(argv: list[str] | None = None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = _bench(sides[side], name, seed, seconds, 0)
+                    pair[side] = _bench(sides[side], tmp, name, seed, seconds, 0)
                     value = pair[side]["metrics"].get("wall_s", {}).get("value")
                     print(f"{name} seed {seed} {side:6s} wall_s {value}", file=sys.stderr)
                 pairs.append(pair)
-            traced = {side: _bench(sides[side], name, SEED, seconds, 1)
+            traced = {side: _bench(sides[side], tmp, name, SEED, seconds, 1)
                       for side in ("parent", "change")}
             result["workloads"][name] = {
                 "summary": summarize(pairs, better),
@@ -158,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
                            for side, r in traced.items()},
                 "runs": pairs,
             }
-        result["tier1"] = {side: _tier1(path) for side, path in sides.items()}
+        result["tier1"] = {side: _tier1(path, tmp) for side, path in sides.items()}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
