@@ -123,18 +123,17 @@ def rotor_positions(arm_length: float) -> Array:
     )
 
 
-def rotor_thrusts(thrust: float, moment: Array, arm_length: float, kappa: float) -> Array:
-    """Invert the plus-configuration mixer: per-rotor thrusts realising the
-    collective thrust and body moment, with yaw authority ``kappa`` (N m of
-    shaft reaction per N of rotor thrust)."""
-    d = float(arm_length)
+def rotor_thrusts(thrust: float, moment, arm_length: float, kappa: float) -> tuple:
+    """Invert the plus-configuration mixer: the four rotor thrusts realising
+    the collective thrust and body moment (a 3-sequence), with yaw authority
+    ``kappa`` (N m of shaft reaction per N of rotor thrust)."""
     f4 = thrust / 4.0
-    mx = moment[0] / (2.0 * d)
-    my = moment[1] / (2.0 * d)
+    mx = moment[0] / (2.0 * arm_length)
+    my = moment[1] / (2.0 * arm_length)
     # reaction torque on the body opposes each rotor's spin direction, so
     # positive yaw loads the negative-spin pair
     mz = moment[2] / (4.0 * kappa)
-    return np.array([f4 - my - mz, f4 + mx + mz, f4 + my - mz, f4 - mx + mz])
+    return f4 - my - mz, f4 + mx + mz, f4 + my - mz, f4 - mx + mz
 
 
 @dataclass

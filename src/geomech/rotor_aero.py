@@ -29,6 +29,11 @@ the tip speed, so :func:`hover_rotor_speed` returns its positive root in
 closed form.  The coupled induced velocity (the load fed to momentum theory
 equals the blade-element thrust) is a scalar root that
 :func:`rotor_wrench` finds by bracketed Newton with the analytic slope.
+
+The model runs on Python floats: ``rotor_wrench(geom, rho, v_horiz, z_dot,
+omega, load)`` returns ``(thrust, h_force, torque_shaft, roll_moment)``,
+``induced_velocity(geom, rho, v_horiz, load)`` the momentum-theory inflow,
+and ``hover_rotor_speed(geom, thrust, rho)`` the hover shaft speed.
 """
 
 from __future__ import annotations
@@ -36,8 +41,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NoConvergenceError, ScenarioValidationError, ZeroRotorSpeedError
 
@@ -79,72 +82,19 @@ class RotorGeometry:
 
     @functools.cached_property
     def solidity(self) -> float:
-        return self.n_blades * self.chord / (np.pi * self.radius)
+        return self.n_blades * self.chord / (math.pi * self.radius)
 
     @functools.cached_property
     def disk_area(self) -> float:
-        return np.pi * self.radius**2
+        return math.pi * self.radius**2
 
 
-@dataclass
-class AirState:
-    """Flight condition of one rotor.
-
-    ``v_horiz`` is the horizontal airspeed ``sqrt(xdot^2 + ydot^2)``,
-    ``z_dot`` the inertial vertical rate (z-up), ``omega_rotor`` the shaft
-    speed, and ``weight_supported`` the load used for the induced-velocity
-    computation (the static share, or the starting load of the coupled
-    solve).
-    """
-
-    rho: float = 1.225
-    v_horiz: float = 0.0
-    z_dot: float = 0.0
-    omega_rotor: float = 1000.0
-    weight_supported: float = 0.0
-
-    def __post_init__(self):
-        if not self.rho > 0.0:
-            raise ScenarioValidationError([("rho", "must be > 0")])
-
-
-@dataclass
-class RotorWrench:
-    """Hub-frame loads: thrust along the shaft, in-plane drag force, shaft
-    torque, and roll moment.  The lateral force and pitching moment are
-    identically zero for this blade model."""
-
-    thrust: float
-    h_force: float
-    torque_shaft: float
-    roll_moment: float
-    y_force: float = 0.0
-    pitch_moment: float = 0.0
-
-
-def induced_velocity(air: AirState, geom: RotorGeometry) -> float:
-    """Momentum-theory induced velocity at the disk (m/s)."""
-    return _induced(0.5 * air.v_horiz**2, air.weight_supported / (2.0 * air.rho * geom.disk_area))
-
-
-def _induced(half_v2: float, loading: float) -> float:
+def induced_velocity(geom: RotorGeometry, rho: float, v_horiz: float, load: float) -> float:
+    """Momentum-theory induced velocity at the disk (m/s) for the horizontal
+    airspeed ``v_horiz`` and the load ``load`` carried by the disk."""
+    half_v2 = 0.5 * v_horiz**2
+    loading = load / (2.0 * rho * geom.disk_area)
     return math.sqrt(half_v2 + math.sqrt(half_v2**2 + loading**2))
-
-
-def _tip_speed(air: AirState, geom: RotorGeometry) -> float:
-    if not air.omega_rotor > 0.0:
-        raise ZeroRotorSpeedError("omega_rotor must be > 0")
-    return air.omega_rotor * geom.radius
-
-
-def inflow_ratio(air: AirState, geom: RotorGeometry, nu1: float) -> float:
-    """``(nu1 - z_dot) / (Omega R)``; climbing (z_dot > nu1) makes it negative."""
-    return (nu1 - air.z_dot) / _tip_speed(air, geom)
-
-
-def advance_ratio(air: AirState, geom: RotorGeometry) -> float:
-    """``V / (Omega R)``."""
-    return air.v_horiz / _tip_speed(air, geom)
 
 
 def thrust_coefficient(geom: RotorGeometry, lam: float, mu: float) -> float:
@@ -176,47 +126,49 @@ def roll_moment_coefficient(geom: RotorGeometry, lam: float, mu: float) -> float
 
 
 def rotor_wrench(
-    geom: RotorGeometry, air: AirState, coupled: bool = True
-) -> RotorWrench:
-    """Dimensional rotor loads at the given flight condition.
-
-    With ``coupled=True`` (default) the induced velocity and the thrust are
-    solved self-consistently (:func:`_coupled_load`, starting from
-    ``air.weight_supported``).  With ``coupled=False`` the static loading
-    ``air.weight_supported`` is used directly.
+    geom: RotorGeometry, rho: float, v_horiz: float, z_dot: float, omega: float, load: float
+) -> tuple[float, float, float, float]:
+    """Hub-frame loads of one rotor at shaft speed ``omega``, horizontal
+    airspeed ``v_horiz`` and inertial vertical rate ``z_dot`` (z-up): the
+    thrust along the shaft, the in-plane drag force, the shaft torque and the
+    roll moment.  The induced velocity and the thrust are solved
+    self-consistently by :func:`_coupled_load`, starting from ``load``.
     """
-    tip = _tip_speed(air, geom)
-    mu = air.v_horiz / tip
-    pressure = air.rho * geom.disk_area * tip**2
-    load = _coupled_load(geom, air, tip, pressure) if coupled else air.weight_supported
-    nu1 = _induced(0.5 * air.v_horiz**2, load / (2.0 * air.rho * geom.disk_area))
-    lam = (nu1 - air.z_dot) / tip
-    return RotorWrench(
-        thrust=thrust_coefficient(geom, lam, mu) * pressure,
-        h_force=hub_force_coefficient(geom, lam, mu) * pressure,
-        torque_shaft=torque_coefficient(geom, lam, mu) * pressure * geom.radius,
-        roll_moment=roll_moment_coefficient(geom, lam, mu) * pressure * geom.radius,
+    if not omega > 0.0:
+        raise ZeroRotorSpeedError("omega_rotor must be > 0")
+    tip = omega * geom.radius
+    mu = v_horiz / tip
+    pressure = rho * geom.disk_area * tip**2
+    load = _coupled_load(geom, rho, v_horiz, z_dot, tip, pressure, load)
+    lam = (induced_velocity(geom, rho, v_horiz, load) - z_dot) / tip
+    return (
+        thrust_coefficient(geom, lam, mu) * pressure,
+        hub_force_coefficient(geom, lam, mu) * pressure,
+        torque_coefficient(geom, lam, mu) * pressure * geom.radius,
+        roll_moment_coefficient(geom, lam, mu) * pressure * geom.radius,
     )
 
 
-def _coupled_load(geom: RotorGeometry, air: AirState, tip: float, pressure: float) -> float:
+def _coupled_load(geom: RotorGeometry, rho: float, v_horiz: float, z_dot: float,
+                  tip: float, pressure: float, load: float) -> float:
     """Load ``L`` that the blade model returns as thrust: root of
     ``r(L) = C - k nu1(L) - L``, where ``C`` is the thrust at ``nu1 = 0`` and
     ``k = sigma a rho A Omega R / 4``, by Newton with the analytic slope
-    ``-1 - k nu1'(L)``.  ``nu1`` is even in ``L`` and increasing for ``L > 0``,
-    so if ``r(0) = C - k V > 0`` the root is the unique positive one, in
-    ``[0, C]``; otherwise it lies in ``[-(a + sqrt(-r(0)))^2, 0]`` with
-    ``a = k / sqrt(2 rho A)``, since ``nu1(L) <= V + sqrt(|L| / (2 rho A))``.
-    Steps that leave the bracket bisect it instead.
+    ``-1 - k nu1'(L)``, starting from ``load``.  ``nu1`` is even in ``L`` and
+    increasing for ``L > 0``, so if ``r(0) = C - k V > 0`` the root is the
+    unique positive one, in ``[0, C]``; otherwise it lies in
+    ``[-(a + sqrt(-r(0)))^2, 0]`` with ``a = k / sqrt(2 rho A)``, since
+    ``nu1(L) <= V + sqrt(|L| / (2 rho A))``.  Steps that leave the bracket
+    bisect it instead.
     """
-    two_rho_a = 2.0 * air.rho * geom.disk_area
-    half_v2 = 0.5 * air.v_horiz**2
-    k = 0.25 * geom.solidity * geom.lift_slope * air.rho * geom.disk_area * tip
-    c = thrust_coefficient(geom, -air.z_dot / tip, air.v_horiz / tip) * pressure
-    r0 = c - k * air.v_horiz
+    two_rho_a = 2.0 * rho * geom.disk_area
+    half_v2 = 0.5 * v_horiz**2
+    k = 0.25 * geom.solidity * geom.lift_slope * rho * geom.disk_area * tip
+    c = thrust_coefficient(geom, -z_dot / tip, v_horiz / tip) * pressure
+    r0 = c - k * v_horiz
     lo, hi = (0.0, c) if r0 > 0.0 else (-(k / math.sqrt(two_rho_a) + math.sqrt(-r0)) ** 2, 0.0)
     tol = 1e-12 * (hi - lo)
-    load = min(max(air.weight_supported, lo), hi)
+    load = min(max(load, lo), hi)
     for _ in range(_MAX_LOAD_ITERS):
         q = load / two_rho_a
         s = math.sqrt(half_v2**2 + q * q)
@@ -234,30 +186,27 @@ def _coupled_load(geom: RotorGeometry, air: AirState, tip: float, pressure: floa
             return new
         load = new
     raise NoConvergenceError(
-        f"induced-velocity solve failed to converge (V={air.v_horiz!r}, "
-        f"z_dot={air.z_dot!r}, omega={air.omega_rotor!r}, last load {load!r})"
+        f"induced-velocity solve failed to converge (V={v_horiz!r}, "
+        f"z_dot={z_dot!r}, tip speed={tip!r}, last load {load!r})"
     )
 
 
-def hover_rotor_speed(geom: RotorGeometry, thrust, rho: float):
+def hover_rotor_speed(geom: RotorGeometry, thrust: float, rho: float) -> float:
     """Shaft speed delivering ``thrust`` in static hover (V = z_dot = 0); the
     calibration an ideal speed controller would apply.
 
     ``thrust = sigma a rho A [b x^2 - nu_h x / 4]``, with ``x = Omega R``,
     ``b = theta0/6 - theta_tw/8`` and ``nu_h = sqrt(thrust / (2 rho A))``, is
-    quadratic in ``x``; this returns its positive root.  Accepts a scalar
-    (returns a float) or an array of thrusts.
+    quadratic in ``x``; this returns its positive root.
     """
-    thrust = np.asarray(thrust, dtype=float)
-    if not np.all(thrust > 0.0):
+    if not thrust > 0.0:
         raise ScenarioValidationError([("thrust", "hover calibration needs thrust > 0")])
     b = geom.theta0 / 6.0 - geom.theta_tw / 8.0
     if not b > 0.0:
         raise ScenarioValidationError([("theta_tw", "hover needs theta0/6 - theta_tw/8 > 0")])
     sa_rho_a = geom.solidity * geom.lift_slope * rho * geom.disk_area
-    nu_q = 0.25 * np.sqrt(thrust / (2.0 * rho * geom.disk_area))
-    omega = (nu_q + np.sqrt(nu_q**2 + 4.0 * b * thrust / sa_rho_a)) / (2.0 * b * geom.radius)
-    return float(omega) if omega.ndim == 0 else omega
+    nu_q = 0.25 * math.sqrt(thrust / (2.0 * rho * geom.disk_area))
+    return (nu_q + math.sqrt(nu_q**2 + 4.0 * b * thrust / sa_rho_a)) / (2.0 * b * geom.radius)
 
 
 class HoverCalibration:
@@ -271,8 +220,8 @@ class HoverCalibration:
         self.thrust_range = (HOVER_THRUST_MIN_FRAC * hover_thrust,
                              HOVER_THRUST_MAX_FRAC * hover_thrust)
 
-    def saturate(self, thrust):
-        return np.clip(thrust, *self.thrust_range)
-
-    def __call__(self, thrust):
-        return hover_rotor_speed(self.geom, self.saturate(thrust), self.rho)
+    def __call__(self, thrusts) -> list[tuple[float, float]]:
+        """``(saturated thrust, shaft speed)`` of each commanded thrust."""
+        lo, hi = self.thrust_range
+        return [((t := min(max(thrust, lo), hi)), hover_rotor_speed(self.geom, t, self.rho))
+                for thrust in thrusts]

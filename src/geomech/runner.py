@@ -34,13 +34,11 @@ from .quadrotor import (
 )
 from .references import _euler_321_raw, circle_reference, gimbal_proximity
 from .rigid_body import _attitude_rk4_core, _floats, energy_momentum_rows, rk4_quadrotor_step
-from .so3 import hat, orthogonality_defects
+from .so3 import orthogonality_defects
 from .rotor_aero import (
-    AirState,
     HoverCalibration,
     hover_rotor_speed,
     induced_velocity,
-    inflow_ratio,
     rotor_wrench,
     thrust_coefficient,
     torque_coefficient,
@@ -256,14 +254,13 @@ class _AeroModel:
         self.geom = sc.aero.geometry
         self.rho = sc.aero.rho
         self.params = params
-        self.arms = rotor_positions(params.arm_length)
         # per rotor: arm x, arm y (the arms lie in the body x-y plane), spin sign
         self.rotors = [(ax, ay, spin) for (ax, ay, _), spin
-                       in zip(self.arms.tolist(), ROTOR_SPIN.tolist())]
+                       in zip(rotor_positions(params.arm_length).tolist(), ROTOR_SPIN.tolist())]
         hover = params.mass * params.g / 4.0
         self.calibration = HoverCalibration(self.geom, self.rho, hover)
-        air = AirState(self.rho, 0.0, 0.0, hover_rotor_speed(self.geom, hover, self.rho), hover)
-        lam_h = inflow_ratio(air, self.geom, induced_velocity(air, self.geom))
+        tip_h = hover_rotor_speed(self.geom, hover, self.rho) * self.geom.radius
+        lam_h = induced_velocity(self.geom, self.rho, 0.0, hover) / tip_h
         # shaft reaction per unit thrust at the hover operating point
         self.kappa = (torque_coefficient(self.geom, lam_h, 0.0) * self.geom.radius
                       / thrust_coefficient(self.geom, lam_h, 0.0))
@@ -271,37 +268,36 @@ class _AeroModel:
     def wrench(self, x, f_cmd: float, q_cmd) -> tuple[tuple, tuple]:
         """Body force and moment ``(f, m)`` delivered at the plant state ``x =
         (r, v, R, Omega)`` (``R`` row-major) for the command ``(f_cmd, q_cmd)``."""
-        R = np.reshape(x[2], (3, 3))
-        thrusts = self.calibration.saturate(
-            rotor_thrusts(f_cmd, q_cmd, self.params.arm_length, self.kappa)
-        )
-        omegas = self.calibration(thrusts)  # clipping again is exact: same speeds
-        # hub velocities of the four rotors as columns, inertial and body frame
-        hub = np.array(x[1])[:, None] + R @ (hat(x[3]) @ self.arms.T)
-        body_x, body_y, _ = (R.T @ hub).tolist()
+        _, (vx, vy, vz), (r00, r01, r02, r10, r11, r12, r20, r21, r22), (wx, wy, wz) = x
+        # in-plane body-frame velocity of the centre, R^T v
+        cx = r00 * vx + r10 * vy + r20 * vz
+        cy = r01 * vx + r11 * vy + r21 * vz
+        thrusts = rotor_thrusts(f_cmd, q_cmd, self.params.arm_length, self.kappa)
         fx = fy = fz = mx = my = mz = 0.0
-        for (ax, ay, spin), (hx, hy, hz), bx, by, omega, thrust in zip(
-            self.rotors, hub.T.tolist(), body_x, body_y, omegas.tolist(), thrusts.tolist()
-        ):
-            w = rotor_wrench(
-                self.geom, AirState(self.rho, math.hypot(hx, hy), hz, omega, thrust),
-                coupled=True,
-            )
+        for (ax, ay, spin), (thrust, omega) in zip(self.rotors, self.calibration(thrusts)):
+            # hub velocity v + R (Omega x arm), with the arm in the body x-y plane
+            ox, oy, oz = -wz * ay, wz * ax, wx * ay - wy * ax
+            hx = vx + (r00 * ox + r01 * oy + r02 * oz)
+            hy = vy + (r10 * ox + r11 * oy + r12 * oz)
+            hz = vz + (r20 * ox + r21 * oy + r22 * oz)
+            t, h, q, roll = rotor_wrench(self.geom, self.rho, math.hypot(hx, hy), hz, omega,
+                                         thrust)
             # rotor force (-H dx, -H dy, T) and moment spin (R_roll dx, R_roll dy, -Q),
             # with (dx, dy) the unit in-plane hub velocity in the body frame
             f_x = f_y = m_x = m_y = 0.0
+            bx, by = cx + ox, cy + oy
             norm = math.hypot(bx, by)
             if norm > 1e-9:
                 dx, dy = bx / norm, by / norm
-                f_x, f_y = -w.h_force * dx, -w.h_force * dy
-                m_x, m_y = spin * w.roll_moment * dx, spin * w.roll_moment * dy
+                f_x, f_y = -h * dx, -h * dy
+                m_x, m_y = spin * roll * dx, spin * roll * dy
             fx += f_x
             fy += f_y
-            fz += w.thrust
+            fz += t
             # plus arm x f_i, with the arm in the body x-y plane
-            mx += m_x + ay * w.thrust
-            my += m_y - ax * w.thrust
-            mz += -spin * w.torque_shaft + ax * f_y - ay * f_x
+            mx += m_x + ay * t
+            my += m_y - ax * t
+            mz += -spin * q + ax * f_y - ay * f_x
         return (fx, fy, fz), (mx, my, mz)
 
 

@@ -158,9 +158,10 @@ class _Fields:
             return value
         return self.fail(key, "must be " + " or ".join(map(json.dumps, options)))
 
-    def array(self, key, default: Array, *, matrix=False) -> Array | None:
+    def array(self, key, default: Array, *, matrix=False, bound=None) -> Array | None:
         """A finite 3-vector; with ``matrix`` a finite 3x3 matrix, given in
-        full, as a diagonal 3-list, or as a scalar multiple of the identity."""
+        full, as a diagonal 3-list, or as a scalar multiple of the identity.
+        With ``bound``, every entry must lie in ``[-bound, bound]``."""
         value = self.obj.get(key)
         if value is None:
             return default
@@ -170,6 +171,8 @@ class _Fields:
         if arr is None or arr.shape != ((3, 3) if matrix else (3,)):
             return self.fail(key, "must be a finite scalar, 3-list or 3x3 matrix"
                              if matrix else "must be a finite 3-vector")
+        if bound is not None and np.abs(arr).max() > bound:
+            return self.fail(key, f"entries must lie in [-{bound:g}, {bound:g}]")
         return arr
 
     def polynomial(self, key) -> AnglePolynomial | None:
@@ -292,14 +295,14 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
         )
         scenario.quad_initial = initial.build(
             QuadrotorState,
-            r=initial.array("r", np.zeros(3)),
-            v=initial.array("v", np.zeros(3)),
+            r=initial.array("r", np.zeros(3), bound=1e4),  # m
+            v=initial.array("v", np.zeros(3), bound=1e3),  # m/s
             R=initial.array("R", np.eye(3), matrix=True),
-            Omega=initial.array("Omega", np.zeros(3)),
+            Omega=initial.array("Omega", np.zeros(3), bound=1e3),  # rad/s
         )
         pos = root.section("position_gains")
         scenario.position_gains = pos.build(PositionGains, **{
-            name: pos.array(name, scale * np.eye(3), matrix=True)
+            name: pos.array(name, scale * np.eye(3), matrix=True, bound=1e6)
             for name, scale in (("A", 1.0), ("B", 2.0), ("C", 1.0), ("D", 6.0))
         })
         with np.errstate(over="ignore"):  # an overflowing default F is refused as non-finite

@@ -5,7 +5,8 @@ Newton-Schulz polar factor and the attitude RK4 stage loop are kept as they
 were before the library moved each law onto one Python-float kernel; the
 parity tests compare the float kernels with them.  ``rk4_step`` is the
 generic RK4 step on a flat state vector that the quadrotor step is checked
-against.
+against.  ``aero_wrench`` sums the four rotors' loads into the body wrench
+with 3-vectors and ``np.cross``, the check of the runner's float assembly.
 
 The space-frame covector route is the second derivation of the variational
 step's discrete Lagrange-d'Alembert equation (Marsden & West, Acta Numerica
@@ -36,7 +37,9 @@ import numpy as np
 
 from geomech.attitude_control import ANTIPODAL_TOL
 from geomech.errors import AntipodalError
+from geomech.quadrotor import ROTOR_SPIN, rotor_positions, rotor_thrusts
 from geomech.rigid_body import InertiaTensor
+from geomech.rotor_aero import hover_rotor_speed, rotor_wrench
 from geomech.so3 import (
     Array, _check_step_angle, _sinc, exp_so3, hat, log_so3, polar_project, tilde,
 )
@@ -123,6 +126,37 @@ def rk4_step(rhs, y, t, dt):
     k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
     k4 = rhs(t + dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def aero_wrench(model, r_mat, v, omega, f_cmd, q_cmd):
+    """Body force and moment of the rotor model ``model`` (a
+    ``runner._AeroModel``) at attitude ``r_mat``, velocity ``v`` and body
+    rate ``omega`` for the command ``(f_cmd, q_cmd)``.
+
+    The mixed thrusts are clipped to the calibration's range and inverted
+    for the shaft speeds.  The hub velocities are ``v + R (Omega x arm)``,
+    formed as matrix products.  Each rotor's force ``(-H d, T)`` and moment
+    ``spin (R_roll d, -Q)``, with ``d`` the unit in-plane hub velocity in the
+    body frame, are summed with ``arm x f``.  ``rotor_wrench`` gives the
+    per-rotor loads.
+    """
+    arms = rotor_positions(model.params.arm_length)
+    thrusts = np.clip(rotor_thrusts(f_cmd, q_cmd, model.params.arm_length, model.kappa),
+                      *model.calibration.thrust_range)
+    hubs = v[:, None] + r_mat @ (hat(omega) @ arms.T)
+    body = r_mat.T @ hubs
+    force, moment = np.zeros(3), np.zeros(3)
+    for i, (arm, spin, thrust) in enumerate(zip(arms, ROTOR_SPIN, thrusts)):
+        omega_rotor = hover_rotor_speed(model.geom, thrust, model.rho)
+        t, h, q, roll = rotor_wrench(model.geom, model.rho, np.hypot(*hubs[:2, i]), hubs[2, i],
+                                     omega_rotor, thrust)
+        d = np.array([body[0, i], body[1, i], 0.0])
+        norm = np.linalg.norm(d)
+        d = d / norm if norm > 1e-9 else np.zeros(3)
+        f = -h * d + np.array([0.0, 0.0, t])
+        force += f
+        moment += spin * (roll * d - np.array([0.0, 0.0, q])) + np.cross(arm, f)
+    return force, moment
 
 
 @dataclass

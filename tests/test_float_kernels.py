@@ -1,12 +1,16 @@
 """The Python-float kernels of the per-step laws against their numpy oracles
 (``oracles.py``) on derandomized draws."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
 from geomech.attitude_control import _torque_kernel
 from geomech.rigid_body import _attitude_rk4_core, _fast_polar, _rates
+from geomech.runner import _AeroModel
+from geomech.scenario import parse_scenario
 
 from conftest import random_rotation
 
@@ -150,3 +154,21 @@ def test_attitude_rk4_core_tracks_the_oracle_over_many_steps(seed):
                                              d["dt"], oracle_torque(t, t_o, w_o))
     np.testing.assert_allclose(np.reshape(tm, (3, 3)), t_o, atol=1e-11, rtol=0.0)
     np.testing.assert_allclose(w, w_o, atol=1e-11 * max(1.0, np.abs(w_o).max()), rtol=0.0)
+
+
+def test_aero_wrench_assembly_matches_the_numpy_oracle():
+    # spin signs, the H-force direction and arm x f over random flight states
+    # of the shipped rotor model
+    sc = parse_scenario((Path(__file__).parents[1] / "scenarios/quad_track_aero.json")
+                        .read_bytes())
+    model = _AeroModel(sc)
+    hover = sc.vehicle.mass * sc.vehicle.g
+    rng = np.random.default_rng(1616)
+    for _ in range(300):
+        r_mat, v, omega = random_rotation(rng), rng.normal(scale=3.0, size=3), rng.normal(size=3)
+        f_cmd, q_cmd = hover * rng.uniform(0.5, 1.5), rng.normal(scale=0.5, size=3)
+        f, m = model.wrench(([0.0] * 3, _flat(v), _flat(r_mat), _flat(omega)), f_cmd,
+                            tuple(_flat(q_cmd)))
+        f_o, m_o = oracles.aero_wrench(model, r_mat, v, omega, f_cmd, q_cmd)
+        got, want = np.concatenate([f, m]), np.concatenate([f_o, m_o])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

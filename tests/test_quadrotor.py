@@ -146,7 +146,8 @@ def test_rotor_mixer_roundtrip(rng):
         f = rng.uniform(10.0, 60.0)
         m = rng.normal(size=3) * np.array([1.0, 1.0, 0.1])
         thrusts = rotor_thrusts(f, m, d, kappa)
-        assert thrusts.sum() == pytest.approx(f, rel=1e-12)
+        assert len(thrusts) == 4
+        assert sum(thrusts) == pytest.approx(f, rel=1e-12)
         moment = np.zeros(3)
         for i in range(4):
             moment += np.cross(arms[i], np.array([0.0, 0.0, thrusts[i]]))

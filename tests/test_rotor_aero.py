@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,14 +8,11 @@ from geomech.errors import NoConvergenceError, ScenarioValidationError, ZeroRoto
 from geomech.rotor_aero import (
     HOVER_THRUST_MAX_FRAC,
     HOVER_THRUST_MIN_FRAC,
-    AirState,
     HoverCalibration,
     RotorGeometry,
-    advance_ratio,
     hover_rotor_speed,
     hub_force_coefficient,
     induced_velocity,
-    inflow_ratio,
     roll_moment_coefficient,
     rotor_wrench,
     thrust_coefficient,
@@ -67,6 +63,22 @@ def blade_element_quadrature(geom, lam, mu, which, n_x=8, n_psi=64):
     return geom.solidity * geom.lift_slope / (4.0 * np.pi) * value
 
 
+def static_wrench(geom, rho, v_horiz, z_dot, omega, load):
+    """``(thrust, h_force, torque_shaft, roll_moment)`` at the static loading
+    ``load``, without the coupled solve: momentum theory at that load, then the
+    coefficient polynomials.  The oracle of the self-consistency checks."""
+    tip = omega * geom.radius
+    lam = (induced_velocity(geom, rho, v_horiz, load) - z_dot) / tip
+    mu = v_horiz / tip
+    pressure = rho * geom.disk_area * tip**2
+    return (
+        thrust_coefficient(geom, lam, mu) * pressure,
+        hub_force_coefficient(geom, lam, mu) * pressure,
+        torque_coefficient(geom, lam, mu) * pressure * geom.radius,
+        roll_moment_coefficient(geom, lam, mu) * pressure * geom.radius,
+    )
+
+
 @pytest.mark.parametrize(
     "which,closed_form",
     [
@@ -103,32 +115,41 @@ def test_geometry_validation():
 
 def test_induced_velocity_limits():
     # static: nu1 = sqrt(W / (2 rho A))
-    air = AirState(rho=1.225, v_horiz=0.0, weight_supported=10.645)
     expected = np.sqrt(10.645 / (2.0 * 1.225 * GEOM.disk_area))
-    assert induced_velocity(air, GEOM) == pytest.approx(expected, rel=1e-12)
+    assert induced_velocity(GEOM, 1.225, 0.0, 10.645) == pytest.approx(expected, rel=1e-12)
     # unloaded: the closed form collapses to the horizontal speed
-    air = AirState(v_horiz=3.0, weight_supported=0.0)
-    assert induced_velocity(air, GEOM) == pytest.approx(3.0, rel=1e-12)
+    assert induced_velocity(GEOM, 1.225, 3.0, 0.0) == pytest.approx(3.0, rel=1e-12)
     # plug-in value for the quarter-weight load at the stock radius
     geom = RotorGeometry(radius=0.315, chord=0.03)
-    air = AirState(rho=1.225, weight_supported=4.34 * 9.81 / 4.0)
     loading = 10.64485 / (2.0 * 1.225 * np.pi * 0.315**2)
-    assert induced_velocity(air, geom) == pytest.approx(np.sqrt(loading), rel=1e-4)
+    assert induced_velocity(geom, 1.225, 0.0, 4.34 * 9.81 / 4.0) == pytest.approx(
+        np.sqrt(loading), rel=1e-4)
 
 
 def test_inflow_and_advance_ratios():
-    air = AirState(v_horiz=0.0, z_dot=5.0, omega_rotor=100.0)
+    # the ratios rotor_wrench forms, read back from its loads: at mu = 0 the
+    # thrust is sigma a rho A (Omega R)^2 (b - lambda/4), b = theta0/6 - theta_tw/8
     geom = RotorGeometry(radius=0.5, chord=0.05)
-    assert inflow_ratio(air, geom, nu1=5.0) == pytest.approx(0.0)
-    air = AirState(v_horiz=0.0, z_dot=0.0, omega_rotor=100.0)
-    assert inflow_ratio(air, geom, nu1=5.0) == pytest.approx(0.1)
-    # climbing faster than the induced flow flips the sign
-    air = AirState(z_dot=8.0, omega_rotor=100.0)
-    assert inflow_ratio(air, geom, nu1=5.0) < 0.0
-    assert advance_ratio(AirState(v_horiz=0.0, omega_rotor=100.0), geom) == 0.0
-    assert advance_ratio(AirState(v_horiz=10.0, omega_rotor=100.0), geom) == pytest.approx(0.2)
+    rho, omega = 1.225, 100.0
+    pressure = rho * geom.disk_area * (omega * geom.radius) ** 2
+    zero_inflow = thrust_coefficient(geom, 0.0, 0.0) * pressure
+    nu1 = induced_velocity(geom, rho, 0.0, zero_inflow)
+    # z_dot = nu1 at the delivered load: lambda = (nu1 - z_dot) / (Omega R) = 0
+    thrust, *_ = rotor_wrench(geom, rho, 0.0, nu1, omega, zero_inflow)
+    assert thrust == pytest.approx(zero_inflow, rel=1e-12)
+    # hover: positive inflow; climbing faster than the induced flow flips the sign
+    assert rotor_wrench(geom, rho, 0.0, 0.0, omega, zero_inflow)[0] < zero_inflow
+    assert rotor_wrench(geom, rho, 0.0, nu1 + 3.0, omega, zero_inflow)[0] > zero_inflow
+    # mu = V / (Omega R): zero at V = 0, 0.2 at V = 10 m/s
+    _, h_force, _, roll = rotor_wrench(geom, rho, 0.0, 0.0, omega, zero_inflow)
+    assert h_force == 0.0 and roll == 0.0
+    thrust, h_force, _, _ = rotor_wrench(geom, rho, 10.0, 0.0, omega, zero_inflow)
+    sa = geom.solidity * geom.lift_slope
+    lam = 4.0 * ((1.0 / 6.0 + 0.01) * geom.theta0 - 1.04 * geom.theta_tw / 8.0
+                 - thrust / (sa * pressure))
+    assert h_force == pytest.approx(hub_force_coefficient(geom, lam, 0.2) * pressure, rel=1e-9)
     with pytest.raises(ZeroRotorSpeedError):
-        advance_ratio(AirState(omega_rotor=0.0), geom)
+        rotor_wrench(geom, rho, 10.0, 0.0, 0.0, zero_inflow)
 
 
 def test_coefficient_trivial_values():
@@ -194,38 +215,30 @@ def test_wrench_scaling_laws():
         geom = GEOM
         v = mu_target * omega * geom.radius
         w_load = 8.0
-        nu1 = induced_velocity(AirState(rho=rho, v_horiz=v, weight_supported=w_load), geom)
+        nu1 = induced_velocity(geom, rho, v, w_load)
         z_dot = nu1 - lam_target * omega * geom.radius
-        return AirState(rho, v, z_dot, omega, w_load)
+        return rho, v, z_dot, omega, w_load
 
-    base = rotor_wrench(GEOM, build(1.0, 800.0), coupled=False)
-    rho_scaled = rotor_wrench(GEOM, build(2.0, 800.0), coupled=False)
+    base = static_wrench(GEOM, *build(1.0, 800.0))
+    rho_scaled = static_wrench(GEOM, *build(2.0, 800.0))
     # nu1 changes with rho at fixed load, so rebuild z_dot keeps lam pinned
-    assert rho_scaled.thrust == pytest.approx(2.0 * base.thrust, rel=1e-12)
-    assert rho_scaled.torque_shaft == pytest.approx(2.0 * base.torque_shaft, rel=1e-12)
-    om_scaled = rotor_wrench(GEOM, build(1.0, 1600.0), coupled=False)
-    assert om_scaled.thrust == pytest.approx(4.0 * base.thrust, rel=1e-12)
-    assert om_scaled.h_force == pytest.approx(4.0 * base.h_force, rel=1e-12)
-    assert om_scaled.roll_moment == pytest.approx(4.0 * base.roll_moment, rel=1e-12)
-
-
-def test_wrench_lateral_components_zero():
-    wrench = rotor_wrench(GEOM, AirState(v_horiz=2.0, z_dot=-1.0, omega_rotor=900.0,
-                                         weight_supported=10.0))
-    assert wrench.y_force == 0.0
-    assert wrench.pitch_moment == 0.0
+    assert rho_scaled[0] == pytest.approx(2.0 * base[0], rel=1e-12)
+    assert rho_scaled[2] == pytest.approx(2.0 * base[2], rel=1e-12)
+    om_scaled = static_wrench(GEOM, *build(1.0, 1600.0))
+    assert om_scaled[0] == pytest.approx(4.0 * base[0], rel=1e-12)
+    assert om_scaled[1] == pytest.approx(4.0 * base[1], rel=1e-12)
+    assert om_scaled[3] == pytest.approx(4.0 * base[3], rel=1e-12)
 
 
 def test_wrench_profile_drag_only():
     # no pitch, no twist, no inflow: the only load is profile-drag torque
     geom = RotorGeometry(theta0=1e-12, theta_tw=1e-15, cd_bar=0.01)
-    air = AirState(v_horiz=0.0, z_dot=0.0, omega_rotor=800.0, weight_supported=0.0)
-    wrench = rotor_wrench(geom, air, coupled=False)
-    assert wrench.thrust == pytest.approx(0.0, abs=1e-9)
-    assert wrench.h_force == 0.0
-    assert wrench.roll_moment == 0.0
-    pressure = air.rho * geom.disk_area * (800.0 * geom.radius) ** 2
-    assert wrench.torque_shaft == pytest.approx(
+    thrust, h_force, torque_shaft, roll = static_wrench(geom, 1.225, 0.0, 0.0, 800.0, 0.0)
+    assert thrust == pytest.approx(0.0, abs=1e-9)
+    assert h_force == 0.0
+    assert roll == 0.0
+    pressure = 1.225 * geom.disk_area * (800.0 * geom.radius) ** 2
+    assert torque_shaft == pytest.approx(
         geom.solidity * geom.cd_bar / 8.0 * pressure * geom.radius, rel=1e-9
     )
 
@@ -234,13 +247,11 @@ def test_hover_fixed_point_consistency():
     # the delivered thrust matches the load fed to the induced velocity
     weight = 4.34 * 9.81 / 4.0
     omega = hover_rotor_speed(GEOM, weight, rho=1.225)
-    air = AirState(rho=1.225, v_horiz=0.0, z_dot=0.0, omega_rotor=omega,
-                   weight_supported=weight)
-    wrench = rotor_wrench(GEOM, air, coupled=True)
-    assert abs(wrench.thrust - weight) < 1e-6
-    # and the static path agrees at hover (same lam)
-    static = rotor_wrench(GEOM, air, coupled=False)
-    assert static.thrust == pytest.approx(wrench.thrust, abs=1e-6)
+    thrust, *_ = rotor_wrench(GEOM, 1.225, 0.0, 0.0, omega, weight)
+    assert abs(thrust - weight) < 1e-6
+    # and the static loads agree at hover (same lam)
+    static_thrust, *_ = static_wrench(GEOM, 1.225, 0.0, 0.0, omega, weight)
+    assert static_thrust == pytest.approx(thrust, abs=1e-6)
 
 
 def hover_speed_brentq(geom, thrust, rho):
@@ -266,15 +277,19 @@ def test_hover_rotor_speed_matches_bracketed_root():
 
 
 def test_hover_rotor_speed_arrays_and_validation():
-    thrusts = np.array([0.5, 2.0, 10.0, 40.0])
-    speeds = hover_rotor_speed(GEOM, thrusts, 1.225)
-    assert speeds.shape == (4,)
-    for t, omega in zip(thrusts, speeds):
-        assert omega == hover_rotor_speed(GEOM, float(t), 1.225)
+    # one scalar inversion per thrust; the calibration maps a sequence of them
+    thrusts = [0.5, 2.0, 10.0, 40.0]
+    pairs = HoverCalibration(GEOM, 1.225, 10.0)(thrusts)
+    assert len(pairs) == 4
+    for t, (saturated, omega) in zip(thrusts, pairs):
+        assert saturated == t
+        assert omega == hover_rotor_speed(GEOM, t, 1.225)
     assert isinstance(hover_rotor_speed(GEOM, 2.0, 1.225), float)
-    for bad in (0.0, -1.0, np.array([1.0, 0.0]), float("nan")):
+    for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ScenarioValidationError):
             hover_rotor_speed(GEOM, bad, 1.225)
+    with pytest.raises(ScenarioValidationError):
+        [hover_rotor_speed(GEOM, t, 1.225) for t in (1.0, 0.0)]
     # theta0/6 - theta_tw/8 <= 0: the blades make no hover thrust at any speed
     with pytest.raises(ScenarioValidationError):
         hover_rotor_speed(RotorGeometry(theta0=0.03, theta_tw=0.04), 1.0, 1.225)
@@ -284,7 +299,7 @@ def test_hover_calibration_lookup():
     weight = 10.0
     cal = HoverCalibration(GEOM, 1.225, weight)
     for t in (0.2 * weight, weight, 3.0 * weight):
-        omega = float(cal(t))
+        [(_, omega)] = cal([t])
         assert omega == pytest.approx(hover_speed_brentq(GEOM, t, 1.225), rel=1e-12)
 
 
@@ -293,24 +308,23 @@ def test_hover_calibration_clips_to_actuator_range():
     cal = HoverCalibration(GEOM, 1.225, weight)
     lo = hover_speed_brentq(GEOM, HOVER_THRUST_MIN_FRAC * weight, 1.225)
     hi = hover_speed_brentq(GEOM, HOVER_THRUST_MAX_FRAC * weight, 1.225)
-    assert float(cal(1e-4 * weight)) == pytest.approx(lo, rel=1e-12)
-    assert float(cal(10.0 * weight)) == pytest.approx(hi, rel=1e-12)
-    speeds = cal(np.array([-5.0, 1e-4 * weight, weight, 10.0 * weight]))
-    np.testing.assert_allclose(speeds, [lo, lo, hover_speed_brentq(GEOM, weight, 1.225), hi],
+    assert cal([1e-4 * weight])[0][1] == pytest.approx(lo, rel=1e-12)
+    assert cal([10.0 * weight])[0][1] == pytest.approx(hi, rel=1e-12)
+    pairs = cal([-5.0, 1e-4 * weight, weight, 10.0 * weight])
+    np.testing.assert_allclose([omega for _, omega in pairs],
+                               [lo, lo, hover_speed_brentq(GEOM, weight, 1.225), hi],
                                rtol=1e-12)
+    # the saturated thrusts come back with their speeds
+    assert [thrust for thrust, _ in pairs] == [HOVER_THRUST_MIN_FRAC * weight] * 2 + [
+        weight, HOVER_THRUST_MAX_FRAC * weight]
 
 
-def damped_fixed_point(geom, air, iters=20000):
+def damped_fixed_point(geom, rho, v_horiz, z_dot, omega, load, iters=20000):
     """The damped fixed point ``L <- L + (T_BE(L) - L) / 2`` that the Newton
-    solve replaced, iterated to a relative step of 1e-14; ``None`` when it
-    does not settle."""
-    tip = air.omega_rotor * geom.radius
-    mu = air.v_horiz / tip
-    pressure = air.rho * geom.disk_area * tip**2
-    load = air.weight_supported
+    solve replaced, started at ``load`` and iterated to a relative step of
+    1e-14; ``None`` when it does not settle."""
     for _ in range(iters):
-        nu1 = induced_velocity(dataclasses.replace(air, weight_supported=load), geom)
-        thrust = thrust_coefficient(geom, (nu1 - air.z_dot) / tip, mu) * pressure
+        thrust = static_wrench(geom, rho, v_horiz, z_dot, omega, load)[0]
         if abs(thrust - load) <= 1e-14 * max(abs(load), 1e-3):
             return thrust
         load += 0.5 * (thrust - load)
@@ -326,17 +340,16 @@ def test_coupled_solve_matches_fixed_point_over_runner_envelope():
     for _ in range(1500):
         thrust = hover * math.exp(rng.uniform(math.log(HOVER_THRUST_MIN_FRAC),
                                               math.log(HOVER_THRUST_MAX_FRAC)))
-        air = AirState(1.225, rng.uniform(0.0, 5.0), rng.uniform(-5.0, 8.0),
-                       hover_rotor_speed(GEOM, thrust, 1.225), thrust)
-        got = rotor_wrench(GEOM, air).thrust
-        oracle = damped_fixed_point(GEOM, air)
+        state = (1.225, rng.uniform(0.0, 5.0), rng.uniform(-5.0, 8.0),
+                 hover_rotor_speed(GEOM, thrust, 1.225))
+        got = rotor_wrench(GEOM, *state, thrust)[0]
+        oracle = damped_fixed_point(GEOM, *state, thrust)
         if oracle is None:
             continue
         if oracle < 0.0 < got:
             # strong descent: the fixed point settled on a negative root although
             # r(0) > 0, where the Newton solve returns the unique positive root
-            static = rotor_wrench(GEOM, dataclasses.replace(air, weight_supported=got), False)
-            assert static.thrust == pytest.approx(got, rel=1e-12)
+            assert static_wrench(GEOM, *state, got)[0] == pytest.approx(got, rel=1e-12)
             positive_instead += 1
             continue
         assert got == pytest.approx(oracle, rel=1e-9, abs=1e-15)
@@ -355,20 +368,17 @@ def test_coupled_solve_matches_fixed_point_over_runner_envelope():
     ],
 )
 def test_coupled_solve_is_self_consistent(v_horiz, z_dot, omega, start):
-    air = AirState(1.225, v_horiz, z_dot, omega, start)
-    coupled = rotor_wrench(GEOM, air)
-    static = rotor_wrench(GEOM, dataclasses.replace(air, weight_supported=coupled.thrust),
-                          coupled=False)
-    assert static.thrust == pytest.approx(coupled.thrust, rel=1e-12, abs=1e-14)
-    assert static.torque_shaft == pytest.approx(coupled.torque_shaft, rel=1e-12, abs=1e-14)
+    coupled = rotor_wrench(GEOM, 1.225, v_horiz, z_dot, omega, start)
+    static = static_wrench(GEOM, 1.225, v_horiz, z_dot, omega, coupled[0])
+    assert static[0] == pytest.approx(coupled[0], rel=1e-12, abs=1e-14)
+    assert static[2] == pytest.approx(coupled[2], rel=1e-12, abs=1e-14)
 
 
 def test_coupled_solve_non_finite_state_raises():
-    air = AirState(1.225, 1.0, float("nan"), 900.0, 10.0)
     with pytest.raises(NoConvergenceError):
-        rotor_wrench(GEOM, air)
+        rotor_wrench(GEOM, 1.225, 1.0, float("nan"), 900.0, 10.0)
 
 
 def test_zero_rotor_speed_raises():
     with pytest.raises(ZeroRotorSpeedError):
-        rotor_wrench(GEOM, AirState(omega_rotor=0.0))
+        rotor_wrench(GEOM, 1.225, 0.0, 0.0, 0.0, 0.0)

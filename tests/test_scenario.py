@@ -205,6 +205,11 @@ def _set(doc, path, value):
     ("attitude_track", "reference.yaw", [0, 0, 1e308], "must lie in [-1000, 1000]"),
     ("quad_track", "reference.amplitude", 1e308, "must be <= 1000"),
     ("quad_track", "reference.omega", 1e200, "must be <= 100"),
+    ("quad_track_aero", "initial.r", [1e300, 0, 0], "must lie in [-10000, 10000]"),
+    ("quad_track_aero", "initial.v", [1e300, 0, 0], "must lie in [-1000, 1000]"),
+    ("quad_track_aero", "initial.Omega", [1e300, 0, 0], "must lie in [-1000, 1000]"),
+    ("quad_track_aero", "position_gains.B", 1e300, "must lie in [-1e+06, 1e+06]"),
+    ("quad_track_aero", "position_gains.D", 1e300, "must lie in [-1e+06, 1e+06]"),
 ])
 def test_cli_validate_names_the_bad_field(tmp_path, capsys, name, path, value, message):
     # one mutated field of a shipped scenario: exit 2 and exactly one

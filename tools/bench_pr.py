@@ -14,9 +14,15 @@ one per side, seed ``S = SEED + pair``, ``T`` the ``run_seconds`` of
 ``BENCHMARK.json``, the parent first in even pairs and the change first in
 odd ones, each side with its own ``perfbench/``.  Then it runs one
 ``--trace 1`` invocation per side at the first seed, and times the Tier-1
-suite once per side.  Every one of these children gets its own new, empty
-``PYTHONPYCACHEPREFIX`` directory, so neither side loads bytecode that an
-earlier run cached: both compile ``geomech`` alike.
+suite once per side.
+
+Each side gets one bytecode cache, a new ``PYTHONPYCACHEPREFIX`` directory.
+Before any measurement, one untimed child with bytecode writing on imports
+``geomech.cli`` there, which compiles ``geomech``, numpy and the standard
+library modules a run loads.  Every measured child of that side (the bench
+runs, the traced runs and Tier-1) then reads the same warm cache, so both
+sides load ``geomech`` alike and the times show the program rather than the
+compiler.  No bytecode from an earlier run is used.
 
 The file has one schema whatever the workloads: for every end-to-end metric
 the per-side median, quartiles and interquartile range, the relative change
@@ -49,28 +55,34 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def _child_env(tmp: Path, **extra: str) -> dict:
-    """The environment of one child, with ``PYTHONPYCACHEPREFIX`` at a new
-    empty directory under ``tmp``."""
+CACHE_MODE = "warm: one PYTHONPYCACHEPREFIX per side, filled by an untimed `import geomech.cli`"
+
+
+def _warm_cache(side: Path, tmp: Path) -> str:
+    """A new bytecode cache directory under ``tmp``, filled for ``side`` by one
+    child that imports ``geomech.cli`` with bytecode writing on."""
     cache = tempfile.mkdtemp(prefix="pycache_", dir=tmp)
-    return {**os.environ, "PYTHONPYCACHEPREFIX": cache, **extra}
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": cache, "PYTHONPATH": "src"}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-c", "import geomech.cli"], cwd=side, env=env, check=True)
+    return cache
 
 
-def _bench(side: Path, tmp: Path, workload: str, seed: int, seconds: float,
+def _bench(side: Path, env: dict, workload: str, seed: int, seconds: float,
            trace: int) -> dict:
     """The JSON result line of one ``perfbench/run.py`` invocation in ``side``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=side, env=_child_env(tmp), capture_output=True, text=True)
+    out = subprocess.run(cmd, cwd=side, env=env, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
         raise SystemExit(f"bench_pr: {' '.join(cmd)} failed in {side}:\n{out.stderr}")
     return json.loads(lines[-1])
 
 
-def _tier1(side: Path, tmp: Path) -> dict:
+def _tier1(side: Path, env: dict) -> dict:
     """Wall time and outcome counts of one Tier-1 run in ``side``."""
-    env = _child_env(tmp, PYTHONPATH="src")
+    env = {**env, "PYTHONPATH": "src"}
     start = time.perf_counter()
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                           "--continue-on-collection-errors"],
@@ -131,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
         sides = {"parent": parent, "change": root}
+        # measured children only read the cache, so each one loads the same bytecode
+        envs = {side: {**os.environ, "PYTHONPYCACHEPREFIX": _warm_cache(path, tmp),
+                       "PYTHONDONTWRITEBYTECODE": "1"} for side, path in sides.items()}
 
         result = {
             "schema": SCHEMA,
@@ -141,6 +156,7 @@ def main(argv: list[str] | None = None) -> int:
             "change": {"base": _git("rev-parse", "HEAD"), "dirty": dirty},
             "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                         "platform": platform.platform()},
+            "bytecode_cache": CACHE_MODE,
             "pairs": PAIRS,
             "seeds": [SEED + i for i in range(PAIRS)],
             "workloads": {},
@@ -153,11 +169,11 @@ def main(argv: list[str] | None = None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = _bench(sides[side], tmp, name, seed, seconds, 0)
+                    pair[side] = _bench(sides[side], envs[side], name, seed, seconds, 0)
                     value = pair[side]["metrics"].get("wall_s", {}).get("value")
                     print(f"{name} seed {seed} {side:6s} wall_s {value}", file=sys.stderr)
                 pairs.append(pair)
-            traced = {side: _bench(sides[side], tmp, name, SEED, seconds, 1)
+            traced = {side: _bench(sides[side], envs[side], name, SEED, seconds, 1)
                       for side in ("parent", "change")}
             result["workloads"][name] = {
                 "summary": summarize(pairs, better),
@@ -168,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
                            for side, r in traced.items()},
                 "runs": pairs,
             }
-        result["tier1"] = {side: _tier1(path, tmp) for side, path in sides.items()}
+        result["tier1"] = {side: _tier1(path, envs[side]) for side, path in sides.items()}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
