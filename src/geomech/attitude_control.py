@@ -75,6 +75,7 @@ class AttitudeGains:
         self.P = _require_spd(self.P, "P")
         self.F = _require_spd(self.F, "F")
         self.S = _require_spd(self.S, "S")
+        self.p_rows, self.f_rows = tuple(_floats(self.P)), tuple(_floats(self.F))
         if not self.k_R > 0.0:
             raise ScenarioValidationError([("k_R", "must be > 0")])
 
@@ -205,8 +206,8 @@ def control_torque(
     ``(k_R/4) I``.
     """
     q = _torque_kernel(_floats(r), _floats(ref.R_d), _floats(ref.Omega_d),
-                       _floats(ref.Omega_d_dot), _floats(omega), _floats(inertia.j),
-                       _floats(gains.P), _floats(gains.F))[0]
+                       _floats(ref.Omega_d_dot), _floats(omega), inertia.j_rows,
+                       gains.p_rows, gains.f_rows)[0]
     return np.array(q)
 
 

@@ -77,12 +77,12 @@ _TRAP_FP = {"over": "raise", "invalid": "raise", "divide": "raise"}
 def _step_failure(exc: Exception, k: int, dt: float) -> SolverError:
     """The error ``exc`` raised inside step ``k`` of a run loop, naming the step.
 
-    The loops run under ``np.errstate(**_TRAP_FP)`` (set by ``runner.run``
-    and ``variational.simulate``).  An ``ArithmeticError`` (a trapped
-    floating-point event, a float overflow or a division by zero), or a
-    polar projection that meets ``det <= 0``, means the state is leaving
-    every finite bound and is reported as divergence.  Solver errors keep
-    their class; any other library error becomes a ``SolverError``.
+    ``runner.run`` runs the loops under ``np.errstate(**_TRAP_FP)``.  An
+    ``ArithmeticError`` (a trapped floating-point event, a float overflow or
+    a division by zero), or a polar projection that meets ``det <= 0``,
+    means the state is leaving every finite bound and is reported as
+    divergence.  Solver errors keep their class; any other library error
+    becomes a ``SolverError``.
     """
     where = f"step {k} (t={k * dt:.6g})"
     if isinstance(exc, (ArithmeticError, SingularInputError)):

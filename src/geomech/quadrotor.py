@@ -180,7 +180,7 @@ def tracking_step(
     # r_c is built orthonormal; the torque kernel refuses an antipodal error
     return (f, *_torque_kernel(
         R, _floats(r_c), _floats(omega_c), _floats(omega_c_dot), Om,
-        _floats(params.inertia.j), _floats(att_gains.P), _floats(att_gains.F),
+        params.inertia.j_rows, att_gains.p_rows, att_gains.f_rows,
     ))
 
 

@@ -63,6 +63,7 @@ class InertiaTensor:
         self.j_inv = np.linalg.inv(j)
         if not np.isfinite(self.j_inv).all():
             raise ScenarioValidationError([("inertia", "inverse is not finite")])
+        self.j_rows, self.j_inv_rows = tuple(_floats(j)), tuple(_floats(self.j_inv))
 
     @classmethod
     def from_diag(cls, a: float, b: float, c: float) -> "InertiaTensor":
@@ -158,7 +159,7 @@ def attitude_rhs(
     A potential moment (none is built in) is added to ``moment`` by the caller.
     """
     t_dot, w_dot = _rates(_floats(state.T), _floats(state.omega), _floats(moment),
-                          _floats(inertia.j), _floats(inertia.j_inv))
+                          inertia.j_rows, inertia.j_inv_rows)
     return np.reshape(t_dot, (3, 3)), np.array(w_dot)
 
 
@@ -175,7 +176,7 @@ def quadrotor_rhs(
     """
     v_dot = params.gravity_vector + (state.R @ np.asarray(f_body, dtype=float)) / params.mass
     R_dot, Omega_dot = _rates(_floats(state.R), _floats(state.Omega), _floats(m_body),
-                              _floats(params.inertia.j), _floats(params.inertia.j_inv))
+                              params.inertia.j_rows, params.inertia.j_inv_rows)
     return state.v, v_dot, np.reshape(R_dot, (3, 3)), np.array(Omega_dot)
 
 
@@ -303,7 +304,7 @@ def rk4_attitude_step(
         return _floats(torque_fn(ti, np.reshape(tm, (3, 3)), np.array(wi)))
 
     t_new, w_new = _attitude_rk4_core(_floats(state.T), _floats(state.omega),
-                                      _floats(inertia.j), _floats(inertia.j_inv), torque, t, dt)
+                                      inertia.j_rows, inertia.j_inv_rows, torque, t, dt)
     return RigidBodyState(np.reshape(t_new, (3, 3)), np.array(w_new))
 
 
@@ -321,7 +322,7 @@ def rk4_quadrotor_step(x, params: QuadrotorParams, f_body, m_body, dt: float):
     """
     r, v, R, Om = x
     g, mass = params.g, params.mass
-    jj, jinv = _floats(params.inertia.j), _floats(params.inertia.j_inv)
+    jj, jinv = params.inertia.j_rows, params.inertia.j_inv_rows
     f0, f1, f2 = f_body
 
     def deriv(Ri, Oi):

@@ -164,8 +164,8 @@ def _attitude_loop_numpy(ref, sc: Scenario):
     because the benchmark's tracer looks it up as ``runner._attitude_loop_numpy``.
     """
     dt, gains = sc.dt, sc.attitude_gains
-    jj, jinv = _floats(sc.inertia.j), _floats(sc.inertia.j_inv)
-    p_g, f_g = _floats(gains.P), _floats(gains.F)
+    jj, jinv = sc.inertia.j_rows, sc.inertia.j_inv_rows
+    p_g, f_g = gains.p_rows, gains.f_rows
     n = (ref.shape[0] - 1) // 2
     table = np.empty((n + 1, len(_ATTITUDE_COLUMNS)))
     side = np.empty((n + 1, 7))  # e_R, e_Omega, 1 + tr E
@@ -375,14 +375,13 @@ def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     jj = sc.inertia
 
     moment = [0.0] * 3 if sc.moment is None else _floats(sc.moment)
-    j_rows, jinv_rows = _floats(jj.j), _floats(jj.j_inv)
     t_mat, w = _floats(sc.initial.T), _floats(sc.initial.omega)
     rows = np.empty((n + 1, 12))  # T (row-major), omega
     rows[0] = (*t_mat, *w)
     try:
         for k in range(n):
             t_mat, w = _attitude_rk4_core(
-                t_mat, w, j_rows, jinv_rows, lambda t, T, wi: moment, k * dt, dt, moment
+                t_mat, w, jj.j_rows, jj.j_inv_rows, lambda t, T, wi: moment, k * dt, dt, moment
             )
             rows[k + 1] = (*t_mat, *w)
     except (ArithmeticError, GeomechError) as exc:

@@ -22,18 +22,21 @@ picks it:
 force covector for the body moment ``M``, which is constant over the step
 (there is no time sampling: a step sees only the vector it is given).  The
 two force covectors sum to ``T_mid M``, so the momentum update is
-``pi_{k+1} = pi_k + dt T_mid M``.  Newton runs on ``f`` with the
-closed-form Jacobian of ``G``; the O(dt^2) force term and the O(|f|^4)
-derivative of the arc ``c`` are left out of the Jacobian, and every case
-converges in about two iterations.  Every coefficient comes from
-``so3._sinc`` by the half-angle identities listed in ``so3``: with
+``pi_{k+1} = pi_k + dt T_mid M``.  Newton runs on ``f`` from ``dt omega_k``
+with the closed-form Jacobian of ``G``; the O(dt^2) force term and the
+O(|f|^4) derivative of the arc ``c`` are left out of the Jacobian, and every
+case converges in about two iterations.  One core on Python floats serves
+both measures, free or forced, and solves each 3x3 Newton system by the
+adjugate: the Jacobian stays close to the well-conditioned ``J``.
+:func:`vi_step` converts arrays at its boundary.  Every coefficient comes
+from ``so3._sinc`` by the half-angle identities listed in ``so3``: with
 ``y = |f|/2``, the chord ``(1 - cos|f|)/|f|^2 = a(y)^2/2``, the arc
-``c = -d(y)/(4 a(y))`` and ``tan(|f|/4)/|f| = a(|f|/4)/(4 cos(|f|/4))``.  Attitudes stay
-on SO(3) exactly by construction; no re-orthogonalisation is ever applied.
-The space-frame derivation of the same equation (midpoint quantities,
-momentum covectors ``theta_minus``/``theta_plus`` and ``discrete_forces``)
-is kept in ``tests/oracles.py``, as the oracle the tests check
-:func:`vi_step` against.
+``c = -d(y)/(4 a(y))`` and ``tan(|f|/4)/|f| = a(|f|/4)/(4 cos(|f|/4))``.
+Attitudes stay on SO(3) exactly by construction; no re-orthogonalisation is
+ever applied.  The space-frame derivation of the same equation (midpoint
+quantities, momentum covectors ``theta_minus``/``theta_plus`` and
+``discrete_forces``) is kept in ``tests/oracles.py``, as the oracle the
+tests check :func:`vi_step` against.
 
 Two measures of the step rotation are supported in the discrete kinetic
 energy (``IntegratorConfig.step_measure``):
@@ -56,9 +59,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _TRAP_FP, GeomechError, NoConvergenceError, _step_failure
-from .rigid_body import InertiaTensor, RigidBodyState, energy_momentum_rows
-from .so3 import Array, _check_step_angle, _sinc, cross3, exp_so3, hat, orthogonality_defects
+from .errors import DivergenceError, GeomechError, NoConvergenceError, _step_failure
+from .rigid_body import InertiaTensor, RigidBodyState, _require_finite, energy_momentum_rows
+from .so3 import Array, _check_step_angle, _sinc, orthogonality_defects
 from .timeseries import TimeSeries
 
 
@@ -89,13 +92,106 @@ class StepResult:
     pi_next: Array
 
 
-def _body_force_minus(f: Array, theta: float, moment_body: Array) -> Array:
-    """``T_k^T`` times the lower force covector (``discrete_forces`` of the
-    test oracle): ``(M + (tan(|f|/4)/|f|) f x M)/2`` for the body increment
-    ``f`` of angle ``theta``, with ``tan(x/4)/x = a(x/4) / (4 cos(x/4))``."""
-    quarter = 0.25 * theta
-    tau = 0.25 * _sinc(quarter)[0] / math.cos(quarter)
-    return 0.5 * (moment_body + tau * cross3(f, moment_body))
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _d_cross(f, m, v) -> tuple:
+    """``hat(f) M - hat(v)`` (row-major) for 3-sequences ``f``, ``v`` and a
+    row-major ``M``: the derivative of ``f x M f`` when ``v = M f``."""
+    (f0, f1, f2), (v0, v1, v2) = f, v
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    return (f1 * m6 - f2 * m3, f1 * m7 - f2 * m4 + v2, f1 * m8 - f2 * m5 - v1,
+            f2 * m0 - f0 * m6 - v2, f2 * m1 - f0 * m7, f2 * m2 - f0 * m8 + v0,
+            f0 * m3 - f1 * m0 + v1, f0 * m4 - f1 * m1 - v0, f0 * m5 - f1 * m2)
+
+
+def _rodrigues(v, f, a: float, b: float) -> tuple:
+    """``exp_so3(f) v = v + a f x v + b f x (f x v)`` for 3-sequences, given
+    ``a = a(|f|)`` and ``b = a(|f|/2)^2 / 2``."""
+    (v0, v1, v2), (f0, f1, f2) = v, f
+    c0, c1, c2 = f1 * v2 - f2 * v1, f2 * v0 - f0 * v2, f0 * v1 - f1 * v0
+    return (v0 + a * c0 + b * (f1 * c2 - f2 * c1), v1 + a * c1 + b * (f2 * c0 - f0 * c2),
+            v2 + a * c2 + b * (f0 * c1 - f1 * c0))
+
+
+def _vi_core(tm, w, pi, m, inertia: InertiaTensor, cfg: IntegratorConfig):
+    """One step of every kind on Python floats: ``tm`` (``T_k``, row-major),
+    ``w`` (``omega_k``), ``pi`` (``pi_k``) and the body moment ``m`` (``None``:
+    free motion) are float sequences.  Returns ``(T_{k+1}, omega_{k+1},
+    pi_{k+1}, iterations, residual)``; :func:`vi_step` states the failures."""
+    dt, tol, chord = cfg.dt, cfg.newton_tol, cfg.step_measure == "chord"
+    t0, t1, t2, t3, t4, t5, t6, t7, t8 = tm
+    j0, j1, j2, j3, j4, j5, j6, j7, j8 = jj = inertia.j_rows
+    p0, p1, p2 = pi
+    g0, g1, g2 = (dt * (t0 * p0 + t3 * p1 + t6 * p2), dt * (t1 * p0 + t4 * p1 + t7 * p2),
+                  dt * (t2 * p0 + t5 * p1 + t8 * p2))  # dt T_k^T pi_k
+    f0, f1, f2 = dt * w[0], dt * w[1], dt * w[2]
+    for iters in range(cfg.max_iters + 1):
+        theta2 = f0 * f0 + f1 * f1 + f2 * f2
+        if not math.isfinite(theta2):
+            raise DivergenceError("state diverged: overflow in the step increment")
+        _check_step_angle(theta2)
+        theta = math.sqrt(theta2)
+        half_a, half_d = _sinc(0.5 * theta)
+        h0, h1, h2 = (j0 * f0 + j1 * f1 + j2 * f2, j3 * f0 + j4 * f1 + j5 * f2,
+                      j6 * f0 + j7 * f1 + j8 * f2)  # J f
+        x0, x1, x2 = f1 * h2 - f2 * h1, f2 * h0 - f0 * h2, f0 * h1 - f1 * h0  # f x J f
+        if chord:
+            # a = sin|f|/|f|, b = (1 - cos|f|)/|f|^2, and their derivatives over |f|
+            a, da = _sinc(theta)
+            b, db = 0.5 * half_a * half_a, 0.25 * half_a * half_d
+            r0, r1, r2 = a * h0 + b * x0 - g0, a * h1 + b * x1 - g1, a * h2 + b * x2 - g2
+        else:
+            c = -0.25 * half_d / half_a  # the dexp^{-1} coefficient (module docstring)
+            y0, y1, y2 = f1 * x2 - f2 * x1, f2 * x0 - f0 * x2, f0 * x1 - f1 * x0
+            r0, r1, r2 = (h0 + 0.5 * x0 + c * y0 - g0, h1 + 0.5 * x1 + c * y1 - g1,
+                          h2 + 0.5 * x2 + c * y2 - g2)
+        if m is not None:
+            # dt^2 F_minus = dt^2 (M + tau f x M)/2 with tau = a(|f|/4) / (4 cos(|f|/4))
+            (m0, m1, m2), quarter_a = m, _sinc(0.25 * theta)[0]
+            tau, s = 0.25 * quarter_a / math.cos(0.25 * theta), dt * dt
+            r0 -= s * (0.5 * (m0 + tau * (f1 * m2 - f2 * m1)))
+            r1 -= s * (0.5 * (m1 + tau * (f2 * m0 - f0 * m2)))
+            r2 -= s * (0.5 * (m2 + tau * (f0 * m1 - f1 * m0)))
+        res = max(abs(r0), abs(r1), abs(r2)) / dt
+        if res <= tol:
+            break
+        if iters == cfg.max_iters:
+            raise NoConvergenceError(
+                f"residual {res:.3e} above tolerance {tol:.1e} after {iters} iterations")
+        d = _d_cross((f0, f1, f2), jj, (h0, h1, h2))  # derivative of f x J f
+        if chord:
+            u0, u1, u2 = da * h0 + db * x0, da * h1 + db * x1, da * h2 + db * x2
+            e = (u0 * f0, u0 * f1, u0 * f2, u1 * f0, u1 * f1, u1 * f2, u2 * f0, u2 * f1, u2 * f2)
+            jac = [a * ji + b * di + ei for ji, di, ei in zip(jj, d, e)]
+        else:
+            e = _d_cross((f0, f1, f2), d, (x0, x1, x2))
+            jac = [ji + 0.5 * di + c * ei for ji, di, ei in zip(jj, d, e)]
+        # f -= jac^-1 r by the adjugate; the first row's cofactors give det
+        k0, k1, k2, k3, k4, k5, k6, k7, k8 = jac
+        c0, c1, c2 = k4 * k8 - k5 * k7, k5 * k6 - k3 * k8, k3 * k7 - k4 * k6
+        det = k0 * c0 + k1 * c1 + k2 * c2
+        if not (det != 0.0 and math.isfinite(det)):
+            raise NoConvergenceError(f"singular Newton Jacobian at iter {iters}")
+        f0, f1, f2 = (f0 - (c0 * r0 + (k2 * k7 - k1 * k8) * r1 + (k1 * k5 - k2 * k4) * r2) / det,
+                      f1 - (c1 * r0 + (k0 * k8 - k2 * k6) * r1 + (k2 * k3 - k0 * k5) * r2) / det,
+                      f2 - (c2 * r0 + (k1 * k6 - k0 * k7) * r1 + (k0 * k4 - k1 * k3) * r2) / det)
+    if m is not None:  # pi_k + dt T_mid M with T_mid = T_k exp_so3(f/2)
+        u0, u1, u2 = _rodrigues(m, (0.5 * f0, 0.5 * f1, 0.5 * f2), half_a,
+                                0.5 * quarter_a * quarter_a)
+        p0, p1, p2 = (p0 + dt * (t0 * u0 + t1 * u1 + t2 * u2),
+                      p1 + dt * (t3 * u0 + t4 * u1 + t5 * u2),
+                      p2 + dt * (t6 * u0 + t7 * u1 + t8 * u2))
+    a, b = (a, b) if chord else (_sinc(theta)[0], 0.5 * half_a * half_a)
+    cols = [_rodrigues(u, (f0, f1, f2), a, b) for u in _AXES]  # exp_so3(f) by columns
+    n = tuple(r0 * c0 + r1 * c1 + r2 * c2 for r0, r1, r2 in (tm[:3], tm[3:6], tm[6:])
+              for c0, c1, c2 in cols)  # T_{k+1} = T_k exp_so3(f)
+    q0, q1, q2 = (n[0] * p0 + n[3] * p1 + n[6] * p2, n[1] * p0 + n[4] * p1 + n[7] * p2,
+                  n[2] * p0 + n[5] * p1 + n[8] * p2)  # T_{k+1}^T pi_{k+1}
+    i0, i1, i2, i3, i4, i5, i6, i7, i8 = inertia.j_inv_rows
+    w_new = (i0 * q0 + i1 * q1 + i2 * q2, i3 * q0 + i4 * q1 + i5 * q2, i6 * q0 + i7 * q1 + i8 * q2)
+    _require_finite({"T": n, "omega": w_new, "pi": (p0, p1, p2)})
+    return n, w_new, (p0, p1, p2), iters, res
 
 
 def vi_step(
@@ -111,74 +207,19 @@ def vi_step(
     ``moment`` is the body-frame moment ``M``, constant over the step; pass
     ``None`` for free motion.  ``pi_k`` optionally supplies the spatial
     momentum directly (``simulate`` threads it through so long runs never
-    re-derive the covariant state from ``omega``).
-
-    Solves ``G(f) - dt^2 F_minus(f, M) = dt T_k^T pi_k`` for the body
-    increment ``f`` (see the module docstring) by Newton from
-    ``f = dt omega_k``, with the closed-form Jacobian of the measure's left
-    side ``G``; the O(dt^2) force term and the O(|f|^4) derivative of the arc
-    coefficient are left out of the Jacobian.  The new
-    momentum is ``pi_k + dt T_mid M``.  ``residual`` is the max-abs body
-    residual divided by ``dt`` (momentum units) at the returned step.
-    Raises ``NoConvergenceError`` if ``max_iters`` runs out before
-    ``newton_tol`` is met or the Jacobian is singular, and
-    ``DegenerateMeanError`` if an iterate reaches a 180-degree relative
-    rotation (reduce ``dt``).
+    re-derive the covariant state from ``omega``).  ``residual`` is the
+    max-abs body residual divided by ``dt`` (momentum units) at the returned
+    step.  Raises ``NoConvergenceError`` if ``max_iters`` runs out before
+    ``newton_tol`` is met or the Jacobian is singular, ``DegenerateMeanError``
+    if an iterate reaches a 180-degree relative rotation (reduce ``dt``), and
+    ``DivergenceError`` if the increment overflows or the stepped ``T``,
+    ``omega`` or ``pi`` is not finite.
     """
-    dt = cfg.dt
-    jj = inertia.j
-    if pi_k is None:
-        pi_k = t_k @ (jj @ omega_k)
-    chord = cfg.step_measure == "chord"
-    m_body = None if moment is None else np.asarray(moment, dtype=float)
-    target = dt * (t_k.T @ pi_k)
-    f = dt * omega_k
-    iters = 0
-    while True:
-        theta2 = float(f @ f)
-        _check_step_angle(theta2)
-        theta = math.sqrt(theta2)
-        half_a, half_d = _sinc(0.5 * theta)
-        jf = jj @ f
-        fxjf = cross3(f, jf)
-        if chord:
-            # a = sin|f|/|f|, b = (1 - cos|f|)/|f|^2, and their derivatives over |f|
-            a, da = _sinc(theta)
-            b, db = 0.5 * half_a * half_a, 0.25 * half_a * half_d
-            res = a * jf + b * fxjf - target
-        else:
-            c = -0.25 * half_d / half_a  # the dexp^{-1} coefficient (module docstring)
-            fxfxjf = cross3(f, fxjf)
-            res = jf + 0.5 * fxjf + c * fxfxjf - target
-        if m_body is not None:
-            res = res - (dt * dt) * _body_force_minus(f, theta, m_body)
-        res_norm = float(np.abs(res).max()) / dt
-        if res_norm <= cfg.newton_tol:
-            break
-        if iters == cfg.max_iters:
-            raise NoConvergenceError(
-                f"residual {res_norm:.3e} above tolerance {cfg.newton_tol:.1e} "
-                f"after {iters} iterations"
-            )
-        f_hat = hat(f)
-        d_fxjf = f_hat @ jj - hat(jf)  # derivative of f x J f
-        if chord:
-            jac = a * jj + b * d_fxjf + np.outer(da * jf + db * fxjf, f)
-        else:
-            jac = jj + 0.5 * d_fxjf + c * (f_hat @ d_fxjf - hat(fxjf))
-        try:
-            f = f - np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"singular Newton Jacobian at iter {iters}") from exc
-        iters += 1
-    t_k1 = t_k @ exp_so3(f)
-    # The two force covectors sum to the midpoint moment T_mid M, and
-    # T_mid = T_k exp_so3(f/2); free motion transports pi unchanged.
-    pi_k1 = pi_k
-    if m_body is not None:
-        pi_k1 = pi_k + dt * (t_k @ (exp_so3(0.5 * f) @ m_body))
-    omega_k1 = inertia.j_inv @ (t_k1.T @ pi_k1)
-    return StepResult(t_k1, omega_k1, iters, res_norm, pi_k1)
+    pi_k = t_k @ (inertia.j @ omega_k) if pi_k is None else pi_k
+    t_new, w_new, pi_new, iters, res = _vi_core(
+        t_k.ravel().tolist(), omega_k.tolist(), pi_k.tolist(),
+        None if moment is None else np.asarray(moment, dtype=float).tolist(), inertia, cfg)
+    return StepResult(np.array(t_new).reshape(3, 3), np.array(w_new), iters, res, np.array(pi_new))
 
 
 _SIMULATE_COLUMNS = (
@@ -200,13 +241,12 @@ def simulate(
     ``H``, spatial momentum ``Pi``, the orthogonality defect, and per-step
     Newton diagnostics.  ``t_final = 0`` yields the single initial record.
     Every step sees the same constant body ``moment`` (``None``: free motion).
-    The steps run under the floating-point trap of the run loops, and any
-    failure is re-raised through ``errors._step_failure``, naming the step.
+    The float step checks its own arithmetic, and any failure is re-raised
+    through ``errors._step_failure``, naming the step.
     """
     dt = cfg.dt
     n_steps = int(round(t_final / dt)) if t_final > 0.0 else 0
-    t_mat = np.asarray(initial.T, dtype=float)
-    omega = np.asarray(initial.omega, dtype=float)
+    t_mat, omega = initial.T, initial.omega
 
     table = np.zeros((n_steps + 1, len(_SIMULATE_COLUMNS)))
     col = _SIMULATE_COLUMNS.index
@@ -215,12 +255,11 @@ def simulate(
     t_hist[0], w_hist[0] = t_mat.ravel(), omega
     pi = t_mat @ (inertia.j @ omega)
     try:
-        with np.errstate(**_TRAP_FP):
-            for k in range(n_steps):
-                result = vi_step(t_mat, omega, moment, inertia, cfg, pi_k=pi)
-                t_mat, omega, pi = result.T_next, result.omega_next, result.pi_next
-                t_hist[k + 1], w_hist[k + 1] = t_mat.ravel(), omega
-                iters_h[k + 1], res_h[k + 1] = result.newton_iters, result.residual
+        for k in range(n_steps):
+            result = vi_step(t_mat, omega, moment, inertia, cfg, pi_k=pi)
+            t_mat, omega, pi = result.T_next, result.omega_next, result.pi_next
+            t_hist[k + 1], w_hist[k + 1] = t_mat.ravel(), omega
+            iters_h[k + 1], res_h[k + 1] = result.newton_iters, result.residual
     except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
     table[:, col("t")] = dt * np.arange(n_steps + 1)

@@ -7,6 +7,8 @@ parity tests compare the float kernels with them.  ``rk4_step`` is the
 generic RK4 step on a flat state vector that the quadrotor step is checked
 against.  ``aero_wrench`` sums the four rotors' loads into the body wrench
 with 3-vectors and ``np.cross``, the check of the runner's float assembly.
+``vi_step`` is the numpy body-frame variational step, the many-step check of
+the library's float core ``variational._vi_core``.
 
 The space-frame covector route is the second derivation of the variational
 step's discrete Lagrange-d'Alembert equation (Marsden & West, Acta Numerica
@@ -36,13 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from geomech.attitude_control import ANTIPODAL_TOL
-from geomech.errors import AntipodalError
+from geomech.errors import AntipodalError, NoConvergenceError
 from geomech.quadrotor import ROTOR_SPIN, rotor_positions, rotor_thrusts
 from geomech.rigid_body import InertiaTensor
 from geomech.rotor_aero import hover_rotor_speed, rotor_wrench
 from geomech.so3 import (
     Array, _check_step_angle, _sinc, exp_so3, hat, log_so3, polar_project, tilde,
 )
+from geomech.variational import IntegratorConfig
 
 _EYE3 = np.eye(3)
 
@@ -157,6 +160,49 @@ def aero_wrench(model, r_mat, v, omega, f_cmd, q_cmd):
         force += f
         moment += spin * (roll * d - np.array([0.0, 0.0, q])) + np.cross(arm, f)
     return force, moment
+
+
+def vi_step(t_k, omega_k, moment, inertia: InertiaTensor, cfg: IntegratorConfig, pi_k):
+    """One body-frame variational step on numpy: ``(T_{k+1}, omega_{k+1},
+    pi_{k+1})``.  Newton on ``G(f) - dt^2 F_minus(f, M) = dt T_k^T pi_k`` from
+    ``f = dt omega_k`` with the closed-form Jacobian of ``G`` and
+    ``np.linalg.solve``; ``moment = None`` is free motion."""
+    dt, jj = cfg.dt, inertia.j
+    chord = cfg.step_measure == "chord"
+    target = dt * (t_k.T @ pi_k)
+    f = dt * omega_k
+    for _ in range(cfg.max_iters + 1):
+        theta2 = float(f @ f)
+        _check_step_angle(theta2)
+        theta = math.sqrt(theta2)
+        half_a, half_d = _sinc(0.5 * theta)
+        jf = jj @ f
+        fxjf = cross3(f, jf)
+        if chord:
+            a, da = _sinc(theta)
+            b, db = 0.5 * half_a * half_a, 0.25 * half_a * half_d
+            res = a * jf + b * fxjf - target
+        else:
+            c = -0.25 * half_d / half_a
+            res = jf + 0.5 * fxjf + c * cross3(f, fxjf) - target
+        if moment is not None:
+            quarter = 0.25 * theta
+            tau = 0.25 * _sinc(quarter)[0] / math.cos(quarter)
+            res = res - (dt * dt) * (0.5 * (moment + tau * cross3(f, moment)))
+        if float(np.abs(res).max()) / dt <= cfg.newton_tol:
+            break
+        f_hat = hat(f)
+        d_fxjf = f_hat @ jj - hat(jf)  # derivative of f x J f
+        if chord:
+            jac = a * jj + b * d_fxjf + np.outer(da * jf + db * fxjf, f)
+        else:
+            jac = jj + 0.5 * d_fxjf + c * (f_hat @ d_fxjf - hat(fxjf))
+        f = f - np.linalg.solve(jac, res)
+    else:
+        raise NoConvergenceError(f"no convergence in {cfg.max_iters} iterations")
+    t_k1 = t_k @ exp_so3(f)
+    pi_k1 = pi_k if moment is None else pi_k + dt * (t_k @ (exp_so3(0.5 * f) @ moment))
+    return t_k1, inertia.j_inv @ (t_k1.T @ pi_k1), pi_k1
 
 
 @dataclass

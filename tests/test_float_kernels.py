@@ -8,9 +8,10 @@ import pytest
 
 import oracles
 from geomech.attitude_control import _torque_kernel
-from geomech.rigid_body import _attitude_rk4_core, _fast_polar, _rates
+from geomech.rigid_body import InertiaTensor, _attitude_rk4_core, _fast_polar, _rates
 from geomech.runner import _AeroModel
 from geomech.scenario import parse_scenario
+from geomech.variational import IntegratorConfig, _vi_core
 
 from conftest import random_rotation
 
@@ -172,3 +173,26 @@ def test_aero_wrench_assembly_matches_the_numpy_oracle():
         f_o, m_o = oracles.aero_wrench(model, r_mat, v, omega, f_cmd, q_cmd)
         got, want = np.concatenate([f, m]), np.concatenate([f_o, m_o])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("measure", ["chord", "arc"])
+@pytest.mark.parametrize("forced", [False, True])
+def test_vi_core_tracks_the_oracle_over_many_steps(measure, forced):
+    # 2,000 steps of the float core and of the numpy body-frame step from one
+    # draw like the benchmark's: J_i ~ U(1.5, 3), a uniform T0, |w0| ~ U(0.5, 2)
+    rng = np.random.default_rng(1700 + 2 * forced + (measure == "arc"))
+    inertia = InertiaTensor.from_diag(*rng.uniform(1.5, 3.0, size=3))
+    t_o = random_rotation(rng)
+    w_o = rng.normal(size=3)
+    w_o *= rng.uniform(0.5, 2.0) / np.linalg.norm(w_o)
+    m = rng.uniform(-1.0, 1.0, size=3) if forced else None
+    cfg = IntegratorConfig(dt=0.01, step_measure=measure)
+    pi_o = t_o @ (inertia.j @ w_o)
+    tm, w, pi = _flat(t_o), _flat(w_o), _flat(pi_o)
+    for _ in range(2000):
+        tm, w, pi, _, res = _vi_core(tm, w, pi, None if m is None else _flat(m), inertia, cfg)
+        assert res <= cfg.newton_tol
+        t_o, w_o, pi_o = oracles.vi_step(t_o, w_o, m, inertia, cfg, pi_o)
+    for got, want in ((tm, t_o), (w, w_o), (pi, pi_o)):
+        want = np.ravel(want)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-12 * max(1.0, np.abs(want).max())

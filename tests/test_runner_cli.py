@@ -507,17 +507,28 @@ def test_cli_attitude_gain_overflow_exits_3_naming_a_step(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "compare"])
-@pytest.mark.parametrize("omega, message", [
+_VI_BLOWUPS = [
     ([1e200, 0.0, 0.0], "state diverged: overflow"),  # |omega|^2 overflows
     ([1e155, 1e155, 0.0], "relative rotation 1.41421e+153 rad"),  # finite, far past pi
+]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("omega, message, kind", [
+    # the chord free step under its first ids, then the arc and the forced step
+    *(pytest.param(*row, {}, id=f"omega{i}-{row[1]}") for i, row in enumerate(_VI_BLOWUPS)),
+    *(pytest.param(*row, {"integrator": {"step_measure": "arc"}}, id=f"arc-omega{i}-{row[1]}")
+      for i, row in enumerate(_VI_BLOWUPS)),
+    *(pytest.param(*row, {"moment": [0.5, -0.2, 0.1]}, id=f"forced-omega{i}-{row[1]}")
+      for i, row in enumerate(_VI_BLOWUPS)),
 ])
-def test_cli_vi_blowup_exits_3_with_one_line(tmp_path, capsys, command, omega, message):
-    # the VI steps run under the same floating-point trap and step-naming
-    # error map as the other loops; warnings are errors, so nothing but the
-    # one failure line can reach stderr
+def test_cli_vi_blowup_exits_3_with_one_line(tmp_path, capsys, command, omega, message, kind):
+    # every step kind maps its failures alike: the VI steps run under the
+    # same floating-point trap and step-naming error map as the other loops;
+    # warnings are errors, so nothing but the one failure line can reach stderr
     doc = json.loads(open("scenarios/free_body.json", "rb").read())
     doc["initial"]["omega"] = omega
+    doc.update(kind)
     path = tmp_path / "blowup.json"
     path.write_text(json.dumps(doc))
     out_dir = tmp_path / "out"

@@ -11,7 +11,6 @@ from geomech.rigid_body import (
     RigidBodyState,
     rk4_attitude_step,
 )
-from geomech import variational
 from geomech.so3 import _sinc, exp_so3, log_so3
 from geomech.variational import IntegratorConfig, simulate, vi_step
 
@@ -298,18 +297,16 @@ def _exact_coefficients(theta: float) -> dict[str, Decimal]:
 
 def _scheme_coefficients(theta: float) -> dict[str, float]:
     """Every step coefficient at ``theta`` as the scheme builds it from
-    ``_sinc`` by half-angle identities; ``tan(theta/4)/theta`` is read off
-    the lower force covector."""
+    ``_sinc`` by the half-angle identities of the ``variational`` module
+    docstring."""
     a, d = _sinc(theta)
     half_a, half_d = _sinc(0.5 * theta)
-    f_dir, moment = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
-    force = variational._body_force_minus(theta * f_dir, theta, moment)
     return {
         "a": a, "d": d,
         "b": 0.5 * half_a * half_a, "db": 0.25 * half_a * half_d,
         "c": -0.25 * half_d / half_a,
         "chord": half_a, "dchord": 0.25 * half_d,
-        "tau": -2.0 * force[1] / theta,
+        "tau": 0.25 * _sinc(0.25 * theta)[0] / math.cos(0.25 * theta),
         "log": 0.5 / a,
     }
 

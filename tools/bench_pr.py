@@ -27,7 +27,11 @@ compiler.  No bytecode from an earlier run is used.
 The file has one schema whatever the workloads: for every end-to-end metric
 the per-side median, quartiles and interquartile range, the relative change
 of the medians, and in how many pairs the change was better; for every
-per-layer metric the traced value of each side; and every raw result.
+per-layer metric the traced value of each side; and every raw result.  Each
+untraced raw result also keeps the two unscaled medians the invocation
+prints, the calibration child's wall time and the raw ``wall_s``, under
+``unscaled``: the scaled ``wall_s`` divides by the calibration time, which
+moves with the bytecode cache as well as with the machine.
 """
 
 from __future__ import annotations
@@ -68,16 +72,29 @@ def _warm_cache(side: Path, tmp: Path) -> str:
     return cache
 
 
+# the unscaled medians an untraced invocation prints before its JSON line
+_UNSCALED = {"calibration_s": re.compile(r"^calibration\s+(\S+) s "),
+             "raw_wall_s": re.compile(r"^raw wall_s\s+(\S+) s ")}
+
+
 def _bench(side: Path, env: dict, workload: str, seed: int, seconds: float,
            trace: int) -> dict:
-    """The JSON result line of one ``perfbench/run.py`` invocation in ``side``."""
+    """The JSON result line of one ``perfbench/run.py`` invocation in ``side``,
+    with the unscaled medians of the calibration child and of the full-length
+    runs under ``unscaled``, so that scaled ``wall_s`` values measured under
+    different conditions can be traced back to what was timed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=side, env=env, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
         raise SystemExit(f"bench_pr: {' '.join(cmd)} failed in {side}:\n{out.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    unscaled = {name: float(m[1]) for line in lines for name, pattern in _UNSCALED.items()
+                if (m := pattern.match(line))}
+    if unscaled:
+        result["unscaled"] = unscaled
+    return result
 
 
 def _tier1(side: Path, env: dict) -> dict:
