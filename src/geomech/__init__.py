@@ -21,7 +21,6 @@ from . import (  # noqa: F401
 from .rigid_body import (  # noqa: F401
     InertiaTensor,
     QuadrotorParams,
-    QuadrotorState,
     RigidBodyState,
 )
 from .runner import run  # noqa: F401

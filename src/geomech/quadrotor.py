@@ -14,15 +14,16 @@ ticks (they have no closed form).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude_control import AttitudeGains, _require_spd, _torque_kernel
-from .errors import DegenerateHeadingError, ZeroForceError
+from .attitude_control import _require_spd, _torque_kernel
+from .errors import DegenerateHeadingError, DivergenceError, ZeroForceError
 from .rigid_body import QuadrotorParams, _floats
 from .references import TrajectoryReference
-from .so3 import Array, cross3, log_so3
+from .so3 import Array, _log_kernel
 
 # re-exported: the vehicle constants live with the plant model
 __all__ = [
@@ -56,11 +57,60 @@ class PositionGains:
         self.B = _require_spd(self.B, "B")
         self.C = _require_spd(self.C, "C")
         self.D = _require_spd(self.D, "D")
+        self.b_rows, self.d_rows = tuple(_floats(self.B)), tuple(_floats(self.D))
+
+
+def _velocity_target(r, r_d, v_d, b) -> tuple[float, float, float]:
+    """``v_d - B (r - r_d)`` on floats (``B`` row-major); on ``(v, v_d, a_d)``
+    it is the target's analytic derivative ``a_d - B (v - v_d)``."""
+    e0, e1, e2 = r[0] - r_d[0], r[1] - r_d[1], r[2] - r_d[2]
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (v_d[0] - (b0 * e0 + b1 * e1 + b2 * e2), v_d[1] - (b3 * e0 + b4 * e1 + b5 * e2),
+            v_d[2] - (b6 * e0 + b7 * e1 + b8 * e2))
+
+
+def _force_kernel(r, v, r_d, v_d, a_d, mass: float, g: float, b, d) -> tuple:
+    """The translational law on floats: ``m dv_target/dt - m G - D (v - v_target)``
+    with ``G = (0, 0, -g)`` and ``B``, ``D`` row-major."""
+    t0, t1, t2 = _velocity_target(r, r_d, v_d, b)
+    a0, a1, a2 = _velocity_target(v, v_d, a_d, b)
+    e0, e1, e2 = v[0] - t0, v[1] - t1, v[2] - t2
+    d0, d1, d2, d3, d4, d5, d6, d7, d8 = d
+    return (mass * a0 - (d0 * e0 + d1 * e1 + d2 * e2), mass * a1 - (d3 * e0 + d4 * e1 + d5 * e2),
+            mass * a2 + mass * g - (d6 * e0 + d7 * e1 + d8 * e2))
+
+
+def _thrust(force, R) -> float:
+    """Projection of the force on the body z column of ``R`` (row-major)."""
+    return force[0] * R[2] + force[1] * R[5] + force[2] * R[8]
+
+
+def _attitude_kernel(force, b_1d) -> tuple:
+    """The commanded attitude on floats, row-major: ``b3`` along the force,
+    ``b1`` the hint projected onto the plane normal to it, ``b2 = b3 x b1``."""
+    f0, f1, f2 = force
+    norm = math.sqrt(f0 * f0 + f1 * f1 + f2 * f2)
+    if norm == math.inf:  # float overflow is not trapped
+        raise DivergenceError("state diverged: overflow in the force command")
+    if norm <= 1e-8:
+        raise ZeroForceError(f"force command norm {norm:.3e} cannot define an attitude")
+    z0, z1, z2 = f0 / norm, f1 / norm, f2 / norm
+    h0, h1, h2 = b_1d
+    dot = z0 * h0 + z1 * h1 + z2 * h2
+    p0, p1, p2 = h0 - dot * z0, h1 - dot * z1, h2 - dot * z2  # = -b3 x (b3 x b_1d)
+    proj_norm = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2)
+    if proj_norm < 1e-4:
+        raise DegenerateHeadingError(f"heading hint within {proj_norm:.1e} rad of the thrust axis")
+    x0, x1, x2 = p0 / proj_norm, p1 / proj_norm, p2 / proj_norm
+    return (x0, z1 * x2 - z2 * x1, z0,
+            x1, z2 * x0 - z0 * x2, z1,
+            x2, z0 * x1 - z1 * x0, z2)
 
 
 def velocity_target(r: Array, ref: TrajectoryReference, gains: PositionGains) -> Array:
     """Velocity command ``v_d - B (r - r_d)``."""
-    return ref.v_d - gains.B @ (r - ref.r_d)
+    return np.array(_velocity_target(_floats(r), _floats(ref.r_d), _floats(ref.v_d),
+                                     gains.b_rows))
 
 
 def force_command(
@@ -74,18 +124,14 @@ def force_command(
 
     The command derivative is analytic: ``dv_target/dt = a_d - B (v - v_d)``.
     """
-    v_tar = velocity_target(r, ref, gains)
-    v_tar_dot = ref.a_d - gains.B @ (v - ref.v_d)
-    return (
-        params.mass * v_tar_dot
-        - params.mass * params.gravity_vector
-        - gains.D @ (v - v_tar)
-    )
+    return np.array(_force_kernel(_floats(r), _floats(v), _floats(ref.r_d), _floats(ref.v_d),
+                                  _floats(ref.a_d), params.mass, params.g, gains.b_rows,
+                                  gains.d_rows))
 
 
 def thrust_scalar(force_cmd: Array, r_mat: Array) -> float:
     """Projection of the force command on the current body z-axis (N)."""
-    return float(force_cmd @ r_mat[:, 2])
+    return _thrust(_floats(force_cmd), _floats(r_mat))
 
 
 def commanded_attitude(force_cmd: Array, b_1d: Array) -> Array:
@@ -96,19 +142,7 @@ def commanded_attitude(force_cmd: Array, b_1d: Array) -> Array:
     ``DegenerateHeadingError`` when the hint is parallel to the force
     direction (angle below 1e-4 rad).
     """
-    norm = np.linalg.norm(force_cmd)
-    if norm <= 1e-8:
-        raise ZeroForceError(f"force command norm {norm:.3e} cannot define an attitude")
-    b3 = force_cmd / norm
-    proj = b_1d - (b3 @ b_1d) * b3  # = -b3 x (b3 x b_1d)
-    proj_norm = np.linalg.norm(proj)
-    if proj_norm < 1e-4:
-        raise DegenerateHeadingError(
-            f"heading hint within {proj_norm:.1e} rad of the thrust axis"
-        )
-    b1 = proj / proj_norm
-    b2 = cross3(b3, b1)
-    return np.column_stack([b1, b2, b3])
+    return np.reshape(_attitude_kernel(_floats(force_cmd), _floats(b_1d)), (3, 3))
 
 
 # Plus configuration: rotors 0/2 on the body x arm spin with +z, rotors 1/3
@@ -138,24 +172,20 @@ def rotor_thrusts(thrust: float, moment, arm_length: float, kappa: float) -> tup
 
 @dataclass
 class ControllerMemory:
-    """Backward-difference history for the commanded-attitude rates."""
+    """Backward-difference history for the commanded-attitude rates: the
+    previous commanded attitude (row-major) and rate, as float tuples."""
 
-    r_c_prev: Array | None = None
-    omega_c_prev: Array | None = None
+    r_c_prev: tuple | None = None
+    omega_c_prev: tuple | None = None
 
 
-def tracking_step(
-    x,
-    ref: TrajectoryReference,
-    params: QuadrotorParams,
-    gains: PositionGains,
-    att_gains: AttitudeGains,
-    dt: float,
-    memory: ControllerMemory,
-) -> tuple:
-    """One controller tick at the plant state ``x = (r, v, R, Omega)`` (``R``
-    row-major 9 floats, the rest 3-sequences): returns the thrust scalar
-    ``f`` and the torque kernel's ``(q, e_R, e_Omega, 1 + tr E)``.
+def tracking_step(x, ref, mass: float, g: float, b, d, jj, p, f_gain, b_1d, dt: float,
+                  memory: ControllerMemory) -> tuple:
+    """One controller tick on floats at the plant state ``x = (r, v, R, Omega)``
+    (``R`` row-major) and the reference row ``ref = (r_d, v_d, a_d)``, with
+    the constants converted once per run (``B``, ``D``, ``J``, ``P``, ``F``
+    row-major): returns the thrust scalar ``f`` and the torque kernel's
+    ``(q, e_R, e_Omega, 1 + tr E)``.
 
     ``memory`` carries the previous commanded attitude and rate so the
     inner loop's feedforward can be formed by backward differences at the
@@ -165,23 +195,25 @@ def tracking_step(
     feedforward.
     """
     r, v, R, Om = x
-    force_cmd = force_command(r, v, ref, params, gains)
-    f = thrust_scalar(force_cmd, np.reshape(R, (3, 3)))
-    r_c = commanded_attitude(force_cmd, ref.b_1d)
+    force = _force_kernel(r, v, ref[:3], ref[3:6], ref[6:], mass, g, b, d)
+    r_c = _attitude_kernel(force, b_1d)
 
-    omega_c = omega_c_dot = np.zeros(3)
+    omega_c = omega_c_dot = (0.0, 0.0, 0.0)
     if memory.r_c_prev is not None:
-        omega_c = log_so3(memory.r_c_prev.T @ r_c) / dt
+        # R_c,prev^T R_c is numpy's product, which may fuse multiply-adds, so the
+        # public log_so3(R_prev.T @ R_c) / dt gives this rate bit for bit
+        rel = np.array(memory.r_c_prev).reshape(3, 3).T @ np.array(r_c).reshape(3, 3)
+        w0, w1, w2 = _log_kernel(rel.ravel().tolist())
+        o0, o1, o2 = omega_c = w0 / dt, w1 / dt, w2 / dt
         if memory.omega_c_prev is not None:
-            omega_c_dot = (omega_c - memory.omega_c_prev) / dt
+            p0, p1, p2 = memory.omega_c_prev
+            omega_c_dot = (o0 - p0) / dt, (o1 - p1) / dt, (o2 - p2) / dt
         memory.omega_c_prev = omega_c  # an estimate: tick 0's zero rate is not one
     memory.r_c_prev = r_c
 
     # r_c is built orthonormal; the torque kernel refuses an antipodal error
-    return (f, *_torque_kernel(
-        R, _floats(r_c), _floats(omega_c), _floats(omega_c_dot), Om,
-        params.inertia.j_rows, att_gains.p_rows, att_gains.f_rows,
-    ))
+    return (_thrust(force, R),
+            *_torque_kernel(R, r_c, omega_c, omega_c_dot, Om, jj, p, f_gain))
 
 
 def translational_storage(r: Array, v: Array, r_d: Array, v_d: Array,

@@ -113,7 +113,9 @@ def gimbal_proximity(t, coeffs: Euler321Coeffs, tol: float = GIMBAL_TOL):
 @dataclass
 class TrajectoryReference:
     """Position reference sample: desired position, velocity, acceleration,
-    and the unit heading hint that pins the free yaw degree of freedom."""
+    and the unit heading hint that pins the free yaw degree of freedom.
+    ``r_d``, ``v_d`` and ``a_d`` have shape ``(3,)``, or ``(..., 3)`` for the
+    samples at an array of times."""
 
     r_d: Array
     v_d: Array
@@ -121,13 +123,11 @@ class TrajectoryReference:
     b_1d: Array
 
     def __post_init__(self):
-        self.r_d = np.asarray(self.r_d, dtype=float)
-        self.v_d = np.asarray(self.v_d, dtype=float)
-        self.a_d = np.asarray(self.a_d, dtype=float)
-        self.b_1d = np.asarray(self.b_1d, dtype=float)
         for name in ("r_d", "v_d", "a_d", "b_1d"):
-            v = getattr(self, name)
-            if v.shape != (3,) or not np.isfinite(v).all():
+            v = np.asarray(getattr(self, name), dtype=float)
+            setattr(self, name, v)
+            shape = (3,) if name == "b_1d" else self.r_d.shape
+            if v.shape != shape or shape[-1:] != (3,) or not np.isfinite(v).all():
                 raise ScenarioValidationError([(name, "must be a finite 3-vector")])
         if abs(np.linalg.norm(self.b_1d) - 1.0) > 1e-9:
             raise ScenarioValidationError([("b_1d", "must be a unit vector")])
@@ -142,12 +142,14 @@ class CircleCoeffs:
     b_1d: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
 
-def circle_reference(t: float, coeffs: CircleCoeffs) -> TrajectoryReference:
+def circle_reference(t, coeffs: CircleCoeffs) -> TrajectoryReference:
+    """The circle's sample at time ``t``, or at each entry of an array of
+    times (fields of shape ``t.shape + (3,)``), in one vectorised call."""
     a, w = coeffs.amplitude, coeffs.omega
     s, c = np.sin(w * t), np.cos(w * t)
     return TrajectoryReference(
-        r_d=a * np.array([s, c, s]),
-        v_d=a * w * np.array([c, -s, c]),
-        a_d=-a * w * w * np.array([s, c, s]),
+        r_d=a * np.stack([s, c, s], axis=-1),
+        v_d=a * w * np.stack([c, -s, c], axis=-1),
+        a_d=-a * w * w * np.stack([s, c, s], axis=-1),
         b_1d=np.asarray(coeffs.b_1d, dtype=float),
     )

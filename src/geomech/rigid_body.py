@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, ScenarioValidationError
-from .so3 import Array, _check_step_angle, polar_project, require_rotation
+from .so3 import Array, _check_step_angle, _floats, polar_project, require_rotation
 
 GRAVITY = 9.81
 
@@ -83,22 +83,6 @@ class RigidBodyState:
 
 
 @dataclass
-class QuadrotorState:
-    """Inertial position/velocity plus attitude and body angular velocity."""
-
-    r: Array
-    v: Array
-    R: Array
-    Omega: Array
-
-    def __post_init__(self):
-        self.r = _require_finite_vec3(self.r, "r")
-        self.v = _require_finite_vec3(self.v, "v")
-        self.R = require_rotation(self.R)
-        self.Omega = _require_finite_vec3(self.Omega, "Omega")
-
-
-@dataclass
 class QuadrotorParams:
     """Vehicle constants: mass (kg), inertia, rotor arm length (m), gravity."""
 
@@ -121,11 +105,6 @@ class QuadrotorParams:
     @property
     def gravity_vector(self) -> Array:
         return np.array([0.0, 0.0, -self.g])
-
-
-def _floats(a) -> list[float]:
-    """``a`` flattened row-major to Python floats: the float kernels' input."""
-    return np.asarray(a, dtype=float).ravel().tolist()
 
 
 def _rates(tm, w, m, jj, jinv) -> tuple[tuple, tuple]:
@@ -164,20 +143,24 @@ def attitude_rhs(
 
 
 def quadrotor_rhs(
-    state: QuadrotorState,
+    x,
     params: QuadrotorParams,
     f_body: Array,
     m_body: Array,
 ) -> tuple[Array, Array, Array, Array]:
-    """Quadrotor equations of motion under the body wrench ``(f_body, m_body)``.
+    """Quadrotor equations of motion at the plant state ``x = (r, v, R, Omega)``
+    (``R`` row-major 9 floats, the rest 3-sequences; ``Scenario.quad_initial``
+    has this form) under the body wrench ``(f_body, m_body)``.
 
     Translational dynamics: ``m vdot = m G + R f_body``; ideal actuation is
     ``f_body = (0, 0, thrust)``.
     """
-    v_dot = params.gravity_vector + (state.R @ np.asarray(f_body, dtype=float)) / params.mass
-    R_dot, Omega_dot = _rates(_floats(state.R), _floats(state.Omega), _floats(m_body),
-                              params.inertia.j_rows, params.inertia.j_inv_rows)
-    return state.v, v_dot, np.reshape(R_dot, (3, 3)), np.array(Omega_dot)
+    _, v, R, Om = x
+    rot = np.reshape(R, (3, 3))
+    v_dot = params.gravity_vector + (rot @ np.asarray(f_body, dtype=float)) / params.mass
+    R_dot, Omega_dot = _rates(R, Om, _floats(m_body), params.inertia.j_rows,
+                              params.inertia.j_inv_rows)
+    return np.array(v, dtype=float), v_dot, np.reshape(R_dot, (3, 3)), np.array(Omega_dot)
 
 
 def kinetic_energy(state: RigidBodyState, inertia: InertiaTensor) -> float:

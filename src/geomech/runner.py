@@ -305,25 +305,30 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     dt = sc.dt
     n = int(round(sc.t_final / dt)) if sc.t_final > 0.0 else 0
     params, gains, att_gains = sc.vehicle, sc.position_gains, sc.attitude_gains
-    coeffs = sc.circle_coeffs
-    s0 = sc.quad_initial
-    x = (_floats(s0.r), _floats(s0.v), _floats(s0.R), _floats(s0.Omega))
+    # the tick's constants, as floats once per run
+    mass, g, b, d = params.mass, params.g, gains.b_rows, gains.d_rows
+    jj, p_g, f_g = params.inertia.j_rows, att_gains.p_rows, att_gains.f_rows
+    b_1d = _floats(sc.circle_coeffs.b_1d)
+    x = sc.quad_initial
     memory = ControllerMemory()
     aero = _AeroModel(sc) if sc.aero.enabled else None
 
+    # the reference of every tick in one call; each tick reads its row (r_d, v_d, a_d)
+    t = dt * np.arange(n + 1)
+    ref = circle_reference(t, sc.circle_coeffs)
+    ref_rows = np.concatenate((ref.r_d, ref.v_d, ref.a_d), axis=1)
     table = np.empty((n + 1, len(_QUAD_COLUMNS)))
-    side = np.empty((n + 1, 13))  # r_d, v_d, e_R, e_Omega, 1 + tr E
+    side = np.empty((n + 1, 7))  # e_R, e_Omega, 1 + tr E
 
     try:
         for k in range(n + 1):
-            ref = circle_reference(k * dt, coeffs)
             f, q, e_R, e_Om, one_plus_tr = tracking_step(
-                x, ref, params, gains, att_gains, dt, memory)
+                x, ref_rows[k].tolist(), mass, g, b, d, jj, p_g, f_g, b_1d, dt, memory)
             r, v, R, Om = x
             # t and the error columns (the 0.0 slots) are formed after the loop
             table[k] = (0.0, *r, *v, *Om, 0.0, 0.0, 0.0, *q, *R,
                         0.0, 0.0, 0.0, 0.0, 0.0, f, 0.0, 0.0, 0.0)
-            side[k] = (*ref.r_d, *ref.v_d, *e_R, *e_Om, one_plus_tr)
+            side[k] = (*e_R, *e_Om, one_plus_tr)
             if k == n:
                 break
             wrench = ((0.0, 0.0, f), q) if aero is None else aero.wrench(x, f, q)
@@ -336,15 +341,15 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     def xyz(name):
         return table[:, col(f"{name}_x"):col(f"{name}_z") + 1]
 
-    r_d, v_d = side[:, :3], side[:, 3:6]
-    table[:, col("t")] = dt * np.arange(n + 1)
-    xyz("e_r")[:] = e_r = xyz("r") - r_d
+    table[:, col("t")] = t
+    xyz("e_r")[:] = e_r = xyz("r") - ref.r_d
     table[:, col("e_r_norm")] = _row_norms(e_r)
-    table[:, col("e_v_norm")] = _row_norms(xyz("v") - v_d)
-    table[:, col("psi_cmd")] = 2.0 - np.sqrt(side[:, 12])
-    table[:, col("e_R_norm")] = _row_norms(side[:, 6:9])
-    table[:, col("e_Omega_norm")] = _row_norms(side[:, 9:12])
-    table[:, col("V_translational")] = translational_storage(xyz("r"), xyz("v"), r_d, v_d, gains)
+    table[:, col("e_v_norm")] = _row_norms(xyz("v") - ref.v_d)
+    table[:, col("psi_cmd")] = 2.0 - np.sqrt(side[:, 6])
+    table[:, col("e_R_norm")] = _row_norms(side[:, :3])
+    table[:, col("e_Omega_norm")] = _row_norms(side[:, 3:6])
+    table[:, col("V_translational")] = translational_storage(xyz("r"), xyz("v"), ref.r_d,
+                                                             ref.v_d, gains)
     table[:, col("thrust_negative")] = table[:, col("f")] < 0.0
     table[:, col("ortho_defect")] = orthogonality_defects(table[:, col("R00"):col("R22") + 1])
     series = TimeSeries(_QUAD_COLUMNS, table)

@@ -22,9 +22,9 @@ from .attitude_control import AttitudeGains
 from .errors import _TRAP_FP, GeomechError, ScenarioParseError, ScenarioValidationError
 from .quadrotor import PositionGains
 from .references import AnglePolynomial, CircleCoeffs, Euler321Coeffs
-from .rigid_body import InertiaTensor, QuadrotorParams, QuadrotorState, RigidBodyState
+from .rigid_body import InertiaTensor, QuadrotorParams, RigidBodyState
 from .rotor_aero import RotorGeometry
-from .so3 import Array
+from .so3 import Array, _floats, require_rotation
 
 KINDS = ("free_body", "attitude_track", "quad_track", "integrator_compare")
 
@@ -84,7 +84,7 @@ class Scenario:
     euler_coeffs: Euler321Coeffs | None = None
     # quadrotor kind
     vehicle: QuadrotorParams | None = None
-    quad_initial: QuadrotorState | None = None
+    quad_initial: tuple | None = None  # (r, v, R row-major, Omega) as float lists
     position_gains: PositionGains | None = None
     circle_coeffs: CircleCoeffs | None = None
     aero: AeroConfig = field(default_factory=AeroConfig)
@@ -204,9 +204,15 @@ class _Fields:
         return None
 
 
+def _quad_state(r: Array, v: Array, R: Array, Omega: Array) -> tuple:
+    """The initial quad state as the plant's float tuple ``(r, v, R, Omega)``,
+    ``R`` row-major; refuses an ``R`` that is no rotation."""
+    return tuple(_floats(a) for a in (r, v, require_rotation(R), Omega))
+
+
 def _attitude_gains(gains: _Fields, p: Array | None, f: Array | None) -> AttitudeGains | None:
     """Either attitude gains section; ``p`` and ``f`` are the defaults of P and F."""
-    return gains.build(AttitudeGains, P=gains.array("P", p, matrix=True),
+    return gains.build(AttitudeGains, P=gains.array("P", p, matrix=True, bound=1e6),
                        F=gains.array("F", f, matrix=True),
                        k_R=gains.number("k_R", 1.0, minimum=1e-6, maximum=1e6),
                        S=gains.array("S", np.eye(3), matrix=True))
@@ -268,7 +274,7 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
         scenario.initial = initial.build(
             RigidBodyState,
             T=initial.array("T", np.eye(3), matrix=True),
-            omega=initial.array("omega", np.zeros(3)),
+            omega=initial.array("omega", np.zeros(3), bound=1e3),  # rad/s
         )
         scenario.moment = root.array("moment", None)
 
@@ -294,7 +300,7 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
             g=veh.number("g", 9.81, minimum=1e-2, maximum=1e3),
         )
         scenario.quad_initial = initial.build(
-            QuadrotorState,
+            _quad_state,
             r=initial.array("r", np.zeros(3), bound=1e4),  # m
             v=initial.array("v", np.zeros(3), bound=1e3),  # m/s
             R=initial.array("R", np.eye(3), matrix=True),

@@ -65,13 +65,6 @@ def hat(v: Array) -> Array:
     ])
 
 
-def cross3(a: Array, b: Array) -> Array:
-    """``np.cross`` of two 3-vectors, bit for bit, without its dispatch cost."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 def vee(m: Array, tol: float = 1e-6) -> Array:
     """Vector of the skew part of ``m``; inverse of :func:`hat` on skew input.
 
@@ -99,32 +92,41 @@ def exp_so3(v: Array) -> Array:
     return _EYE3 + _sinc(theta)[0] * k + (0.5 * half * half) * (k @ k)
 
 
-def log_so3(r: Array) -> Array:
-    """Rotation vector of ``r`` with ``|result| <= pi``.
+def _floats(a) -> list[float]:
+    """``a`` flattened row-major to Python floats: the float kernels' input."""
+    return np.asarray(a, dtype=float).ravel().tolist()
 
-    The generic branch, down to the identity, uses
-    ``theta / (2 sin theta) * vee(r - r^T)``, written ``vee(r - r^T) / (2 a(theta))``
-    with ``a(x) = sin x / x``.  Near
-    180 degrees that expression cancels catastrophically, so the axis is
-    instead recovered from the dominant column of the symmetric part of
-    ``r``, with the sign fixed by the residual skew component.
-    """
-    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    norm_w = np.linalg.norm(w)  # == 2 sin(theta)
-    trace = r[0, 0] + r[1, 1] + r[2, 2]
-    theta = np.arctan2(norm_w, trace - 1.0)
-    if theta > np.pi - 1e-3:
-        # nn^T = (sym(r) - cos(theta) I) / (1 - cos(theta))
+
+def _log_kernel(m) -> tuple[float, float, float]:
+    """Rotation vector (``|result| <= pi``) of a row-major rotation ``r``:
+    ``theta / (2 sin theta) vee(r - r^T)``, written ``vee(r - r^T) / (2 a(theta))``.
+    Near 180 degrees that cancels catastrophically, so the axis comes from
+    the dominant column of the symmetric part of ``r``, its sign from the
+    residual skew part; where that vanishes (exactly 180 degrees), the
+    axis's largest entry is made positive."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    w0, w1, w2 = m7 - m5, m2 - m6, m3 - m1
+    trace = m0 + m4 + m8
+    theta = math.atan2(math.sqrt(w0 * w0 + w1 * w1 + w2 * w2), trace - 1.0)  # |w| = 2 sin theta
+    if theta > math.pi - 1e-3:
+        # nn^T = (sym(r) - cos(theta) I) / (1 - cos(theta)), symmetric bit for bit
         c = 0.5 * (trace - 1.0)
-        b = (0.5 * (r + r.T) - c * _EYE3) / (1.0 - c)
-        i = int(np.argmax(np.diag(b)))
-        n = b[:, i] / np.sqrt(b[i, i])
-        if w @ n < 0.0:
-            n = -n
-        elif abs(w @ n) == 0.0 and (n[np.argmax(np.abs(n))] < 0.0):
-            n = -n  # deterministic sign at exactly 180 degrees
-        return theta * n
-    return w / (2.0 * _sinc(theta)[0])
+        b = [(0.5 * (m[3 * i + j] + m[3 * j + i]) - (c if i == j else 0.0)) / (1.0 - c)
+             for i in range(3) for j in range(3)]
+        i = max(range(3), key=lambda k: b[4 * k])
+        root = math.sqrt(b[4 * i])
+        n0, n1, n2 = n = b[3 * i] / root, b[3 * i + 1] / root, b[3 * i + 2] / root
+        dot = w0 * n0 + w1 * n1 + w2 * n2
+        if dot < 0.0 or (dot == 0.0 and max(n, key=abs) < 0.0):
+            theta = -theta
+        return theta * n0, theta * n1, theta * n2
+    s = 2.0 * _sinc(theta)[0]
+    return w0 / s, w1 / s, w2 / s
+
+
+def log_so3(r: Array) -> Array:
+    """Rotation vector of ``r`` with ``|result| <= pi`` (:func:`_log_kernel`)."""
+    return np.array(_log_kernel(_floats(r)))
 
 
 def polar_project(m: Array) -> Array:

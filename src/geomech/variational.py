@@ -105,6 +105,24 @@ def _d_cross(f, m, v) -> tuple:
             f0 * m3 - f1 * m0 + v1, f0 * m4 - f1 * m1 - v0, f0 * m5 - f1 * m2)
 
 
+def _newton_jacobian(f, jj, h, x, whole, half: tuple, chord: bool) -> list:
+    """Closed-form Jacobian (row-major) of ``G`` at ``f``, given ``h = J f``,
+    ``x = f x J f``, ``half = _sinc(|f| / 2)`` and, for the chord measure,
+    ``whole = _sinc(|f|)``; the arc's ``c`` is held fixed (module docstring)."""
+    (f0, f1, f2), (h0, h1, h2), (x0, x1, x2) = f, h, x
+    half_a, half_d = half
+    d = _d_cross(f, jj, h)  # derivative of f x J f
+    if chord:
+        # a = sin|f|/|f|, b = (1 - cos|f|)/|f|^2, and their derivatives over |f|
+        (a, da), b, db = whole, 0.5 * half_a * half_a, 0.25 * half_a * half_d
+        u0, u1, u2 = da * h0 + db * x0, da * h1 + db * x1, da * h2 + db * x2
+        e = (u0 * f0, u0 * f1, u0 * f2, u1 * f0, u1 * f1, u1 * f2, u2 * f0, u2 * f1, u2 * f2)
+        return [a * ji + b * di + ei for ji, di, ei in zip(jj, d, e)]
+    c = -0.25 * half_d / half_a
+    e = _d_cross(f, d, x)
+    return [ji + 0.5 * di + c * ei for ji, di, ei in zip(jj, d, e)]
+
+
 def _rodrigues(v, f, a: float, b: float) -> tuple:
     """``exp_so3(f) v = v + a f x v + b f x (f x v)`` for 3-sequences, given
     ``a = a(|f|)`` and ``b = a(|f|/2)^2 / 2``."""
@@ -137,12 +155,12 @@ def _vi_core(tm, w, pi, m, inertia: InertiaTensor, cfg: IntegratorConfig):
                       j6 * f0 + j7 * f1 + j8 * f2)  # J f
         x0, x1, x2 = f1 * h2 - f2 * h1, f2 * h0 - f0 * h2, f0 * h1 - f1 * h0  # f x J f
         if chord:
-            # a = sin|f|/|f|, b = (1 - cos|f|)/|f|^2, and their derivatives over |f|
-            a, da = _sinc(theta)
-            b, db = 0.5 * half_a * half_a, 0.25 * half_a * half_d
+            # a = sin|f|/|f| and b = (1 - cos|f|)/|f|^2
+            whole = _sinc(theta)
+            a, b = whole[0], 0.5 * half_a * half_a
             r0, r1, r2 = a * h0 + b * x0 - g0, a * h1 + b * x1 - g1, a * h2 + b * x2 - g2
         else:
-            c = -0.25 * half_d / half_a  # the dexp^{-1} coefficient (module docstring)
+            whole, c = None, -0.25 * half_d / half_a  # c: the dexp^{-1} coefficient
             y0, y1, y2 = f1 * x2 - f2 * x1, f2 * x0 - f0 * x2, f0 * x1 - f1 * x0
             r0, r1, r2 = (h0 + 0.5 * x0 + c * y0 - g0, h1 + 0.5 * x1 + c * y1 - g1,
                           h2 + 0.5 * x2 + c * y2 - g2)
@@ -159,16 +177,9 @@ def _vi_core(tm, w, pi, m, inertia: InertiaTensor, cfg: IntegratorConfig):
         if iters == cfg.max_iters:
             raise NoConvergenceError(
                 f"residual {res:.3e} above tolerance {tol:.1e} after {iters} iterations")
-        d = _d_cross((f0, f1, f2), jj, (h0, h1, h2))  # derivative of f x J f
-        if chord:
-            u0, u1, u2 = da * h0 + db * x0, da * h1 + db * x1, da * h2 + db * x2
-            e = (u0 * f0, u0 * f1, u0 * f2, u1 * f0, u1 * f1, u1 * f2, u2 * f0, u2 * f1, u2 * f2)
-            jac = [a * ji + b * di + ei for ji, di, ei in zip(jj, d, e)]
-        else:
-            e = _d_cross((f0, f1, f2), d, (x0, x1, x2))
-            jac = [ji + 0.5 * di + c * ei for ji, di, ei in zip(jj, d, e)]
         # f -= jac^-1 r by the adjugate; the first row's cofactors give det
-        k0, k1, k2, k3, k4, k5, k6, k7, k8 = jac
+        k0, k1, k2, k3, k4, k5, k6, k7, k8 = _newton_jacobian(
+            (f0, f1, f2), jj, (h0, h1, h2), (x0, x1, x2), whole, (half_a, half_d), chord)
         c0, c1, c2 = k4 * k8 - k5 * k7, k5 * k6 - k3 * k8, k3 * k7 - k4 * k6
         det = k0 * c0 + k1 * c1 + k2 * c2
         if not (det != 0.0 and math.isfinite(det)):

@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from geomech.quadrotor import tracking_step
+
 
 def rot_x(a: float) -> np.ndarray:
     c, s = np.cos(a), np.sin(a)
@@ -64,6 +66,16 @@ def quad_x(r, v, R, Omega) -> tuple:
     """The quadrotor plant state ``(r, v, R, Omega)`` as lists of Python
     floats, ``R`` row-major: the form the quad tick and step take."""
     return tuple(np.asarray(a, dtype=float).ravel().tolist() for a in (r, v, R, Omega))
+
+
+def tick(x, ref, params, gains, att_gains, dt, memory) -> tuple:
+    """``tracking_step`` at the plant state ``x`` from the public types: the
+    reference sample ``ref`` as its float row ``(r_d, v_d, a_d)`` and the
+    constants as the runner converts them once per run."""
+    row = np.concatenate([ref.r_d, ref.v_d, ref.a_d]).tolist()
+    return tracking_step(x, row, params.mass, params.g, gains.b_rows, gains.d_rows,
+                         params.inertia.j_rows, att_gains.p_rows, att_gains.f_rows,
+                         ref.b_1d.tolist(), dt, memory)
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
 """Independent oracles of the library's per-step laws.
 
 The numpy forms of the attitude torque law, the rotational rates, the
-Newton-Schulz polar factor and the attitude RK4 stage loop are kept as they
-were before the library moved each law onto one Python-float kernel; the
-parity tests compare the float kernels with them.  ``rk4_step`` is the
+Newton-Schulz polar factor, the attitude RK4 stage loop and the SO(3)
+logarithm are kept as they were before the library moved each law onto one
+Python-float kernel; the parity tests compare the float kernels with them.  ``rk4_step`` is the
 generic RK4 step on a flat state vector that the quadrotor step is checked
 against.  ``aero_wrench`` sums the four rotors' loads into the body wrench
 with 3-vectors and ``np.cross``, the check of the runner's float assembly.
@@ -43,7 +43,7 @@ from geomech.quadrotor import ROTOR_SPIN, rotor_positions, rotor_thrusts
 from geomech.rigid_body import InertiaTensor
 from geomech.rotor_aero import hover_rotor_speed, rotor_wrench
 from geomech.so3 import (
-    Array, _check_step_angle, _sinc, exp_so3, hat, log_so3, polar_project, tilde,
+    Array, _check_step_angle, _sinc, exp_so3, hat, polar_project, tilde,
 )
 from geomech.variational import IntegratorConfig
 
@@ -54,6 +54,30 @@ def cross3(a, b):
     a0, a1, a2 = a.tolist()
     b0, b1, b2 = b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def log_so3(r):
+    """Rotation vector of ``r`` with ``|result| <= pi``, on numpy: the
+    generic branch ``vee(r - r^T) / (2 a(theta))``, and near 180 degrees the
+    axis from the dominant column of the symmetric part, its sign fixed by
+    the residual skew component (at exactly 180 degrees, the largest entry
+    positive)."""
+    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    norm_w = np.linalg.norm(w)  # == 2 sin(theta)
+    trace = r[0, 0] + r[1, 1] + r[2, 2]
+    theta = np.arctan2(norm_w, trace - 1.0)
+    if theta > np.pi - 1e-3:
+        # nn^T = (sym(r) - cos(theta) I) / (1 - cos(theta))
+        c = 0.5 * (trace - 1.0)
+        b = (0.5 * (r + r.T) - c * _EYE3) / (1.0 - c)
+        i = int(np.argmax(np.diag(b)))
+        n = b[:, i] / np.sqrt(b[i, i])
+        if w @ n < 0.0:
+            n = -n
+        elif abs(w @ n) == 0.0 and (n[np.argmax(np.abs(n))] < 0.0):
+            n = -n  # deterministic sign at exactly 180 degrees
+        return theta * n
+    return w / (2.0 * _sinc(theta)[0])
 
 
 def checked_error_matrix(r, r_d):

@@ -11,9 +11,10 @@ from geomech.attitude_control import _torque_kernel
 from geomech.rigid_body import InertiaTensor, _attitude_rk4_core, _fast_polar, _rates
 from geomech.runner import _AeroModel
 from geomech.scenario import parse_scenario
-from geomech.variational import IntegratorConfig, _vi_core
+from geomech.so3 import _log_kernel, _sinc, exp_so3
+from geomech.variational import IntegratorConfig, _newton_jacobian, _vi_core
 
-from conftest import random_rotation
+from conftest import random_axis_angle, random_rotation
 
 DRAWS = 200
 TOL = 1e-12  # relative to the norm of the oracle's output
@@ -196,3 +197,66 @@ def test_vi_core_tracks_the_oracle_over_many_steps(measure, forced):
     for got, want in ((tm, t_o), (w, w_o), (pi, pi_o)):
         want = np.ravel(want)
         assert np.abs(np.subtract(got, want)).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def _half_turn(axis):
+    """The exact 180-degree rotation ``2 n n^T - I`` about ``axis``: symmetric
+    bit for bit, so its skew part is exactly zero."""
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    return 2.0 * np.outer(n, n) - np.eye(3)
+
+
+def test_log_kernel_matches_the_numpy_oracle():
+    rng = np.random.default_rng(1800)
+    rotations = [random_rotation(rng) for _ in range(DRAWS)]
+    for _ in range(DRAWS):  # within 1e-3 of pi: the symmetric-part branch
+        axis, _ = random_axis_angle(rng)
+        rotations.append(exp_so3(rng.uniform(np.pi - 1e-3, np.pi) * axis))
+    for rot in rotations:
+        got, want = _log_kernel(_flat(rot)), oracles.log_so3(rot)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14
+    # exactly 180 degrees: no skew part to fix the sign, so the axis's largest
+    # entry is positive whichever of +-n the rotation was built from
+    for axis in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -2, 2], [-1, -2, 2], [0, -3, 1]):
+        rot = _half_turn(axis)
+        got, want = np.array(_log_kernel(_flat(rot))), oracles.log_so3(rot)
+        assert np.abs(got - want).max() <= 1e-14
+        n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+        n *= np.sign(n[np.argmax(np.abs(n))])
+        assert np.abs(got - np.pi * n).max() <= 1e-14
+
+
+def _g(f, j, chord, c=None):
+    """The left side ``G(f)`` of the step equation, on numpy from its
+    definition (``variational`` module docstring); the arc's ``c`` may be
+    held fixed."""
+    theta = np.linalg.norm(f)
+    jf = j @ f
+    x = np.cross(f, jf)
+    if chord:
+        return np.sin(theta) / theta * jf + (1.0 - np.cos(theta)) / theta**2 * x
+    if c is None:
+        c = 1.0 / theta**2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
+    return jf + 0.5 * x + c * np.cross(f, x)
+
+
+@pytest.mark.parametrize("measure", ["chord", "arc"])
+def test_newton_jacobian_matches_central_differences(measure):
+    # the VI step's closed-form Newton Jacobian against central differences
+    # of G; a wrong Jacobian still converges, only slower, so the step's own
+    # residual check cannot see it
+    chord, h = measure == "chord", 1e-5
+    rng = np.random.default_rng(1900 + chord)
+    for _ in range(DRAWS):
+        j = _inertia(rng)
+        axis, _ = random_axis_angle(rng)
+        f = rng.uniform(0.05, 2.5) * axis
+        theta = float(np.linalg.norm(f))
+        # arc: c held at its value at f, as in the closed form
+        c = None if chord else 1.0 / theta**2 - (1.0 + np.cos(theta)) / (
+            2.0 * theta * np.sin(theta))
+        fd = np.column_stack([(_g(f + h * e, j, chord, c) - _g(f - h * e, j, chord, c))
+                              / (2.0 * h) for e in np.eye(3)])
+        got = _newton_jacobian(_flat(f), _flat(j), _flat(j @ f), _flat(np.cross(f, j @ f)),
+                               _sinc(theta), _sinc(0.5 * theta), chord)
+        assert np.abs(np.reshape(got, (3, 3)) - fd).max() <= 1e-8 * np.abs(fd).max()

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,17 +27,16 @@ from geomech.quadrotor import (
     rotor_positions,
     rotor_thrusts,
     thrust_scalar,
-    tracking_step,
     translational_storage,
     velocity_target,
 )
 from geomech.references import CircleCoeffs, TrajectoryReference, circle_reference
-from geomech.rigid_body import InertiaTensor, QuadrotorState
+from geomech.rigid_body import InertiaTensor
 from geomech.runner import run
 from geomech.scenario import parse_scenario
 from geomech.so3 import log_so3, require_rotation
 
-from conftest import quad_x, random_rotation, rot_x, rot_y
+from conftest import quad_x, random_rotation, rot_x, rot_y, tick
 
 
 def params():
@@ -163,8 +163,7 @@ def test_tracking_step_perfect_hover():
     att_gains = AttitudeGains(P=16.0 * np.eye(3), F=8.0 * p.inertia.j)
     memory = ControllerMemory()
     for _ in range(3):
-        f, q, _, _, one_plus_tr = tracking_step(x, ref, p, PositionGains(), att_gains, 1e-3,
-                                                memory)
+        f, q, _, _, one_plus_tr = tick(x, ref, p, PositionGains(), att_gains, 1e-3, memory)
     assert f == pytest.approx(p.mass * p.g, rel=1e-12)
     np.testing.assert_allclose(q, np.zeros(3), atol=1e-10)
     assert not f < 0.0  # the run's thrust_negative
@@ -177,7 +176,7 @@ def test_tracking_step_initial_errors_match_scenario():
     x = quad_x([0.0, 3.0, -4.0], np.zeros(3), np.eye(3), np.zeros(3))
     ref = circle_reference(0.0, CircleCoeffs())
     att_gains = AttitudeGains(P=16.0 * np.eye(3), F=8.0 * p.inertia.j)
-    f, q, *_ = tracking_step(x, ref, p, PositionGains(), att_gains, 1e-3, ControllerMemory())
+    f, q, *_ = tick(x, ref, p, PositionGains(), att_gains, 1e-3, ControllerMemory())
     assert f > 0.0
     assert np.all(np.isfinite(q))
     # the run forms the position and velocity errors after its loop: row 0
@@ -196,10 +195,10 @@ def test_tracking_step_matches_the_public_attitude_laws(rng):
     att_gains = AttitudeGains(P=16.0 * np.eye(3), F=8.0 * p.inertia.j)
     memory, dt, r_c_prev, omega_c_prev = ControllerMemory(), 0.01, None, None
     for k in range(6):
-        state = QuadrotorState(rng.normal(size=3), rng.normal(size=3), random_rotation(rng),
-                               rng.normal(size=3))
+        state = SimpleNamespace(r=rng.normal(size=3), v=rng.normal(size=3),
+                                R=random_rotation(rng), Omega=rng.normal(size=3))
         ref = circle_reference(k * dt, CircleCoeffs())
-        f, q, e_R, e_Omega, one_plus_tr = tracking_step(
+        f, q, e_R, e_Omega, one_plus_tr = tick(
             quad_x(state.r, state.v, state.R, state.Omega), ref, p, gains, att_gains, dt,
             memory)
         r_c = commanded_attitude(force_command(state.r, state.v, ref, p, gains), ref.b_1d)

@@ -6,7 +6,6 @@ from geomech.rigid_body import (
     _attitude_rk4_core,
     InertiaTensor,
     QuadrotorParams,
-    QuadrotorState,
     RigidBodyState,
     attitude_rhs,
     kinetic_energy,
@@ -88,7 +87,7 @@ def quad_params():
 
 def test_quadrotor_hover_fixed_point():
     p = quad_params()
-    s = QuadrotorState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
+    s = quad_x(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
     r_dot, v_dot, R_dot, O_dot = quadrotor_rhs(s, p, np.array([0.0, 0.0, p.mass * p.g]),
                                                np.zeros(3))
     for out in (r_dot, v_dot, O_dot):
@@ -98,7 +97,7 @@ def test_quadrotor_hover_fixed_point():
 
 def test_quadrotor_free_fall_and_double_thrust():
     p = quad_params()
-    s = QuadrotorState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
+    s = quad_x(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
     _, v_dot, _, _ = quadrotor_rhs(s, p, np.zeros(3), np.zeros(3))
     np.testing.assert_allclose(v_dot, np.array([0.0, 0.0, -9.81]), atol=1e-12)
     _, v_dot, _, _ = quadrotor_rhs(s, p, np.array([0.0, 0.0, 2.0 * p.mass * p.g]), np.zeros(3))
@@ -107,7 +106,7 @@ def test_quadrotor_free_fall_and_double_thrust():
 
 def test_quadrotor_extra_wrench():
     p = quad_params()
-    s = QuadrotorState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
+    s = quad_x(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
     _, v_dot, _, O_dot = quadrotor_rhs(s, p, np.array([1.0, 0.0, 0.0]),
                                        np.array([0.0, 0.0, 0.012]))
     np.testing.assert_allclose(v_dot[0], 1.0 / p.mass, atol=1e-14)
@@ -120,7 +119,7 @@ def test_quadrotor_rotation_is_the_attitude_law(rng):
     p = quad_params()
     for _ in range(20):
         R, om, m = random_rotation(rng), rng.normal(size=3), rng.normal(size=3)
-        s = QuadrotorState(rng.normal(size=3), rng.normal(size=3), R, om)
+        s = quad_x(rng.normal(size=3), rng.normal(size=3), R, om)
         _, _, R_dot, O_dot = quadrotor_rhs(s, p, rng.normal(size=3), m)
         t_dot, w_dot = attitude_rhs(RigidBodyState(R, om), p.inertia, m)
         np.testing.assert_array_equal(R_dot, t_dot)
@@ -241,12 +240,11 @@ def test_rk4_quadrotor_step_matches_flat_rk4(rng):
         ])
 
     for _ in range(10):
-        s = QuadrotorState(rng.normal(size=3), rng.normal(size=3), random_rotation(rng),
-                           rng.normal(size=3))
+        s = quad_x(rng.normal(size=3), rng.normal(size=3), random_rotation(rng),
+                   rng.normal(size=3))
         dt = rng.uniform(1e-3, 0.05)
-        r, v, rot, om = rk4_quadrotor_step(quad_x(s.r, s.v, s.R, s.Omega), p,
-                                           f_body.tolist(), m_body.tolist(), dt)
-        y = rk4_step(rhs, np.concatenate([s.r, s.v, s.R.ravel(), s.Omega]), 0.0, dt)
+        r, v, rot, om = rk4_quadrotor_step(s, p, f_body.tolist(), m_body.tolist(), dt)
+        y = rk4_step(rhs, np.concatenate(s), 0.0, dt)
         np.testing.assert_allclose(r, y[:3], atol=1e-14, rtol=0.0)
         np.testing.assert_allclose(v, y[3:6], atol=1e-14, rtol=0.0)
         np.testing.assert_allclose(np.reshape(rot, (3, 3)), polar_newton(y[6:15].reshape(3, 3)),

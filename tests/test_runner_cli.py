@@ -30,11 +30,12 @@ from geomech.errors import (
     SingularInputError,
     SolverError,
 )
+import geomech
 from geomech.cli import main
 from geomech import cli, runner
-from geomech.quadrotor import ControllerMemory, tracking_step, velocity_target
+from geomech.quadrotor import ControllerMemory, velocity_target
 from geomech.references import AnglePolynomial, circle_reference, euler_321_reference
-from geomech.rigid_body import QuadrotorState, rk4_attitude_step, rk4_quadrotor_step
+from geomech.rigid_body import rk4_attitude_step, rk4_quadrotor_step
 from geomech.runner import _AeroModel, _step_failure, run, settling_time, steady_state_value
 from geomech.scenario import parse_scenario
 from geomech.so3 import orthogonality_defect
@@ -47,7 +48,7 @@ from geomech.timeseries import (
 )
 from geomech.variational import IntegratorConfig, vi_step
 
-from conftest import quad_x
+from conftest import tick
 
 
 def load(name, **overrides):
@@ -333,8 +334,7 @@ def test_quad_run_uses_the_public_tick_wrench_and_rk4_step(scenario):
     sc = load(scenario, t_final=0.2)
     series, _ = run(sc)
     aero = _AeroModel(sc) if sc.aero.enabled else None
-    s0 = sc.quad_initial
-    x, memory = quad_x(s0.r, s0.v, s0.R, s0.Omega), ControllerMemory()
+    x, memory = sc.quad_initial, ControllerMemory()
     names = [*(f"{v}_{ax}" for v in ("r", "v") for ax in "xyz"),
              *(f"R{i}{j}" for i in range(3) for j in range(3)),
              *(f"{v}_{ax}" for v in ("Omega", "q") for ax in "xyz")]
@@ -344,8 +344,8 @@ def test_quad_run_uses_the_public_tick_wrench_and_rk4_step(scenario):
     norms = np.empty((n, 3))  # the tick's e_v, e_R, e_Omega norms, one at a time
     for k in range(n):
         ref = circle_reference(k * sc.dt, sc.circle_coeffs)
-        f, q, e_R, e_Omega, _ = tracking_step(x, ref, sc.vehicle, sc.position_gains,
-                                              sc.attitude_gains, sc.dt, memory)
+        f, q, e_R, e_Omega, _ = tick(x, ref, sc.vehicle, sc.position_gains,
+                                     sc.attitude_gains, sc.dt, memory)
         r, v, rot, om = x
         rows[k] = [*r, *v, *rot, *om, *q]
         norms[k] = [np.linalg.norm(e) for e in (np.subtract(v, ref.v_d), e_R, e_Omega)]
@@ -366,18 +366,29 @@ def test_quad_run_uses_the_public_tick_wrench_and_rk4_step(scenario):
 
 
 def test_quad_run_carries_floats_and_forms_storage_once(monkeypatch):
-    # the loop passes the plant state as a float tuple: no QuadrotorState is
-    # built (and re-checked) per step, and the storage column is one call
-    sc = load("quad_track_aero", t_final=0.2)
-    built, storage = [], []
-    post_init, translational_storage = QuadrotorState.__post_init__, runner.translational_storage
-    monkeypatch.setattr(QuadrotorState, "__post_init__",
-                        lambda self: built.append(post_init(self)))
-    monkeypatch.setattr(runner, "translational_storage",
-                        lambda *args: storage.append(1) or translational_storage(*args))
-    series, _ = run(sc)
-    assert len(series) == 201
-    assert len(built) == 0 and len(storage) == 1
+    # the tick's per-run work stays per run: the loop carries the plant state
+    # and the tick's constants as floats, converted once (a 200-step and a
+    # 2-step run make the same number of _floats calls), samples the reference
+    # in one circle_reference call and forms the storage column in one call
+    floats = [0]
+    for module in vars(geomech).values():
+        if callable(getattr(module, "_floats", None)):
+            monkeypatch.setattr(module, "_floats", lambda a, f=module._floats:
+                                floats.__setitem__(0, floats[0] + 1) or f(a))
+    circle_reference, translational_storage = runner.circle_reference, runner.translational_storage
+    counts = {}
+    for t_final in (0.2, 0.002):
+        sc = load("quad_track_aero", t_final=t_final)
+        floats[0], samples, storage = 0, [], []
+        monkeypatch.setattr(runner, "circle_reference",
+                            lambda *args: samples.append(1) or circle_reference(*args))
+        monkeypatch.setattr(runner, "translational_storage",
+                            lambda *args: storage.append(1) or translational_storage(*args))
+        series, _ = run(sc)
+        assert len(series) == round(t_final / sc.dt) + 1
+        assert len(samples) == 1 and len(storage) == 1
+        counts[t_final] = floats[0]
+    assert counts[0.2] == counts[0.002] > 0
 
 
 def test_quad_tick_1_has_no_torque_spike():
@@ -527,7 +538,12 @@ def test_cli_vi_blowup_exits_3_with_one_line(tmp_path, capsys, command, omega, m
     # same floating-point trap and step-naming error map as the other loops;
     # warnings are errors, so nothing but the one failure line can reach stderr
     doc = json.loads(open("scenarios/free_body.json", "rb").read())
-    doc["initial"]["omega"] = omega
+    # a rate of `omega` lies outside the initial.omega envelope, so the step
+    # grows instead: the first increment dt omega is the one `omega` makes at
+    # the shipped dt, bit for bit
+    scale = max(map(abs, omega))
+    doc["initial"]["omega"] = [w / scale for w in omega]
+    doc["dt"] = doc["t_final"] = doc["dt"] * scale
     doc.update(kind)
     path = tmp_path / "blowup.json"
     path.write_text(json.dumps(doc))
@@ -559,7 +575,7 @@ def test_cli_overflow_outside_the_steps_exits_3(tmp_path, capsys, monkeypatch, n
                                                 key, value):
     # valid but absurd values whose arithmetic overflows while the run is
     # set up or summarised: a solver failure of the run, never a traceback.
-    # validate refuses the first two (their fields have envelopes), so each
+    # validate refuses each of them (their fields have envelopes), so each
     # value replaces its field of the parsed scenario that the CLI runs
     scenario = _replaced(load(name, t_final=0.0), f"{section}.{key}", value)
     monkeypatch.setattr(cli, "parse_scenario", lambda text, overrides: scenario)

@@ -84,7 +84,7 @@ def test_quad_scenario_file():
     assert sc.vehicle.mass == 4.34
     assert sc.vehicle.arm_length == 0.315
     np.testing.assert_array_equal(sc.vehicle.inertia.j, np.diag([0.084, 0.085, 0.12]))
-    np.testing.assert_array_equal(sc.quad_initial.r, [0.0, 3.0, -4.0])
+    np.testing.assert_array_equal(sc.quad_initial[0], [0.0, 3.0, -4.0])
     assert sc.circle_coeffs.amplitude == 4.0
     assert sc.circle_coeffs.omega == 0.5
     assert not sc.aero.enabled
@@ -210,6 +210,10 @@ def _set(doc, path, value):
     ("quad_track_aero", "initial.Omega", [1e300, 0, 0], "must lie in [-1000, 1000]"),
     ("quad_track_aero", "position_gains.B", 1e300, "must lie in [-1e+06, 1e+06]"),
     ("quad_track_aero", "position_gains.D", 1e300, "must lie in [-1e+06, 1e+06]"),
+    ("free_body", "initial.omega", [1e300, 0, 0], "must lie in [-1000, 1000]"),
+    ("attitude_track", "initial.omega", [1e300, 0, 0], "must lie in [-1000, 1000]"),
+    ("integrator_compare", "initial.omega", [1e300, 0, 0], "must lie in [-1000, 1000]"),
+    ("attitude_track", "gains.P", 1e300, "must lie in [-1e+06, 1e+06]"),
 ])
 def test_cli_validate_names_the_bad_field(tmp_path, capsys, name, path, value, message):
     # one mutated field of a shipped scenario: exit 2 and exactly one
