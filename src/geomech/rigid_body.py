@@ -324,7 +324,8 @@ def rk4_quadrotor_step(x, params: QuadrotorParams, f_body, m_body, dt: float):
     r_new, v_new = _rk4_sum(r, sixth, *vel), _rk4_sum(v, sixth, *kv)
     R_new, O_new = _rk4_sum(R, sixth, *kR), _rk4_sum(Om, sixth, *kO)
     _require_finite({"r": r_new, "v": v_new, "R": R_new, "Omega": O_new})
-    det = np.linalg.det(np.reshape(R_new, (3, 3)))
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = R_new  # det by cofactors of the first row
+    det = m0 * (m4 * m8 - m5 * m7) - m1 * (m3 * m8 - m5 * m6) + m2 * (m3 * m7 - m4 * m6)
     if not det > 0.0:
         raise DivergenceError(
             f"state diverged: attitude determinant {det:.3e} is not positive "

@@ -18,7 +18,10 @@ Scenario kinds
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
 
 import numpy as np
 
@@ -373,24 +376,62 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
 # ------------------------------------------------------ integrator compare
 
 
-def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
-    vi_series = simulate(sc.initial, sc.inertia, sc.moment, _vi_config(sc), sc.t_final)
-    n = len(vi_series) - 1
-    dt = sc.dt
-    jj = sc.inertia
+@contextlib.contextmanager
+def _forked(fn):
+    """Run ``fn()`` in a forked child while the ``with`` body runs; the body
+    gets ``result()``, the child's value or its exception re-raised.  Leaving
+    the block kills the child if it still runs, and always reaps it."""
+    import signal  # here, so that a run which starts no child does not load it
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # never returns into the caller's stack, writes nothing to stdio
+        try:
+            try:
+                out = fn(), None
+            except BaseException as exc:  # re-raised by the parent
+                out = None, exc
+            with open(w, "wb") as pipe:
+                pickle.dump(out, pipe)
+        finally:
+            os._exit(0)
+    os.close(w)
+    with open(r, "rb") as pipe:
+        def result():
+            value, exc = pickle.load(pipe)  # the whole pipe, before the child is reaped
+            if exc is not None:
+                raise exc
+            return value
+        try:
+            yield result
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
+
+def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
+    from array import array  # here, as signal in _forked
+    dt, jj = sc.dt, sc.inertia
+    n = int(round(sc.t_final / dt)) if sc.t_final > 0.0 else 0
     moment = [0.0] * 3 if sc.moment is None else _floats(sc.moment)
-    t_mat, w = _floats(sc.initial.T), _floats(sc.initial.omega)
-    rows = np.empty((n + 1, 12))  # T (row-major), omega
-    rows[0] = (*t_mat, *w)
-    try:
-        for k in range(n):
-            t_mat, w = _attitude_rk4_core(
-                t_mat, w, jj.j_rows, jj.j_inv_rows, lambda t, T, wi: moment, k * dt, dt, moment
-            )
-            rows[k + 1] = (*t_mat, *w)
-    except (ArithmeticError, GeomechError) as exc:
-        raise _step_failure(exc, k, dt) from None
+    state = (*_floats(sc.initial.T), *_floats(sc.initial.omega))
+
+    def rk4_rows():  # T (row-major) and omega of each step, on floats only
+        rows, t_mat, w = array("d", state), state[:9], state[9:]
+        try:
+            for k in range(n):
+                t_mat, w = _attitude_rk4_core(t_mat, w, jj.j_rows, jj.j_inv_rows,
+                                              lambda t, T, wi: moment, k * dt, dt, moment)
+                rows.extend((*t_mat, *w))
+        except (ArithmeticError, GeomechError) as exc:
+            raise _step_failure(exc, k, dt) from None
+        return rows
+
+    # the RK4 half runs in a child, on the other core, while the VI runs here;
+    # a VI failure still comes first.  With no step to run, no child starts
+    rk4 = _forked(rk4_rows) if n else contextlib.nullcontext(rk4_rows)
+    with rk4 as rk4_result:
+        vi_series = simulate(sc.initial, sc.inertia, sc.moment, _vi_config(sc), sc.t_final)
+        rows = np.frombuffer(rk4_result(), dtype=float).reshape(n + 1, 12)
 
     h_rk4, pi_rk4 = energy_momentum_rows(rows[:, :9], rows[:, 9:], jj)
     mom_rk4 = _row_norms(pi_rk4 - pi_rk4[0])

@@ -318,7 +318,7 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
         )
         ref = root.section("reference")
         b_1d = ref.array("b_1d", np.array([1.0, 0.0, 0.0]))
-        if b_1d is not None and abs(np.linalg.norm(b_1d) - 1.0) > 1e-9:
+        if b_1d is not None and abs(math.hypot(*b_1d) - 1.0) > 1e-9:  # hypot: no overflow
             b_1d = ref.fail("b_1d", "must be a unit vector")
         scenario.circle_coeffs = ref.build(
             CircleCoeffs,

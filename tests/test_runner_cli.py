@@ -557,6 +557,60 @@ def test_cli_vi_blowup_exits_3_with_one_line(tmp_path, capsys, command, omega, m
     assert not out_dir.exists()
 
 
+def _fail_rk4_at_step_3(monkeypatch):
+    # compare forks its RK4 half after the patch, so the child fails at step 3
+    core = runner._attitude_rk4_core
+
+    def failing(tm, w, jj, jinv, torque_fn, t, dt, q1=None):
+        if t == 3 * dt:
+            raise DivergenceError("state diverged: injected")
+        return core(tm, w, jj, jinv, torque_fn, t, dt, q1)
+
+    monkeypatch.setattr(runner, "_attitude_rk4_core", failing)
+
+
+def test_cli_compare_rk4_failure_in_the_child_exits_3_with_one_line(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the VI half succeeds; the RK4 half's step failure reaches the parent
+    # with its class and the step it names, and no output is written
+    _fail_rk4_at_step_3(monkeypatch)
+    with pytest.raises(DivergenceError, match=r"^step 3 \(t=0\.03\): state diverged: injected$"):
+        run(load("integrator_compare", t_final=0.1))
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", "scenarios/integrator_compare.json",
+                     "--out-dir", str(out_dir)]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "solver failure: step 3 (t=0.03): state diverged: injected"
+    assert not out_dir.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_compare_leaves_no_child_process(tmp_path, monkeypatch):
+    # a success, a VI failure (the parent kills the running child) and an RK4
+    # failure (the child's error is sent back): each reaps its child
+    omega, _ = _VI_BLOWUPS[0]
+    doc = json.loads(open("scenarios/free_body.json", "rb").read())
+    scale = max(map(abs, omega))
+    doc["initial"]["omega"] = [w / scale for w in omega]
+    doc["dt"] = doc["t_final"] = doc["dt"] * scale
+    blowup = tmp_path / "blowup.json"
+    blowup.write_text(json.dumps(doc))
+
+    def compare(*argv):
+        code = main(["compare", *argv, "--out-dir", str(tmp_path / "out")])
+        with pytest.raises(ChildProcessError):  # no child of this process is left
+            os.waitpid(-1, os.WNOHANG)
+        return code
+
+    assert compare("scenarios/integrator_compare.json", "--t-final", "1") == 0
+    assert compare(str(blowup)) == 3
+    _fail_rk4_at_step_3(monkeypatch)
+    assert compare("scenarios/integrator_compare.json", "--t-final", "1") == 3
+
+
 def _replaced(obj, path: str, value):
     """``obj`` with the attribute at the dotted ``path`` replaced by ``value``;
     each dataclass on the way is rebuilt, so it checks its fields again."""

@@ -286,6 +286,7 @@ def test_outputs_are_always_named_after_the_stem(tmp_path):
         "named.csv", "named.json", "named.metrics.json"]
 
 
+_SHIPPED = ["attitude_track", "free_body", "integrator_compare", "quad_track", "quad_track_aero"]
 _DELETE = object()
 # ill-typed, non-finite, wrong-shape, nested and out-of-range replacements
 _MUTANTS = [_DELETE, "abc", "1.0", "", True, False, None, math.nan, math.inf, -math.inf,
@@ -294,15 +295,39 @@ _MUTANTS = [_DELETE, "abc", "1.0", "", True, False, None, math.nan, math.inf, -m
             0, -1.0, 1.5, 1e154, -1e308, 1e308, 10**400, 1e-300, 5e-324]
 
 
+def _validate_then_run(name: str, doc: dict) -> int:
+    """``validate`` on ``doc``, a mutated shipped scenario ``name``; if it is
+    accepted, ``run --t-final 0`` must set the run up and write its one
+    record (exit 0).  Returns the exit code, 0 or 2.  Warnings are errors, so
+    nothing but the documented lines reach stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        target = Path(tmp) / f"{name}.json"
+        target.write_text(json.dumps(doc))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["validate", str(target)])
+            assert code in (0, 2)
+            if code == 0:
+                code = main(["run", str(target), "--t-final", "0", "--out-dir", str(out)])
+                assert code == 0, err.getvalue()
+        files = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert lines[0].startswith(("invalid scenario", "parse error"))
+        assert lines[1:] and all(line.startswith("  - ") for line in lines[1:])
+    else:
+        assert lines == [] and files == [f"{name}.csv", f"{name}.metrics.json"]
+    return code
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_validate_fuzzed_documents_end_cleanly(data):
     # one leaf or section of a shipped scenario replaced or deleted: validate
     # exits 0 or 2 and never raises; a document it accepts runs one record
-    # (exit 0) or fails as a run (exit 3), never as invalid input.  Warnings
-    # are errors, so nothing but the documented lines reach stderr.
-    name = data.draw(st.sampled_from(["attitude_track", "free_body", "integrator_compare",
-                                      "quad_track", "quad_track_aero"]))
+    name = data.draw(st.sampled_from(_SHIPPED))
     doc = json.loads(open(f"scenarios/{name}.json", "rb").read())
     paths = []
     stack = [(doc, "")]
@@ -322,25 +347,32 @@ def test_validate_fuzzed_documents_end_cleanly(data):
         del node[last]
     else:
         node[last] = value
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("error")
-        target = Path(tmp) / f"{name}.json"
-        target.write_text(json.dumps(doc))
-        out = Path(tmp) / "out"
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(["validate", str(target)])
-            assert code in (0, 2)
-            if code == 0:
-                code = main(["run", str(target), "--t-final", "0", "--out-dir", str(out)])
-                assert code in (0, 3)
-        files = sorted(p.name for p in out.iterdir()) if out.exists() else []
-    lines = err.getvalue().splitlines()
-    if code == 2:
-        assert lines[0].startswith(("invalid scenario", "parse error"))
-        assert lines[1:] and all(line.startswith("  - ") for line in lines[1:])
-    elif code == 3:
-        assert len(lines) == 1 and lines[0].startswith("solver failure: ")
-        assert files == []
-    else:
-        assert lines == [] and files == [f"{name}.csv", f"{name}.metrics.json"]
+    _validate_then_run(name, doc)
+
+
+def _numeric_leaves(node, path=()):
+    """The path (keys and list indices) of every number in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, (*path, key))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield (*path, key)
+
+
+@pytest.mark.parametrize("name", _SHIPPED)
+def test_validate_accepts_only_runnable_magnitudes(name):
+    # every number of a shipped scenario but t_final set to an extreme
+    # magnitude, a signed zero or a subnormal: a document that validate
+    # accepts sets its run up, so run --t-final 0 exits 0
+    shipped = open(f"scenarios/{name}.json", "rb").read()
+    for path in _numeric_leaves(json.loads(shipped)):
+        if path == ("t_final",):
+            continue
+        for value in (1e300, -1e300, 1e-300, 0.0, -0.0, 5e-324):
+            doc = json.loads(shipped)
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            _validate_then_run(name, doc)
