@@ -18,26 +18,20 @@ so no saturated fallback is provided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import AntipodalError, ScenarioValidationError
-from .rigid_body import InertiaTensor, _floats, _require_finite_vec3
-from .so3 import Array, require_rotation
-
-_EYE3 = np.eye(3)
+from .rigid_body import InertiaTensor, _Rows, _eigvalsh3, _floats, _require_finite_vec3
+from .so3 import _EYE, Array, _as_rows, require_rotation
 
 ANTIPODAL_TOL = 1e-12
 
 
-def _require_spd(m, name: str) -> Array:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-        raise ScenarioValidationError([(name, "must be a finite 3x3 matrix")])
-    if np.max(np.abs(m - m.T)) > 1e-9:
+def _require_spd(m, name: str) -> tuple:
+    m = _as_rows(m, 9, ScenarioValidationError([(name, "must be a finite 3x3 matrix")]))
+    if max(abs(m[1] - m[3]), abs(m[2] - m[6]), abs(m[5] - m[7])) > 1e-9:
         raise ScenarioValidationError([(name, "must be symmetric")])
-    if np.linalg.eigvalsh(m)[0] <= 0.0:
+    if not _eigvalsh3(m)[0] > 0.0:
         raise ScenarioValidationError([(name, "must be positive definite")])
     return m
 
@@ -56,33 +50,35 @@ class AttitudeReference:
     Omega_d_dot: Array
 
     def __post_init__(self):
+        import numpy as np
         self.R_d = require_rotation(self.R_d)
-        self.Omega_d = _require_finite_vec3(self.Omega_d, "Omega_d")
-        self.Omega_d_dot = _require_finite_vec3(self.Omega_d_dot, "Omega_d_dot")
+        self.Omega_d = np.array(_require_finite_vec3(self.Omega_d, "Omega_d"))
+        self.Omega_d_dot = np.array(_require_finite_vec3(self.Omega_d_dot, "Omega_d_dot"))
 
 
 @dataclass
 class AttitudeGains:
     """Backstepping gains: P shapes the virtual rate command, F the torque
-    feedback; k_R and S only weight the diagnostic storage function."""
+    feedback; k_R and S only weight the diagnostic storage function.  The
+    matrices are held as ``p_rows``, ``f_rows`` and ``s_rows`` (row-major
+    floats) and read as arrays."""
 
-    P: Array
-    F: Array
+    P: Array = _Rows((3, 3))
+    F: Array = _Rows((3, 3))
     k_R: float = 1.0
-    S: Array = field(default_factory=lambda: np.eye(3))
+    S: Array = _Rows((3, 3), _EYE)
 
     def __post_init__(self):
-        self.P = _require_spd(self.P, "P")
-        self.F = _require_spd(self.F, "F")
-        self.S = _require_spd(self.S, "S")
-        self.p_rows, self.f_rows = tuple(_floats(self.P)), tuple(_floats(self.F))
+        self.p_rows = _require_spd(self.p_rows, "P")
+        self.f_rows = _require_spd(self.f_rows, "F")
+        self.s_rows = _require_spd(self.s_rows, "S")
         if not self.k_R > 0.0:
             raise ScenarioValidationError([("k_R", "must be > 0")])
 
     @classmethod
     def from_inertia(cls, inertia: InertiaTensor) -> "AttitudeGains":
         """Weight both loops by the inertia tensor itself."""
-        return cls(P=inertia.j.copy(), F=inertia.j.copy())
+        return cls(P=inertia.j_rows, F=inertia.j_rows)
 
 
 def _error_matrix(tm, rd) -> tuple[tuple, float]:
@@ -107,7 +103,14 @@ def _error_matrix(tm, rd) -> tuple[tuple, float]:
 def attitude_error_psi(r: Array, r_d: Array) -> float:
     """Scalar error ``2 - sqrt(1 + tr(E))``; equals ``4 sin^2(angle/4)``."""
     _, one_plus_tr = _error_matrix(_floats(r), _floats(r_d))
-    return 2.0 - np.sqrt(one_plus_tr)
+    return 2.0 - math.sqrt(one_plus_tr)
+
+
+def _quad_form(m, e) -> float:
+    """``e . M e`` for a row-major ``M`` and a 3-sequence ``e``."""
+    e0, e1, e2 = e
+    return (e0 * (m[0] * e0 + m[1] * e1 + m[2] * e2) + e1 * (m[3] * e0 + m[4] * e1 + m[5] * e2)
+            + e2 * (m[6] * e0 + m[7] * e1 + m[8] * e2))
 
 
 def _error_vector(e, one_plus_tr: float) -> tuple[float, float, float]:
@@ -166,6 +169,7 @@ def _torque_kernel(tm, rd, wd, wdd, w, jj, p, f):
 
 def attitude_error_vector(r: Array, r_d: Array) -> Array:
     """Error vector along the error rotation axis with norm ``sin(angle/2)``."""
+    import numpy as np
     return np.array(_error_vector(*_error_matrix(_floats(r), _floats(r_d))))
 
 
@@ -182,11 +186,11 @@ def omega_target(r: Array, ref: AttitudeReference, gains: AttitudeGains) -> Arra
 
 def beta_matrix(r: Array, r_d: Array) -> Array:
     """Error-rate factor: ``d(e_R)/dt = beta e_Omega`` along any motion."""
+    import numpy as np
     e, one_plus_tr = _error_matrix(_floats(r), _floats(r_d))
     e_r = np.array(_error_vector(e, one_plus_tr))
-    return (2.0 * (e_r[:, None] * e_r) + (one_plus_tr - 1.0) * _EYE3 - np.reshape(e, (3, 3)).T) / (
-        2.0 * np.sqrt(one_plus_tr)
-    )
+    return (2.0 * (e_r[:, None] * e_r) + (one_plus_tr - 1.0) * np.eye(3)
+            - np.reshape(e, (3, 3)).T) / (2.0 * math.sqrt(one_plus_tr))
 
 
 def control_torque(
@@ -205,6 +209,7 @@ def control_torque(
     the storage function decreases pointwise whenever ``P`` dominates
     ``(k_R/4) I``.
     """
+    import numpy as np
     q = _torque_kernel(_floats(r), _floats(ref.R_d), _floats(ref.Omega_d),
                        _floats(ref.Omega_d_dot), _floats(omega), inertia.j_rows,
                        gains.p_rows, gains.f_rows)[0]
@@ -220,4 +225,4 @@ def storage_function(
     """Diagnostic value ``k_R psi + 0.5 e . S e`` with ``e = Omega - Omega_target``."""
     psi = attitude_error_psi(r, ref.R_d)
     e = omega - omega_target(r, ref, gains)
-    return gains.k_R * psi + 0.5 * float(e @ (gains.S @ e))
+    return gains.k_R * psi + 0.5 * _quad_form(gains.s_rows, e.tolist())

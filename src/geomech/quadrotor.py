@@ -15,15 +15,13 @@ ticks (they have no closed form).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .attitude_control import _require_spd, _torque_kernel
 from .errors import DegenerateHeadingError, DivergenceError, ZeroForceError
-from .rigid_body import QuadrotorParams, _floats
+from .rigid_body import QuadrotorParams, _Rows, _floats
 from .references import TrajectoryReference
-from .so3 import Array, _log_kernel
+from .so3 import _EYE, Array, _log_kernel
 
 # re-exported: the vehicle constants live with the plant model
 __all__ = [
@@ -45,19 +43,19 @@ __all__ = [
 @dataclass
 class PositionGains:
     """Translational gains: A/C weight the storage function, B shapes the
-    velocity command, D the force feedback."""
+    velocity command, D the force feedback.  Each is held as ``a_rows`` to
+    ``d_rows`` (row-major floats) and read as an array."""
 
-    A: Array = field(default_factory=lambda: np.eye(3))
-    B: Array = field(default_factory=lambda: 2.0 * np.eye(3))
-    C: Array = field(default_factory=lambda: np.eye(3))
-    D: Array = field(default_factory=lambda: 6.0 * np.eye(3))
+    A: Array = _Rows((3, 3), _EYE)
+    B: Array = _Rows((3, 3), tuple(2.0 * x for x in _EYE))
+    C: Array = _Rows((3, 3), _EYE)
+    D: Array = _Rows((3, 3), tuple(6.0 * x for x in _EYE))
 
     def __post_init__(self):
-        self.A = _require_spd(self.A, "A")
-        self.B = _require_spd(self.B, "B")
-        self.C = _require_spd(self.C, "C")
-        self.D = _require_spd(self.D, "D")
-        self.b_rows, self.d_rows = tuple(_floats(self.B)), tuple(_floats(self.D))
+        self.a_rows = _require_spd(self.a_rows, "A")
+        self.b_rows = _require_spd(self.b_rows, "B")
+        self.c_rows = _require_spd(self.c_rows, "C")
+        self.d_rows = _require_spd(self.d_rows, "D")
 
 
 def _velocity_target(r, r_d, v_d, b) -> tuple[float, float, float]:
@@ -109,6 +107,7 @@ def _attitude_kernel(force, b_1d) -> tuple:
 
 def velocity_target(r: Array, ref: TrajectoryReference, gains: PositionGains) -> Array:
     """Velocity command ``v_d - B (r - r_d)``."""
+    import numpy as np
     return np.array(_velocity_target(_floats(r), _floats(ref.r_d), _floats(ref.v_d),
                                      gains.b_rows))
 
@@ -124,6 +123,7 @@ def force_command(
 
     The command derivative is analytic: ``dv_target/dt = a_d - B (v - v_d)``.
     """
+    import numpy as np
     return np.array(_force_kernel(_floats(r), _floats(v), _floats(ref.r_d), _floats(ref.v_d),
                                   _floats(ref.a_d), params.mass, params.g, gains.b_rows,
                                   gains.d_rows))
@@ -142,15 +142,17 @@ def commanded_attitude(force_cmd: Array, b_1d: Array) -> Array:
     ``DegenerateHeadingError`` when the hint is parallel to the force
     direction (angle below 1e-4 rad).
     """
+    import numpy as np
     return np.reshape(_attitude_kernel(_floats(force_cmd), _floats(b_1d)), (3, 3))
 
 
 # Plus configuration: rotors 0/2 on the body x arm spin with +z, rotors 1/3
 # on the y arm spin with -z; reaction torques alternate accordingly.
-ROTOR_SPIN = np.array([1.0, -1.0, 1.0, -1.0])
+ROTOR_SPIN = (1.0, -1.0, 1.0, -1.0)
 
 
 def rotor_positions(arm_length: float) -> Array:
+    import numpy as np
     d = float(arm_length)
     return np.array(
         [[d, 0.0, 0.0], [0.0, d, 0.0], [-d, 0.0, 0.0], [0.0, -d, 0.0]]
@@ -173,9 +175,10 @@ def rotor_thrusts(thrust: float, moment, arm_length: float, kappa: float) -> tup
 @dataclass
 class ControllerMemory:
     """Backward-difference history for the commanded-attitude rates: the
-    previous commanded attitude (row-major) and rate, as float tuples."""
+    previous commanded attitude, a ``(3, 3)`` array (the operand of the tick's
+    one numpy product), and the previous rate, a float tuple."""
 
-    r_c_prev: tuple | None = None
+    r_c_prev: Array | None = None
     omega_c_prev: tuple | None = None
 
 
@@ -198,18 +201,19 @@ def tracking_step(x, ref, mass: float, g: float, b, d, jj, p, f_gain, b_1d, dt: 
     force = _force_kernel(r, v, ref[:3], ref[3:6], ref[6:], mass, g, b, d)
     r_c = _attitude_kernel(force, b_1d)
 
+    # R_c,prev^T R_c is numpy's product, which may fuse multiply-adds, so the
+    # public log_so3(R_prev.T @ R_c) / dt gives this rate bit for bit
+    import numpy as np
+    r_c_mat = np.array(r_c).reshape(3, 3)
     omega_c = omega_c_dot = (0.0, 0.0, 0.0)
     if memory.r_c_prev is not None:
-        # R_c,prev^T R_c is numpy's product, which may fuse multiply-adds, so the
-        # public log_so3(R_prev.T @ R_c) / dt gives this rate bit for bit
-        rel = np.array(memory.r_c_prev).reshape(3, 3).T @ np.array(r_c).reshape(3, 3)
-        w0, w1, w2 = _log_kernel(rel.ravel().tolist())
+        w0, w1, w2 = _log_kernel((memory.r_c_prev.T @ r_c_mat).ravel().tolist())
         o0, o1, o2 = omega_c = w0 / dt, w1 / dt, w2 / dt
         if memory.omega_c_prev is not None:
             p0, p1, p2 = memory.omega_c_prev
             omega_c_dot = (o0 - p0) / dt, (o1 - p1) / dt, (o2 - p2) / dt
         memory.omega_c_prev = omega_c  # an estimate: tick 0's zero rate is not one
-    memory.r_c_prev = r_c
+    memory.r_c_prev = r_c_mat
 
     # r_c is built orthonormal; the torque kernel refuses an antipodal error
     return (_thrust(force, R),

@@ -9,9 +9,9 @@ sinusoids with analytic velocity and acceleration.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .attitude_control import AttitudeReference
 from .errors import ScenarioValidationError
@@ -29,11 +29,7 @@ class AnglePolynomial:
     a2: float = 0.0
 
     def eval(self, t):
-        return (
-            self.a0 + self.a1 * t + self.a2 * t * t,
-            self.a1 + 2.0 * self.a2 * t,
-            2.0 * self.a2 * np.ones_like(t) if np.ndim(t) else 2.0 * self.a2,
-        )
+        return self.a0 + self.a1 * t + self.a2 * t * t, self.a1 + 2.0 * self.a2 * t, 2.0 * self.a2
 
 
 @dataclass
@@ -45,58 +41,36 @@ class Euler321Coeffs:
     yaw: AnglePolynomial = field(default_factory=AnglePolynomial)
 
 
-def _euler_321_raw(t, coeffs: Euler321Coeffs):
-    """Vectorised attitude, body rate, and body acceleration of the signal.
-
-    ``t`` may be a scalar or an array of shape (N,); returns ``R`` with shape
-    (..., 3, 3) and the rates with shape (..., 3).
-    """
-    roll, droll, ddroll = coeffs.roll.eval(t)
-    pitch, dpitch, ddpitch = coeffs.pitch.eval(t)
-    yaw, dyaw, ddyaw = coeffs.yaw.eval(t)
-
-    cr, sr = np.cos(roll), np.sin(roll)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cy, sy = np.cos(yaw), np.sin(yaw)
-
-    shape = np.shape(t) + (3, 3)
-    r = np.empty(shape)
-    r[..., 0, 0] = cy * cp
-    r[..., 0, 1] = cy * sp * sr - sy * cr
-    r[..., 0, 2] = cy * sp * cr + sy * sr
-    r[..., 1, 0] = sy * cp
-    r[..., 1, 1] = sy * sp * sr + cy * cr
-    r[..., 1, 2] = sy * sp * cr - cy * sr
-    r[..., 2, 0] = -sp
-    r[..., 2, 1] = cp * sr
-    r[..., 2, 2] = cp * cr
-
-    omega = np.empty(np.shape(t) + (3,))
-    omega[..., 0] = droll - dyaw * sp
-    omega[..., 1] = dpitch * cr + dyaw * cp * sr
-    omega[..., 2] = -dpitch * sr + dyaw * cp * cr
-
-    omega_dot = np.empty(np.shape(t) + (3,))
-    omega_dot[..., 0] = ddroll - ddyaw * sp - dyaw * dpitch * cp
-    omega_dot[..., 1] = (
-        ddpitch * cr
-        - dpitch * droll * sr
-        + ddyaw * cp * sr
-        + dyaw * (-dpitch * sp * sr + droll * cp * cr)
-    )
-    omega_dot[..., 2] = (
-        -ddpitch * sr
-        - dpitch * droll * cr
-        + ddyaw * cp * cr
-        + dyaw * (-dpitch * sp * cr - droll * cp * sr)
-    )
-    return r, omega, omega_dot
+def _euler_321_raw(times, coeffs: Euler321Coeffs) -> array:
+    """Attitude (row-major), body rate and body acceleration of the signal
+    at each time of ``times``: 15 floats per time, one time after another."""
+    out = array("d")
+    for t in times:
+        roll, droll, ddroll = coeffs.roll.eval(t)
+        pitch, dpitch, ddpitch = coeffs.pitch.eval(t)
+        yaw, dyaw, ddyaw = coeffs.yaw.eval(t)
+        cr, sr = math.cos(roll), math.sin(roll)
+        cp, sp = math.cos(pitch), math.sin(pitch)
+        cy, sy = math.cos(yaw), math.sin(yaw)
+        out.extend((
+            cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr,
+            sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr,
+            -sp, cp * sr, cp * cr,
+            droll - dyaw * sp, dpitch * cr + dyaw * cp * sr, -dpitch * sr + dyaw * cp * cr,
+            ddroll - ddyaw * sp - dyaw * dpitch * cp,
+            ddpitch * cr - dpitch * droll * sr + ddyaw * cp * sr
+            + dyaw * (-dpitch * sp * sr + droll * cp * cr),
+            -ddpitch * sr - dpitch * droll * cr + ddyaw * cp * cr
+            + dyaw * (-dpitch * sp * cr - droll * cp * sr),
+        ))
+    return out
 
 
 def euler_321_reference(t: float, coeffs: Euler321Coeffs) -> AttitudeReference:
     """Attitude reference at time ``t`` from the 3-2-1 angle signals."""
-    r, omega, omega_dot = _euler_321_raw(float(t), coeffs)
-    return AttitudeReference(r, omega, omega_dot)
+    import numpy as np
+    row = _euler_321_raw((float(t),), coeffs).tolist()
+    return AttitudeReference(np.reshape(row[:9], (3, 3)), row[9:12], row[12:])
 
 
 def gimbal_proximity(t, coeffs: Euler321Coeffs, tol: float = GIMBAL_TOL):
@@ -107,7 +81,7 @@ def gimbal_proximity(t, coeffs: Euler321Coeffs, tol: float = GIMBAL_TOL):
     runners record this as a diagnostic, never as an error.
     """
     pitch = coeffs.pitch.eval(t)[0]
-    return abs(abs(np.remainder(pitch + np.pi / 2, np.pi) - np.pi / 2) - np.pi / 2) < tol
+    return abs(abs((pitch + math.pi / 2) % math.pi - math.pi / 2) - math.pi / 2) < tol
 
 
 @dataclass
@@ -123,6 +97,7 @@ class TrajectoryReference:
     b_1d: Array
 
     def __post_init__(self):
+        import numpy as np
         for name in ("r_d", "v_d", "a_d", "b_1d"):
             v = np.asarray(getattr(self, name), dtype=float)
             setattr(self, name, v)
@@ -145,6 +120,7 @@ class CircleCoeffs:
 def circle_reference(t, coeffs: CircleCoeffs) -> TrajectoryReference:
     """The circle's sample at time ``t``, or at each entry of an array of
     times (fields of shape ``t.shape + (3,)``), in one vectorised call."""
+    import numpy as np
     a, w = coeffs.amplitude, coeffs.omega
     s, c = np.sin(w * t), np.cos(w * t)
     return TrajectoryReference(

@@ -14,72 +14,121 @@ is not confounded with orthogonality drift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .errors import DivergenceError, ScenarioValidationError
-from .so3 import Array, _check_step_angle, _floats, polar_project, require_rotation
+from .errors import _TRAP_FP, DivergenceError, InvalidRotationError, ScenarioValidationError
+from .so3 import (Array, _EYE, _as_rows, _check_step_angle, _det, _floats, _gram,
+                  _rotation_rows, polar_project)
 
 GRAVITY = 9.81
 
 
-def _require_finite_vec3(v, name: str) -> Array:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or not np.isfinite(v).all():
-        raise ScenarioValidationError([(name, "must be a finite 3-vector")])
-    return v
+class _Rows:
+    """A field held as row-major Python floats in ``<name>_rows`` (lower case),
+    which ``__post_init__`` checks, and read as a new numpy array of ``shape``."""
+
+    def __init__(self, shape: tuple, default: tuple | None = None):
+        self.shape, self.default = shape, default
+
+    def __set_name__(self, owner, name: str):
+        self.rows = name.lower() + "_rows"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            if self.default is None:
+                raise AttributeError(self.rows)  # a field without a default
+            return self.default
+        import numpy as np
+        return np.reshape(getattr(obj, self.rows), self.shape)
+
+    def __set__(self, obj, value):
+        setattr(obj, self.rows, value)
+
+
+def _require_finite_vec3(v, name: str) -> tuple:
+    return _as_rows(v, 3, ScenarioValidationError([(name, "must be a finite 3-vector")]))
+
+
+def _eigvalsh3(m) -> tuple[float, float, float]:
+    """Ascending eigenvalues of the symmetric row-major 3x3 ``m`` (its upper
+    triangle is read) by the trigonometric closed form, on ``m`` scaled to
+    unit size so that no product overflows."""
+    a, b, c, _, d, f, _, _, g = m
+    if b == c == f == 0.0:
+        return tuple(sorted((a, d, g)))
+    s = max(map(abs, (a, b, c, d, f, g)))
+    a, b, c, d, f, g = a / s, b / s, c / s, d / s, f / s, g / s
+    q = (a + d + g) / 3.0
+    a, d, g = a - q, d - q, g - q
+    p = math.sqrt((a * a + d * d + g * g + 2.0 * (b * b + c * c + f * f)) / 6.0)
+    det = a * (d * g - f * f) - b * (b * g - f * c) + c * (b * f - d * c)
+    phi = math.acos(max(-1.0, min(1.0, det / (2.0 * p * p * p)))) / 3.0 if p else math.pi / 6
+    hi, lo = q + 2.0 * p * math.cos(phi), q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
+    return s * lo, s * (3.0 * q - hi - lo), s * hi
+
+
+def _inverse3(m) -> tuple:
+    """Inverse of a row-major 3x3 by Gauss-Jordan elimination with partial
+    pivoting; a diagonal ``m`` gives the exact reciprocals."""
+    rows = [[*m[3 * i:3 * i + 3], *_EYE[3 * i:3 * i + 3]] for i in range(3)]
+    for c in range(3):
+        p = max(range(c, 3), key=lambda r: abs(rows[r][c]))
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        rows = [row if r == c else [x - row[c] * y for x, y in zip(row, rows[c])]
+                for r, row in enumerate(rows)]
+    return tuple(x for row in rows for x in row[3:])
 
 
 @dataclass
 class InertiaTensor:
-    """Body-frame inertia tensor (kg m^2).
+    """Body-frame inertia tensor (kg m^2), held as ``j_rows`` and
+    ``j_inv_rows`` (row-major floats); ``j`` and ``j_inv`` read as arrays.
 
     Construction refuses matrices that are not symmetric positive definite
     or that violate the triangle inequalities among the principal moments
     (every physical mass distribution satisfies ``l_i + l_j >= l_k``).
     """
 
-    j: Array
-    j_inv: Array = field(init=False, repr=False)
+    j: Array = _Rows((3, 3))
+    j_inv = _Rows((3, 3))  # not a field: set from j
 
     def __post_init__(self):
-        j = np.asarray(self.j, dtype=float)
-        if j.shape != (3, 3) or not np.all(np.isfinite(j)):
-            raise ScenarioValidationError([("inertia", "must be a finite 3x3 matrix")])
-        if np.max(np.abs(j - j.T)) > 1e-12:
+        j = _as_rows(self.j_rows, 9,
+                     ScenarioValidationError([("inertia", "must be a finite 3x3 matrix")]))
+        if max(abs(j[1] - j[3]), abs(j[2] - j[6]), abs(j[5] - j[7])) > 1e-12:
             raise ScenarioValidationError([("inertia", "must be symmetric within 1e-12")])
-        lams = np.linalg.eigvalsh(j)
-        if lams[0] <= 0.0:
+        lams = _eigvalsh3(j)
+        if not lams[0] > 0.0:
             raise ScenarioValidationError(
-                [("inertia", f"eigenvalues must be positive, got {lams}")]
+                [("inertia", f"eigenvalues must be positive, got {list(lams)}")]
             )
         if lams[2] - lams[1] - lams[0] > 1e-9:  # l0 + l1 < l2, free of overflow
             raise ScenarioValidationError(
-                [("inertia", f"principal moments {lams} violate the triangle inequality")]
+                [("inertia", f"principal moments {list(lams)} violate the triangle inequality")]
             )
-        self.j = j
-        self.j_inv = np.linalg.inv(j)
-        if not np.isfinite(self.j_inv).all():
+        self.j_rows, self.j_inv_rows = j, _inverse3(j)
+        if not all(map(math.isfinite, self.j_inv_rows)):
             raise ScenarioValidationError([("inertia", "inverse is not finite")])
-        self.j_rows, self.j_inv_rows = tuple(_floats(j)), tuple(_floats(self.j_inv))
 
     @classmethod
     def from_diag(cls, a: float, b: float, c: float) -> "InertiaTensor":
-        return cls(np.diag([float(a), float(b), float(c)]))
+        return cls((float(a), 0.0, 0.0, 0.0, float(b), 0.0, 0.0, 0.0, float(c)))
 
 
 @dataclass
 class RigidBodyState:
-    """Attitude ``T`` (body -> inertial) and body angular velocity (rad/s)."""
+    """Attitude ``T`` (body -> inertial) and body angular velocity (rad/s),
+    held as ``t_rows`` (row-major) and ``omega_rows``, read as arrays."""
 
-    T: Array
-    omega: Array
+    T: Array = _Rows((3, 3))
+    omega: Array = _Rows((3,))
 
     def __post_init__(self):
-        self.T = require_rotation(self.T)
-        self.omega = _require_finite_vec3(self.omega, "omega")
+        self.t_rows = _rotation_rows(_as_rows(self.t_rows, 9, InvalidRotationError(
+            "expected a finite 3x3 matrix")))
+        self.omega_rows = _require_finite_vec3(self.omega_rows, "omega")
 
 
 @dataclass
@@ -104,6 +153,7 @@ class QuadrotorParams:
 
     @property
     def gravity_vector(self) -> Array:
+        import numpy as np
         return np.array([0.0, 0.0, -self.g])
 
 
@@ -137,7 +187,8 @@ def attitude_rhs(
 
     A potential moment (none is built in) is added to ``moment`` by the caller.
     """
-    t_dot, w_dot = _rates(_floats(state.T), _floats(state.omega), _floats(moment),
+    import numpy as np
+    t_dot, w_dot = _rates(state.t_rows, state.omega_rows, _floats(moment),
                           inertia.j_rows, inertia.j_inv_rows)
     return np.reshape(t_dot, (3, 3)), np.array(w_dot)
 
@@ -155,6 +206,7 @@ def quadrotor_rhs(
     Translational dynamics: ``m vdot = m G + R f_body``; ideal actuation is
     ``f_body = (0, 0, thrust)``.
     """
+    import numpy as np
     _, v, R, Om = x
     rot = np.reshape(R, (3, 3))
     v_dot = params.gravity_vector + (rot @ np.asarray(f_body, dtype=float)) / params.mass
@@ -163,30 +215,27 @@ def quadrotor_rhs(
     return np.array(v, dtype=float), v_dot, np.reshape(R_dot, (3, 3)), np.array(Omega_dot)
 
 
+def _energy_momentum(tm, w, jj) -> tuple[float, float, float, float]:
+    """Kinetic energy ``0.5 w . J w`` and spatial momentum ``T J w`` of a
+    row-major ``T`` and body rate ``w``, given ``J`` row-major."""
+    w0, w1, w2 = w
+    j0, j1, j2, j3, j4, j5, j6, j7, j8 = jj
+    h0, h1, h2 = (j0 * w0 + j1 * w1 + j2 * w2, j3 * w0 + j4 * w1 + j5 * w2,
+                  j6 * w0 + j7 * w1 + j8 * w2)
+    t0, t1, t2, t3, t4, t5, t6, t7, t8 = tm
+    return (0.5 * (w0 * h0 + w1 * h1 + w2 * h2), t0 * h0 + t1 * h1 + t2 * h2,
+            t3 * h0 + t4 * h1 + t5 * h2, t6 * h0 + t7 * h1 + t8 * h2)
+
+
 def kinetic_energy(state: RigidBodyState, inertia: InertiaTensor) -> float:
     """Rotational kinetic energy ``0.5 omega . J omega`` (J)."""
-    return 0.5 * float(state.omega @ (inertia.j @ state.omega))
+    return _energy_momentum(state.t_rows, state.omega_rows, inertia.j_rows)[0]
 
 
 def spatial_momentum(state: RigidBodyState, inertia: InertiaTensor) -> Array:
     """Inertial-frame angular momentum ``T J omega``; conserved when M = 0."""
-    return state.T @ (inertia.j @ state.omega)
-
-
-def energy_momentum_rows(T: Array, w: Array, inertia: InertiaTensor) -> tuple[Array, Array]:
-    """:func:`kinetic_energy` and :func:`spatial_momentum` of each row of a
-    trajectory: attitudes ``T`` (``(n, 3, 3)``, or ``(n, 9)`` row-major) and
-    body rates ``w`` (``(n, 3)``)."""
-    jw = w @ inertia.j.T
-    h = 0.5 * np.einsum("ni,ni->n", w, jw)
-    return h, np.einsum("nij,nj->ni", T.reshape(-1, 3, 3), jw)
-
-
-def _gram(m) -> tuple:
-    """Entries 00, 01, 02, 11, 12, 22 of the symmetric ``m^T m``."""
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-    return (m0 * m0 + m3 * m3 + m6 * m6, m0 * m1 + m3 * m4 + m6 * m7, m0 * m2 + m3 * m5 + m6 * m8,
-            m1 * m1 + m4 * m4 + m7 * m7, m1 * m2 + m4 * m5 + m7 * m8, m2 * m2 + m5 * m5 + m8 * m8)
+    import numpy as np
+    return np.array(_energy_momentum(state.t_rows, state.omega_rows, inertia.j_rows)[1:])
 
 
 def _times_sym(m, s0, s1, s2, s4, s5, s8) -> tuple:
@@ -213,7 +262,9 @@ def _fast_polar(m) -> tuple:
             and -lim <= d <= lim and -lim <= f <= lim and -lim <= g <= lim):
         if not math.isfinite(a + b + c + d + f + g):
             raise DivergenceError("state diverged: attitude entries overflow")
-        return tuple(polar_project(np.reshape(m, (3, 3))).ravel().tolist())
+        import numpy as np
+        with np.errstate(**_TRAP_FP):  # the SVD route is numpy's, trapped as in the runs
+            return tuple(polar_project(np.reshape(m, (3, 3))).ravel().tolist())
     x = _times_sym(  # m (I - e/2 + 3/8 e^2)
         m, 1.0 - 0.5 * a + 0.375 * (a * a + b * b + c * c),
         -0.5 * b + 0.375 * (a * b + b * d + c * f), -0.5 * c + 0.375 * (a * c + b * f + c * g),
@@ -283,12 +334,14 @@ def rk4_attitude_step(
 
     ``torque_fn(t, T, w)`` takes and returns arrays.
     """
+    import numpy as np
+
     def torque(ti, tm, wi):
         return _floats(torque_fn(ti, np.reshape(tm, (3, 3)), np.array(wi)))
 
-    t_new, w_new = _attitude_rk4_core(_floats(state.T), _floats(state.omega),
-                                      inertia.j_rows, inertia.j_inv_rows, torque, t, dt)
-    return RigidBodyState(np.reshape(t_new, (3, 3)), np.array(w_new))
+    t_new, w_new = _attitude_rk4_core(state.t_rows, state.omega_rows, inertia.j_rows,
+                                      inertia.j_inv_rows, torque, t, dt)
+    return RigidBodyState(t_new, tuple(w_new))
 
 
 def rk4_quadrotor_step(x, params: QuadrotorParams, f_body, m_body, dt: float):
@@ -324,8 +377,7 @@ def rk4_quadrotor_step(x, params: QuadrotorParams, f_body, m_body, dt: float):
     r_new, v_new = _rk4_sum(r, sixth, *vel), _rk4_sum(v, sixth, *kv)
     R_new, O_new = _rk4_sum(R, sixth, *kR), _rk4_sum(Om, sixth, *kO)
     _require_finite({"r": r_new, "v": v_new, "R": R_new, "Omega": O_new})
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = R_new  # det by cofactors of the first row
-    det = m0 * (m4 * m8 - m5 * m7) - m1 * (m3 * m8 - m5 * m6) + m2 * (m3 * m7 - m4 * m6)
+    det = _det(R_new)
     if not det > 0.0:
         raise DivergenceError(
             f"state diverged: attitude determinant {det:.3e} is not positive "

@@ -22,10 +22,9 @@ import contextlib
 import math
 import os
 import pickle
+from array import array
 
-import numpy as np
-
-from .attitude_control import _torque_kernel
+from .attitude_control import _quad_form, _torque_kernel
 from .errors import _TRAP_FP, GeomechError, SolverError, _step_failure
 from .quadrotor import (
     ControllerMemory,
@@ -36,8 +35,8 @@ from .quadrotor import (
     translational_storage,
 )
 from .references import _euler_321_raw, circle_reference, gimbal_proximity
-from .rigid_body import _attitude_rk4_core, _floats, energy_momentum_rows, rk4_quadrotor_step
-from .so3 import orthogonality_defects
+from .rigid_body import _attitude_rk4_core, _energy_momentum, _floats, rk4_quadrotor_step
+from .so3 import _ortho_defect
 from .rotor_aero import (
     HoverCalibration,
     hover_rotor_speed,
@@ -51,7 +50,7 @@ from .timeseries import MetricsSummary, TimeSeries, write_outputs  # noqa: F401
 from .variational import IntegratorConfig, simulate
 
 
-def settling_time(t: np.ndarray, signal: np.ndarray, fraction: float = 0.05):
+def settling_time(t, signal, fraction: float = 0.05):
     """First time after which ``signal`` stays below ``fraction`` of its
     initial value for the remainder of the run; ``(None, False)`` if it
     never settles."""
@@ -60,32 +59,34 @@ def settling_time(t: np.ndarray, signal: np.ndarray, fraction: float = 0.05):
         return float(t[0]), True
     threshold = fraction * s0
     # index 0 is always above: a finite s0 > 0 is at least fraction * s0
-    above = np.where(signal >= threshold)[0]
-    last = int(above[-1])
+    last = next(k for k in range(len(signal) - 1, -1, -1) if signal[k] >= threshold)
     if last == len(t) - 1:
         return None, False
     return float(t[last + 1]), True
 
 
-def steady_state_value(signal: np.ndarray, fraction: float = 0.1) -> float:
+def steady_state_value(signal, fraction: float = 0.1) -> float:
     """Mean of the last ``fraction`` of the samples."""
     n = max(1, int(round(fraction * len(signal))))
-    return float(np.mean(signal[-n:]))
+    return math.fsum(signal[-n:]) / n
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of ``v``."""
-    return np.sqrt(np.einsum("ni,ni->n", v, v))
+def _momentum_drifts(series: TimeSeries) -> list[float]:
+    """``|Pi_k - Pi_0|`` of each row of a VI record."""
+    pi = list(zip(*(series.floats(f"Pi_{ax}") for ax in "xyz")))
+    x0, y0, z0 = pi[0]
+    return [math.hypot(x - x0, y - y0, z - z0) for x, y, z in pi]
 
 
 def run(scenario: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     """Execute a scenario deterministically.
 
-    The whole run is under the floating-point trap ``_TRAP_FP``.  The step
-    loops name the step that fails (``_step_failure``); any other library or
-    arithmetic error, in setting the run up or in its derived columns and
-    metrics, becomes a ``SolverError`` too.  So does a non-finite column of
-    the record, which the trap misses where ``np.einsum`` overflows.
+    The step loops name the step that fails (``_step_failure``); any other
+    library or arithmetic error, or a math domain error (the sine of an
+    overflowed reference angle), in setting the run up or in its derived
+    columns and metrics, becomes a ``SolverError`` too.  So does a
+    non-finite column of the record or metric, since float arithmetic
+    overflows to ``inf`` or ``nan`` without a trap.
     """
     kinds = {
         "free_body": _run_free_body,
@@ -94,16 +95,16 @@ def run(scenario: Scenario) -> tuple[TimeSeries, MetricsSummary]:
         "integrator_compare": _run_integrator_compare,
     }
     try:
-        with np.errstate(**_TRAP_FP):
-            series, metrics = kinds[scenario.kind](scenario)
+        series, metrics = kinds[scenario.kind](scenario)
+        metrics.to_dict()  # refuses a non-finite metric
     except SolverError:
         raise
-    except (ArithmeticError, GeomechError) as exc:
+    except (ArithmeticError, ValueError, GeomechError) as exc:
         raise SolverError(f"outside the step loop: {exc}") from None
-    finite = np.isfinite(series.table).all(axis=0)
-    if not finite.all():
-        bad = ", ".join(name for name, ok in zip(series.names, finite) if not ok)
-        raise SolverError(f"outside the step loop: non-finite {bad}")
+    if not math.isfinite(sum(series.data)):  # a finite sum has no inf or nan term
+        bad = [name for name in series.names if not all(map(math.isfinite, series.floats(name)))]
+        if bad:
+            raise SolverError(f"outside the step loop: non-finite {', '.join(bad)}")
     return series, metrics
 
 
@@ -126,19 +127,17 @@ def _run_free_body(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
 
 
 def _free_body_metrics(series: TimeSeries) -> MetricsSummary:
-    h = series.column("H")
-    pi = series.vector("Pi")
-    iters = series.column("newton_iters")
-    drift = float(np.max(np.abs(h - h[0])) / abs(h[0])) if h[0] != 0.0 else 0.0
+    h, iters = series.floats("H"), series.floats("newton_iters")
+    drift = max(abs(x - h[0]) for x in h) / abs(h[0]) if h[0] != 0.0 else 0.0
     # the initial row records 0 iterations and residual, so both maxima exist
     return MetricsSummary(
         energy_drift_max_rel=drift,
-        momentum_drift_max=float(np.max(np.linalg.norm(pi - pi[0], axis=1))),
-        orthogonality_defect_max=float(np.max(series.column("ortho_defect"))),
-        newton_iters_mean=float(np.mean(iters[1:])) if len(iters) > 1 else 0.0,
+        momentum_drift_max=max(_momentum_drifts(series)),
+        orthogonality_defect_max=max(series.floats("ortho_defect")),
+        newton_iters_mean=sum(iters[1:]) / (len(iters) - 1) if len(iters) > 1 else 0.0,
         extras={
-            "newton_iters_max": float(np.max(iters)),
-            "residual_max": float(np.max(series.column("residual"))),
+            "newton_iters_max": max(iters),
+            "residual_max": max(series.floats("residual")),
         },
     )
 
@@ -152,30 +151,27 @@ _ATTITUDE_COLUMNS = (
 )
 
 
-def _attitude_loop_numpy(ref, sc: Scenario):
+def _attitude_loop_numpy(ref, sc: Scenario) -> array:
     """Closed attitude loop: the float torque kernel on the float RK4 core.
 
-    ``ref`` holds ``R_d`` (row-major), ``Omega_d`` and ``dOmega_d`` on the
-    half-step grid, so stage time ``t`` reads row ``round(2 t / dt)``, one
-    row of Python floats at a time.
-    The torque at ``(t_k, T_k, Omega_k)`` is recorded and reused as the
-    step's RK4 stage 1.  Each step writes only the state, the torque,
-    ``e_R``, ``e_Omega`` and ``1 + tr E`` into the preallocated tables; the
-    derived columns are formed after the loop.  Returns the table of
-    ``_ATTITUDE_COLUMNS``, one row per step; the caller fills ``t`` and
-    ``gimbal_proximity``.  The loop is no longer numpy; its name is kept only
+    ``ref`` holds 15 floats per time of the half-step grid (``R_d``
+    row-major, ``Omega_d`` and ``dOmega_d``), so stage time ``t`` reads
+    sample ``round(2 t / dt)``.  The torque at ``(t_k, T_k, Omega_k)`` is
+    recorded and reused as the step's RK4 stage 1.  Each step appends its
+    row of ``_ATTITUDE_COLUMNS``, the derived columns included, to the
+    returned floats.  The loop is no longer numpy; its name is kept only
     because the benchmark's tracer looks it up as ``runner._attitude_loop_numpy``.
     """
-    dt, gains = sc.dt, sc.attitude_gains
+    dt, gains, coeffs = sc.dt, sc.attitude_gains, sc.euler_coeffs
     jj, jinv = sc.inertia.j_rows, sc.inertia.j_inv_rows
     p_g, f_g = gains.p_rows, gains.f_rows
-    n = (ref.shape[0] - 1) // 2
-    table = np.empty((n + 1, len(_ATTITUDE_COLUMNS)))
-    side = np.empty((n + 1, 7))  # e_R, e_Omega, 1 + tr E
-    t_mat, w = _floats(sc.initial.T), _floats(sc.initial.omega)
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = p_g
+    n = (len(ref) // 15 - 1) // 2
+    data = array("d")
+    t_mat, w = sc.initial.t_rows, sc.initial.omega_rows
 
     def torque(idx, tm, wi):
-        row = ref[idx].tolist()
+        row = ref[15 * idx:15 * idx + 15].tolist()
         return _torque_kernel(tm, row[:9], row[9:12], row[12:], wi, jj, p_g, f_g)
 
     def stage_torque(t, tm, wi):
@@ -184,54 +180,38 @@ def _attitude_loop_numpy(ref, sc: Scenario):
     try:
         for k in range(n + 1):
             q, e_r, e_om, one_plus_tr = torque(2 * k, t_mat, w)
-            # t and the derived columns (the 0.0 slots) are filled after the loop
-            table[k] = (0.0, *t_mat, *w, 0.0, 0.0, 0.0, *q, 0.0, 0.0, 0.0)
-            side[k] = (*e_r, *e_om, one_plus_tr)
+            (a0, a1, a2), (b0, b1, b2) = e_r, e_om
+            err = (b0 + (p0 * a0 + p1 * a1 + p2 * a2), b1 + (p3 * a0 + p4 * a1 + p5 * a2),
+                   b2 + (p6 * a0 + p7 * a1 + p8 * a2))  # Omega - Omega_target
+            psi, t = 2.0 - math.sqrt(one_plus_tr), k * dt
+            data.extend((t, *t_mat, *w, psi, math.hypot(a0, a1, a2), math.hypot(b0, b1, b2), *q,
+                         gains.k_R * psi + 0.5 * _quad_form(gains.s_rows, err),
+                         _ortho_defect(t_mat), float(gimbal_proximity(t, coeffs))))
             if k < n:
                 t_mat, w = _attitude_rk4_core(t_mat, w, jj, jinv, stage_torque, k * dt, dt, q)
     except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
-
-    col = _ATTITUDE_COLUMNS.index
-    e_r, e_om = side[:, :3], side[:, 3:6]
-    err = e_om + e_r @ gains.P.T  # Omega - Omega_target
-    psi = 2.0 - np.sqrt(side[:, 6])
-    table[:, col("psi")] = psi
-    table[:, col("e_R_norm")] = _row_norms(e_r)
-    table[:, col("e_Omega_norm")] = _row_norms(e_om)
-    table[:, col("V_storage")] = (
-        gains.k_R * psi + 0.5 * np.einsum("ni,ij,nj->n", err, gains.S, err)
-    )
-    table[:, col("ortho_defect")] = orthogonality_defects(table[:, col("R00"):col("R22") + 1])
-    return table
+    return data
 
 
 def _run_attitude_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     dt = sc.dt
     n = int(round(sc.t_final / dt)) if sc.t_final > 0.0 else 0
-    coeffs = sc.euler_coeffs
-
-    # reference samples on the half grid cover every RK4 stage time, in one
-    # (2n+1, 15) array; the three arrays it is built from die with this statement
-    t_half = 0.5 * dt * np.arange(2 * n + 1)
-    table = _attitude_loop_numpy(np.concatenate(
-        [a.reshape(2 * n + 1, -1) for a in _euler_321_raw(t_half, coeffs)], axis=1), sc)
-    t = t_half[::2].copy()
-    table[:, 0], table[:, -1] = t, gimbal_proximity(t, coeffs)
-    series = TimeSeries(_ATTITUDE_COLUMNS, table)
-    psi_col = series.column("psi")
-    settle, settled = settling_time(series.t, psi_col)
-    storage = series.column("V_storage")
+    # reference samples on the half grid cover every RK4 stage time
+    ref = _euler_321_raw((0.5 * dt * i for i in range(2 * n + 1)), sc.euler_coeffs)
+    series = TimeSeries(_ATTITUDE_COLUMNS, _attitude_loop_numpy(ref, sc))
+    psi, storage = series.floats("psi"), series.floats("V_storage")
+    settle, settled = settling_time(series.floats("t"), psi)
     metrics = MetricsSummary(
-        orthogonality_defect_max=float(np.max(series.column("ortho_defect"))),
+        orthogonality_defect_max=max(series.floats("ortho_defect")),
         settling_time_5pct=settle,
         settled=settled,
-        steady_state_error=steady_state_value(psi_col),
+        steady_state_error=steady_state_value(psi),
         extras={
-            "storage_max_increase": float(np.max(np.diff(storage)))
+            "storage_max_increase": max(b - a for a, b in zip(storage, storage[1:]))
             if len(storage) > 1
             else 0.0,
-            "gimbal_proximity_count": float(np.sum(series.column("gimbal_proximity"))),
+            "gimbal_proximity_count": sum(series.floats("gimbal_proximity")),
         },
     )
     return series, metrics
@@ -259,7 +239,7 @@ class _AeroModel:
         self.params = params
         # per rotor: arm x, arm y (the arms lie in the body x-y plane), spin sign
         self.rotors = [(ax, ay, spin) for (ax, ay, _), spin
-                       in zip(rotor_positions(params.arm_length).tolist(), ROTOR_SPIN.tolist())]
+                       in zip(rotor_positions(params.arm_length).tolist(), ROTOR_SPIN)]
         hover = params.mass * params.g / 4.0
         self.calibration = HoverCalibration(self.geom, self.rho, hover)
         tip_h = hover_rotor_speed(self.geom, hover, self.rho) * self.geom.radius
@@ -305,6 +285,7 @@ class _AeroModel:
 
 
 def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
+    import numpy as np  # the reference samples and the tick's one product, under the trap
     dt = sc.dt
     n = int(round(sc.t_final / dt)) if sc.t_final > 0.0 else 0
     params, gains, att_gains = sc.vehicle, sc.position_gains, sc.attitude_gains
@@ -315,60 +296,60 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     x = sc.quad_initial
     memory = ControllerMemory()
     aero = _AeroModel(sc) if sc.aero.enabled else None
+    data, side = array("d"), array("d")  # side: e_R, e_Omega and 1 + tr E of each tick
 
-    # the reference of every tick in one call; each tick reads its row (r_d, v_d, a_d)
-    t = dt * np.arange(n + 1)
-    ref = circle_reference(t, sc.circle_coeffs)
-    ref_rows = np.concatenate((ref.r_d, ref.v_d, ref.a_d), axis=1)
-    table = np.empty((n + 1, len(_QUAD_COLUMNS)))
-    side = np.empty((n + 1, 7))  # e_R, e_Omega, 1 + tr E
+    with np.errstate(**_TRAP_FP):
+        # the reference of every tick in one call; each tick reads its row (r_d, v_d, a_d)
+        ref = circle_reference(dt * np.arange(n + 1), sc.circle_coeffs)
+        ref_rows = np.concatenate((ref.r_d, ref.v_d, ref.a_d), axis=1)
+        try:
+            for k in range(n + 1):
+                f, q, e_R, e_Om, one_plus_tr = tracking_step(
+                    x, ref_rows[k].tolist(), mass, g, b, d, jj, p_g, f_g, b_1d, dt, memory)
+                r, v, R, Om = x
+                # the error columns (the 0.0 slots) are formed after the loop
+                data.extend((k * dt, *r, *v, *Om, 0.0, 0.0, 0.0, *q, *R,
+                             0.0, 0.0, 0.0, 0.0, 0.0, f, 0.0, 0.0, _ortho_defect(R)))
+                side.extend((*e_R, *e_Om, one_plus_tr))
+                if k == n:
+                    break
+                wrench = ((0.0, 0.0, f), q) if aero is None else aero.wrench(x, f, q)
+                x = rk4_quadrotor_step(x, params, *wrench, dt)
+        except (ArithmeticError, GeomechError) as exc:
+            raise _step_failure(exc, k, dt) from None
 
-    try:
-        for k in range(n + 1):
-            f, q, e_R, e_Om, one_plus_tr = tracking_step(
-                x, ref_rows[k].tolist(), mass, g, b, d, jj, p_g, f_g, b_1d, dt, memory)
-            r, v, R, Om = x
-            # t and the error columns (the 0.0 slots) are formed after the loop
-            table[k] = (0.0, *r, *v, *Om, 0.0, 0.0, 0.0, *q, *R,
-                        0.0, 0.0, 0.0, 0.0, 0.0, f, 0.0, 0.0, 0.0)
-            side[k] = (*e_R, *e_Om, one_plus_tr)
-            if k == n:
-                break
-            wrench = ((0.0, 0.0, f), q) if aero is None else aero.wrench(x, f, q)
-            x = rk4_quadrotor_step(x, params, *wrench, dt)
-    except (ArithmeticError, GeomechError) as exc:
-        raise _step_failure(exc, k, dt) from None
+        # numpy is loaded here anyway, so the error columns are formed on views
+        # of the record, whose writes land in data
+        table, side = np.frombuffer(data).reshape(n + 1, -1), np.frombuffer(side).reshape(-1, 7)
+        col = _QUAD_COLUMNS.index
 
-    col = _QUAD_COLUMNS.index
+        def xyz(name):
+            return table[:, col(f"{name}_x"):col(f"{name}_z") + 1]
 
-    def xyz(name):
-        return table[:, col(f"{name}_x"):col(f"{name}_z") + 1]
+        def norms(v):
+            return np.sqrt(np.einsum("ni,ni->n", v, v))
 
-    table[:, col("t")] = t
-    xyz("e_r")[:] = e_r = xyz("r") - ref.r_d
-    table[:, col("e_r_norm")] = _row_norms(e_r)
-    table[:, col("e_v_norm")] = _row_norms(xyz("v") - ref.v_d)
-    table[:, col("psi_cmd")] = 2.0 - np.sqrt(side[:, 6])
-    table[:, col("e_R_norm")] = _row_norms(side[:, :3])
-    table[:, col("e_Omega_norm")] = _row_norms(side[:, 3:6])
-    table[:, col("V_translational")] = translational_storage(xyz("r"), xyz("v"), ref.r_d,
-                                                             ref.v_d, gains)
-    table[:, col("thrust_negative")] = table[:, col("f")] < 0.0
-    table[:, col("ortho_defect")] = orthogonality_defects(table[:, col("R00"):col("R22") + 1])
-    series = TimeSeries(_QUAD_COLUMNS, table)
-    e_r_norm = series.column("e_r_norm")
-    settle, settled = settling_time(series.t, e_r_norm)
+        xyz("e_r")[:] = e_r = xyz("r") - ref.r_d
+        table[:, col("e_r_norm")] = norms(e_r)
+        table[:, col("e_v_norm")] = norms(xyz("v") - ref.v_d)
+        table[:, col("psi_cmd")] = 2.0 - np.sqrt(side[:, 6])
+        table[:, col("e_R_norm")] = norms(side[:, :3])
+        table[:, col("e_Omega_norm")] = norms(side[:, 3:6])
+        table[:, col("V_translational")] = translational_storage(xyz("r"), xyz("v"), ref.r_d,
+                                                                 ref.v_d, gains)
+        table[:, col("thrust_negative")] = table[:, col("f")] < 0.0
+    series = TimeSeries(_QUAD_COLUMNS, data)
+    e_r_norm = series.floats("e_r_norm")
+    settle, settled = settling_time(series.floats("t"), e_r_norm)
+    extras = {f"steady_abs_error_{ax}":
+              steady_state_value(list(map(abs, series.floats(f"e_r_{ax}")))) for ax in "xyz"}
+    extras["thrust_negative_count"] = sum(series.floats("thrust_negative"))
     metrics = MetricsSummary(
-        orthogonality_defect_max=float(np.max(series.column("ortho_defect"))),
+        orthogonality_defect_max=max(series.floats("ortho_defect")),
         settling_time_5pct=settle,
         settled=settled,
         steady_state_error=steady_state_value(e_r_norm),
-        extras={
-            "steady_abs_error_x": steady_state_value(np.abs(series.column("e_r_x"))),
-            "steady_abs_error_y": steady_state_value(np.abs(series.column("e_r_y"))),
-            "steady_abs_error_z": steady_state_value(np.abs(series.column("e_r_z"))),
-            "thrust_negative_count": float(np.sum(series.column("thrust_negative"))),
-        },
+        extras=extras,
     )
     return series, metrics
 
@@ -409,19 +390,21 @@ def _forked(fn):
 
 
 def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
-    from array import array  # here, as signal in _forked
-    dt, jj = sc.dt, sc.inertia
+    dt, jj, jinv = sc.dt, sc.inertia.j_rows, sc.inertia.j_inv_rows
     n = int(round(sc.t_final / dt)) if sc.t_final > 0.0 else 0
-    moment = [0.0] * 3 if sc.moment is None else _floats(sc.moment)
-    state = (*_floats(sc.initial.T), *_floats(sc.initial.omega))
+    moment = (0.0, 0.0, 0.0) if sc.moment is None else tuple(map(float, sc.moment))
+    t0, w0 = sc.initial.t_rows, sc.initial.omega_rows
 
-    def rk4_rows():  # T (row-major) and omega of each step, on floats only
-        rows, t_mat, w = array("d", state), state[:9], state[9:]
+    def rk4_rows():  # H, |Pi - Pi_0| and the orthogonality defect of each step, on floats
+        _, x0, y0, z0 = _energy_momentum(t0, w0, jj)
+        rows, t_mat, w = array("d"), t0, w0
         try:
-            for k in range(n):
-                t_mat, w = _attitude_rk4_core(t_mat, w, jj.j_rows, jj.j_inv_rows,
-                                              lambda t, T, wi: moment, k * dt, dt, moment)
-                rows.extend((*t_mat, *w))
+            for k in range(n + 1):
+                h, x, y, z = _energy_momentum(t_mat, w, jj)
+                rows.extend((h, math.hypot(x - x0, y - y0, z - z0), _ortho_defect(t_mat)))
+                if k < n:
+                    t_mat, w = _attitude_rk4_core(t_mat, w, jj, jinv, lambda t, T, wi: moment,
+                                                  k * dt, dt, moment)
         except (ArithmeticError, GeomechError) as exc:
             raise _step_failure(exc, k, dt) from None
         return rows
@@ -431,28 +414,25 @@ def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     rk4 = _forked(rk4_rows) if n else contextlib.nullcontext(rk4_rows)
     with rk4 as rk4_result:
         vi_series = simulate(sc.initial, sc.inertia, sc.moment, _vi_config(sc), sc.t_final)
-        rows = np.frombuffer(rk4_result(), dtype=float).reshape(n + 1, 12)
+        rows = rk4_result()
+    h_rk4, mom_rk4, ortho_rk4 = rows[0::3], rows[1::3], rows[2::3]
 
-    h_rk4, pi_rk4 = energy_momentum_rows(rows[:, :9], rows[:, 9:], jj)
-    mom_rk4 = _row_norms(pi_rk4 - pi_rk4[0])
-    ortho_rk4 = orthogonality_defects(rows[:, :9])
-
-    h_vi = vi_series.column("H")
-    pi_vi = vi_series.vector("Pi")
+    h_vi = vi_series.floats("H")
+    mom_vi = _momentum_drifts(vi_series)
     series = TimeSeries(
         ("t", "H_vi", "H_rk4", "mom_err_vi", "mom_err_rk4", "ortho_vi", "ortho_rk4"),
-        np.column_stack((vi_series.t, h_vi, h_rk4, np.linalg.norm(pi_vi - pi_vi[0], axis=1),
-                         mom_rk4, vi_series.column("ortho_defect"), ortho_rk4)),
+        list(zip(vi_series.floats("t"), h_vi, h_rk4, mom_vi, mom_rk4,
+                 vi_series.floats("ortho_defect"), ortho_rk4)),
     )
     metrics = _free_body_metrics(vi_series)
     h0 = abs(h_vi[0])
-    drift = np.abs(h_rk4 - h_rk4[0])
+    drift = [abs(h - h_rk4[0]) for h in h_rk4]
     # relative drifts are undefined for a body at rest (H0 = 0): null
     metrics.extras.update({
-        "rk4_energy_drift_end_rel": float(drift[-1] / h0) if h0 else None,
-        "rk4_energy_drift_max_rel": float(np.max(drift) / h0) if h0 else None,
-        "rk4_energy_drift_max_abs": float(np.max(drift)),
-        "rk4_momentum_drift_max": float(np.max(mom_rk4)),
-        "rk4_orthogonality_defect_max": float(np.max(ortho_rk4)),
+        "rk4_energy_drift_end_rel": drift[-1] / h0 if h0 else None,
+        "rk4_energy_drift_max_rel": max(drift) / h0 if h0 else None,
+        "rk4_energy_drift_max_abs": max(drift),
+        "rk4_momentum_drift_max": max(mom_rk4),
+        "rk4_orthogonality_defect_max": max(ortho_rk4),
     })
     return series, metrics

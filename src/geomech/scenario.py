@@ -16,15 +16,13 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .attitude_control import AttitudeGains
-from .errors import _TRAP_FP, GeomechError, ScenarioParseError, ScenarioValidationError
+from .errors import GeomechError, ScenarioParseError, ScenarioValidationError
 from .quadrotor import PositionGains
 from .references import AnglePolynomial, CircleCoeffs, Euler321Coeffs
 from .rigid_body import InertiaTensor, QuadrotorParams, RigidBodyState
 from .rotor_aero import RotorGeometry
-from .so3 import Array, _floats, require_rotation
+from .so3 import _EYE, _rotation_rows
 
 KINDS = ("free_body", "attitude_track", "quad_track", "integrator_compare")
 
@@ -36,7 +34,7 @@ _DEFAULT_TIMING = {
     "quad_track": (1e-3, 20.0),
 }
 
-# The run loops size their tables up front, one row per step.
+# A run records one row per step.
 MAX_STEPS = 10**8
 
 # (minimum, maximum) of the rotor geometry fields that have an envelope
@@ -76,7 +74,7 @@ class Scenario:
     # rigid-body kinds
     inertia: InertiaTensor | None = None
     initial: RigidBodyState | None = None
-    moment: Array | None = None
+    moment: tuple | None = None  # 3 floats
     newton_tol: float = 1e-12
     max_iters: int = 50
     step_measure: str = "chord"
@@ -84,7 +82,7 @@ class Scenario:
     euler_coeffs: Euler321Coeffs | None = None
     # quadrotor kind
     vehicle: QuadrotorParams | None = None
-    quad_initial: tuple | None = None  # (r, v, R row-major, Omega) as float lists
+    quad_initial: tuple | None = None  # (r, v, R row-major, Omega) as float tuples
     position_gains: PositionGains | None = None
     circle_coeffs: CircleCoeffs | None = None
     aero: AeroConfig = field(default_factory=AeroConfig)
@@ -94,18 +92,22 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _finite_array(value) -> Array | None:
-    """``value`` as a float array if it is a JSON number, or a list of numbers
-    or of lists of numbers, all finite and of regular shape; else ``None``."""
+def _finite_array(value) -> tuple[tuple, tuple] | None:
+    """The shape and the row-major floats of ``value`` if it is a JSON number,
+    or a list of numbers or of lists of numbers, all finite and of regular
+    shape; else ``None``."""
     rows = value if isinstance(value, list) else [value]
+    nested = [isinstance(row, list) for row in rows]
     leaves = [x for row in rows for x in (row if isinstance(row, list) else [row])]
-    if not all(map(_is_number, leaves)):
+    if not all(map(_is_number, leaves)) or any(nested) and (
+            not all(nested) or len({len(row) for row in rows}) > 1):  # mixed or ragged
         return None
     try:
-        arr = np.array(value, dtype=float)
-    except (ValueError, OverflowError):  # ragged, or an integer beyond float range
+        flat = tuple(float(x) for x in leaves)
+    except OverflowError:  # an integer beyond float range
         return None
-    return arr if np.isfinite(arr).all() else None
+    shape = (len(rows), len(rows[0])) if any(nested) else (len(rows),) if rows is value else ()
+    return (shape, flat) if all(map(math.isfinite, flat)) else None
 
 
 class _Fields:
@@ -158,20 +160,22 @@ class _Fields:
             return value
         return self.fail(key, "must be " + " or ".join(map(json.dumps, options)))
 
-    def array(self, key, default: Array, *, matrix=False, bound=None) -> Array | None:
-        """A finite 3-vector; with ``matrix`` a finite 3x3 matrix, given in
-        full, as a diagonal 3-list, or as a scalar multiple of the identity.
-        With ``bound``, every entry must lie in ``[-bound, bound]``."""
+    def array(self, key, default: tuple, *, matrix=False, bound=None) -> tuple | None:
+        """A finite 3-vector as 3 floats; with ``matrix`` a finite 3x3 matrix
+        as 9 row-major floats, given in full, as a diagonal 3-list, or as a
+        scalar multiple of the identity.  With ``bound``, every entry must
+        lie in ``[-bound, bound]``."""
         value = self.obj.get(key)
         if value is None:
             return default
-        arr = _finite_array(value)
-        if matrix and arr is not None and arr.ndim < 2:
-            arr = arr * np.eye(3) if arr.ndim == 0 else np.diag(arr)
-        if arr is None or arr.shape != ((3, 3) if matrix else (3,)):
+        shape, arr = _finite_array(value) or (None, None)
+        if matrix and shape in ((), (3,)):  # a scalar or a diagonal
+            a, b, c = arr * 3 if shape == () else arr
+            shape, arr = (3, 3), (a, 0.0, 0.0, 0.0, b, 0.0, 0.0, 0.0, c)
+        if shape != ((3, 3) if matrix else (3,)):
             return self.fail(key, "must be a finite scalar, 3-list or 3x3 matrix"
                              if matrix else "must be a finite 3-vector")
-        if bound is not None and np.abs(arr).max() > bound:
+        if bound is not None and max(map(abs, arr)) > bound:
             return self.fail(key, f"entries must lie in [-{bound:g}, {bound:g}]")
         return arr
 
@@ -180,12 +184,12 @@ class _Fields:
         value = self.obj.get(key)
         if value is None:
             return AnglePolynomial()
-        arr = _finite_array(value)
-        if arr is None or arr.shape not in ((1,), (2,), (3,)):
+        shape, arr = _finite_array(value) or (None, None)
+        if shape not in ((1,), (2,), (3,)):
             return self.fail(key, "must be a list of 1 to 3 finite coefficients [a0, a1, a2]")
-        if np.abs(arr).max() > 1e3:  # rad, rad/s, rad/s^2
+        if max(map(abs, arr)) > 1e3:  # rad, rad/s, rad/s^2
             return self.fail(key, "coefficients must lie in [-1000, 1000]")
-        return AnglePolynomial(*arr.tolist())
+        return AnglePolynomial(*arr)
 
     def build(self, cls, **kwargs):
         """``cls(**kwargs)``, with the violations it raises named under this
@@ -194,8 +198,7 @@ class _Fields:
         if any(value is None for value in kwargs.values()):
             return None
         try:
-            with np.errstate(**_TRAP_FP):
-                return cls(**kwargs)
+            return cls(**kwargs)
         except ScenarioValidationError as exc:
             self.violations.extend((self.path + fld, msg) for fld, msg in exc.violations)
         except (GeomechError, ArithmeticError) as exc:
@@ -204,18 +207,18 @@ class _Fields:
         return None
 
 
-def _quad_state(r: Array, v: Array, R: Array, Omega: Array) -> tuple:
+def _quad_state(r: tuple, v: tuple, R: tuple, Omega: tuple) -> tuple:
     """The initial quad state as the plant's float tuple ``(r, v, R, Omega)``,
     ``R`` row-major; refuses an ``R`` that is no rotation."""
-    return tuple(_floats(a) for a in (r, v, require_rotation(R), Omega))
+    return r, v, _rotation_rows(R), Omega
 
 
-def _attitude_gains(gains: _Fields, p: Array | None, f: Array | None) -> AttitudeGains | None:
+def _attitude_gains(gains: _Fields, p: tuple | None, f: tuple | None) -> AttitudeGains | None:
     """Either attitude gains section; ``p`` and ``f`` are the defaults of P and F."""
     return gains.build(AttitudeGains, P=gains.array("P", p, matrix=True, bound=1e6),
                        F=gains.array("F", f, matrix=True),
                        k_R=gains.number("k_R", 1.0, minimum=1e-6, maximum=1e6),
-                       S=gains.array("S", np.eye(3), matrix=True))
+                       S=gains.array("S", _EYE, matrix=True))
 
 
 def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario:
@@ -268,19 +271,17 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
     initial = root.section("initial")
 
     if kind in ("free_body", "integrator_compare", "attitude_track"):
-        scenario.inertia = root.build(
-            InertiaTensor, j=root.array("inertia", np.eye(3), matrix=True)
-        )
+        scenario.inertia = root.build(InertiaTensor, j=root.array("inertia", _EYE, matrix=True))
         scenario.initial = initial.build(
             RigidBodyState,
-            T=initial.array("T", np.eye(3), matrix=True),
-            omega=initial.array("omega", np.zeros(3), bound=1e3),  # rad/s
+            T=initial.array("T", _EYE, matrix=True),
+            omega=initial.array("omega", (0.0, 0.0, 0.0), bound=1e3),  # rad/s
         )
         scenario.moment = root.array("moment", None)
 
     if kind == "attitude_track":
         # P and F default to the inertia tensor itself
-        j = scenario.inertia.j if scenario.inertia is not None else None
+        j = scenario.inertia.j_rows if scenario.inertia is not None else None
         scenario.attitude_gains = _attitude_gains(root.section("gains"), j, j)
         ref = root.section("reference")
         scenario.euler_coeffs = ref.build(
@@ -290,7 +291,8 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
     if kind == "quad_track":
         veh = root.section("vehicle")
         inertia = veh.build(
-            InertiaTensor, j=veh.array("inertia", np.diag([0.084, 0.085, 0.12]), matrix=True)
+            InertiaTensor,
+            j=veh.array("inertia", (0.084, 0.0, 0.0, 0.0, 0.085, 0.0, 0.0, 0.0, 0.12), matrix=True)
         )
         scenario.vehicle = veh.build(
             QuadrotorParams,
@@ -301,30 +303,30 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
         )
         scenario.quad_initial = initial.build(
             _quad_state,
-            r=initial.array("r", np.zeros(3), bound=1e4),  # m
-            v=initial.array("v", np.zeros(3), bound=1e3),  # m/s
-            R=initial.array("R", np.eye(3), matrix=True),
-            Omega=initial.array("Omega", np.zeros(3), bound=1e3),  # rad/s
+            r=initial.array("r", (0.0, 0.0, 0.0), bound=1e4),  # m
+            v=initial.array("v", (0.0, 0.0, 0.0), bound=1e3),  # m/s
+            R=initial.array("R", _EYE, matrix=True),
+            Omega=initial.array("Omega", (0.0, 0.0, 0.0), bound=1e3),  # rad/s
         )
         pos = root.section("position_gains")
         scenario.position_gains = pos.build(PositionGains, **{
-            name: pos.array(name, scale * np.eye(3), matrix=True, bound=1e6)
+            name: pos.array(name, tuple(scale * x for x in _EYE), matrix=True, bound=1e6)
             for name, scale in (("A", 1.0), ("B", 2.0), ("C", 1.0), ("D", 6.0))
         })
-        with np.errstate(over="ignore"):  # an overflowing default F is refused as non-finite
-            default_f = 8.0 * inertia.j if inertia is not None else None
+        # an overflowing default F is refused as non-finite
+        default_f = tuple(8.0 * x for x in inertia.j_rows) if inertia is not None else None
         scenario.attitude_gains = _attitude_gains(
-            root.section("attitude_gains"), 16.0 * np.eye(3), default_f
+            root.section("attitude_gains"), tuple(16.0 * x for x in _EYE), default_f
         )
         ref = root.section("reference")
-        b_1d = ref.array("b_1d", np.array([1.0, 0.0, 0.0]))
+        b_1d = ref.array("b_1d", (1.0, 0.0, 0.0))
         if b_1d is not None and abs(math.hypot(*b_1d) - 1.0) > 1e-9:  # hypot: no overflow
             b_1d = ref.fail("b_1d", "must be a unit vector")
         scenario.circle_coeffs = ref.build(
             CircleCoeffs,
             amplitude=ref.number("amplitude", 4.0, minimum=-1e3, maximum=1e3),
             omega=ref.number("omega", 0.5, minimum=-1e2, maximum=1e2),
-            b_1d=None if b_1d is None else tuple(b_1d),
+            b_1d=b_1d,
         )
         aero = root.section("aero")
         geo = aero.section("geometry")

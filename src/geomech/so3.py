@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import (
     DegenerateMeanError,
     DivergenceError,
@@ -33,9 +31,9 @@ from .errors import (
     SingularInputError,
 )
 
-Array = np.ndarray
+Array = "numpy.ndarray"  # the public array functions import numpy when they run
 
-_EYE3 = np.eye(3)
+_EYE = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # I, row-major
 
 # d(x) = sum_{n>=1} (-1)^n 2n x^(2n-2) / (2n+1)!, highest power first; below
 # x = 1 nine terms reach rounding, above it the closed form keeps its digits
@@ -58,6 +56,7 @@ def _sinc(x: float) -> tuple[float, float]:
 
 def hat(v: Array) -> Array:
     """Skew-symmetric matrix of ``v``, so that ``hat(v) @ w == cross(v, w)``."""
+    import numpy as np
     return np.array([
         [0.0, -v[2], v[1]],
         [v[2], 0.0, -v[0]],
@@ -71,6 +70,7 @@ def vee(m: Array, tol: float = 1e-6) -> Array:
     Raises ``NotSkewError`` when the symmetry defect ``max|m + m^T|``
     exceeds ``tol``.
     """
+    import numpy as np
     defect = np.max(np.abs(m + m.T))
     if defect > tol:
         raise NotSkewError(f"symmetry defect {defect:.3e} exceeds {tol:.1e}")
@@ -80,21 +80,38 @@ def vee(m: Array, tol: float = 1e-6) -> Array:
 def tilde(m: Array) -> Array:
     """``trace(m) * I - m``, the operator converting skew parts of matrix
     products to vector equations: ``vee(hat(a) @ B + B.T @ hat(a)) == tilde(B) @ a``."""
-    return np.trace(m) * _EYE3 - m
+    import numpy as np
+    return np.trace(m) * np.eye(3) - m
 
 
 def exp_so3(v: Array) -> Array:
     """Rodrigues exponential: rotation by angle ``|v|`` about axis ``v/|v|``."""
+    import numpy as np
     v = np.asarray(v, dtype=float)
     theta = math.sqrt(float(v @ v))
     half = _sinc(0.5 * theta)[0]
     k = hat(v)
-    return _EYE3 + _sinc(theta)[0] * k + (0.5 * half * half) * (k @ k)
+    return np.eye(3) + _sinc(theta)[0] * k + (0.5 * half * half) * (k @ k)
 
 
 def _floats(a) -> list[float]:
     """``a`` flattened row-major to Python floats: the float kernels' input."""
+    import numpy as np
     return np.asarray(a, dtype=float).ravel().tolist()
+
+
+def _as_rows(value, n: int, error: Exception) -> tuple:
+    """``value``, a 3x3 matrix (``n = 9``) or a 3-vector (``n = 3``), as a
+    tuple of ``n`` finite floats: a flat tuple (the scenario reader's form)
+    as it is, anything else (an array, nested lists) through numpy.  Raises
+    ``error`` for another shape or a non-finite entry."""
+    if type(value) is not tuple or len(value) != n:
+        import numpy as np
+        a = np.asarray(value, dtype=float)
+        value = tuple(a.ravel().tolist()) if a.shape == ((3, 3) if n == 9 else (3,)) else ()
+    if len(value) != n or not all(map(math.isfinite, value)):
+        raise error
+    return value
 
 
 def _log_kernel(m) -> tuple[float, float, float]:
@@ -126,6 +143,7 @@ def _log_kernel(m) -> tuple[float, float, float]:
 
 def log_so3(r: Array) -> Array:
     """Rotation vector of ``r`` with ``|result| <= pi`` (:func:`_log_kernel`)."""
+    import numpy as np
     return np.array(_log_kernel(_floats(r)))
 
 
@@ -135,6 +153,7 @@ def polar_project(m: Array) -> Array:
     Requires an orientation-preserving input; raises ``SingularInputError``
     when ``det(m) <= 1e-12``.
     """
+    import numpy as np
     det = np.linalg.det(m)
     if det <= 1e-12:
         raise SingularInputError(f"determinant {det:.3e} is not positive")
@@ -145,17 +164,29 @@ def polar_project(m: Array) -> Array:
     return r
 
 
+def _gram(m) -> tuple:
+    """Entries 00, 01, 02, 11, 12, 22 of the symmetric ``m^T m``."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    return (m0 * m0 + m3 * m3 + m6 * m6, m0 * m1 + m3 * m4 + m6 * m7, m0 * m2 + m3 * m5 + m6 * m8,
+            m1 * m1 + m4 * m4 + m7 * m7, m1 * m2 + m4 * m5 + m7 * m8, m2 * m2 + m5 * m5 + m8 * m8)
+
+
+def _ortho_defect(m) -> float:
+    """Frobenius norm of ``m^T m - I`` for a row-major ``m``."""
+    a, b, c, d, f, g = _gram(m)
+    a, d, g = a - 1.0, d - 1.0, g - 1.0
+    return math.sqrt(a * a + d * d + g * g + 2.0 * (b * b + c * c + f * f))
+
+
 def orthogonality_defect(m: Array) -> float:
     """Frobenius norm of ``m^T m - I``."""
-    return float(np.linalg.norm(m.T @ m - _EYE3))
+    return _ortho_defect(_floats(m))
 
 
-def orthogonality_defects(rows: Array) -> Array:
-    """:func:`orthogonality_defect` of each matrix of a trajectory, given as
-    ``(n, 3, 3)`` or as ``(n, 9)`` row-major rows."""
-    r = rows.reshape(-1, 3, 3)
-    gram = np.einsum("nki,nkj->nij", r, r) - _EYE3
-    return np.sqrt(np.einsum("nij,nij->n", gram, gram))
+def _det(m) -> float:
+    """Determinant of a row-major 3x3, by cofactors of its first row."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    return m0 * (m4 * m8 - m5 * m7) - m1 * (m3 * m8 - m5 * m6) + m2 * (m3 * m7 - m4 * m6)
 
 
 def _check_step_angle(theta2: float, explicit: bool = False) -> None:
@@ -163,9 +194,23 @@ def _check_step_angle(theta2: float, explicit: bool = False) -> None:
     relative rotation, of squared angle ``theta2``, reaches pi.  The implicit
     VI step raises ``DegenerateMeanError``; an ``explicit`` (RK4) step that
     long is far outside its stability region, so it raises ``DivergenceError``."""
-    if theta2 > (np.pi - 1e-8) ** 2:
-        msg = f"relative rotation {np.sqrt(theta2):.6g} rad reaches pi; reduce dt"
+    if theta2 > (math.pi - 1e-8) ** 2:
+        msg = f"relative rotation {math.sqrt(theta2):.6g} rad reaches pi; reduce dt"
         raise DivergenceError(f"state diverged: {msg}") if explicit else DegenerateMeanError(msg)
+
+
+def _rotation_rows(m, tol: float = 1e-9) -> tuple:
+    """Check the SO(3) invariants of a row-major 9-tuple ``m`` of finite
+    floats and return it; refuses invalid input instead of repairing it."""
+    defect = _ortho_defect(m)
+    if defect > tol:
+        raise InvalidRotationError(
+            f"orthonormality defect {defect:.3e} exceeds {tol:.1e}"
+        )
+    det = _det(m)
+    if abs(det - 1.0) > tol:
+        raise InvalidRotationError(f"determinant {det!r} is not +1 within {tol:.1e}")
+    return m
 
 
 def require_rotation(m: Array, tol: float = 1e-9) -> Array:
@@ -174,18 +219,6 @@ def require_rotation(m: Array, tol: float = 1e-9) -> Array:
     Refuses invalid input instead of repairing it; :func:`polar_project` is
     the only sanctioned repair path.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise InvalidRotationError(f"expected shape (3, 3), got {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidRotationError("matrix has non-finite entries")
-    defect = orthogonality_defect(m)
-    if defect > tol:
-        raise InvalidRotationError(
-            f"orthonormality defect {defect:.3e} exceeds {tol:.1e}"
-        )
-    det = np.linalg.det(m)
-    if abs(det - 1.0) > tol:
-        raise InvalidRotationError(f"determinant {det!r} is not +1 within {tol:.1e}")
-    return m
-
+    import numpy as np
+    error = InvalidRotationError("expected a finite 3x3 matrix")
+    return np.reshape(_rotation_rows(_as_rows(m, 9, error), tol), (3, 3))

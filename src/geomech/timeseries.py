@@ -7,12 +7,11 @@ files are byte-identical across runs and parse back to the exact values.
 from __future__ import annotations
 
 import json
+import math
 import os
+from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
-
 
 # rows per encoded CSV block; each row's float objects are made and dropped in
 # turn, so one block's text is all the encoder holds
@@ -21,31 +20,47 @@ _CSV_BLOCK_ROWS = 1024
 
 @dataclass
 class TimeSeries:
-    """A run's record: ``table`` holds one row per step and one column per
-    entry of ``names``; the ``t`` column is strictly increasing with
-    constant spacing."""
+    """A run's record: ``data`` holds its rows one after another as floats,
+    one row per step and one column per entry of ``names``; the ``t`` column
+    is strictly increasing with constant spacing.  A 2-D ``table`` (a numpy
+    array or a list of rows) is accepted in place of ``data``, and
+    :attr:`table`, :meth:`column` and :meth:`vector` read back arrays."""
 
     names: tuple[str, ...]
-    table: np.ndarray
+    data: array
 
     def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=float)
-        if self.table.ndim != 2 or self.table.shape[1] != len(self.names):
-            raise ValueError(f"table shape {self.table.shape} does not fit {len(self.names)} names")
+        if not isinstance(self.data, array):
+            rows = self.data.tolist() if hasattr(self.data, "tolist") else self.data
+            if any(len(row) != len(self.names) for row in rows):
+                shape = getattr(self.data, "shape", (len(rows), None))
+                raise ValueError(f"table shape {shape} does not fit {len(self.names)} names")
+            self.data = array("d", [x for row in rows for x in row])
 
     def __len__(self) -> int:
-        return len(self.table)
+        return len(self.data) // len(self.names)
+
+    def floats(self, name: str) -> array:
+        """The named column as floats."""
+        return self.data[self.names.index(name)::len(self.names)]
 
     @property
-    def t(self) -> np.ndarray:
+    def table(self):
+        import numpy as np
+        return np.array(self.data).reshape(len(self), len(self.names))
+
+    @property
+    def t(self):
         return self.column("t")
 
-    def column(self, name: str) -> np.ndarray:
-        """The named column, a view of ``table``."""
-        return self.table[:, self.names.index(name)]
+    def column(self, name: str):
+        """The named column as an array."""
+        import numpy as np
+        return np.array(self.floats(name))
 
-    def vector(self, prefix: str) -> np.ndarray:
+    def vector(self, prefix: str):
         """Stack ``prefix_x/_y/_z`` columns into an (N, 3) array."""
+        import numpy as np
         return np.column_stack([self.column(f"{prefix}_{ax}") for ax in ("x", "y", "z")])
 
 
@@ -68,7 +83,7 @@ class MetricsSummary:
         out.update(self.extras)
         for key, value in out.items():
             if value is not None and not isinstance(value, bool):
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise ValueError(f"metric {key} is not finite: {value}")
                 out[key] = float(value)
         return out
@@ -78,10 +93,12 @@ def _csv_chunks(series: TimeSeries):
     """The CSV of ``series`` as ascii blocks: the header line, then the rows
     ``_CSV_BLOCK_ROWS`` at a time, each line ended by a newline."""
     yield (",".join(series.names) + "\n").encode("ascii")
-    table = series.table
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        yield "".join([",".join(map(repr, row.tolist())) + "\n"
-                       for row in table[start:start + _CSV_BLOCK_ROWS]]).encode("ascii")
+    width = len(series.names)
+    block = width * _CSV_BLOCK_ROWS
+    for start in range(0, len(series.data), block):
+        text = list(map(repr, series.data[start:start + block]))
+        yield "".join([",".join(text[i:i + width]) + "\n"
+                       for i in range(0, len(text), width)]).encode("ascii")
 
 
 def series_to_csv_bytes(series: TimeSeries) -> bytes:
@@ -91,8 +108,7 @@ def series_to_csv_bytes(series: TimeSeries) -> bytes:
 def parse_csv_bytes(data: bytes) -> TimeSeries:
     lines = data.decode("ascii").strip().split("\n")
     names = tuple(lines[0].split(","))
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    return TimeSeries(names, np.array(rows, dtype=float).reshape(len(rows), len(names)))
+    return TimeSeries(names, [[float(v) for v in line.split(",")] for line in lines[1:]])
 
 
 def metrics_to_json_bytes(metrics: MetricsSummary) -> bytes:

@@ -55,13 +55,12 @@ Both are second-order accurate and conserve spatial momentum exactly.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DivergenceError, GeomechError, NoConvergenceError, _step_failure
-from .rigid_body import InertiaTensor, RigidBodyState, _require_finite, energy_momentum_rows
-from .so3 import Array, _check_step_angle, _sinc, orthogonality_defects
+from .rigid_body import InertiaTensor, RigidBodyState, _energy_momentum, _require_finite
+from .so3 import Array, _check_step_angle, _ortho_defect, _sinc
 from .timeseries import TimeSeries
 
 
@@ -90,9 +89,6 @@ class StepResult:
     newton_iters: int
     residual: float
     pi_next: Array
-
-
-_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 def _d_cross(f, m, v) -> tuple:
@@ -194,9 +190,9 @@ def _vi_core(tm, w, pi, m, inertia: InertiaTensor, cfg: IntegratorConfig):
                       p1 + dt * (t3 * u0 + t4 * u1 + t5 * u2),
                       p2 + dt * (t6 * u0 + t7 * u1 + t8 * u2))
     a, b = (a, b) if chord else (_sinc(theta)[0], 0.5 * half_a * half_a)
-    cols = [_rodrigues(u, (f0, f1, f2), a, b) for u in _AXES]  # exp_so3(f) by columns
-    n = tuple(r0 * c0 + r1 * c1 + r2 * c2 for r0, r1, r2 in (tm[:3], tm[3:6], tm[6:])
-              for c0, c1, c2 in cols)  # T_{k+1} = T_k exp_so3(f)
+    # row i of T_{k+1} = T_k exp_so3(f) is exp_so3(-f) applied to row i of T_k
+    g = (-f0, -f1, -f2)
+    n = (*_rodrigues(tm[:3], g, a, b), *_rodrigues(tm[3:6], g, a, b), *_rodrigues(tm[6:], g, a, b))
     q0, q1, q2 = (n[0] * p0 + n[3] * p1 + n[6] * p2, n[1] * p0 + n[4] * p1 + n[7] * p2,
                   n[2] * p0 + n[5] * p1 + n[8] * p2)  # T_{k+1}^T pi_{k+1}
     i0, i1, i2, i3, i4, i5, i6, i7, i8 = inertia.j_inv_rows
@@ -226,6 +222,7 @@ def vi_step(
     ``DivergenceError`` if the increment overflows or the stepped ``T``,
     ``omega`` or ``pi`` is not finite.
     """
+    import numpy as np
     pi_k = t_k @ (inertia.j @ omega_k) if pi_k is None else pi_k
     t_new, w_new, pi_new, iters, res = _vi_core(
         t_k.ravel().tolist(), omega_k.tolist(), pi_k.tolist(),
@@ -246,7 +243,8 @@ def simulate(
     cfg: IntegratorConfig,
     t_final: float,
 ) -> TimeSeries:
-    """Repeatedly apply :func:`vi_step` and record the trajectory.
+    """Repeatedly apply the step of :func:`vi_step` (its float core) and
+    record the trajectory.
 
     Columns: time, the nine attitude entries, body rates, kinetic energy
     ``H``, spatial momentum ``Pi``, the orthogonality defect, and per-step
@@ -255,26 +253,19 @@ def simulate(
     The float step checks its own arithmetic, and any failure is re-raised
     through ``errors._step_failure``, naming the step.
     """
-    dt = cfg.dt
+    dt, jj = cfg.dt, inertia.j_rows
     n_steps = int(round(t_final / dt)) if t_final > 0.0 else 0
-    t_mat, omega = initial.T, initial.omega
-
-    table = np.zeros((n_steps + 1, len(_SIMULATE_COLUMNS)))
-    col = _SIMULATE_COLUMNS.index
-    t_hist, w_hist = table[:, col("T00"):col("T22") + 1], table[:, col("w_x"):col("w_z") + 1]
-    iters_h, res_h = table[:, col("newton_iters")], table[:, col("residual")]
-    t_hist[0], w_hist[0] = t_mat.ravel(), omega
-    pi = t_mat @ (inertia.j @ omega)
+    m = None if moment is None else [float(x) for x in moment]
+    t_mat, omega = initial.t_rows, initial.omega_rows
+    pi = _energy_momentum(t_mat, omega, jj)[1:]
+    data = array("d")
+    iters = res = 0.0  # the initial record has no step
     try:
-        for k in range(n_steps):
-            result = vi_step(t_mat, omega, moment, inertia, cfg, pi_k=pi)
-            t_mat, omega, pi = result.T_next, result.omega_next, result.pi_next
-            t_hist[k + 1], w_hist[k + 1] = t_mat.ravel(), omega
-            iters_h[k + 1], res_h[k + 1] = result.newton_iters, result.residual
+        for k in range(n_steps + 1):
+            data.extend((k * dt, *t_mat, *omega, *_energy_momentum(t_mat, omega, jj),
+                         _ortho_defect(t_mat), iters, res))
+            if k < n_steps:
+                t_mat, omega, pi, iters, res = _vi_core(t_mat, omega, pi, m, inertia, cfg)
     except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
-    table[:, col("t")] = dt * np.arange(n_steps + 1)
-    table[:, col("H")], table[:, col("Pi_x"):col("Pi_z") + 1] = energy_momentum_rows(
-        t_hist, w_hist, inertia)
-    table[:, col("ortho_defect")] = orthogonality_defects(t_hist)
-    return TimeSeries(_SIMULATE_COLUMNS, table)
+    return TimeSeries(_SIMULATE_COLUMNS, data)

@@ -8,7 +8,8 @@ import pytest
 
 import oracles
 from geomech.attitude_control import _torque_kernel
-from geomech.rigid_body import InertiaTensor, _attitude_rk4_core, _fast_polar, _rates
+from geomech.rigid_body import (InertiaTensor, _attitude_rk4_core, _eigvalsh3, _fast_polar,
+                                _inverse3, _rates)
 from geomech.runner import _AeroModel
 from geomech.scenario import parse_scenario
 from geomech.so3 import _log_kernel, _sinc, exp_so3
@@ -260,3 +261,23 @@ def test_newton_jacobian_matches_central_differences(measure):
         got = _newton_jacobian(_flat(f), _flat(j), _flat(j @ f), _flat(np.cross(f, j @ f)),
                                _sinc(theta), _sinc(0.5 * theta), chord)
         assert np.abs(np.reshape(got, (3, 3)) - fd).max() <= 1e-8 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_symmetric_eigenvalues_and_inverse_match_numpy(rng, scale):
+    # the float eigenvalues and inverse that validate the scenario types, on
+    # random SPD and inertia matrices at any magnitude; diagonal ones exactly
+    for _ in range(DRAWS):
+        for m in (scale * _spd(rng), scale * _inertia(rng)):
+            rows = tuple(m.ravel().tolist())
+            lams = np.linalg.eigvalsh(m)
+            np.testing.assert_allclose(_eigvalsh3(rows), lams, rtol=0.0, atol=TOL * lams[-1])
+            if scale == 1.0:
+                inv = np.linalg.inv(m)
+                np.testing.assert_allclose(np.reshape(_inverse3(rows), (3, 3)), inv, rtol=0.0,
+                                           atol=TOL * np.linalg.cond(m) * np.abs(inv).max())
+        d = scale * rng.uniform(0.5, 3.0, size=3)
+        rows = tuple(np.diag(d).ravel().tolist())
+        assert _eigvalsh3(rows) == tuple(sorted(d.tolist()))
+        if scale == 1.0:
+            assert _inverse3(rows) == tuple(np.diag(1.0 / d).ravel().tolist())

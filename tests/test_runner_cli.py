@@ -836,3 +836,31 @@ def test_cli_quad_overrides_end_cleanly(dt, steps, bad, aero, name):
     else:
         assert len(err.getvalue().strip().splitlines()) == 1
         assert files == []
+
+
+@pytest.mark.parametrize("argvs, loads_numpy", [
+    ([], False),
+    ([["validate", f"scenarios/{name}.json"] for name in _SHIPPED], False),
+    ([["run", "scenarios/free_body.json", "--t-final", "0.1"]], False),
+    ([["run", "scenarios/attitude_track.json", "--t-final", "0.01"]], False),
+    ([["compare", "scenarios/integrator_compare.json", "--t-final", "0.1"]], False),
+    ([["run", "scenarios/quad_track_aero.json", "--t-final", "0.01"]], True),
+], ids=["import", "validate", "free_body", "attitude_track", "compare", "quad_track_aero"])
+def test_rigid_body_runs_load_no_numpy(tmp_path, argvs, loads_numpy):
+    # `import geomech`, then geomech.cli.main on each command line, in a fresh
+    # interpreter: validate and the rigid-body kinds never load numpy; the
+    # quadrotor tick's one numpy product still does
+    argvs = [argv if argv[0] == "validate" else [*argv, "--out-dir", str(tmp_path)]
+             for argv in argvs]
+    script = (
+        "import json, sys\n"
+        "import geomech\n"
+        f"codes = [__import__('geomech.cli').cli.main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    codes, numpy_loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    assert numpy_loaded is loads_numpy

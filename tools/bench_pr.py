@@ -18,8 +18,11 @@ suite once per side.
 
 Each side gets one bytecode cache, a new ``PYTHONPYCACHEPREFIX`` directory.
 Before any measurement, one untimed child with bytecode writing on imports
-``geomech.cli`` there, which compiles ``geomech``, numpy and the standard
-library modules a run loads.  Every measured child of that side (the bench
+``geomech.cli`` and numpy there, which compiles ``geomech``, numpy and the
+standard library modules a run loads.  numpy is imported by name: the
+rigid-body runs do not load it, but the calibration child and the
+quadrotor runs do, and without its bytecode they would compile it from
+source at every launch.  Every measured child of that side (the bench
 runs, the traced runs and Tier-1) then reads the same warm cache, so both
 sides load ``geomech`` alike and the times show the program rather than the
 compiler.  No bytecode from an earlier run is used.
@@ -59,16 +62,21 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-CACHE_MODE = "warm: one PYTHONPYCACHEPREFIX per side, filled by an untimed `import geomech.cli`"
+CACHE_MODE = ("warm: one PYTHONPYCACHEPREFIX per side, filled by an untimed "
+              "`import geomech.cli, numpy`")
 
 
 def _warm_cache(side: Path, tmp: Path) -> str:
     """A new bytecode cache directory under ``tmp``, filled for ``side`` by one
-    child that imports ``geomech.cli`` with bytecode writing on."""
+    child that imports ``geomech.cli`` and numpy with bytecode writing on;
+    exits if numpy's bytecode did not land in it."""
     cache = tempfile.mkdtemp(prefix="pycache_", dir=tmp)
     env = {**os.environ, "PYTHONPYCACHEPREFIX": cache, "PYTHONPATH": "src"}
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    subprocess.run([sys.executable, "-c", "import geomech.cli"], cwd=side, env=env, check=True)
+    subprocess.run([sys.executable, "-c", "import geomech.cli, numpy"], cwd=side, env=env,
+                   check=True)
+    if not any(Path(cache).rglob("numpy/__init__.*.pyc")):
+        raise SystemExit(f"bench_pr: no numpy bytecode in the cache {cache} of {side}")
     return cache
 
 
