@@ -178,12 +178,6 @@ def angular_velocity_error(r: Array, omega: Array, ref: AttitudeReference) -> Ar
     return omega - r.T @ (ref.R_d @ ref.Omega_d)
 
 
-def omega_target(r: Array, ref: AttitudeReference, gains: AttitudeGains) -> Array:
-    """Virtual rate command ``-P e_R + R^T R_d Omega_d``."""
-    e_r = attitude_error_vector(r, ref.R_d)
-    return -gains.P @ e_r + r.T @ (ref.R_d @ ref.Omega_d)
-
-
 def beta_matrix(r: Array, r_d: Array) -> Array:
     """Error-rate factor: ``d(e_R)/dt = beta e_Omega`` along any motion."""
     import numpy as np
@@ -215,14 +209,3 @@ def control_torque(
                        gains.p_rows, gains.f_rows)[0]
     return np.array(q)
 
-
-def storage_function(
-    r: Array,
-    omega: Array,
-    ref: AttitudeReference,
-    gains: AttitudeGains,
-) -> float:
-    """Diagnostic value ``k_R psi + 0.5 e . S e`` with ``e = Omega - Omega_target``."""
-    psi = attitude_error_psi(r, ref.R_d)
-    e = omega - omega_target(r, ref, gains)
-    return gains.k_R * psi + 0.5 * _quad_form(gains.s_rows, e.tolist())

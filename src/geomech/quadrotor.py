@@ -19,25 +19,8 @@ from dataclasses import dataclass
 
 from .attitude_control import _require_spd, _torque_kernel
 from .errors import DegenerateHeadingError, DivergenceError, ZeroForceError
-from .rigid_body import QuadrotorParams, _Rows, _floats
-from .references import TrajectoryReference
+from .rigid_body import _Rows
 from .so3 import _EYE, Array, _log_kernel
-
-# re-exported: the vehicle constants live with the plant model
-__all__ = [
-    "QuadrotorParams",
-    "PositionGains",
-    "ControllerMemory",
-    "velocity_target",
-    "force_command",
-    "thrust_scalar",
-    "commanded_attitude",
-    "rotor_thrusts",
-    "rotor_positions",
-    "ROTOR_SPIN",
-    "tracking_step",
-    "translational_storage",
-]
 
 
 @dataclass
@@ -85,7 +68,9 @@ def _thrust(force, R) -> float:
 
 def _attitude_kernel(force, b_1d) -> tuple:
     """The commanded attitude on floats, row-major: ``b3`` along the force,
-    ``b1`` the hint projected onto the plane normal to it, ``b2 = b3 x b1``."""
+    ``b1`` the hint projected onto the plane normal to it, ``b2 = b3 x b1``.
+    Raises ``ZeroForceError`` for a vanishing force and
+    ``DegenerateHeadingError`` for a hint within 1e-4 rad of its axis."""
     f0, f1, f2 = force
     norm = math.sqrt(f0 * f0 + f1 * f1 + f2 * f2)
     if norm == math.inf:  # float overflow is not trapped
@@ -105,58 +90,15 @@ def _attitude_kernel(force, b_1d) -> tuple:
             x2, z0 * x1 - z1 * x0, z2)
 
 
-def velocity_target(r: Array, ref: TrajectoryReference, gains: PositionGains) -> Array:
-    """Velocity command ``v_d - B (r - r_d)``."""
-    import numpy as np
-    return np.array(_velocity_target(_floats(r), _floats(ref.r_d), _floats(ref.v_d),
-                                     gains.b_rows))
-
-
-def force_command(
-    r: Array,
-    v: Array,
-    ref: TrajectoryReference,
-    params: QuadrotorParams,
-    gains: PositionGains,
-) -> Array:
-    """Inertial force command ``m dv_target/dt - m G - D (v - v_target)``.
-
-    The command derivative is analytic: ``dv_target/dt = a_d - B (v - v_d)``.
-    """
-    import numpy as np
-    return np.array(_force_kernel(_floats(r), _floats(v), _floats(ref.r_d), _floats(ref.v_d),
-                                  _floats(ref.a_d), params.mass, params.g, gains.b_rows,
-                                  gains.d_rows))
-
-
-def thrust_scalar(force_cmd: Array, r_mat: Array) -> float:
-    """Projection of the force command on the current body z-axis (N)."""
-    return _thrust(_floats(force_cmd), _floats(r_mat))
-
-
-def commanded_attitude(force_cmd: Array, b_1d: Array) -> Array:
-    """Attitude whose third column is the force direction and whose first
-    column is the heading hint projected onto the plane normal to it.
-
-    Raises ``ZeroForceError`` for a vanishing command and
-    ``DegenerateHeadingError`` when the hint is parallel to the force
-    direction (angle below 1e-4 rad).
-    """
-    import numpy as np
-    return np.reshape(_attitude_kernel(_floats(force_cmd), _floats(b_1d)), (3, 3))
-
-
 # Plus configuration: rotors 0/2 on the body x arm spin with +z, rotors 1/3
 # on the y arm spin with -z; reaction torques alternate accordingly.
 ROTOR_SPIN = (1.0, -1.0, 1.0, -1.0)
 
 
-def rotor_positions(arm_length: float) -> Array:
-    import numpy as np
+def rotor_positions(arm_length: float) -> tuple:
+    """The four rotor hubs in the body frame, as float 3-tuples."""
     d = float(arm_length)
-    return np.array(
-        [[d, 0.0, 0.0], [0.0, d, 0.0], [-d, 0.0, 0.0], [0.0, -d, 0.0]]
-    )
+    return (d, 0.0, 0.0), (0.0, d, 0.0), (-d, 0.0, 0.0), (0.0, -d, 0.0)
 
 
 def rotor_thrusts(thrust: float, moment, arm_length: float, kappa: float) -> tuple:
@@ -224,7 +166,7 @@ def translational_storage(r: Array, v: Array, r_d: Array, v_d: Array,
                           gains: PositionGains) -> Array:
     """Diagnostic ``0.5 e_r . A e_r + 0.5 ev . C ev`` of each row of the
     ``(n, 3)`` positions, velocities and their references, with
-    ``e_r = r - r_d`` and ``ev = v - v_target`` (:func:`velocity_target`).
+    ``e_r = r - r_d`` and ``ev = v - v_target`` (:func:`_velocity_target`).
 
     The stacked matmuls give each row the bits of the one-row products.
     """

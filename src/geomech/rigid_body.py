@@ -151,11 +151,6 @@ class QuadrotorParams:
         if violations:
             raise ScenarioValidationError(violations)
 
-    @property
-    def gravity_vector(self) -> Array:
-        import numpy as np
-        return np.array([0.0, 0.0, -self.g])
-
 
 def _rates(tm, w, m, jj, jinv) -> tuple[tuple, tuple]:
     """The rotational law of both plants on Python floats: ``Tdot = T hat(w)``
@@ -178,43 +173,6 @@ def _rates(tm, w, m, jj, jinv) -> tuple[tuple, tuple]:
     )
 
 
-def attitude_rhs(
-    state: RigidBodyState,
-    inertia: InertiaTensor,
-    moment: Array,
-) -> tuple[Array, Array]:
-    """Rotational equations of motion under the body moment ``moment``.
-
-    A potential moment (none is built in) is added to ``moment`` by the caller.
-    """
-    import numpy as np
-    t_dot, w_dot = _rates(state.t_rows, state.omega_rows, _floats(moment),
-                          inertia.j_rows, inertia.j_inv_rows)
-    return np.reshape(t_dot, (3, 3)), np.array(w_dot)
-
-
-def quadrotor_rhs(
-    x,
-    params: QuadrotorParams,
-    f_body: Array,
-    m_body: Array,
-) -> tuple[Array, Array, Array, Array]:
-    """Quadrotor equations of motion at the plant state ``x = (r, v, R, Omega)``
-    (``R`` row-major 9 floats, the rest 3-sequences; ``Scenario.quad_initial``
-    has this form) under the body wrench ``(f_body, m_body)``.
-
-    Translational dynamics: ``m vdot = m G + R f_body``; ideal actuation is
-    ``f_body = (0, 0, thrust)``.
-    """
-    import numpy as np
-    _, v, R, Om = x
-    rot = np.reshape(R, (3, 3))
-    v_dot = params.gravity_vector + (rot @ np.asarray(f_body, dtype=float)) / params.mass
-    R_dot, Omega_dot = _rates(R, Om, _floats(m_body), params.inertia.j_rows,
-                              params.inertia.j_inv_rows)
-    return np.array(v, dtype=float), v_dot, np.reshape(R_dot, (3, 3)), np.array(Omega_dot)
-
-
 def _energy_momentum(tm, w, jj) -> tuple[float, float, float, float]:
     """Kinetic energy ``0.5 w . J w`` and spatial momentum ``T J w`` of a
     row-major ``T`` and body rate ``w``, given ``J`` row-major."""
@@ -225,17 +183,6 @@ def _energy_momentum(tm, w, jj) -> tuple[float, float, float, float]:
     t0, t1, t2, t3, t4, t5, t6, t7, t8 = tm
     return (0.5 * (w0 * h0 + w1 * h1 + w2 * h2), t0 * h0 + t1 * h1 + t2 * h2,
             t3 * h0 + t4 * h1 + t5 * h2, t6 * h0 + t7 * h1 + t8 * h2)
-
-
-def kinetic_energy(state: RigidBodyState, inertia: InertiaTensor) -> float:
-    """Rotational kinetic energy ``0.5 omega . J omega`` (J)."""
-    return _energy_momentum(state.t_rows, state.omega_rows, inertia.j_rows)[0]
-
-
-def spatial_momentum(state: RigidBodyState, inertia: InertiaTensor) -> Array:
-    """Inertial-frame angular momentum ``T J omega``; conserved when M = 0."""
-    import numpy as np
-    return np.array(_energy_momentum(state.t_rows, state.omega_rows, inertia.j_rows)[1:])
 
 
 def _times_sym(m, s0, s1, s2, s4, s5, s8) -> tuple:

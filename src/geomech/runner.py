@@ -239,7 +239,7 @@ class _AeroModel:
         self.params = params
         # per rotor: arm x, arm y (the arms lie in the body x-y plane), spin sign
         self.rotors = [(ax, ay, spin) for (ax, ay, _), spin
-                       in zip(rotor_positions(params.arm_length).tolist(), ROTOR_SPIN)]
+                       in zip(rotor_positions(params.arm_length), ROTOR_SPIN)]
         hover = params.mass * params.g / 4.0
         self.calibration = HoverCalibration(self.geom, self.rho, hover)
         tip_h = hover_rotor_speed(self.geom, hover, self.rho) * self.geom.radius

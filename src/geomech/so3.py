@@ -178,11 +178,6 @@ def _ortho_defect(m) -> float:
     return math.sqrt(a * a + d * d + g * g + 2.0 * (b * b + c * c + f * f))
 
 
-def orthogonality_defect(m: Array) -> float:
-    """Frobenius norm of ``m^T m - I``."""
-    return _ortho_defect(_floats(m))
-
-
 def _det(m) -> float:
     """Determinant of a row-major 3x3, by cofactors of its first row."""
     m0, m1, m2, m3, m4, m5, m6, m7, m8 = m

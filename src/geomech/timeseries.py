@@ -105,12 +105,6 @@ def series_to_csv_bytes(series: TimeSeries) -> bytes:
     return b"".join(_csv_chunks(series))
 
 
-def parse_csv_bytes(data: bytes) -> TimeSeries:
-    lines = data.decode("ascii").strip().split("\n")
-    names = tuple(lines[0].split(","))
-    return TimeSeries(names, [[float(v) for v in line.split(",")] for line in lines[1:]])
-
-
 def metrics_to_json_bytes(metrics: MetricsSummary) -> bytes:
     return (json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n").encode("ascii")
 

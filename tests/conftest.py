@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from geomech.quadrotor import tracking_step
+from geomech.timeseries import TimeSeries
 
 
 def rot_x(a: float) -> np.ndarray:
@@ -76,6 +77,13 @@ def tick(x, ref, params, gains, att_gains, dt, memory) -> tuple:
     return tracking_step(x, row, params.mass, params.g, gains.b_rows, gains.d_rows,
                          params.inertia.j_rows, att_gains.p_rows, att_gains.f_rows,
                          ref.b_1d.tolist(), dt, memory)
+
+
+def parse_csv_bytes(data: bytes) -> TimeSeries:
+    """The record written by ``series_to_csv_bytes``, read back."""
+    lines = data.decode("ascii").strip().split("\n")
+    names = tuple(lines[0].split(","))
+    return TimeSeries(names, [[float(v) for v in line.split(",")] for line in lines[1:]])
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ generic RK4 step on a flat state vector that the quadrotor step is checked
 against.  ``aero_wrench`` sums the four rotors' loads into the body wrench
 with 3-vectors and ``np.cross``, the check of the runner's float assembly.
 ``vi_step`` is the numpy body-frame variational step, the many-step check of
-the library's float core ``variational._vi_core``.
+the library's float core ``variational._vi_core``.  ``storage_function`` is
+the array route to the attitude run's ``V_storage`` column.
 
 The space-frame covector route is the second derivation of the variational
 step's discrete Lagrange-d'Alembert equation (Marsden & West, Acta Numerica
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geomech.attitude_control import ANTIPODAL_TOL
+from geomech.attitude_control import (ANTIPODAL_TOL, _quad_form, attitude_error_psi,
+                                      attitude_error_vector)
 from geomech.errors import AntipodalError, NoConvergenceError
 from geomech.quadrotor import ROTOR_SPIN, rotor_positions, rotor_thrusts
 from geomech.rigid_body import InertiaTensor
@@ -114,6 +116,17 @@ def torque_kernel(e, one_plus_tr, omega_d, omega_d_dot, omega, jj, p, f):
     )
 
 
+def omega_target(r, ref, gains):
+    """Virtual rate command ``-P e_R + R^T R_d Omega_d``."""
+    return -gains.P @ attitude_error_vector(r, ref.R_d) + r.T @ (ref.R_d @ ref.Omega_d)
+
+
+def storage_function(r, omega, ref, gains) -> float:
+    """Diagnostic value ``k_R psi + 0.5 e . S e`` with ``e = Omega - Omega_target``."""
+    e = omega - omega_target(r, ref, gains)
+    return gains.k_R * attitude_error_psi(r, ref.R_d) + 0.5 * _quad_form(gains.s_rows, e.tolist())
+
+
 def rates(R, Om, m_body, jj, jinv):
     return R @ hat(Om), jinv @ (m_body - cross3(Om, jj @ Om))
 
@@ -167,7 +180,7 @@ def aero_wrench(model, r_mat, v, omega, f_cmd, q_cmd):
     body frame, are summed with ``arm x f``.  ``rotor_wrench`` gives the
     per-rotor loads.
     """
-    arms = rotor_positions(model.params.arm_length)
+    arms = np.array(rotor_positions(model.params.arm_length))
     thrusts = np.clip(rotor_thrusts(f_cmd, q_cmd, model.params.arm_length, model.kappa),
                       *model.calibration.thrust_range)
     hubs = v[:, None] + r_mat @ (hat(omega) @ arms.T)

@@ -9,8 +9,6 @@ from geomech.attitude_control import (
     attitude_error_vector,
     beta_matrix,
     control_torque,
-    omega_target,
-    storage_function,
 )
 from geomech.errors import AntipodalError, ScenarioValidationError
 from geomech.rigid_body import InertiaTensor, rk4_attitude_step, RigidBodyState
@@ -18,6 +16,7 @@ from geomech.references import AnglePolynomial, Euler321Coeffs, euler_321_refere
 from geomech.so3 import exp_so3
 
 from conftest import random_rotation, rot_z
+from oracles import omega_target, storage_function
 
 
 J321 = InertiaTensor.from_diag(3.0, 2.0, 1.0)

@@ -18,20 +18,19 @@ from geomech.errors import (
     ZeroForceError,
 )
 from geomech.quadrotor import (
+    _attitude_kernel,
+    _force_kernel,
+    _thrust,
+    _velocity_target,
     ControllerMemory,
     PositionGains,
-    QuadrotorParams,
     ROTOR_SPIN,
-    commanded_attitude,
-    force_command,
     rotor_positions,
     rotor_thrusts,
-    thrust_scalar,
     translational_storage,
-    velocity_target,
 )
 from geomech.references import CircleCoeffs, TrajectoryReference, circle_reference
-from geomech.rigid_body import InertiaTensor
+from geomech.rigid_body import InertiaTensor, QuadrotorParams
 from geomech.runner import run
 from geomech.scenario import parse_scenario
 from geomech.so3 import log_so3, require_rotation
@@ -47,6 +46,12 @@ def hover_ref(r):
     return TrajectoryReference(r, np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 0.0]))
 
 
+def force_command(r, v, ref, p, gains) -> tuple:
+    """``_force_kernel`` at the position ``r`` and velocity ``v`` (arrays)."""
+    return _force_kernel(r.tolist(), v.tolist(), ref.r_d.tolist(), ref.v_d.tolist(),
+                         ref.a_d.tolist(), p.mass, p.g, gains.b_rows, gains.d_rows)
+
+
 def test_position_gains_validation():
     PositionGains()
     with pytest.raises(ScenarioValidationError):
@@ -56,16 +61,14 @@ def test_position_gains_validation():
 def test_velocity_target():
     gains = PositionGains()
     ref = circle_reference(0.0, CircleCoeffs())
-    np.testing.assert_allclose(velocity_target(ref.r_d, ref, gains), ref.v_d)
-    gains_i = PositionGains(B=np.eye(3))
-    ref0 = hover_ref(np.zeros(3))
-    np.testing.assert_allclose(
-        velocity_target(np.array([1.0, 0.0, 0.0]), ref0, gains_i), [-1.0, 0.0, 0.0]
-    )
+    r_d, v_d = ref.r_d.tolist(), ref.v_d.tolist()
+    np.testing.assert_allclose(_velocity_target(r_d, r_d, v_d, gains.b_rows), ref.v_d)
+    b_i, zero = PositionGains(B=np.eye(3)).b_rows, [0.0, 0.0, 0.0]
+    np.testing.assert_allclose(_velocity_target([1.0, 0.0, 0.0], zero, zero, b_i), [-1.0, 0.0, 0.0])
     # circle reference at t = 0 with an offset position
     r = np.array([0.0, 3.0, -4.0])
     expected = ref.v_d - gains.B @ (r - ref.r_d)
-    np.testing.assert_allclose(velocity_target(r, ref, gains), expected)
+    np.testing.assert_allclose(_velocity_target(r.tolist(), r_d, v_d, gains.b_rows), expected)
 
 
 def test_force_command_hover():
@@ -81,36 +84,37 @@ def test_force_command_zero_error_on_circle():
     p = params()
     ref = circle_reference(0.0, CircleCoeffs())
     cmd = force_command(ref.r_d, ref.v_d, ref, p, PositionGains())
-    np.testing.assert_allclose(cmd, p.mass * ref.a_d - p.mass * p.gravity_vector, atol=1e-12)
+    gravity = np.array([0.0, 0.0, -p.g])
+    np.testing.assert_allclose(cmd, p.mass * ref.a_d - p.mass * gravity, atol=1e-12)
 
 
 def test_thrust_scalar_projections():
     p = params()
     mg = p.mass * p.g
-    cmd = np.array([0.0, 0.0, mg])
-    assert thrust_scalar(cmd, np.eye(3)) == pytest.approx(mg)
+    cmd = [0.0, 0.0, mg]
+    assert _thrust(cmd, np.eye(3).ravel().tolist()) == pytest.approx(mg)
     # body z pitched to inertial x: aligned component vanishes
-    assert thrust_scalar(cmd, rot_y(np.pi / 2)) == pytest.approx(0.0, abs=1e-12)
-    assert thrust_scalar(cmd, rot_x(np.pi / 3)) == pytest.approx(mg / 2.0, rel=1e-12)
+    assert _thrust(cmd, rot_y(np.pi / 2).ravel().tolist()) == pytest.approx(0.0, abs=1e-12)
+    assert _thrust(cmd, rot_x(np.pi / 3).ravel().tolist()) == pytest.approx(mg / 2.0, rel=1e-12)
     # unclamped: opposed attitude reports negative thrust
-    assert thrust_scalar(cmd, rot_x(np.pi)) == pytest.approx(-mg, rel=1e-12)
+    assert _thrust(cmd, rot_x(np.pi).ravel().tolist()) == pytest.approx(-mg, rel=1e-12)
 
 
 def test_commanded_attitude_aligned():
-    r_c = commanded_attitude(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(r_c, np.eye(3), atol=1e-15)
+    r_c = _attitude_kernel([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(r_c, np.eye(3).ravel(), atol=1e-15)
 
 
 def test_commanded_attitude_degenerate_and_zero():
     with pytest.raises(DegenerateHeadingError):
-        commanded_attitude(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
+        _attitude_kernel([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
     with pytest.raises(ZeroForceError):
-        commanded_attitude(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+        _attitude_kernel([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
 
 
 def test_commanded_attitude_tilted():
     cmd = np.array([1.0, 0.0, 1.0])
-    r_c = commanded_attitude(cmd, np.array([1.0, 0.0, 0.0]))
+    r_c = np.reshape(_attitude_kernel(cmd.tolist(), [1.0, 0.0, 0.0]), (3, 3))
     require_rotation(r_c, tol=1e-10)
     np.testing.assert_allclose(r_c[:, 2], cmd / np.sqrt(2.0), atol=1e-12)
     # Gram-Schmidt oracle: third axis, then the hint orthogonalised against it
@@ -130,18 +134,19 @@ def test_commanded_attitude_invariants(rng):
         hint /= np.linalg.norm(hint)
         if np.linalg.norm(np.cross(cmd / np.linalg.norm(cmd), hint)) < 1e-3:
             continue
-        r_c = commanded_attitude(cmd, hint)
+        r_c = np.reshape(_attitude_kernel(cmd.tolist(), hint.tolist()), (3, 3))
         require_rotation(r_c, tol=1e-10)
         np.testing.assert_allclose(r_c[:, 2], cmd / np.linalg.norm(cmd), atol=1e-12)
         assert abs(r_c[:, 0] @ r_c[:, 2]) < 1e-12
         assert r_c[:, 0] @ hint > 0.0
         # thrust consistency: aligned attitude recovers the full magnitude
-        assert thrust_scalar(cmd, r_c) == pytest.approx(np.linalg.norm(cmd), rel=1e-10)
+        assert _thrust(cmd.tolist(), r_c.ravel().tolist()) == pytest.approx(
+            np.linalg.norm(cmd), rel=1e-10)
 
 
 def test_rotor_mixer_roundtrip(rng):
     d, kappa = 0.315, 0.011
-    arms = rotor_positions(d)
+    arms = np.array(rotor_positions(d))
     for _ in range(20):
         f = rng.uniform(10.0, 60.0)
         m = rng.normal(size=3) * np.array([1.0, 1.0, 0.1])
@@ -201,7 +206,8 @@ def test_tracking_step_matches_the_public_attitude_laws(rng):
         f, q, e_R, e_Omega, one_plus_tr = tick(
             quad_x(state.r, state.v, state.R, state.Omega), ref, p, gains, att_gains, dt,
             memory)
-        r_c = commanded_attitude(force_command(state.r, state.v, ref, p, gains), ref.b_1d)
+        r_c = np.reshape(_attitude_kernel(force_command(state.r, state.v, ref, p, gains),
+                                          ref.b_1d.tolist()), (3, 3))
         omega_c = np.zeros(3) if k == 0 else log_so3(r_c_prev.T @ r_c) / dt
         omega_c_dot = np.zeros(3) if k <= 1 else (omega_c - omega_c_prev) / dt
         r_c_prev, omega_c_prev = r_c, omega_c

@@ -4,15 +4,13 @@ import pytest
 from geomech.errors import DivergenceError, ScenarioValidationError
 from geomech.rigid_body import (
     _attitude_rk4_core,
+    _energy_momentum,
+    _rates,
     InertiaTensor,
     QuadrotorParams,
     RigidBodyState,
-    attitude_rhs,
-    kinetic_energy,
-    quadrotor_rhs,
     rk4_attitude_step,
     rk4_quadrotor_step,
-    spatial_momentum,
 )
 
 from conftest import polar_newton, quad_x, random_rotation
@@ -45,30 +43,34 @@ def test_state_validation(rng):
     assert s.omega.dtype == np.float64
 
 
+def rates(s, inertia, moment):  # the plants' rotational law at the state s
+    return _rates(s.t_rows, s.omega_rows, moment, inertia.j_rows, inertia.j_inv_rows)
+
+
 def test_attitude_rhs_equilibrium(j321):
     s = RigidBodyState(np.eye(3), np.zeros(3))
-    t_dot, w_dot = attitude_rhs(s, j321, np.zeros(3))
-    np.testing.assert_array_equal(t_dot, np.zeros((3, 3)))
+    t_dot, w_dot = rates(s, j321, [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(t_dot, np.zeros(9))
     np.testing.assert_array_equal(w_dot, np.zeros(3))
 
 
 def test_attitude_rhs_principal_axis_spin(j321):
     s = RigidBodyState(np.eye(3), np.array([0.0, 0.0, 1.0]))
-    _, w_dot = attitude_rhs(s, j321, np.zeros(3))
+    _, w_dot = rates(s, j321, [0.0, 0.0, 0.0])
     np.testing.assert_allclose(w_dot, np.zeros(3), atol=1e-15)
 
 
 def test_attitude_rhs_gyroscopic_term(j321):
     # omega x J omega = (1,1,0) x (3,2,0) = (0,0,-1)  ->  omega_dot = (0,0,1)
     s = RigidBodyState(np.eye(3), np.array([1.0, 1.0, 0.0]))
-    _, w_dot = attitude_rhs(s, j321, np.zeros(3))
+    _, w_dot = rates(s, j321, [0.0, 0.0, 0.0])
     np.testing.assert_allclose(w_dot, np.array([0.0, 0.0, 1.0]), atol=1e-14)
 
 
 def test_attitude_rhs_moment_input(j321):
     # at rest, J omega_dot = M: M = (3, 0, 0) about the J = 3 axis gives (1, 0, 0)
     s = RigidBodyState(np.eye(3), np.zeros(3))
-    _, w_dot = attitude_rhs(s, j321, np.array([3.0, 0.0, 0.0]))
+    _, w_dot = rates(s, j321, [3.0, 0.0, 0.0])
     np.testing.assert_allclose(w_dot, np.array([1.0, 0.0, 0.0]), atol=1e-15)
 
 
@@ -76,8 +78,8 @@ def test_continuous_momentum_conservation_identity(rng, j321):
     # d/dt (T J omega) = T (hat(omega) J omega + J omega_dot) == 0 when M = 0
     for _ in range(20):
         s = RigidBodyState(random_rotation(rng), rng.normal(size=3))
-        _, w_dot = attitude_rhs(s, j321, np.zeros(3))
-        residual = s.T @ (np.cross(s.omega, j321.j @ s.omega) + j321.j @ w_dot)
+        _, w_dot = rates(s, j321, [0.0, 0.0, 0.0])
+        residual = s.T @ (np.cross(s.omega, j321.j @ s.omega) + j321.j @ np.array(w_dot))
         assert np.linalg.norm(residual) < 1e-12
 
 
@@ -85,62 +87,52 @@ def quad_params():
     return QuadrotorParams(4.34, InertiaTensor.from_diag(0.084, 0.085, 0.12), 0.315)
 
 
+def rates_from_rest(p, f_body, m_body, dt=1e-3):
+    """One ``rk4_quadrotor_step`` from rest at the identity: increments / dt."""
+    s = quad_x(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
+    return [(np.array(new) - old) / dt
+            for new, old in zip(rk4_quadrotor_step(s, p, f_body, m_body, dt), s)]
+
+
 def test_quadrotor_hover_fixed_point():
     p = quad_params()
-    s = quad_x(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
-    r_dot, v_dot, R_dot, O_dot = quadrotor_rhs(s, p, np.array([0.0, 0.0, p.mass * p.g]),
-                                               np.zeros(3))
+    r_dot, v_dot, R_dot, O_dot = rates_from_rest(p, [0.0, 0.0, p.mass * p.g], [0.0, 0.0, 0.0])
     for out in (r_dot, v_dot, O_dot):
         np.testing.assert_allclose(out, np.zeros(3), atol=1e-12)
-    np.testing.assert_array_equal(R_dot, np.zeros((3, 3)))
+    np.testing.assert_array_equal(R_dot, np.zeros(9))
 
 
 def test_quadrotor_free_fall_and_double_thrust():
     p = quad_params()
-    s = quad_x(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
-    _, v_dot, _, _ = quadrotor_rhs(s, p, np.zeros(3), np.zeros(3))
+    _, v_dot, _, _ = rates_from_rest(p, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
     np.testing.assert_allclose(v_dot, np.array([0.0, 0.0, -9.81]), atol=1e-12)
-    _, v_dot, _, _ = quadrotor_rhs(s, p, np.array([0.0, 0.0, 2.0 * p.mass * p.g]), np.zeros(3))
+    _, v_dot, _, _ = rates_from_rest(p, [0.0, 0.0, 2.0 * p.mass * p.g], [0.0, 0.0, 0.0])
     np.testing.assert_allclose(v_dot, np.array([0.0, 0.0, 9.81]), atol=1e-12)
 
 
 def test_quadrotor_extra_wrench():
     p = quad_params()
-    s = quad_x(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
-    _, v_dot, _, O_dot = quadrotor_rhs(s, p, np.array([1.0, 0.0, 0.0]),
-                                       np.array([0.0, 0.0, 0.012]))
+    _, v_dot, _, O_dot = rates_from_rest(p, [1.0, 0.0, 0.0], [0.0, 0.0, 0.012])
     np.testing.assert_allclose(v_dot[0], 1.0 / p.mass, atol=1e-14)
     np.testing.assert_allclose(O_dot[2], 0.012 / 0.12, atol=1e-12)
 
 
-def test_quadrotor_rotation_is_the_attitude_law(rng):
-    # both plants share one rotational law: bit for bit, the rotational half
-    # of quadrotor_rhs is attitude_rhs at the same R, Omega, moment and J
-    p = quad_params()
-    for _ in range(20):
-        R, om, m = random_rotation(rng), rng.normal(size=3), rng.normal(size=3)
-        s = quad_x(rng.normal(size=3), rng.normal(size=3), R, om)
-        _, _, R_dot, O_dot = quadrotor_rhs(s, p, rng.normal(size=3), m)
-        t_dot, w_dot = attitude_rhs(RigidBodyState(R, om), p.inertia, m)
-        np.testing.assert_array_equal(R_dot, t_dot)
-        np.testing.assert_array_equal(O_dot, w_dot)
-
-
 def test_kinetic_energy_and_momentum(j321, rng):
+    def em(s):  # (H, Pi_x, Pi_y, Pi_z) of the state s
+        return _energy_momentum(s.t_rows, s.omega_rows, j321.j_rows)
+
     s = RigidBodyState(np.eye(3), np.array([1.0, 0.0, 0.0]))
-    assert kinetic_energy(s, j321) == pytest.approx(1.5)
-    assert kinetic_energy(RigidBodyState(np.eye(3), np.zeros(3)), j321) == 0.0
+    assert em(s)[0] == pytest.approx(1.5)
+    assert em(RigidBodyState(np.eye(3), np.zeros(3)))[0] == 0.0
 
     s = RigidBodyState(np.eye(3), np.array([1.0, 1.0, 1.0]))
-    np.testing.assert_allclose(spatial_momentum(s, j321), np.array([3.0, 2.0, 1.0]))
+    np.testing.assert_allclose(em(s)[1:], np.array([3.0, 2.0, 1.0]))
 
     # energy independent of attitude, |momentum| preserved by attitude
     q = random_rotation(rng)
     s2 = RigidBodyState(s.T @ q, s.omega)
-    assert kinetic_energy(s2, j321) == kinetic_energy(s, j321)
-    assert np.linalg.norm(spatial_momentum(s2, j321)) == pytest.approx(
-        np.linalg.norm(spatial_momentum(s, j321)), abs=1e-12
-    )
+    assert em(s2)[0] == em(s)[0]
+    assert np.linalg.norm(em(s2)[1:]) == pytest.approx(np.linalg.norm(em(s)[1:]), abs=1e-12)
 
 
 def test_rk4_zero_rhs():

@@ -20,7 +20,6 @@ from geomech.attitude_control import (
     attitude_error_psi,
     attitude_error_vector,
     control_torque,
-    storage_function,
 )
 from geomech.errors import (
     AntipodalError,
@@ -33,22 +32,22 @@ from geomech.errors import (
 import geomech
 from geomech.cli import main
 from geomech import cli, runner
-from geomech.quadrotor import ControllerMemory, velocity_target
+from geomech.quadrotor import ControllerMemory, _velocity_target
 from geomech.references import AnglePolynomial, circle_reference, euler_321_reference
 from geomech.rigid_body import rk4_attitude_step, rk4_quadrotor_step
 from geomech.runner import _AeroModel, _step_failure, run, settling_time, steady_state_value
 from geomech.scenario import parse_scenario
-from geomech.so3 import orthogonality_defect
+from geomech.so3 import _ortho_defect
 from geomech.timeseries import (
     MetricsSummary,
     TimeSeries,
-    parse_csv_bytes,
     series_to_csv_bytes,
     write_outputs,
 )
 from geomech.variational import IntegratorConfig, vi_step
 
-from conftest import tick
+from conftest import parse_csv_bytes, tick
+from oracles import storage_function
 
 
 def load(name, **overrides):
@@ -166,7 +165,7 @@ def test_attitude_derived_columns_match_the_per_row_formulas():
         expected["e_R_norm"].append(np.linalg.norm(attitude_error_vector(r, ref.R_d)))
         expected["e_Omega_norm"].append(np.linalg.norm(angular_velocity_error(r, w, ref)))
         expected["V_storage"].append(storage_function(r, w, ref, sc.attitude_gains))
-        expected["ortho_defect"].append(orthogonality_defect(r))
+        expected["ortho_defect"].append(_ortho_defect(r.ravel().tolist()))
     for name, values in expected.items():
         np.testing.assert_allclose(series.column(name), values, atol=1e-14, rtol=0.0,
                                    err_msg=name)
@@ -182,11 +181,12 @@ def test_quad_and_compare_derived_columns_match_the_per_row_formulas():
         pos, vel = series.vector("r")[k], series.vector("v")[k]
         r = np.array([[col(f"R{i}{j}")[k] for j in range(3)] for i in range(3)])
         assert col("e_r_norm")[k] == pytest.approx(np.linalg.norm(e_r), abs=1e-14, rel=0.0)
-        assert col("ortho_defect")[k] == pytest.approx(orthogonality_defect(r),
+        assert col("ortho_defect")[k] == pytest.approx(_ortho_defect(r.ravel().tolist()),
                                                        abs=1e-14, rel=0.0)
         assert col("e_v_norm")[k] == pytest.approx(np.linalg.norm(vel - ref.v_d),
                                                    abs=1e-14, rel=0.0)
-        ev = vel - velocity_target(pos, ref, gains)
+        ev = vel - np.array(_velocity_target(pos.tolist(), ref.r_d.tolist(), ref.v_d.tolist(),
+                                             gains.b_rows))
         assert col("V_translational")[k] == pytest.approx(
             0.5 * e_r @ (gains.A @ e_r) + 0.5 * ev @ (gains.C @ ev), abs=1e-14, rel=0.0)
         assert col("thrust_negative")[k] == float(col("f")[k] < 0.0)
@@ -200,7 +200,7 @@ def test_quad_and_compare_derived_columns_match_the_per_row_formulas():
         for k in range(len(series)):
             h.append(0.5 * state.omega @ (jj.j @ state.omega))
             mom.append(np.linalg.norm(state.T @ (jj.j @ state.omega) - pi0))
-            ortho.append(orthogonality_defect(state.T))
+            ortho.append(_ortho_defect(state.t_rows))
             state = rk4_attitude_step(state, jj, lambda t, T, w: moment, k * sc.dt, sc.dt)
         np.testing.assert_allclose(series.column("H_rk4"), h, atol=1e-14, rtol=0.0)
         np.testing.assert_allclose(series.column("mom_err_rk4"), mom, atol=1e-13, rtol=0.0)

@@ -8,10 +8,11 @@ from geomech.timeseries import (
     MetricsSummary,
     TimeSeries,
     metrics_to_json_bytes,
-    parse_csv_bytes,
     series_to_csv_bytes,
     write_outputs,
 )
+
+from conftest import parse_csv_bytes
 
 
 def small_series():
