@@ -17,8 +17,9 @@ import sys
 from pathlib import Path
 
 from .errors import ScenarioParseError, ScenarioValidationError, SolverError
-from .runner import run, write_outputs
+from .runner import run
 from .scenario import parse_scenario
+from .timeseries import write_outputs
 
 EXIT_OK = 0
 EXIT_INVALID = 2

@@ -70,19 +70,19 @@ class ScenarioValidationError(GeomechError):
         super().__init__(f"invalid scenario ({lines})")
 
 
-# floating-point events trapped as divergence where a run calls numpy (see _step_failure)
+# floating-point events trapped as divergence in the quadrotor run (see _step_failure)
 _TRAP_FP = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
 def _step_failure(exc: Exception, k: int, dt: float) -> SolverError:
     """The error ``exc`` raised inside step ``k`` of a run loop, naming the step.
 
-    Each step checks its float state; numpy runs under ``_TRAP_FP``.  An
-    ``ArithmeticError`` (a trapped floating-point event, a float overflow or
-    a division by zero), or a polar projection that meets ``det <= 0``,
-    means the state is leaving every finite bound and is reported as
-    divergence.  Solver errors keep their class; any other library error
-    becomes a ``SolverError``.
+    Each step checks its float state; the quadrotor run's numpy runs under
+    ``_TRAP_FP``.  An ``ArithmeticError`` (a trapped floating-point event, a
+    float overflow or a division by zero), or a polar factor that meets
+    ``det <= 1e-12`` (``SingularInputError``), means the state is leaving
+    every finite bound and is reported as divergence.  Solver errors keep
+    their class; any other library error becomes a ``SolverError``.
     """
     where = f"step {k} (t={k * dt:.6g})"
     if isinstance(exc, (ArithmeticError, SingularInputError)):

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import _TRAP_FP, DivergenceError, InvalidRotationError, ScenarioValidationError
-from .so3 import (Array, _EYE, _as_rows, _check_step_angle, _det, _floats, _gram,
-                  _rotation_rows, polar_project)
+from .errors import DivergenceError, InvalidRotationError, ScenarioValidationError
+from .so3 import (Array, _EYE, _as_rows, _check_step_angle, _det, _fast_polar, _floats,
+                  _rotation_rows)
 
 GRAVITY = 9.81
 
@@ -183,42 +183,6 @@ def _energy_momentum(tm, w, jj) -> tuple[float, float, float, float]:
     t0, t1, t2, t3, t4, t5, t6, t7, t8 = tm
     return (0.5 * (w0 * h0 + w1 * h1 + w2 * h2), t0 * h0 + t1 * h1 + t2 * h2,
             t3 * h0 + t4 * h1 + t5 * h2, t6 * h0 + t7 * h1 + t8 * h2)
-
-
-def _times_sym(m, s0, s1, s2, s4, s5, s8) -> tuple:
-    """``m S`` for the symmetric ``S`` of entries 00, 01, 02, 11, 12, 22."""
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-    return (m0 * s0 + m1 * s1 + m2 * s2, m0 * s1 + m1 * s4 + m2 * s5, m0 * s2 + m1 * s5 + m2 * s8,
-            m3 * s0 + m4 * s1 + m5 * s2, m3 * s1 + m4 * s4 + m5 * s5, m3 * s2 + m4 * s5 + m5 * s8,
-            m6 * s0 + m7 * s1 + m8 * s2, m6 * s1 + m7 * s4 + m8 * s5, m6 * s2 + m7 * s5 + m8 * s8)
-
-
-def _fast_polar(m) -> tuple:
-    """Polar factor of a near-rotation (row-major 9 floats) via two
-    Newton-Schulz sweeps.
-
-    Agrees with :func:`geomech.so3.polar_project` to machine precision for the
-    small orthogonality defects RK4 produces in one step; falls back to the
-    SVD route when an entry of ``e = m^T m - I`` exceeds 1e-4.  Raises
-    ``DivergenceError`` when ``e`` is not finite.
-    """
-    a, b, c, d, f, g = _gram(m)
-    a, d, g = a - 1.0, d - 1.0, g - 1.0
-    lim = 1e-4
-    if not (-lim <= a <= lim and -lim <= b <= lim and -lim <= c <= lim
-            and -lim <= d <= lim and -lim <= f <= lim and -lim <= g <= lim):
-        if not math.isfinite(a + b + c + d + f + g):
-            raise DivergenceError("state diverged: attitude entries overflow")
-        import numpy as np
-        with np.errstate(**_TRAP_FP):  # the SVD route is numpy's, trapped as in the runs
-            return tuple(polar_project(np.reshape(m, (3, 3))).ravel().tolist())
-    x = _times_sym(  # m (I - e/2 + 3/8 e^2)
-        m, 1.0 - 0.5 * a + 0.375 * (a * a + b * b + c * c),
-        -0.5 * b + 0.375 * (a * b + b * d + c * f), -0.5 * c + 0.375 * (a * c + b * f + c * g),
-        1.0 - 0.5 * d + 0.375 * (b * b + d * d + f * f), -0.5 * f + 0.375 * (b * c + d * f + f * g),
-        1.0 - 0.5 * g + 0.375 * (c * c + f * f + g * g))
-    a, b, c, d, f, g = _gram(x)  # x (I - (x^T x - I)/2)
-    return _times_sym(x, 1.5 - 0.5 * a, -0.5 * b, -0.5 * c, 1.5 - 0.5 * d, -0.5 * f, 1.5 - 0.5 * g)
 
 
 def _axpy(x, a: float, y) -> list[float]:

@@ -46,7 +46,7 @@ from .rotor_aero import (
     torque_coefficient,
 )
 from .scenario import Scenario
-from .timeseries import MetricsSummary, TimeSeries, write_outputs  # noqa: F401
+from .timeseries import MetricsSummary, TimeSeries
 from .variational import IntegratorConfig, simulate
 
 

@@ -2,9 +2,11 @@
 
 Rotation matrices are plain ``(3, 3)`` float64 arrays mapping body to
 inertial coordinates; rotation vectors are ``(3,)`` arrays.  ``hat`` and
-``vee`` convert between vectors and skew-symmetric matrices, ``exp_so3`` is
-the closed-form Rodrigues exponential, ``log_so3`` its inverse, and
-``polar_project`` the nearest rotation to a matrix (its polar factor).
+``vee`` convert between vectors and skew-symmetric matrices.  Each SO(3) map
+is one kernel on Python floats (matrices as row-major 9-tuples), which the
+integrators call, behind a public function that converts arrays: Rodrigues'
+``_rodrigues`` behind ``exp_so3``, the logarithm ``_log_kernel`` behind
+``log_so3`` and the polar factor ``_fast_polar`` behind ``polar_project``.
 
 Every angle-dependent coefficient of the library comes from one pair,
 ``a(x) = sin x / x`` and ``d(x) = a'(x)/x = (x cos x - sin x)/x^3``
@@ -84,14 +86,24 @@ def tilde(m: Array) -> Array:
     return np.trace(m) * np.eye(3) - m
 
 
+def _rodrigues(v, f, a: float, b: float) -> tuple:
+    """``exp_so3(f) v = v + a f x v + b f x (f x v)`` for 3-sequences, given
+    ``a = a(|f|)`` and ``b = a(|f|/2)^2 / 2``."""
+    (v0, v1, v2), (f0, f1, f2) = v, f
+    c0, c1, c2 = f1 * v2 - f2 * v1, f2 * v0 - f0 * v2, f0 * v1 - f1 * v0
+    return (v0 + a * c0 + b * (f1 * c2 - f2 * c1), v1 + a * c1 + b * (f2 * c0 - f0 * c2),
+            v2 + a * c2 + b * (f0 * c1 - f1 * c0))
+
+
 def exp_so3(v: Array) -> Array:
-    """Rodrigues exponential: rotation by angle ``|v|`` about axis ``v/|v|``."""
+    """Rotation by angle ``|v|`` about axis ``v/|v|`` (:func:`_rodrigues`)."""
     import numpy as np
-    v = np.asarray(v, dtype=float)
-    theta = math.sqrt(float(v @ v))
+    v0, v1, v2 = _floats(v)
+    theta = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
     half = _sinc(0.5 * theta)[0]
-    k = hat(v)
-    return np.eye(3) + _sinc(theta)[0] * k + (0.5 * half * half) * (k @ k)
+    a, b, g = _sinc(theta)[0], 0.5 * half * half, (-v0, -v1, -v2)
+    # row i of exp_so3(v) is exp_so3(-v) e_i
+    return np.array([_rodrigues(e, g, a, b) for e in (_EYE[:3], _EYE[3:6], _EYE[6:])])
 
 
 def _floats(a) -> list[float]:
@@ -148,20 +160,17 @@ def log_so3(r: Array) -> Array:
 
 
 def polar_project(m: Array) -> Array:
-    """Nearest rotation to ``m`` in the Frobenius norm (polar factor).
+    """Nearest rotation to ``m`` in the Frobenius norm (:func:`_fast_polar`).
 
     Requires an orientation-preserving input; raises ``SingularInputError``
     when ``det(m) <= 1e-12``.
     """
     import numpy as np
-    det = np.linalg.det(m)
+    x = _floats(m)
+    det = _det(x)
     if det <= 1e-12:
         raise SingularInputError(f"determinant {det:.3e} is not positive")
-    u, _, vt = np.linalg.svd(m)
-    r = u @ vt
-    if np.linalg.det(r) < 0.0:  # a reflection: flip the last singular axis
-        r = (u * np.array([1.0, 1.0, -1.0])) @ vt
-    return r
+    return np.reshape(_fast_polar(x), (3, 3))
 
 
 def _gram(m) -> tuple:
@@ -182,6 +191,63 @@ def _det(m) -> float:
     """Determinant of a row-major 3x3, by cofactors of its first row."""
     m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
     return m0 * (m4 * m8 - m5 * m7) - m1 * (m3 * m8 - m5 * m6) + m2 * (m3 * m7 - m4 * m6)
+
+
+_POLAR_STEPS = 16  # scaled Newton steps; singular values in [1e-160, 1e160] need <= 10
+
+
+def _times_sym(m, s0, s1, s2, s4, s5, s8) -> tuple:
+    """``m S`` for the symmetric ``S`` of entries 00, 01, 02, 11, 12, 22."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    return (m0 * s0 + m1 * s1 + m2 * s2, m0 * s1 + m1 * s4 + m2 * s5, m0 * s2 + m1 * s5 + m2 * s8,
+            m3 * s0 + m4 * s1 + m5 * s2, m3 * s1 + m4 * s4 + m5 * s5, m3 * s2 + m4 * s5 + m5 * s8,
+            m6 * s0 + m7 * s1 + m8 * s2, m6 * s1 + m7 * s4 + m8 * s5, m6 * s2 + m7 * s5 + m8 * s8)
+
+
+def _scaled_newton(m) -> list:
+    """One polar step ``x <- (z x + x^-T / z) / 2`` on a row-major ``m``, with
+    ``z = det(m)^(-1/3)``.  Raises ``SingularInputError`` when ``det(m)`` is
+    at most 1e-12 and ``DivergenceError`` when it overflows."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    cof = (m4 * m8 - m5 * m7, m5 * m6 - m3 * m8, m3 * m7 - m4 * m6,
+           m2 * m7 - m1 * m8, m0 * m8 - m2 * m6, m1 * m6 - m0 * m7,
+           m1 * m5 - m2 * m4, m2 * m3 - m0 * m5, m0 * m4 - m1 * m3)  # det(m) m^-T
+    det = m0 * cof[0] + m1 * cof[1] + m2 * cof[2]
+    if det <= 1e-12:
+        raise SingularInputError(f"determinant {det:.3e} is not positive")
+    if not det < math.inf:  # +inf, or nan from inf - inf
+        raise DivergenceError("state diverged: attitude determinant overflows")
+    z = det ** (-1.0 / 3.0)
+    return [0.5 * (z * x + z * z * y) for x, y in zip(m, cof)]  # m^-T / z = z^2 cof
+
+
+def _fast_polar(m, steps: int = 0) -> tuple:
+    """Polar factor (nearest rotation) of a row-major ``m`` with ``det m > 0``.
+
+    Within 1e-4 of SO(3) (every entry of ``e = m^T m - I``), as RK4 leaves
+    it in one step, two Newton-Schulz sweeps reach machine precision.
+    Farther out, :func:`_scaled_newton` steps (Higham, SIAM J. Sci. Stat.
+    Comput. 7, 1986; ``steps`` taken so far) bring ``m`` there first.
+    Raises their errors, and ``DivergenceError`` when ``e`` is not finite or
+    ``_POLAR_STEPS`` steps do not suffice.
+    """
+    a, b, c, d, f, g = _gram(m)
+    a, d, g = a - 1.0, d - 1.0, g - 1.0
+    lim = 1e-4
+    if not (-lim <= a <= lim and -lim <= b <= lim and -lim <= c <= lim
+            and -lim <= d <= lim and -lim <= f <= lim and -lim <= g <= lim):
+        if not math.isfinite(a + b + c + d + f + g):
+            raise DivergenceError("state diverged: attitude entries overflow")
+        if steps == _POLAR_STEPS:
+            raise DivergenceError(f"state diverged: no polar factor within {steps} Newton steps")
+        return _fast_polar(_scaled_newton(m), steps + 1)
+    x = _times_sym(  # m (I - e/2 + 3/8 e^2)
+        m, 1.0 - 0.5 * a + 0.375 * (a * a + b * b + c * c),
+        -0.5 * b + 0.375 * (a * b + b * d + c * f), -0.5 * c + 0.375 * (a * c + b * f + c * g),
+        1.0 - 0.5 * d + 0.375 * (b * b + d * d + f * f), -0.5 * f + 0.375 * (b * c + d * f + f * g),
+        1.0 - 0.5 * g + 0.375 * (c * c + f * f + g * g))
+    a, b, c, d, f, g = _gram(x)  # x (I - (x^T x - I)/2)
+    return _times_sym(x, 1.5 - 0.5 * a, -0.5 * b, -0.5 * c, 1.5 - 0.5 * d, -0.5 * f, 1.5 - 0.5 * g)
 
 
 def _check_step_angle(theta2: float, explicit: bool = False) -> None:

@@ -28,8 +28,9 @@ O(|f|^4) derivative of the arc ``c`` are left out of the Jacobian, and every
 case converges in about two iterations.  One core on Python floats serves
 both measures, free or forced, and solves each 3x3 Newton system by the
 adjugate: the Jacobian stays close to the well-conditioned ``J``.
-:func:`vi_step` converts arrays at its boundary.  Every coefficient comes
-from ``so3._sinc`` by the half-angle identities listed in ``so3``: with
+:func:`vi_step` converts arrays at its boundary.  Rotations apply
+``so3._rodrigues``, and every coefficient comes from ``so3._sinc`` by the
+half-angle identities listed in ``so3``: with
 ``y = |f|/2``, the chord ``(1 - cos|f|)/|f|^2 = a(y)^2/2``, the arc
 ``c = -d(y)/(4 a(y))`` and ``tan(|f|/4)/|f| = a(|f|/4)/(4 cos(|f|/4))``.
 Attitudes stay on SO(3) exactly by construction; no re-orthogonalisation is
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 
 from .errors import DivergenceError, GeomechError, NoConvergenceError, _step_failure
 from .rigid_body import InertiaTensor, RigidBodyState, _energy_momentum, _require_finite
-from .so3 import Array, _check_step_angle, _ortho_defect, _sinc
+from .so3 import Array, _check_step_angle, _floats, _ortho_defect, _rodrigues, _sinc
 from .timeseries import TimeSeries
 
 
@@ -117,15 +118,6 @@ def _newton_jacobian(f, jj, h, x, whole, half: tuple, chord: bool) -> list:
     c = -0.25 * half_d / half_a
     e = _d_cross(f, d, x)
     return [ji + 0.5 * di + c * ei for ji, di, ei in zip(jj, d, e)]
-
-
-def _rodrigues(v, f, a: float, b: float) -> tuple:
-    """``exp_so3(f) v = v + a f x v + b f x (f x v)`` for 3-sequences, given
-    ``a = a(|f|)`` and ``b = a(|f|/2)^2 / 2``."""
-    (v0, v1, v2), (f0, f1, f2) = v, f
-    c0, c1, c2 = f1 * v2 - f2 * v1, f2 * v0 - f0 * v2, f0 * v1 - f1 * v0
-    return (v0 + a * c0 + b * (f1 * c2 - f2 * c1), v1 + a * c1 + b * (f2 * c0 - f0 * c2),
-            v2 + a * c2 + b * (f0 * c1 - f1 * c0))
 
 
 def _vi_core(tm, w, pi, m, inertia: InertiaTensor, cfg: IntegratorConfig):
@@ -223,10 +215,10 @@ def vi_step(
     ``omega`` or ``pi`` is not finite.
     """
     import numpy as np
-    pi_k = t_k @ (inertia.j @ omega_k) if pi_k is None else pi_k
+    tm, w = _floats(t_k), _floats(omega_k)
+    pi = _energy_momentum(tm, w, inertia.j_rows)[1:] if pi_k is None else _floats(pi_k)
     t_new, w_new, pi_new, iters, res = _vi_core(
-        t_k.ravel().tolist(), omega_k.tolist(), pi_k.tolist(),
-        None if moment is None else np.asarray(moment, dtype=float).tolist(), inertia, cfg)
+        tm, w, pi, None if moment is None else _floats(moment), inertia, cfg)
     return StepResult(np.array(t_new).reshape(3, 3), np.array(w_new), iters, res, np.array(pi_new))
 
 

@@ -45,7 +45,7 @@ from geomech.quadrotor import ROTOR_SPIN, rotor_positions, rotor_thrusts
 from geomech.rigid_body import InertiaTensor
 from geomech.rotor_aero import hover_rotor_speed, rotor_wrench
 from geomech.so3 import (
-    Array, _check_step_angle, _sinc, exp_so3, hat, polar_project, tilde,
+    Array, _check_step_angle, _sinc, exp_so3, hat, tilde,
 )
 from geomech.variational import IntegratorConfig
 
@@ -131,10 +131,16 @@ def rates(R, Om, m_body, jj, jinv):
     return R @ hat(Om), jinv @ (m_body - cross3(Om, jj @ Om))
 
 
+def polar_svd(m):
+    """Polar factor ``U V^T`` of ``m`` (``det m > 0``) from its SVD."""
+    u, _, vt = np.linalg.svd(m)
+    return u @ vt
+
+
 def fast_polar(m):
     e = m.T @ m - _EYE3
     if np.abs(e).max() > 1e-4:
-        return polar_project(m)
+        return polar_svd(m)
     x = m @ (_EYE3 - 0.5 * e + 0.375 * (e @ e))
     e = x.T @ x - _EYE3
     return x @ (_EYE3 - 0.5 * e)

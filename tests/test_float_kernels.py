@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
+from geomech import so3
 from geomech.attitude_control import _torque_kernel
-from geomech.rigid_body import (InertiaTensor, _attitude_rk4_core, _eigvalsh3, _fast_polar,
-                                _inverse3, _rates)
+from geomech.errors import DivergenceError, SingularInputError
+from geomech.rigid_body import InertiaTensor, _attitude_rk4_core, _eigvalsh3, _inverse3, _rates
 from geomech.runner import _AeroModel
 from geomech.scenario import parse_scenario
-from geomech.so3 import _log_kernel, _sinc, exp_so3
+from geomech.so3 import _fast_polar, _log_kernel, _ortho_defect, _sinc, exp_so3
 from geomech.variational import IntegratorConfig, _newton_jacobian, _vi_core
 
 from conftest import random_axis_angle, random_rotation
@@ -112,6 +113,47 @@ def test_fast_polar_matches_the_numpy_oracle_on_both_branches():
         assert isinstance(got, tuple) and len(got) == 9
         _close(got, oracles.fast_polar(m))
     assert 0 < fallbacks < DRAWS  # both branches are taken
+
+
+def test_fast_polar_newton_steps_match_the_svd_oracle_far_from_so3():
+    # defects from the Newton-Schulz range (1e-4) to about 1, det > 0: scaled
+    # Newton steps, then the sweeps.  The kernel raises once it has taken
+    # _POLAR_STEPS steps outside the range, so each return stayed within them
+    rng = np.random.default_rng(1105)
+    defects = []
+    while len(defects) < DRAWS:
+        m = random_rotation(rng) + 10.0 ** rng.uniform(-4.0, -0.5) * rng.normal(size=(3, 3))
+        defect = np.abs(m.T @ m - np.eye(3)).max()
+        if defect <= 1e-4 or np.linalg.det(m) <= 0.0:
+            continue
+        defects.append(defect)
+        _close(_fast_polar(_flat(m)), oracles.polar_svd(m))
+    assert max(defects) > 0.5
+
+
+def test_fast_polar_refuses_what_has_no_polar_factor(monkeypatch):
+    with pytest.raises(SingularInputError):
+        _fast_polar((2.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, -2.0))  # det < 0
+    with pytest.raises(SingularInputError):
+        _fast_polar((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1e-13))  # det <= 1e-12
+    for m in ((1e200, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0),  # the Gram matrix overflows
+              (1e150, 0.0, 0.0, 0.0, 1e150, 0.0, 0.0, 0.0, 1e150),  # det overflows
+              (float("nan"),) * 9):
+        with pytest.raises(DivergenceError, match="overflow"):
+            _fast_polar(m)
+    monkeypatch.setattr(so3, "_POLAR_STEPS", 1)  # three steps are needed here
+    with pytest.raises(DivergenceError, match="no polar factor within 1 "):
+        _fast_polar((2.0, 0.1, 0.0, 0.0, 1.0, 0.3, 0.2, 0.0, 0.5))
+
+
+def test_ortho_defect_matches_the_frobenius_norm():
+    # the record columns' defect against its definition, on matrices far
+    # enough from O(3) that m^T m - I keeps its digits
+    rng = np.random.default_rng(1106)
+    for _ in range(DRAWS):
+        m = 10.0 ** rng.uniform(-1.0, 1.0) * rng.normal(size=(3, 3))
+        want = np.linalg.norm(m.T @ m - np.eye(3))
+        assert abs(_ortho_defect(_flat(m)) - want) <= TOL * want
 
 
 def test_attitude_rk4_core_matches_the_numpy_oracle():

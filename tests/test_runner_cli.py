@@ -845,11 +845,21 @@ def test_cli_quad_overrides_end_cleanly(dt, steps, bad, aero, name):
     ([["run", "scenarios/attitude_track.json", "--t-final", "0.01"]], False),
     ([["compare", "scenarios/integrator_compare.json", "--t-final", "0.1"]], False),
     ([["run", "scenarios/quad_track_aero.json", "--t-final", "0.01"]], True),
-], ids=["import", "validate", "free_body", "attitude_track", "compare", "quad_track_aero"])
+    ([["run", "FAST_SPIN"]], False),
+], ids=["import", "validate", "free_body", "attitude_track", "compare", "quad_track_aero",
+        "attitude_track_far_polar"])
 def test_rigid_body_runs_load_no_numpy(tmp_path, argvs, loads_numpy):
     # `import geomech`, then geomech.cli.main on each command line, in a fresh
     # interpreter: validate and the rigid-body kinds never load numpy; the
-    # quadrotor tick's one numpy product still does
+    # quadrotor tick's one numpy product still does.  FAST_SPIN is
+    # attitude_track at dt 0.01 from omega (3, 3, 3): 40 of its polar factors
+    # start outside the Newton-Schulz range (scaled Newton steps first)
+    doc = json.loads(Path("scenarios/attitude_track.json").read_text())
+    doc.update(dt=0.01, t_final=0.2)
+    doc["initial"]["omega"] = [3.0, 3.0, 3.0]
+    fast_spin = tmp_path / "fast_spin.json"
+    fast_spin.write_text(json.dumps(doc))
+    argvs = [[str(fast_spin) if arg == "FAST_SPIN" else arg for arg in argv] for argv in argvs]
     argvs = [argv if argv[0] == "validate" else [*argv, "--out-dir", str(tmp_path)]
              for argv in argvs]
     script = (
