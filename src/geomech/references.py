@@ -10,7 +10,6 @@ sinusoids with analytic velocity and acceleration.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 from .attitude_control import AttitudeReference
@@ -41,10 +40,10 @@ class Euler321Coeffs:
     yaw: AnglePolynomial = field(default_factory=AnglePolynomial)
 
 
-def _euler_321_raw(times, coeffs: Euler321Coeffs) -> array:
+def _euler_321_raw(times, coeffs: Euler321Coeffs):
     """Attitude (row-major), body rate and body acceleration of the signal
-    at each time of ``times``: 15 floats per time, one time after another."""
-    out = array("d")
+    at each time of ``times``, yielded as one 15-float tuple per time when
+    the caller draws it, so a long run holds only the samples it uses."""
     for t in times:
         roll, droll, ddroll = coeffs.roll.eval(t)
         pitch, dpitch, ddpitch = coeffs.pitch.eval(t)
@@ -52,7 +51,7 @@ def _euler_321_raw(times, coeffs: Euler321Coeffs) -> array:
         cr, sr = math.cos(roll), math.sin(roll)
         cp, sp = math.cos(pitch), math.sin(pitch)
         cy, sy = math.cos(yaw), math.sin(yaw)
-        out.extend((
+        yield (
             cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr,
             sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr,
             -sp, cp * sr, cp * cr,
@@ -62,14 +61,13 @@ def _euler_321_raw(times, coeffs: Euler321Coeffs) -> array:
             + dyaw * (-dpitch * sp * sr + droll * cp * cr),
             -ddpitch * sr - dpitch * droll * cr + ddyaw * cp * cr
             + dyaw * (-dpitch * sp * cr - droll * cp * sr),
-        ))
-    return out
+        )
 
 
 def euler_321_reference(t: float, coeffs: Euler321Coeffs) -> AttitudeReference:
     """Attitude reference at time ``t`` from the 3-2-1 angle signals."""
     import numpy as np
-    row = _euler_321_raw((float(t),), coeffs).tolist()
+    row = next(_euler_321_raw((float(t),), coeffs))
     return AttitudeReference(np.reshape(row[:9], (3, 3)), row[9:12], row[12:])
 
 

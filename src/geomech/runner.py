@@ -151,35 +151,36 @@ _ATTITUDE_COLUMNS = (
 )
 
 
-def _attitude_loop_numpy(ref, sc: Scenario) -> array:
+def _attitude_loop_numpy(sc: Scenario) -> array:
     """Closed attitude loop: the float torque kernel on the float RK4 core.
 
-    ``ref`` holds 15 floats per time of the half-step grid (``R_d``
-    row-major, ``Omega_d`` and ``dOmega_d``), so stage time ``t`` reads
-    sample ``round(2 t / dt)``.  The torque at ``(t_k, T_k, Omega_k)`` is
-    recorded and reused as the step's RK4 stage 1.  Each step appends its
-    row of ``_ATTITUDE_COLUMNS``, the derived columns included, to the
-    returned floats.  The loop is no longer numpy; its name is kept only
-    because the benchmark's tracer looks it up as ``runner._attitude_loop_numpy``.
+    Step ``k`` draws the reference (``R_d`` row-major, ``Omega_d`` and
+    ``dOmega_d``) from :func:`_euler_321_raw` on the half-step grid as it
+    goes: sample ``2k+1`` for RK4 stages 2-3, and ``2k+2`` for stage 4 and
+    the next tick.  The torque at ``(t_k, T_k, Omega_k)`` is recorded and
+    reused as the step's RK4 stage 1.  Each step appends its row of
+    ``_ATTITUDE_COLUMNS`` to the returned floats.  The loop is no longer
+    numpy; its name is kept for the benchmark's tracer, which looks it up.
     """
     dt, gains, coeffs = sc.dt, sc.attitude_gains, sc.euler_coeffs
     jj, jinv = sc.inertia.j_rows, sc.inertia.j_inv_rows
     p_g, f_g = gains.p_rows, gains.f_rows
     p0, p1, p2, p3, p4, p5, p6, p7, p8 = p_g
-    n = (len(ref) // 15 - 1) // 2
+    n = int(round(sc.t_final / dt)) if sc.t_final > 0.0 else 0
     data = array("d")
     t_mat, w = sc.initial.t_rows, sc.initial.omega_rows
+    ref = _euler_321_raw((0.5 * dt * i for i in range(2 * n + 1)), coeffs)
+    tick = next(ref)
 
-    def torque(idx, tm, wi):
-        row = ref[15 * idx:15 * idx + 15].tolist()
+    def torque(row, tm, wi):
         return _torque_kernel(tm, row[:9], row[9:12], row[12:], wi, jj, p_g, f_g)
 
-    def stage_torque(t, tm, wi):
-        return torque(round(2.0 * t / dt), tm, wi)[0]
+    def stage_torque(ts, tm, wi):  # _attitude_rk4_core forms stage 4's time as t + dt
+        return torque(tick if ts == t + dt else mid, tm, wi)[0]
 
     try:
         for k in range(n + 1):
-            q, e_r, e_om, one_plus_tr = torque(2 * k, t_mat, w)
+            q, e_r, e_om, one_plus_tr = torque(tick, t_mat, w)
             (a0, a1, a2), (b0, b1, b2) = e_r, e_om
             err = (b0 + (p0 * a0 + p1 * a1 + p2 * a2), b1 + (p3 * a0 + p4 * a1 + p5 * a2),
                    b2 + (p6 * a0 + p7 * a1 + p8 * a2))  # Omega - Omega_target
@@ -188,18 +189,15 @@ def _attitude_loop_numpy(ref, sc: Scenario) -> array:
                          gains.k_R * psi + 0.5 * _quad_form(gains.s_rows, err),
                          _ortho_defect(t_mat), float(gimbal_proximity(t, coeffs))))
             if k < n:
-                t_mat, w = _attitude_rk4_core(t_mat, w, jj, jinv, stage_torque, k * dt, dt, q)
+                mid, tick = next(ref), next(ref)  # samples 2k+1 and 2k+2
+                t_mat, w = _attitude_rk4_core(t_mat, w, jj, jinv, stage_torque, t, dt, q)
     except (ArithmeticError, GeomechError) as exc:
         raise _step_failure(exc, k, dt) from None
     return data
 
 
 def _run_attitude_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
-    dt = sc.dt
-    n = int(round(sc.t_final / dt)) if sc.t_final > 0.0 else 0
-    # reference samples on the half grid cover every RK4 stage time
-    ref = _euler_321_raw((0.5 * dt * i for i in range(2 * n + 1)), sc.euler_coeffs)
-    series = TimeSeries(_ATTITUDE_COLUMNS, _attitude_loop_numpy(ref, sc))
+    series = TimeSeries(_ATTITUDE_COLUMNS, _attitude_loop_numpy(sc))
     psi, storage = series.floats("psi"), series.floats("V_storage")
     settle, settled = settling_time(series.floats("t"), psi)
     metrics = MetricsSummary(

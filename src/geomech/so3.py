@@ -170,7 +170,9 @@ def polar_project(m: Array) -> Array:
     det = _det(x)
     if det <= 1e-12:
         raise SingularInputError(f"determinant {det:.3e} is not positive")
-    return np.reshape(_fast_polar(x), (3, 3))
+    # an exact power of two takes det near 1; a positive multiple has the same polar factor
+    s = 2.0 ** -round(math.log2(det) / 3) if math.isfinite(det) else 1.0
+    return np.reshape(_fast_polar([v * s for v in x]), (3, 3))
 
 
 def _gram(m) -> tuple:

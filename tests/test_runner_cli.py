@@ -103,6 +103,22 @@ def test_attitude_track_columns_and_storage():
     assert metrics.orthogonality_defect_max < 1e-12
 
 
+def test_attitude_run_holds_no_reference_array():
+    # the loop draws the reference as it steps, so the run's peak allocation
+    # is about its record; an up-front reference array (15 floats per half
+    # step, 30 per row of 22) would add more than the record again
+    import tracemalloc
+    sc = load("attitude_track", t_final=0.1)
+    tracemalloc.start()
+    try:
+        series, _ = run(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 1001
+    assert peak < 1.5 * len(series.data) * 8
+
+
 def test_attitude_run_uses_the_public_torque_law_and_rk4_step():
     # benign case (no antipodal crossing): stepping rk4_attitude_step with
     # control_torque reproduces the runner's closed loop
@@ -778,6 +794,24 @@ def test_cli_quad_divergence_exits_3_without_outputs(tmp_path, capsys, aero):
     assert re.match(r"solver failure: step \d+ \(t=[0-9.e+-]+\): \S", err)
     if aero == "off":
         assert "state diverged" in err
+    assert not out_dir.exists()
+
+
+def test_quad_trap_turns_an_overflow_after_the_steps_into_one_line(tmp_path):
+    # validate accepts this document and its steps finish, but its error and
+    # storage columns overflow.  The quad run's floating-point trap makes
+    # that an exception; without it numpy would print a RuntimeWarning to
+    # stderr before the one line
+    doc = {"kind": "quad_track", "dt": 1e152, "t_final": 1e152, "initial": {"v": [0, 0, 1000]},
+           "position_gains": {"B": 1e-300, "D": 1e-300},
+           "reference": {"amplitude": 0.0, "omega": 0.0}}
+    path, out_dir = tmp_path / "huge_step.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "geomech.cli", "run", str(path), "--out-dir",
+                          str(out_dir)], env=env, capture_output=True, text=True)
+    assert out.returncode == 3
+    assert out.stderr == "solver failure: outside the step loop: overflow encountered in matmul\n"
     assert not out_dir.exists()
 
 

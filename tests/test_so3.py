@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geomech.errors import (
+    DivergenceError,
     InvalidRotationError,
     NotSkewError,
     SingularInputError,
@@ -190,6 +191,21 @@ def test_polar_project_rejects_singular():
         polar_project(np.zeros((3, 3)))
     with pytest.raises(SingularInputError):
         polar_project(-np.eye(3))
+
+
+def test_polar_project_survives_a_gram_matrix_that_would_overflow(rng):
+    # m^T m of these overflows although m is finite; a positive multiple has
+    # the same polar factor, so polar_project scales det near 1 first.  R is
+    # the oracle: an SVD of R diag(s) misses it by up to about 2
+    np.testing.assert_array_equal(polar_project(np.diag([1e160, 1e100, 1.0])), np.eye(3))
+    for _ in range(50):
+        r = random_rotation(rng)
+        s = np.diag([10.0 ** rng.uniform(155, 200), 10.0 ** rng.uniform(0, 100), 1.0])
+        np.testing.assert_allclose(polar_project(r @ s), r, rtol=0.0, atol=1e-14)
+    # a determinant that overflows, and a non-finite input, still raise
+    for m in (np.diag([1e150] * 3), np.diag([np.nan, 1.0, 1.0])):
+        with pytest.raises(DivergenceError, match="overflow"):
+            polar_project(m)
 
 
 def test_require_rotation_accepts_and_refuses(rng):

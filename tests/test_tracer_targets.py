@@ -7,6 +7,7 @@ test loads the tracer without changing it.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,3 +24,26 @@ def test_tracer_span_resolves(span):
     # ``tracer.install``, one target that resolves is enough
     targets = [(module, path) for name, module, path, _ in tracer.TARGETS if name == span]
     assert any(tracer._resolve(module, path) for module, path in targets), targets
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "scenarios/attitude_track.json", "--t-final", "0.01"],
+    ["run", "scenarios/quad_track_aero.json", "--t-final", "0.05"],
+    ["compare", "scenarios/integrator_compare.json", "--t-final", "0.1"],
+], ids=["attitude_track", "quad_track_aero", "compare"])
+def test_spans_timed_once_per_run_stay_once_per_run(tmp_path, capsys, argv):
+    # the tracer keeps a full record of each call to a target that is not
+    # marked per step; a target called once per step or per sample instead
+    # would grow the trace with the run length
+    from geomech import cli
+
+    trace = tracer.Tracer("once-per-run")
+    patched, _ = tracer.install(trace)
+    try:
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+    finally:
+        assert tracer.restore(patched)
+    once = {name for name, _, _, per_step in tracer.TARGETS if not per_step}
+    counts = Counter(span["name"] for span in trace.spans)
+    assert set(counts) <= once
+    assert {name: count for name, count in counts.items() if count > 1} == {}
