@@ -12,6 +12,7 @@ success, 2 on parse/validation errors or outputs that cannot be written,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 from .errors import ScenarioParseError, ScenarioValidationError, SolverError
 from .runner import run
 from .scenario import parse_scenario
-from .timeseries import write_outputs
+from .timeseries import _CSV_BLOCK_ROWS, csv_writer, write_outputs
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -111,24 +112,32 @@ def main(argv=None) -> int:
             return EXIT_INVALID
         scenario = dataclasses.replace(scenario, kind="integrator_compare")
 
-    try:
-        series, metrics = run(scenario)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
     stem = args.scenario.stem
     suffix = "_compare" if args.command == "compare" else ""
     csv_path = args.out_dir / f"{stem}{suffix}.csv"
     metrics_path = args.out_dir / f"{stem}{suffix}.metrics.json"
+    # the directories this run makes, deepest first; a failed run removes them
+    made = [d for d in (args.out_dir, *args.out_dir.parents) if not d.exists()]
+    # a run of more than one block streams its rows to a writer child, forked before numpy loads
+    streamed = args.command == "run" and scenario.steps >= _CSV_BLOCK_ROWS
     try:
         args.out_dir.mkdir(parents=True, exist_ok=True)
-        write_outputs(series, metrics, csv_path, metrics_path)
+        with csv_writer(csv_path) if streamed else contextlib.nullcontext() as stream:
+            series, metrics = run(scenario, stream)
+            write_outputs(series, metrics, csv_path, metrics_path, stream)
+    except SolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        code = EXIT_SOLVER
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    print(f"wrote {csv_path} ({len(series)} rows) and {metrics_path}")
-    return EXIT_OK
+        code = EXIT_INVALID
+    else:
+        print(f"wrote {csv_path} ({len(series)} rows) and {metrics_path}")
+        return EXIT_OK
+    for directory in made:
+        with contextlib.suppress(OSError):
+            directory.rmdir()
+    return code
 
 
 if __name__ == "__main__":

@@ -43,11 +43,15 @@ class Euler321Coeffs:
 def _euler_321_raw(times, coeffs: Euler321Coeffs):
     """Attitude (row-major), body rate and body acceleration of the signal
     at each time of ``times``, yielded as one 15-float tuple per time when
-    the caller draws it, so a long run holds only the samples it uses."""
+    the caller draws it, so a long run holds only the samples it uses.  The
+    angle polynomials are :meth:`AnglePolynomial.eval`, inlined."""
+    (r0, r1, r2), (p0, p1, p2), (y0, y1, y2) = (
+        (a.a0, a.a1, a.a2) for a in (coeffs.roll, coeffs.pitch, coeffs.yaw))
+    ddroll, ddpitch, ddyaw = 2.0 * r2, 2.0 * p2, 2.0 * y2
     for t in times:
-        roll, droll, ddroll = coeffs.roll.eval(t)
-        pitch, dpitch, ddpitch = coeffs.pitch.eval(t)
-        yaw, dyaw, ddyaw = coeffs.yaw.eval(t)
+        roll, droll = r0 + r1 * t + r2 * t * t, r1 + 2.0 * r2 * t
+        pitch, dpitch = p0 + p1 * t + p2 * t * t, p1 + 2.0 * p2 * t
+        yaw, dyaw = y0 + y1 * t + y2 * t * t, y1 + 2.0 * y2 * t
         cr, sr = math.cos(roll), math.sin(roll)
         cp, sp = math.cos(pitch), math.sin(pitch)
         cy, sy = math.cos(yaw), math.sin(yaw)

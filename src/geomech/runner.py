@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
-import pickle
 from array import array
 
 from .attitude_control import _quad_form, _torque_kernel
@@ -46,7 +44,7 @@ from .rotor_aero import (
     torque_coefficient,
 )
 from .scenario import Scenario
-from .timeseries import MetricsSummary, TimeSeries
+from .timeseries import _CSV_BLOCK_ROWS, MetricsSummary, TimeSeries, _forked
 from .variational import IntegratorConfig, simulate
 
 
@@ -78,8 +76,11 @@ def _momentum_drifts(series: TimeSeries) -> list[float]:
     return [math.hypot(x - x0, y - y0, z - z0) for x, y, z in pi]
 
 
-def run(scenario: Scenario) -> tuple[TimeSeries, MetricsSummary]:
+def run(scenario: Scenario, sink=None) -> tuple[TimeSeries, MetricsSummary]:
     """Execute a scenario deterministically.
+
+    The loops of ``run`` kinds hand ``sink(names, data)`` (see
+    ``timeseries.csv_writer``) the record once per ``_CSV_BLOCK_ROWS`` rows.
 
     The step loops name the step that fails (``_step_failure``); any other
     library or arithmetic error, or a math domain error (the sine of an
@@ -95,7 +96,7 @@ def run(scenario: Scenario) -> tuple[TimeSeries, MetricsSummary]:
         "integrator_compare": _run_integrator_compare,
     }
     try:
-        series, metrics = kinds[scenario.kind](scenario)
+        series, metrics = kinds[scenario.kind](scenario, sink)
         metrics.to_dict()  # refuses a non-finite metric
     except SolverError:
         raise
@@ -120,10 +121,9 @@ def _vi_config(sc: Scenario) -> IntegratorConfig:
     )
 
 
-def _run_free_body(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
-    series = simulate(sc.initial, sc.inertia, sc.moment, _vi_config(sc), sc.t_final)
-    metrics = _free_body_metrics(series)
-    return series, metrics
+def _run_free_body(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSummary]:
+    series = simulate(sc.initial, sc.inertia, sc.moment, _vi_config(sc), sc.t_final, sink)
+    return series, _free_body_metrics(series)
 
 
 def _free_body_metrics(series: TimeSeries) -> MetricsSummary:
@@ -151,7 +151,7 @@ _ATTITUDE_COLUMNS = (
 )
 
 
-def _attitude_loop_numpy(sc: Scenario) -> array:
+def _attitude_loop_numpy(sc: Scenario, sink=None) -> array:
     """Closed attitude loop: the float torque kernel on the float RK4 core.
 
     Step ``k`` draws the reference (``R_d`` row-major, ``Omega_d`` and
@@ -159,15 +159,15 @@ def _attitude_loop_numpy(sc: Scenario) -> array:
     goes: sample ``2k+1`` for RK4 stages 2-3, and ``2k+2`` for stage 4 and
     the next tick.  The torque at ``(t_k, T_k, Omega_k)`` is recorded and
     reused as the step's RK4 stage 1.  Each step appends its row of
-    ``_ATTITUDE_COLUMNS`` to the returned floats.  The loop is no longer
-    numpy; its name is kept for the benchmark's tracer, which looks it up.
+    ``_ATTITUDE_COLUMNS`` to the returned floats, and each finished block of
+    rows goes to ``sink`` (see :func:`run`).  The loop is no longer numpy; its
+    name is kept for the benchmark's tracer, which looks it up.
     """
     dt, gains, coeffs = sc.dt, sc.attitude_gains, sc.euler_coeffs
     jj, jinv = sc.inertia.j_rows, sc.inertia.j_inv_rows
     p_g, f_g = gains.p_rows, gains.f_rows
     p0, p1, p2, p3, p4, p5, p6, p7, p8 = p_g
-    n = int(round(sc.t_final / dt)) if sc.t_final > 0.0 else 0
-    data = array("d")
+    n, data = sc.steps, array("d")
     t_mat, w = sc.initial.t_rows, sc.initial.omega_rows
     ref = _euler_321_raw((0.5 * dt * i for i in range(2 * n + 1)), coeffs)
     tick = next(ref)
@@ -188,6 +188,8 @@ def _attitude_loop_numpy(sc: Scenario) -> array:
             data.extend((t, *t_mat, *w, psi, math.hypot(a0, a1, a2), math.hypot(b0, b1, b2), *q,
                          gains.k_R * psi + 0.5 * _quad_form(gains.s_rows, err),
                          _ortho_defect(t_mat), float(gimbal_proximity(t, coeffs))))
+            if sink is not None and k % _CSV_BLOCK_ROWS == _CSV_BLOCK_ROWS - 1:
+                sink(_ATTITUDE_COLUMNS, data)
             if k < n:
                 mid, tick = next(ref), next(ref)  # samples 2k+1 and 2k+2
                 t_mat, w = _attitude_rk4_core(t_mat, w, jj, jinv, stage_torque, t, dt, q)
@@ -196,8 +198,8 @@ def _attitude_loop_numpy(sc: Scenario) -> array:
     return data
 
 
-def _run_attitude_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
-    series = TimeSeries(_ATTITUDE_COLUMNS, _attitude_loop_numpy(sc))
+def _run_attitude_track(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSummary]:
+    series = TimeSeries(_ATTITUDE_COLUMNS, _attitude_loop_numpy(sc, sink))
     psi, storage = series.floats("psi"), series.floats("V_storage")
     settle, settled = settling_time(series.floats("t"), psi)
     metrics = MetricsSummary(
@@ -282,10 +284,9 @@ class _AeroModel:
         return (fx, fy, fz), (mx, my, mz)
 
 
-def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
+def _run_quad_track(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSummary]:
     import numpy as np  # the reference samples and the tick's one product, under the trap
-    dt = sc.dt
-    n = int(round(sc.t_final / dt)) if sc.t_final > 0.0 else 0
+    dt, n = sc.dt, sc.steps
     params, gains, att_gains = sc.vehicle, sc.position_gains, sc.attitude_gains
     # the tick's constants, as floats once per run
     mass, g, b, d = params.mass, params.g, gains.b_rows, gains.d_rows
@@ -294,48 +295,51 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
     x = sc.quad_initial
     memory = ControllerMemory()
     aero = _AeroModel(sc) if sc.aero.enabled else None
-    data, side = array("d"), array("d")  # side: e_R, e_Omega and 1 + tr E of each tick
+    data, col = array("d"), _QUAD_COLUMNS.index
+
+    def xyz(name):
+        return table[:, col(f"{name}_x"):col(f"{name}_z") + 1]
+
+    def norms(v):
+        return np.sqrt(np.einsum("ni,ni->n", v, v))
 
     with np.errstate(**_TRAP_FP):
         # the reference of every tick in one call; each tick reads its row (r_d, v_d, a_d)
         ref = circle_reference(dt * np.arange(n + 1), sc.circle_coeffs)
         ref_rows = np.concatenate((ref.r_d, ref.v_d, ref.a_d), axis=1)
-        try:
-            for k in range(n + 1):
-                f, q, e_R, e_Om, one_plus_tr = tracking_step(
-                    x, ref_rows[k].tolist(), mass, g, b, d, jj, p_g, f_g, b_1d, dt, memory)
-                r, v, R, Om = x
-                # the error columns (the 0.0 slots) are formed after the loop
-                data.extend((k * dt, *r, *v, *Om, 0.0, 0.0, 0.0, *q, *R,
-                             0.0, 0.0, 0.0, 0.0, 0.0, f, 0.0, 0.0, _ortho_defect(R)))
-                side.extend((*e_R, *e_Om, one_plus_tr))
-                if k == n:
-                    break
-                wrench = ((0.0, 0.0, f), q) if aero is None else aero.wrench(x, f, q)
-                x = rk4_quadrotor_step(x, params, *wrench, dt)
-        except (ArithmeticError, GeomechError) as exc:
-            raise _step_failure(exc, k, dt) from None
+        for start in range(0, n + 1, _CSV_BLOCK_ROWS):
+            side = array("d")  # e_R, e_Omega and 1 + tr E of each tick of the block
+            try:
+                for k in range(start, min(start + _CSV_BLOCK_ROWS, n + 1)):
+                    f, q, e_R, e_Om, one_plus_tr = tracking_step(
+                        x, ref_rows[k].tolist(), mass, g, b, d, jj, p_g, f_g, b_1d, dt, memory)
+                    r, v, R, Om = x
+                    # the error columns (the 0.0 slots) are formed once the block is done
+                    data.extend((k * dt, *r, *v, *Om, 0.0, 0.0, 0.0, *q, *R,
+                                 0.0, 0.0, 0.0, 0.0, 0.0, f, 0.0, 0.0, _ortho_defect(R)))
+                    side.extend((*e_R, *e_Om, one_plus_tr))
+                    if k < n:
+                        wrench = ((0.0, 0.0, f), q) if aero is None else aero.wrench(x, f, q)
+                        x = rk4_quadrotor_step(x, params, *wrench, dt)
+            except (ArithmeticError, GeomechError) as exc:
+                raise _step_failure(exc, k, dt) from None
 
-        # numpy is loaded here anyway, so the error columns are formed on views
-        # of the record, whose writes land in data
-        table, side = np.frombuffer(data).reshape(n + 1, -1), np.frombuffer(side).reshape(-1, 7)
-        col = _QUAD_COLUMNS.index
-
-        def xyz(name):
-            return table[:, col(f"{name}_x"):col(f"{name}_z") + 1]
-
-        def norms(v):
-            return np.sqrt(np.einsum("ni,ni->n", v, v))
-
-        xyz("e_r")[:] = e_r = xyz("r") - ref.r_d
-        table[:, col("e_r_norm")] = norms(e_r)
-        table[:, col("e_v_norm")] = norms(xyz("v") - ref.v_d)
-        table[:, col("psi_cmd")] = 2.0 - np.sqrt(side[:, 6])
-        table[:, col("e_R_norm")] = norms(side[:, :3])
-        table[:, col("e_Omega_norm")] = norms(side[:, 3:6])
-        table[:, col("V_translational")] = translational_storage(xyz("r"), xyz("v"), ref.r_d,
-                                                                 ref.v_d, gains)
-        table[:, col("thrust_negative")] = table[:, col("f")] < 0.0
+            # numpy is loaded anyway: on views of the block's rows, writing into data
+            table = np.frombuffer(data).reshape(-1, len(_QUAD_COLUMNS))[start:]
+            side = np.frombuffer(side).reshape(-1, 7)
+            r_d, v_d = ref.r_d[start:k + 1], ref.v_d[start:k + 1]
+            xyz("e_r")[:] = e_r = xyz("r") - r_d
+            table[:, col("e_r_norm")] = norms(e_r)
+            table[:, col("e_v_norm")] = norms(xyz("v") - v_d)
+            table[:, col("psi_cmd")] = 2.0 - np.sqrt(side[:, 6])
+            table[:, col("e_R_norm")] = norms(side[:, :3])
+            table[:, col("e_Omega_norm")] = norms(side[:, 3:6])
+            table[:, col("V_translational")] = translational_storage(xyz("r"), xyz("v"), r_d,
+                                                                     v_d, gains)
+            table[:, col("thrust_negative")] = table[:, col("f")] < 0.0
+            del table  # the record grows again only once no view of it is left
+            if sink is not None:
+                sink(_QUAD_COLUMNS, data)
     series = TimeSeries(_QUAD_COLUMNS, data)
     e_r_norm = series.floats("e_r_norm")
     settle, settled = settling_time(series.floats("t"), e_r_norm)
@@ -355,41 +359,8 @@ def _run_quad_track(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
 # ------------------------------------------------------ integrator compare
 
 
-@contextlib.contextmanager
-def _forked(fn):
-    """Run ``fn()`` in a forked child while the ``with`` body runs; the body
-    gets ``result()``, the child's value or its exception re-raised.  Leaving
-    the block kills the child if it still runs, and always reaps it."""
-    import signal  # here, so that a run which starts no child does not load it
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # never returns into the caller's stack, writes nothing to stdio
-        try:
-            try:
-                out = fn(), None
-            except BaseException as exc:  # re-raised by the parent
-                out = None, exc
-            with open(w, "wb") as pipe:
-                pickle.dump(out, pipe)
-        finally:
-            os._exit(0)
-    os.close(w)
-    with open(r, "rb") as pipe:
-        def result():
-            value, exc = pickle.load(pipe)  # the whole pipe, before the child is reaped
-            if exc is not None:
-                raise exc
-            return value
-        try:
-            yield result
-        finally:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _run_integrator_compare(sc: Scenario) -> tuple[TimeSeries, MetricsSummary]:
-    dt, jj, jinv = sc.dt, sc.inertia.j_rows, sc.inertia.j_inv_rows
-    n = int(round(sc.t_final / dt)) if sc.t_final > 0.0 else 0
+def _run_integrator_compare(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSummary]:
+    dt, jj, jinv, n = sc.dt, sc.inertia.j_rows, sc.inertia.j_inv_rows, sc.steps
     moment = (0.0, 0.0, 0.0) if sc.moment is None else tuple(map(float, sc.moment))
     t0, w0 = sc.initial.t_rows, sc.initial.omega_rows
 

@@ -87,6 +87,11 @@ class Scenario:
     circle_coeffs: CircleCoeffs | None = None
     aero: AeroConfig = field(default_factory=AeroConfig)
 
+    @property
+    def steps(self) -> int:
+        """The run's step count: ``round(t_final / dt)``, 0 for a single record."""
+        return int(round(self.t_final / self.dt)) if self.t_final > 0.0 else 0
+
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)

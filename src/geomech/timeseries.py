@@ -6,16 +6,18 @@ files are byte-identical across runs and parse back to the exact values.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import pickle
 from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-# rows per encoded CSV block; each row's float objects are made and dropped in
-# turn, so one block's text is all the encoder holds
-_CSV_BLOCK_ROWS = 1024
+# rows per encoded CSV block (and per send of a streamed run); each row's float
+# objects are made and dropped in turn, so one block's text is all the encoder holds
+_CSV_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -89,40 +91,126 @@ class MetricsSummary:
         return out
 
 
-def _csv_chunks(series: TimeSeries):
-    """The CSV of ``series`` as ascii blocks: the header line, then the rows
-    ``_CSV_BLOCK_ROWS`` at a time, each line ended by a newline."""
-    yield (",".join(series.names) + "\n").encode("ascii")
-    width = len(series.names)
-    block = width * _CSV_BLOCK_ROWS
-    for start in range(0, len(series.data), block):
-        text = list(map(repr, series.data[start:start + block]))
-        yield "".join([",".join(text[i:i + width]) + "\n"
-                       for i in range(0, len(text), width)]).encode("ascii")
+def _csv_chunks(names, blocks):
+    """The CSV of the column ``names`` and the float rows of each of ``blocks``
+    as ascii blocks: the header line, then the rows ``_CSV_BLOCK_ROWS`` at a
+    time, each line ended by a newline."""
+    yield (",".join(names) + "\n").encode("ascii")
+    width, size = len(names), len(names) * _CSV_BLOCK_ROWS
+    for data in blocks:
+        for start in range(0, len(data), size):
+            text = list(map(repr, data[start:start + size]))
+            yield "".join([",".join(text[i:i + width]) + "\n"
+                           for i in range(0, len(text), width)]).encode("ascii")
 
 
 def series_to_csv_bytes(series: TimeSeries) -> bytes:
-    return b"".join(_csv_chunks(series))
+    return b"".join(_csv_chunks(series.names, [series.data]))
 
 
 def metrics_to_json_bytes(metrics: MetricsSummary) -> bytes:
     return (json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
-def write_outputs(series: TimeSeries, metrics: MetricsSummary, csv_path, metrics_path) -> None:
+def _temp(path: Path) -> Path:
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
+@contextlib.contextmanager
+def _forked(fn):
+    """Run ``fn()`` in a forked child while the ``with`` body runs; the body
+    gets ``result()``, the child's value or its exception re-raised.  Leaving
+    the block kills the child if it still runs, and always reaps it."""
+    import signal  # here, so that a run which starts no child does not load it
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # never returns into the caller's stack, writes nothing to stdio
+        try:
+            try:
+                out = fn(), None
+            except BaseException as exc:  # re-raised by the parent
+                out = None, exc
+            with open(w, "wb") as pipe:
+                pickle.dump(out, pipe)
+        finally:
+            os._exit(0)
+    os.close(w)
+    with open(r, "rb") as pipe:
+        def result():
+            value, exc = pickle.load(pipe)  # the whole pipe, before the child is reaped
+            if exc is not None:
+                raise exc
+            return value
+        try:
+            yield result
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+class _CsvStream:
+    """The run's end of a writer child (:func:`csv_writer`): a call sends the
+    column names once, then the rows of the record that were not sent yet."""
+
+    def __init__(self, pipe, result):
+        self.pipe, self.result, self.sent = pipe, result, None
+
+    def __call__(self, names, data: array) -> None:
+        if self.sent is None:
+            pickle.dump(tuple(names), self.pipe)
+        self.pipe.write(data[self.sent or 0:])
+        self.pipe.flush()  # so a dead child's pipe is never written on close
+        self.sent = len(data)
+
+
+@contextlib.contextmanager
+def csv_writer(csv_path):
+    """A forked child that encodes a record into the temporary CSV file of
+    ``csv_path`` while the run goes on; the body gets the ``_CsvStream`` that
+    feeds it, for :func:`write_outputs` to finish.  Leaving the block reaps
+    the child and removes the temporary file unless it was renamed."""
+    tmp, (r, w) = _temp(Path(csv_path)), os.pipe()
+    with open(r, "rb") as source, open(w, "wb") as pipe, open(tmp, "wb") as out:
+        def encode():  # the child
+            pipe.close()
+            try:
+                names = pickle.load(source)
+                size = 8 * len(names) * _CSV_BLOCK_ROWS
+                out.writelines(_csv_chunks(names, iter(lambda: array("d", source.read(size)),
+                                                       array("d"))))
+                out.flush()
+            finally:  # a failed encode still drains the pipe, so the run never meets it closed
+                while source.read(1 << 16):
+                    pass
+
+        try:
+            with _forked(encode) as result:
+                source.close()
+                yield _CsvStream(pipe, result)
+        finally:
+            tmp.unlink(missing_ok=True)
+
+
+def write_outputs(series: TimeSeries, metrics: MetricsSummary, csv_path, metrics_path,
+                  stream: _CsvStream | None = None) -> None:
     """Write the CSV time series and JSON metrics summary.
 
     The metrics are encoded first.  Then the CSV is streamed block by block
-    into a temporary file beside its target, the metrics go into another, and
-    both are renamed into place, so a failed encode or write leaves no
-    partial file behind.
+    into a temporary file beside its target (or by the writer child of a
+    ``stream``), the metrics go into another, and both are renamed into
+    place, so a failed encode or write leaves no partial file behind.
     """
     metrics_bytes = metrics_to_json_bytes(metrics)
     targets = (Path(csv_path), Path(metrics_path))
-    csv_tmp, metrics_tmp = temps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in targets]
+    csv_tmp, metrics_tmp = temps = [_temp(p) for p in targets]
     try:
-        with open(csv_tmp, "wb") as out:
-            out.writelines(_csv_chunks(series))
+        if stream is None:
+            with open(csv_tmp, "wb") as out:
+                out.writelines(_csv_chunks(series.names, [series.data]))
+        else:  # the last rows, then the wait for the child to write them
+            stream(series.names, series.data)
+            stream.pipe.close()
+            stream.result()
         metrics_tmp.write_bytes(metrics_bytes)
         for tmp, path in zip(temps, targets):
             os.replace(tmp, path)

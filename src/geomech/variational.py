@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from .errors import DivergenceError, GeomechError, NoConvergenceError, _step_failure
 from .rigid_body import InertiaTensor, RigidBodyState, _energy_momentum, _require_finite
 from .so3 import Array, _check_step_angle, _floats, _ortho_defect, _rodrigues, _sinc
-from .timeseries import TimeSeries
+from .timeseries import _CSV_BLOCK_ROWS, TimeSeries
 
 
 @dataclass
@@ -234,6 +234,7 @@ def simulate(
     moment: Array | None,
     cfg: IntegratorConfig,
     t_final: float,
+    sink=None,
 ) -> TimeSeries:
     """Repeatedly apply the step of :func:`vi_step` (its float core) and
     record the trajectory.
@@ -242,6 +243,7 @@ def simulate(
     ``H``, spatial momentum ``Pi``, the orthogonality defect, and per-step
     Newton diagnostics.  ``t_final = 0`` yields the single initial record.
     Every step sees the same constant body ``moment`` (``None``: free motion).
+    Each finished block of rows goes to ``sink`` (see ``runner.run``).
     The float step checks its own arithmetic, and any failure is re-raised
     through ``errors._step_failure``, naming the step.
     """
@@ -256,6 +258,8 @@ def simulate(
         for k in range(n_steps + 1):
             data.extend((k * dt, *t_mat, *omega, *_energy_momentum(t_mat, omega, jj),
                          _ortho_defect(t_mat), iters, res))
+            if sink is not None and k % _CSV_BLOCK_ROWS == _CSV_BLOCK_ROWS - 1:
+                sink(_SIMULATE_COLUMNS, data)
             if k < n_steps:
                 t_mat, omega, pi, iters, res = _vi_core(t_mat, omega, pi, m, inertia, cfg)
     except (ArithmeticError, GeomechError) as exc:

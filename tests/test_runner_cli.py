@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -31,7 +32,7 @@ from geomech.errors import (
 )
 import geomech
 from geomech.cli import main
-from geomech import cli, runner
+from geomech import cli, runner, timeseries
 from geomech.quadrotor import ControllerMemory, _velocity_target
 from geomech.references import AnglePolynomial, circle_reference, euler_321_reference
 from geomech.rigid_body import rk4_attitude_step, rk4_quadrotor_step
@@ -39,8 +40,11 @@ from geomech.runner import _AeroModel, _step_failure, run, settling_time, steady
 from geomech.scenario import parse_scenario
 from geomech.so3 import _ortho_defect
 from geomech.timeseries import (
+    _CSV_BLOCK_ROWS,
     MetricsSummary,
     TimeSeries,
+    csv_writer,
+    metrics_to_json_bytes,
     series_to_csv_bytes,
     write_outputs,
 )
@@ -407,6 +411,22 @@ def test_quad_run_carries_floats_and_forms_storage_once(monkeypatch):
     assert counts[0.2] == counts[0.002] > 0
 
 
+def test_quad_error_columns_formed_per_block_equal_the_whole_run_formulas():
+    # the error and storage columns are formed block by block; on a run of
+    # three blocks they keep the bits of the same expressions on all rows
+    sc = load("quad_track_aero", t_final=2 * _CSV_BLOCK_ROWS * 1e-3)
+    series, _ = run(sc)
+    assert len(series) == 2 * _CSV_BLOCK_ROWS + 1
+    ref = circle_reference(sc.dt * np.arange(len(series)), sc.circle_coeffs)
+    r, v = series.vector("r"), series.vector("v")
+    e_v = v - ref.v_d
+    np.testing.assert_array_equal(series.vector("e_r"), r - ref.r_d)
+    np.testing.assert_array_equal(series.column("e_v_norm"),
+                                  np.sqrt(np.einsum("ni,ni->n", e_v, e_v)))
+    np.testing.assert_array_equal(series.column("V_translational"), runner.translational_storage(
+        r, v, ref.r_d, ref.v_d, sc.position_gains))
+
+
 def test_quad_tick_1_has_no_torque_spike():
     # tick 1 has the first commanded-rate estimate and none before it to
     # difference against: zero acceleration feedforward, as at tick 0
@@ -625,6 +645,113 @@ def test_cli_compare_leaves_no_child_process(tmp_path, monkeypatch):
     assert compare(str(blowup)) == 3
     _fail_rk4_at_step_3(monkeypatch)
     assert compare("scenarios/integrator_compare.json", "--t-final", "1") == 3
+
+
+def _nothing_left(out_dir):
+    # no output or temporary file, no directory the run made, and no child
+    assert not out_dir.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# runs of two blocks and more, which stream their rows to a writer child
+_STREAMED = {"attitude_track": 0.04, "quad_track": 0.4, "quad_track_aero": 1.0}
+
+
+@pytest.mark.parametrize("name, patched, line", [
+    ("attitude_track", "_attitude_rk4_core", "step 300 (t=0.03)"),
+    ("quad_track", "rk4_quadrotor_step", "step 300 (t=0.3)"),
+])
+def test_streamed_run_step_failure_after_the_first_block_exits_3(tmp_path, capsys, monkeypatch,
+                                                                 name, patched, line):
+    # step 300 fails after the writer child has had the first block of rows
+    assert _CSV_BLOCK_ROWS < 300 < round(_STREAMED[name] / load(name).dt)
+    step, calls = getattr(runner, patched), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 301:
+            raise DivergenceError("state diverged: injected")
+        return step(*args)
+
+    monkeypatch.setattr(runner, patched, failing)
+    out_dir = tmp_path / "new" / "out"
+    assert main(["run", f"scenarios/{name}.json", "--t-final", str(_STREAMED[name]),
+                 "--out-dir", str(out_dir)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"solver failure: {line}: state diverged: injected"]
+    assert list(tmp_path.iterdir()) == []
+    _nothing_left(out_dir)
+
+
+@pytest.mark.parametrize("name", ["attitude_track", "quad_track_aero"])
+def test_streamed_run_encode_failure_in_the_child_exits_2(tmp_path, capsys, monkeypatch, name):
+    # the child's disk fills after its first block; it still reads every later
+    # block (more than a pipe holds), so the run ends and the failure reaches
+    # it as the child's error
+    chunks = timeseries._csv_chunks
+
+    def failing(names, blocks):
+        encoded = chunks(names, blocks)
+        yield next(encoded)  # the header
+        yield next(encoded)  # the first block
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(timeseries, "_csv_chunks", failing)
+    out_dir = tmp_path / "out"
+    assert main(["run", f"scenarios/{name}.json", "--t-final", str(_STREAMED[name]),
+                 "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cannot write outputs: [Errno 28] No space left on device"]
+    _nothing_left(out_dir)
+
+
+def test_streamed_run_into_an_unusable_out_dir_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("kept")
+    assert main(["run", "scenarios/attitude_track.json", "--t-final", "0.04",
+                 "--out-dir", str(tmp_path / "file")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot write outputs: ")
+    assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [("file", "kept")]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("rows", [_CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("name", ["attitude_track", "quad_track_aero", "free_body"])
+def test_streamed_run_writes_the_bytes_of_an_unstreamed_one(tmp_path, name, rows):
+    # each loop hands the writer child its blocks; the files hold the bytes
+    # of the run without a child, and the record is the same
+    sc = load(name)
+    sc = dataclasses.replace(sc, t_final=(rows - 1) * sc.dt)
+    csv_path, metrics_path = tmp_path / "run.csv", tmp_path / "run.metrics.json"
+    with csv_writer(csv_path) as stream:
+        series, metrics = run(sc, stream)
+        write_outputs(series, metrics, csv_path, metrics_path, stream)
+    plain, plain_metrics = run(sc)
+    assert len(series) == rows and series == plain
+    assert csv_path.read_bytes() == series_to_csv_bytes(plain)
+    assert metrics_path.read_bytes() == metrics_to_json_bytes(plain_metrics)
+    assert sorted(tmp_path.iterdir()) == [csv_path, metrics_path]
+
+
+def test_writer_forks_before_numpy_loads_and_a_streamed_quad_run_is_quiet(tmp_path):
+    # the quad run loads numpy (and its BLAS threads) only after the writer
+    # child is forked, and nothing reaches stderr
+    script = (
+        "import json, sys\n"
+        "from geomech import cli, timeseries\n"
+        "forked, at_fork = timeseries._forked, []\n"
+        "timeseries._forked = lambda fn: at_fork.append('numpy' in sys.modules) or forked(fn)\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, at_fork, 'numpy' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script, "run", "scenarios/quad_track_aero.json",
+                          "--t-final", "0.3", "--out-dir", str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert out.stderr == ""
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, [False], True]
 
 
 def _replaced(obj, path: str, value):

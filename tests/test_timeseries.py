@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from geomech.timeseries import (
     _CSV_BLOCK_ROWS,
     MetricsSummary,
     TimeSeries,
+    csv_writer,
     metrics_to_json_bytes,
     series_to_csv_bytes,
     write_outputs,
@@ -99,17 +101,40 @@ def test_write_outputs(tmp_path):
     assert doc["custom"] == 2.0
 
 
-@pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
-                                  3 * _CSV_BLOCK_ROWS + 5])
+_EDGE_ROWS = [0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1,
+              3 * _CSV_BLOCK_ROWS + 5]
+
+
+def _edge_series(rows):
+    table = np.random.default_rng(rows).normal(size=(rows, 3)) * [1.0, 1e-300, 1e300]
+    return TimeSeries(("t", "x", "y"), table)
+
+
+@pytest.mark.parametrize("rows", _EDGE_ROWS)
 def test_streamed_csv_file_equals_the_bytes_encoder(tmp_path, rows):
     # the file is written block by block; block edges must not show
-    table = np.random.default_rng(rows).normal(size=(rows, 3)) * [1.0, 1e-300, 1e300]
-    s = TimeSeries(("t", "x", "y"), table)
+    s = _edge_series(rows)
     csv_path = tmp_path / "run.csv"
     write_outputs(s, MetricsSummary(), csv_path, tmp_path / "run.metrics.json")
     data = csv_path.read_bytes()
     assert data == series_to_csv_bytes(s)
     assert data.count(b"\n") == rows + 1
+
+
+@pytest.mark.parametrize("rows", _EDGE_ROWS)
+def test_writer_child_file_equals_the_bytes_encoder(tmp_path, rows):
+    # a writer child encodes the rows it is sent, here in sends of 100 rows
+    # that do not line up with its blocks; neither edge may show
+    s = _edge_series(rows)
+    csv_path, metrics_path = tmp_path / "run.csv", tmp_path / "run.metrics.json"
+    with csv_writer(csv_path) as stream:
+        for end in range(0, 3 * rows, 3 * 100):
+            stream(s.names, s.data[:end])
+        write_outputs(s, MetricsSummary(), csv_path, metrics_path, stream)
+    assert sorted(tmp_path.iterdir()) == [csv_path, metrics_path]
+    assert csv_path.read_bytes() == series_to_csv_bytes(s)
+    with pytest.raises(ChildProcessError):  # the child is reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_failed_rename_leaves_no_temporary_or_metrics_file(tmp_path):

@@ -1,11 +1,16 @@
 """Benchmark a change against its parent commit and write ``BENCH_<n>.json``.
 
     python3 tools/bench_pr.py --pr N
+    python3 tools/bench_pr.py --aa
 
 Run from the root of the checkout.  The change side is the working tree as
 it stands; the parent side is the commit it was made on: ``HEAD`` while the
 tree has uncommitted changes, ``HEAD~1`` once they are committed, exported
-with ``git archive`` into a temporary directory.  For each workload of
+with ``git archive`` into a temporary directory.  ``--aa`` (an A/A run)
+instead exports a copy of the working tree itself (its tracked files and
+the untracked ones git does not ignore) as the parent side and writes
+``BENCH_aa.json``: both sides then run the same code, so any difference
+it reports is the harness's own bias and noise.  For each workload of
 ``BENCHMARK.json`` it runs ``PAIRS`` alternating pairs of
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
@@ -85,6 +90,16 @@ _UNSCALED = {"calibration_s": re.compile(r"^calibration\s+(\S+) s "),
              "raw_wall_s": re.compile(r"^raw wall_s\s+(\S+) s ")}
 
 
+def _copy_tree(root: Path, dest: Path) -> None:
+    """Copy the working tree's tracked files and the untracked ones git does
+    not ignore, as they are on disk, from ``root`` into ``dest``."""
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.split("\0")):
+        if (root / name).is_file():  # a tracked file deleted in the tree is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
 def _bench(side: Path, env: dict, workload: str, seed: int, seconds: float,
            trace: int) -> dict:
     """The JSON result line of one ``perfbench/run.py`` invocation in ``side``,
@@ -149,7 +164,10 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pr", type=int, required=True, help="number n of BENCH_<n>.json")
+    which = parser.add_mutually_exclusive_group(required=True)
+    which.add_argument("--pr", type=int, help="number n of BENCH_<n>.json")
+    which.add_argument("--aa", action="store_true",
+                       help="bench the working tree against a copy of itself (BENCH_aa.json)")
     args = parser.parse_args(argv)
 
     root = Path.cwd()
@@ -158,15 +176,18 @@ def main(argv: list[str] | None = None) -> int:
     seconds = config["run_seconds"]
     better = {m["name"]: m["better"] for m in config["end_to_end"]}
     dirty = bool(_git("status", "--porcelain"))
-    parent_sha = _git("rev-parse", "HEAD" if dirty else "HEAD~1")
+    parent_sha = _git("rev-parse", "HEAD" if dirty or args.aa else "HEAD~1")
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pr_"))
     try:
         parent = tmp / "parent"
         parent.mkdir()
-        archive = subprocess.run(["git", "archive", parent_sha], check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        if args.aa:
+            _copy_tree(root, parent)
+        else:
+            archive = subprocess.run(["git", "archive", parent_sha], check=True,
+                                     capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
         sides = {"parent": parent, "change": root}
         # measured children only read the cache, so each one loads the same bytecode
         envs = {side: {**os.environ, "PYTHONPYCACHEPREFIX": _warm_cache(path, tmp),
@@ -213,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    out = root / f"BENCH_{args.pr}.json"
+    out = root / f"BENCH_{'aa' if args.aa else args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     for name, w in result["workloads"].items():
         for metric, s in w["summary"].items():
