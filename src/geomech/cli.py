@@ -118,8 +118,9 @@ def main(argv=None) -> int:
     metrics_path = args.out_dir / f"{stem}{suffix}.metrics.json"
     # the directories this run makes, deepest first; a failed run removes them
     made = [d for d in (args.out_dir, *args.out_dir.parents) if not d.exists()]
-    # a run of more than one block streams its rows to a writer child, forked before numpy loads
-    streamed = args.command == "run" and scenario.steps >= _CSV_BLOCK_ROWS
+    # a run of more than one block streams its rows to a writer child, forked before numpy
+    # loads; integrator_compare's rows exist only once its two halves join
+    streamed = scenario.kind != "integrator_compare" and scenario.steps >= _CSV_BLOCK_ROWS
     try:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         with csv_writer(csv_path) if streamed else contextlib.nullcontext() as stream:

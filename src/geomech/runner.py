@@ -285,7 +285,7 @@ class _AeroModel:
 
 
 def _run_quad_track(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSummary]:
-    import numpy as np  # the reference samples and the tick's one product, under the trap
+    import numpy as np  # each block's reference samples and derived columns, under the trap
     dt, n = sc.dt, sc.steps
     params, gains, att_gains = sc.vehicle, sc.position_gains, sc.attitude_gains
     # the tick's constants, as floats once per run
@@ -295,49 +295,40 @@ def _run_quad_track(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSummary]:
     x = sc.quad_initial
     memory = ControllerMemory()
     aero = _AeroModel(sc) if sc.aero.enabled else None
-    data, col = array("d"), _QUAD_COLUMNS.index
-
-    def xyz(name):
-        return table[:, col(f"{name}_x"):col(f"{name}_z") + 1]
+    data = array("d")
 
     def norms(v):
         return np.sqrt(np.einsum("ni,ni->n", v, v))
 
     with np.errstate(**_TRAP_FP):
-        # the reference of every tick in one call; each tick reads its row (r_d, v_d, a_d)
-        ref = circle_reference(dt * np.arange(n + 1), sc.circle_coeffs)
-        ref_rows = np.concatenate((ref.r_d, ref.v_d, ref.a_d), axis=1)
         for start in range(0, n + 1, _CSV_BLOCK_ROWS):
-            side = array("d")  # e_R, e_Omega and 1 + tr E of each tick of the block
+            # the block's reference, one row (r_d, v_d, a_d) per tick
+            ref = circle_reference(dt * np.arange(start, min(start + _CSV_BLOCK_ROWS, n + 1)),
+                                   sc.circle_coeffs)
+            raw = array("d")  # t, r, v, Omega, q, R, f, ortho_defect, e_R, e_Omega, 1 + tr E
             try:
-                for k in range(start, min(start + _CSV_BLOCK_ROWS, n + 1)):
+                for k, row in enumerate(np.concatenate((ref.r_d, ref.v_d, ref.a_d), axis=1),
+                                        start):
                     f, q, e_R, e_Om, one_plus_tr = tracking_step(
-                        x, ref_rows[k].tolist(), mass, g, b, d, jj, p_g, f_g, b_1d, dt, memory)
+                        x, row.tolist(), mass, g, b, d, jj, p_g, f_g, b_1d, dt, memory)
                     r, v, R, Om = x
-                    # the error columns (the 0.0 slots) are formed once the block is done
-                    data.extend((k * dt, *r, *v, *Om, 0.0, 0.0, 0.0, *q, *R,
-                                 0.0, 0.0, 0.0, 0.0, 0.0, f, 0.0, 0.0, _ortho_defect(R)))
-                    side.extend((*e_R, *e_Om, one_plus_tr))
+                    raw.extend((k * dt, *r, *v, *Om, *q, *R, f, _ortho_defect(R), *e_R, *e_Om,
+                                one_plus_tr))
                     if k < n:
                         wrench = ((0.0, 0.0, f), q) if aero is None else aero.wrench(x, f, q)
                         x = rk4_quadrotor_step(x, params, *wrench, dt)
             except (ArithmeticError, GeomechError) as exc:
                 raise _step_failure(exc, k, dt) from None
 
-            # numpy is loaded anyway: on views of the block's rows, writing into data
-            table = np.frombuffer(data).reshape(-1, len(_QUAD_COLUMNS))[start:]
-            side = np.frombuffer(side).reshape(-1, 7)
-            r_d, v_d = ref.r_d[start:k + 1], ref.v_d[start:k + 1]
-            xyz("e_r")[:] = e_r = xyz("r") - r_d
-            table[:, col("e_r_norm")] = norms(e_r)
-            table[:, col("e_v_norm")] = norms(xyz("v") - v_d)
-            table[:, col("psi_cmd")] = 2.0 - np.sqrt(side[:, 6])
-            table[:, col("e_R_norm")] = norms(side[:, :3])
-            table[:, col("e_Omega_norm")] = norms(side[:, 3:6])
-            table[:, col("V_translational")] = translational_storage(xyz("r"), xyz("v"), r_d,
-                                                                     v_d, gains)
-            table[:, col("thrust_negative")] = table[:, col("f")] < 0.0
-            del table  # the record grows again only once no view of it is left
+            # the block's rows in _QUAD_COLUMNS order, with their error and storage columns
+            block = np.frombuffer(raw).reshape(-1, 31)
+            pos, vel, thrust = block[:, 1:4], block[:, 4:7], block[:, 22]
+            e_r = pos - ref.r_d
+            data.frombytes(np.column_stack((
+                block[:, :10], e_r, block[:, 10:22], norms(e_r), norms(vel - ref.v_d),
+                2.0 - np.sqrt(block[:, 30]), norms(block[:, 24:27]), norms(block[:, 27:30]),
+                thrust, translational_storage(pos, vel, ref.r_d, ref.v_d, gains), thrust < 0.0,
+                block[:, 23])).tobytes())
             if sink is not None:
                 sink(_QUAD_COLUMNS, data)
     series = TimeSeries(_QUAD_COLUMNS, data)

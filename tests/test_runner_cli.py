@@ -387,9 +387,9 @@ def test_quad_run_uses_the_public_tick_wrench_and_rk4_step(scenario):
 
 def test_quad_run_carries_floats_and_forms_storage_once(monkeypatch):
     # the tick's per-run work stays per run: the loop carries the plant state
-    # and the tick's constants as floats, converted once (a 200-step and a
-    # 2-step run make the same number of _floats calls), samples the reference
-    # in one circle_reference call and forms the storage column in one call
+    # and the tick's constants as floats, converted once (a 512-step, a 200-step
+    # and a 2-step run make the same number of _floats calls), and samples the
+    # reference and forms the storage column in one call per block of rows
     floats = [0]
     for module in vars(geomech).values():
         if callable(getattr(module, "_floats", None)):
@@ -397,7 +397,7 @@ def test_quad_run_carries_floats_and_forms_storage_once(monkeypatch):
                                 floats.__setitem__(0, floats[0] + 1) or f(a))
     circle_reference, translational_storage = runner.circle_reference, runner.translational_storage
     counts = {}
-    for t_final in (0.2, 0.002):
+    for t_final, blocks in ((0.2, 1), (0.002, 1), (0.512, 3)):
         sc = load("quad_track_aero", t_final=t_final)
         floats[0], samples, storage = 0, [], []
         monkeypatch.setattr(runner, "circle_reference",
@@ -406,9 +406,27 @@ def test_quad_run_carries_floats_and_forms_storage_once(monkeypatch):
                             lambda *args: storage.append(1) or translational_storage(*args))
         series, _ = run(sc)
         assert len(series) == round(t_final / sc.dt) + 1
-        assert len(samples) == 1 and len(storage) == 1
+        assert len(samples) == blocks and len(storage) == blocks
         counts[t_final] = floats[0]
-    assert counts[0.2] == counts[0.002] > 0
+    assert counts[0.512] == counts[0.2] == counts[0.002] > 0
+
+
+def test_quad_run_holds_one_block_of_reference():
+    # each block samples its own reference and forms its rows apart from the
+    # record, so the run's peak allocation is about its record; a whole-run
+    # reference (r_d, v_d, a_d and their concatenation: 18 floats per row of
+    # 35) adds more
+    import tracemalloc
+    run(load("quad_track", t_final=0.01))  # numpy and the run's modules are loaded
+    sc = load("quad_track", t_final=2.0)
+    tracemalloc.start()
+    try:
+        series, _ = run(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 2001
+    assert peak < 1.6 * len(series.data) * 8
 
 
 def test_quad_error_columns_formed_per_block_equal_the_whole_run_formulas():
@@ -752,6 +770,29 @@ def test_writer_forks_before_numpy_loads_and_a_streamed_quad_run_is_quiet(tmp_pa
                          env=env, capture_output=True, text=True)
     assert out.stderr == ""
     assert json.loads(out.stdout.splitlines()[-1]) == [0, [False], True]
+
+
+def test_run_of_an_integrator_compare_forks_only_its_rk4_child(tmp_path):
+    # integrator_compare's rows exist only once its two halves join, so `run`
+    # on such a document streams nothing: it forks the RK4 child and no writer,
+    # and writes the bytes that `compare` writes
+    script = (
+        "import json, os, sys\n"
+        "from geomech import cli\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, len(forks)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", os.environ.get("PYTHONPATH", "")]))
+    args = ["scenarios/integrator_compare.json", "--t-final", "5", "--out-dir", str(tmp_path)]
+    out = subprocess.run([sys.executable, "-c", script, "run", *args],
+                         env=env, capture_output=True, text=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, 1]
+    assert main(["compare", *args]) == 0
+    for ext in ("csv", "metrics.json"):
+        assert ((tmp_path / f"integrator_compare.{ext}").read_bytes()
+                == (tmp_path / f"integrator_compare_compare.{ext}").read_bytes())
 
 
 def _replaced(obj, path: str, value):

@@ -67,6 +67,18 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+def parent_commit() -> str:
+    """The commit the working tree's change was made on: ``HEAD`` while the
+    tree has uncommitted changes, ``HEAD~1`` once they are committed."""
+    return _git("rev-parse", "HEAD" if _git("status", "--porcelain") else "HEAD~1")
+
+
+def export_commit(sha: str, dest: Path) -> None:
+    """Extract the files of commit ``sha`` into the directory ``dest``."""
+    archive = subprocess.run(["git", "archive", sha], check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 CACHE_MODE = ("warm: one PYTHONPYCACHEPREFIX per side, filled by an untimed "
               "`import geomech.cli, numpy`")
 
@@ -176,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     seconds = config["run_seconds"]
     better = {m["name"]: m["better"] for m in config["end_to_end"]}
     dirty = bool(_git("status", "--porcelain"))
-    parent_sha = _git("rev-parse", "HEAD" if dirty or args.aa else "HEAD~1")
+    parent_sha = _git("rev-parse", "HEAD") if args.aa else parent_commit()
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pr_"))
     try:
@@ -185,9 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.aa:
             _copy_tree(root, parent)
         else:
-            archive = subprocess.run(["git", "archive", parent_sha], check=True,
-                                     capture_output=True).stdout
-            subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+            export_commit(parent_sha, parent)
         sides = {"parent": parent, "change": root}
         # measured children only read the cache, so each one loads the same bytecode
         envs = {side: {**os.environ, "PYTHONPYCACHEPREFIX": _warm_cache(path, tmp),
