@@ -6,7 +6,7 @@
 
 Flags override the corresponding scenario fields.  Exit codes: 0 on
 success, 2 on parse/validation errors or outputs that cannot be written,
-3 on solver failures.
+3 on solver failures and on running out of memory.
 """
 
 from __future__ import annotations
@@ -128,6 +128,9 @@ def main(argv=None) -> int:
             write_outputs(series, metrics, csv_path, metrics_path, stream)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        code = EXIT_SOLVER
+    except MemoryError:  # outside run, which names the step or the post-pass itself
+        print("error: out of memory", file=sys.stderr)
         code = EXIT_SOLVER
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)

@@ -72,6 +72,7 @@ class ScenarioValidationError(GeomechError):
 
 # floating-point events trapped as divergence in the quadrotor run (see _step_failure)
 _TRAP_FP = {"over": "raise", "invalid": "raise", "divide": "raise"}
+_STEP_ERRORS = (ArithmeticError, MemoryError, GeomechError)  # what step loops hand _step_failure
 
 
 def _step_failure(exc: Exception, k: int, dt: float) -> SolverError:
@@ -81,10 +82,13 @@ def _step_failure(exc: Exception, k: int, dt: float) -> SolverError:
     ``_TRAP_FP``.  An ``ArithmeticError`` (a trapped floating-point event, a
     float overflow or a division by zero), or a polar factor that meets
     ``det <= 1e-12`` (``SingularInputError``), means the state is leaving
-    every finite bound and is reported as divergence.  Solver errors keep
-    their class; any other library error becomes a ``SolverError``.
+    every finite bound and is reported as divergence; a ``MemoryError`` as
+    out of memory.  Solver errors keep their class; any other library error
+    becomes a ``SolverError``.
     """
     where = f"step {k} (t={k * dt:.6g})"
+    if isinstance(exc, MemoryError):
+        return SolverError(f"{where}: out of memory")
     if isinstance(exc, (ArithmeticError, SingularInputError)):
         return DivergenceError(f"{where}: state diverged: {exc}")
     kind = type(exc) if isinstance(exc, SolverError) else SolverError

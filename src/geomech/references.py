@@ -41,8 +41,8 @@ class Euler321Coeffs:
 
 
 def _euler_321_raw(times, coeffs: Euler321Coeffs):
-    """Attitude (row-major), body rate and body acceleration of the signal
-    at each time of ``times``, yielded as one 15-float tuple per time when
+    """Attitude ``R_d`` (row-major), body rate and body acceleration of the
+    signal at each time of ``times``, yielded as three tuples per time when
     the caller draws it, so a long run holds only the samples it uses.  The
     angle polynomials are :meth:`AnglePolynomial.eval`, inlined."""
     (r0, r1, r2), (p0, p1, p2), (y0, y1, y2) = (
@@ -55,24 +55,22 @@ def _euler_321_raw(times, coeffs: Euler321Coeffs):
         cr, sr = math.cos(roll), math.sin(roll)
         cp, sp = math.cos(pitch), math.sin(pitch)
         cy, sy = math.cos(yaw), math.sin(yaw)
-        yield (
-            cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr,
-            sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr,
-            -sp, cp * sr, cp * cr,
-            droll - dyaw * sp, dpitch * cr + dyaw * cp * sr, -dpitch * sr + dyaw * cp * cr,
-            ddroll - ddyaw * sp - dyaw * dpitch * cp,
-            ddpitch * cr - dpitch * droll * sr + ddyaw * cp * sr
-            + dyaw * (-dpitch * sp * sr + droll * cp * cr),
-            -ddpitch * sr - dpitch * droll * cr + ddyaw * cp * cr
-            + dyaw * (-dpitch * sp * cr - droll * cp * sr),
-        )
+        yield ((cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr,
+                sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr,
+                -sp, cp * sr, cp * cr),
+               (droll - dyaw * sp, dpitch * cr + dyaw * cp * sr, -dpitch * sr + dyaw * cp * cr),
+               (ddroll - ddyaw * sp - dyaw * dpitch * cp,
+                ddpitch * cr - dpitch * droll * sr + ddyaw * cp * sr
+                + dyaw * (-dpitch * sp * sr + droll * cp * cr),
+                -ddpitch * sr - dpitch * droll * cr + ddyaw * cp * cr
+                + dyaw * (-dpitch * sp * cr - droll * cp * sr)))
 
 
 def euler_321_reference(t: float, coeffs: Euler321Coeffs) -> AttitudeReference:
     """Attitude reference at time ``t`` from the 3-2-1 angle signals."""
     import numpy as np
-    row = next(_euler_321_raw((float(t),), coeffs))
-    return AttitudeReference(np.reshape(row[:9], (3, 3)), row[9:12], row[12:])
+    r_d, omega_d, domega_d = next(_euler_321_raw((float(t),), coeffs))
+    return AttitudeReference(np.reshape(r_d, (3, 3)), omega_d, domega_d)
 
 
 def gimbal_proximity(t, coeffs: Euler321Coeffs, tol: float = GIMBAL_TOL):

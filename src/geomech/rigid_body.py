@@ -203,33 +203,25 @@ def _require_finite(state: dict) -> None:
         raise DivergenceError(f"state diverged: non-finite {', '.join(bad)}")
 
 
-def _attitude_rk4_core(tm, w, jj, jinv, torque_fn, t: float, dt: float, q1=None):
+def _attitude_rk4_core(tm, w, rates, dt: float, k1):
     """One RK4 step of the attitude plant on Python floats (the hot path).
 
-    ``tm`` (``T``, row-major), ``jj`` and ``jinv`` are 9-sequences, ``w`` a
-    3-sequence; ``torque_fn(t, tm, w)`` returns a 3-sequence.  ``q1``, when
-    given, is the stage-1 torque ``torque_fn(t, tm, w)`` that the caller has
-    already evaluated; stage 1 then takes ``tm`` as it is, which must be a
-    rotation (a previous step's projected result).  Every later stage
-    attitude drifts off SO(3) at O(dt^2) and is projected before it reaches
-    the torque law, whose domain is the group itself.  Returns the projected
-    ``T`` and ``w``.  Raises ``DivergenceError`` when ``dt |w|``, the
-    rotation of the step, reaches pi (``so3._check_step_angle``) or the
-    stepped state is not finite.
+    ``tm`` (``T``, row-major) is a 9-sequence and ``w`` a 3-sequence; ``k1``
+    is their rates ``(Tdot, wdot)``, and ``rates(a, s, v)`` the rates at the
+    stage offset ``a`` (``dt/2``, ``dt/2``, ``dt``) of the attitude ``s`` and
+    rate ``v``.  Each stage attitude drifts off SO(3) at O(dt^2) and is
+    projected before it reaches ``rates``, as the torque law's domain is the
+    group itself.  Returns the projected ``T`` and ``w``.  Raises
+    ``DivergenceError`` when ``dt |w|``, the rotation of the step, reaches
+    pi (``so3._check_step_angle``) or the stepped state is not finite.
     """
     w0, w1, w2 = w
     _check_step_angle((w0 * w0 + w1 * w1 + w2 * w2) * (dt * dt), explicit=True)
-    s = tm
-    if q1 is None:
-        s = _fast_polar(tm)
-        q1 = torque_fn(t, s, w)
-    stages = [_rates(s, w, q1, jj, jinv)]
-    for a in (0.5 * dt, 0.5 * dt, dt):
-        kt, kw = stages[-1]
-        s, v = _fast_polar(_axpy(tm, a, kt)), _axpy(w, a, kw)
-        stages.append(_rates(s, v, torque_fn(t + a, s, v), jj, jinv))
-    kt, kw = zip(*stages)
-    t_new, w_new = _rk4_sum(tm, dt / 6.0, *kt), _rk4_sum(w, dt / 6.0, *kw)
+    (k1t, k1w), h, sixth = k1, 0.5 * dt, dt / 6.0
+    k2t, k2w = rates(h, _fast_polar(_axpy(tm, h, k1t)), _axpy(w, h, k1w))
+    k3t, k3w = rates(h, _fast_polar(_axpy(tm, h, k2t)), _axpy(w, h, k2w))
+    k4t, k4w = rates(dt, _fast_polar(_axpy(tm, dt, k3t)), _axpy(w, dt, k3w))
+    t_new, w_new = _rk4_sum(tm, sixth, k1t, k2t, k3t, k4t), _rk4_sum(w, sixth, k1w, k2w, k3w, k4w)
     _require_finite({"T": t_new, "omega": w_new})
     return _fast_polar(t_new), w_new
 
@@ -246,12 +238,14 @@ def rk4_attitude_step(
     ``torque_fn(t, T, w)`` takes and returns arrays.
     """
     import numpy as np
+    tm, w, jj, jinv = state.t_rows, state.omega_rows, inertia.j_rows, inertia.j_inv_rows
 
-    def torque(ti, tm, wi):
-        return _floats(torque_fn(ti, np.reshape(tm, (3, 3)), np.array(wi)))
+    def rates(a, s, v):
+        q = torque_fn(t + a, np.array(s).reshape(3, 3), np.array(v))
+        return _rates(s, v, _floats(q), jj, jinv)
 
-    t_new, w_new = _attitude_rk4_core(state.t_rows, state.omega_rows, inertia.j_rows,
-                                      inertia.j_inv_rows, torque, t, dt)
+    # k1 at the projected start; the stages step from tm as it is
+    t_new, w_new = _attitude_rk4_core(tm, w, rates, dt, rates(0.0, _fast_polar(tm), w))
     return RigidBodyState(t_new, tuple(w_new))
 
 
@@ -271,22 +265,21 @@ def rk4_quadrotor_step(x, params: QuadrotorParams, f_body, m_body, dt: float):
     g, mass = params.g, params.mass
     jj, jinv = params.inertia.j_rows, params.inertia.j_inv_rows
     f0, f1, f2 = f_body
-
-    def deriv(Ri, Oi):
-        # m vdot = m G + R f_body
-        acc = [(Ri[i] * f0 + Ri[i + 1] * f1 + Ri[i + 2] * f2) / mass for i in (0, 3, 6)]
-        acc[2] -= g
-        return (acc, *_rates(Ri, Oi, m_body, jj, jinv))
-
-    stages, vel = [deriv(R, Om)], [v]
-    for a in (0.5 * dt, 0.5 * dt, dt):
-        kv, kR, kO = stages[-1]
-        vel.append(_axpy(v, a, kv))
-        stages.append(deriv(_axpy(R, a, kR), _axpy(Om, a, kO)))
-    kv, kR, kO = zip(*stages)
-    sixth = dt / 6.0
-    r_new, v_new = _rk4_sum(r, sixth, *vel), _rk4_sum(v, sixth, *kv)
-    R_new, O_new = _rk4_sum(R, sixth, *kR), _rk4_sum(Om, sixth, *kO)
+    h, sixth = 0.5 * dt, dt / 6.0
+    k1R, k1O = _rates(R, Om, m_body, jj, jinv)
+    R2, O2 = _axpy(R, h, k1R), _axpy(Om, h, k1O)
+    k2R, k2O = _rates(R2, O2, m_body, jj, jinv)
+    R3, O3 = _axpy(R, h, k2R), _axpy(Om, h, k2O)
+    k3R, k3O = _rates(R3, O3, m_body, jj, jinv)
+    R4, O4 = _axpy(R, dt, k3R), _axpy(Om, dt, k3O)
+    k4R, k4O = _rates(R4, O4, m_body, jj, jinv)
+    # m vdot = m G + R f_body at each stage attitude
+    a1, a2, a3, a4 = ([(Ri[0] * f0 + Ri[1] * f1 + Ri[2] * f2) / mass,
+                       (Ri[3] * f0 + Ri[4] * f1 + Ri[5] * f2) / mass,
+                       (Ri[6] * f0 + Ri[7] * f1 + Ri[8] * f2) / mass - g] for Ri in (R, R2, R3, R4))
+    r_new = _rk4_sum(r, sixth, v, _axpy(v, h, a1), _axpy(v, h, a2), _axpy(v, dt, a3))
+    v_new = _rk4_sum(v, sixth, a1, a2, a3, a4)
+    R_new, O_new = _rk4_sum(R, sixth, k1R, k2R, k3R, k4R), _rk4_sum(Om, sixth, k1O, k2O, k3O, k4O)
     _require_finite({"r": r_new, "v": v_new, "R": R_new, "Omega": O_new})
     det = _det(R_new)
     if not det > 0.0:

@@ -23,7 +23,7 @@ import math
 from array import array
 
 from .attitude_control import _quad_form, _torque_kernel
-from .errors import _TRAP_FP, GeomechError, SolverError, _step_failure
+from .errors import _STEP_ERRORS, _TRAP_FP, GeomechError, SolverError, _step_failure
 from .quadrotor import (
     ControllerMemory,
     ROTOR_SPIN,
@@ -33,7 +33,7 @@ from .quadrotor import (
     translational_storage,
 )
 from .references import _euler_321_raw, circle_reference, gimbal_proximity
-from .rigid_body import _attitude_rk4_core, _energy_momentum, _floats, rk4_quadrotor_step
+from .rigid_body import _attitude_rk4_core, _energy_momentum, _floats, _rates, rk4_quadrotor_step
 from .so3 import _ortho_defect
 from .rotor_aero import (
     HoverCalibration,
@@ -83,11 +83,11 @@ def run(scenario: Scenario, sink=None) -> tuple[TimeSeries, MetricsSummary]:
     ``timeseries.csv_writer``) the record once per ``_CSV_BLOCK_ROWS`` rows.
 
     The step loops name the step that fails (``_step_failure``); any other
-    library or arithmetic error, or a math domain error (the sine of an
-    overflowed reference angle), in setting the run up or in its derived
-    columns and metrics, becomes a ``SolverError`` too.  So does a
-    non-finite column of the record or metric, since float arithmetic
-    overflows to ``inf`` or ``nan`` without a trap.
+    library or arithmetic error, a math domain error (the sine of an
+    overflowed reference angle) or running out of memory, in setting the
+    run up or in its derived columns and metrics, becomes a ``SolverError``
+    too.  So does a non-finite column of the record or metric, since float
+    arithmetic overflows to ``inf`` or ``nan`` without a trap.
     """
     kinds = {
         "free_body": _run_free_body,
@@ -100,6 +100,8 @@ def run(scenario: Scenario, sink=None) -> tuple[TimeSeries, MetricsSummary]:
         metrics.to_dict()  # refuses a non-finite metric
     except SolverError:
         raise
+    except MemoryError:
+        raise SolverError("outside the step loop: out of memory") from None
     except (ArithmeticError, ValueError, GeomechError) as exc:
         raise SolverError(f"outside the step loop: {exc}") from None
     if not math.isfinite(sum(series.data)):  # a finite sum has no inf or nan term
@@ -113,12 +115,8 @@ def run(scenario: Scenario, sink=None) -> tuple[TimeSeries, MetricsSummary]:
 
 
 def _vi_config(sc: Scenario) -> IntegratorConfig:
-    return IntegratorConfig(
-        dt=sc.dt,
-        newton_tol=sc.newton_tol,
-        max_iters=sc.max_iters,
-        step_measure=sc.step_measure,
-    )
+    return IntegratorConfig(dt=sc.dt, newton_tol=sc.newton_tol, max_iters=sc.max_iters,
+                            step_measure=sc.step_measure)
 
 
 def _run_free_body(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSummary]:
@@ -156,12 +154,12 @@ def _attitude_loop_numpy(sc: Scenario, sink=None) -> array:
 
     Step ``k`` draws the reference (``R_d`` row-major, ``Omega_d`` and
     ``dOmega_d``) from :func:`_euler_321_raw` on the half-step grid as it
-    goes: sample ``2k+1`` for RK4 stages 2-3, and ``2k+2`` for stage 4 and
-    the next tick.  The torque at ``(t_k, T_k, Omega_k)`` is recorded and
-    reused as the step's RK4 stage 1.  Each step appends its row of
-    ``_ATTITUDE_COLUMNS`` to the returned floats, and each finished block of
-    rows goes to ``sink`` (see :func:`run`).  The loop is no longer numpy; its
-    name is kept for the benchmark's tracer, which looks it up.
+    goes: sample ``2k+1`` for the RK4 stages at offset ``dt/2``, and ``2k+2``
+    for the stage at ``dt`` and the next tick.  The torque at ``(t_k, T_k,
+    Omega_k)`` is recorded, and its rates are the step's ``k1``.  Each step
+    appends its row of ``_ATTITUDE_COLUMNS`` to the returned floats, and each
+    finished block of rows goes to ``sink`` (see :func:`run`).  The loop is
+    no longer numpy; its name is kept for the benchmark's tracer.
     """
     dt, gains, coeffs = sc.dt, sc.attitude_gains, sc.euler_coeffs
     jj, jinv = sc.inertia.j_rows, sc.inertia.j_inv_rows
@@ -172,15 +170,13 @@ def _attitude_loop_numpy(sc: Scenario, sink=None) -> array:
     ref = _euler_321_raw((0.5 * dt * i for i in range(2 * n + 1)), coeffs)
     tick = next(ref)
 
-    def torque(row, tm, wi):
-        return _torque_kernel(tm, row[:9], row[9:12], row[12:], wi, jj, p_g, f_g)
-
-    def stage_torque(ts, tm, wi):  # _attitude_rk4_core forms stage 4's time as t + dt
-        return torque(tick if ts == t + dt else mid, tm, wi)[0]
+    def rates(a, s, v):
+        q = _torque_kernel(s, *(tick if a == dt else mid), v, jj, p_g, f_g)[0]
+        return _rates(s, v, q, jj, jinv)
 
     try:
         for k in range(n + 1):
-            q, e_r, e_om, one_plus_tr = torque(tick, t_mat, w)
+            q, e_r, e_om, one_plus_tr = _torque_kernel(t_mat, *tick, w, jj, p_g, f_g)
             (a0, a1, a2), (b0, b1, b2) = e_r, e_om
             err = (b0 + (p0 * a0 + p1 * a1 + p2 * a2), b1 + (p3 * a0 + p4 * a1 + p5 * a2),
                    b2 + (p6 * a0 + p7 * a1 + p8 * a2))  # Omega - Omega_target
@@ -192,8 +188,8 @@ def _attitude_loop_numpy(sc: Scenario, sink=None) -> array:
                 sink(_ATTITUDE_COLUMNS, data)
             if k < n:
                 mid, tick = next(ref), next(ref)  # samples 2k+1 and 2k+2
-                t_mat, w = _attitude_rk4_core(t_mat, w, jj, jinv, stage_torque, t, dt, q)
-    except (ArithmeticError, GeomechError) as exc:
+                t_mat, w = _attitude_rk4_core(t_mat, w, rates, dt, _rates(t_mat, w, q, jj, jinv))
+    except _STEP_ERRORS as exc:
         raise _step_failure(exc, k, dt) from None
     return data
 
@@ -317,7 +313,7 @@ def _run_quad_track(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSummary]:
                     if k < n:
                         wrench = ((0.0, 0.0, f), q) if aero is None else aero.wrench(x, f, q)
                         x = rk4_quadrotor_step(x, params, *wrench, dt)
-            except (ArithmeticError, GeomechError) as exc:
+            except _STEP_ERRORS as exc:
                 raise _step_failure(exc, k, dt) from None
 
             # the block's rows in _QUAD_COLUMNS order, with their error and storage columns
@@ -356,6 +352,7 @@ def _run_integrator_compare(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSumm
     t0, w0 = sc.initial.t_rows, sc.initial.omega_rows
 
     def rk4_rows():  # H, |Pi - Pi_0| and the orthogonality defect of each step, on floats
+        rates = lambda a, s, v: _rates(s, v, moment, jj, jinv)  # noqa: E731
         _, x0, y0, z0 = _energy_momentum(t0, w0, jj)
         rows, t_mat, w = array("d"), t0, w0
         try:
@@ -363,9 +360,8 @@ def _run_integrator_compare(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSumm
                 h, x, y, z = _energy_momentum(t_mat, w, jj)
                 rows.extend((h, math.hypot(x - x0, y - y0, z - z0), _ortho_defect(t_mat)))
                 if k < n:
-                    t_mat, w = _attitude_rk4_core(t_mat, w, jj, jinv, lambda t, T, wi: moment,
-                                                  k * dt, dt, moment)
-        except (ArithmeticError, GeomechError) as exc:
+                    t_mat, w = _attitude_rk4_core(t_mat, w, rates, dt, rates(0.0, t_mat, w))
+        except _STEP_ERRORS as exc:
             raise _step_failure(exc, k, dt) from None
         return rows
 

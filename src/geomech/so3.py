@@ -163,7 +163,8 @@ def polar_project(m: Array) -> Array:
     """Nearest rotation to ``m`` in the Frobenius norm (:func:`_fast_polar`).
 
     Requires an orientation-preserving input; raises ``SingularInputError``
-    when ``det(m) <= 1e-12``.
+    when ``det(m) <= 1e-12`` or when, with ``det`` finite, the singular
+    values lie so far apart that the polar steps overflow.
     """
     import numpy as np
     x = _floats(m)
@@ -172,7 +173,12 @@ def polar_project(m: Array) -> Array:
         raise SingularInputError(f"determinant {det:.3e} is not positive")
     # an exact power of two takes det near 1; a positive multiple has the same polar factor
     s = 2.0 ** -round(math.log2(det) / 3) if math.isfinite(det) else 1.0
-    return np.reshape(_fast_polar([v * s for v in x]), (3, 3))
+    try:
+        return np.reshape(_fast_polar([v * s for v in x]), (3, 3))
+    except DivergenceError:
+        if not math.isfinite(det):
+            raise
+        raise SingularInputError("singular values out of float range") from None
 
 
 def _gram(m) -> tuple:

@@ -59,7 +59,7 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .errors import DivergenceError, GeomechError, NoConvergenceError, _step_failure
+from .errors import _STEP_ERRORS, DivergenceError, NoConvergenceError, _step_failure
 from .rigid_body import InertiaTensor, RigidBodyState, _energy_momentum, _require_finite
 from .so3 import Array, _check_step_angle, _floats, _ortho_defect, _rodrigues, _sinc
 from .timeseries import _CSV_BLOCK_ROWS, TimeSeries
@@ -262,6 +262,6 @@ def simulate(
                 sink(_SIMULATE_COLUMNS, data)
             if k < n_steps:
                 t_mat, omega, pi, iters, res = _vi_core(t_mat, omega, pi, m, inertia, cfg)
-    except (ArithmeticError, GeomechError) as exc:
+    except _STEP_ERRORS as exc:
         raise _step_failure(exc, k, dt) from None
     return TimeSeries(_SIMULATE_COLUMNS, data)

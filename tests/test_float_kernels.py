@@ -61,6 +61,12 @@ def _float_torque(d):
     return lambda t, tm, w: _torque_kernel(tm, rd, wd, wdd, w, jj, p, f)[0]
 
 
+def _float_rates(torque_fn, t, jj, jinv):
+    """``rates`` of the float core for a step from ``t``: the plant's rates
+    under ``torque_fn(t, T, w)`` at each stage offset."""
+    return lambda a, s, v: _rates(s, v, torque_fn(t + a, s, v), jj, jinv)
+
+
 def _oracle_torque(d):
     def torque(t, tm, w):
         e, one_plus_tr = oracles.checked_error_matrix(tm, d["R_d"])
@@ -167,9 +173,11 @@ def test_attitude_rk4_core_matches_the_numpy_oracle():
         float_torque, oracle_torque = _float_torque(d), _oracle_torque(d)
         tm, w = _flat(d["T"]), _flat(d["w"])
         jj, jinv = _flat(d["J"]), _flat(d["J_inv"])
+        rates = _float_rates(float_torque, t, jj, jinv)
         # the runner's form (stage 1 reuses the recorded torque) and the public one
         for q1 in (float_torque(t, tm, w), None):
-            got = _attitude_rk4_core(tm, w, jj, jinv, float_torque, t, dt, q1)
+            k1 = rates(0.0, tm if q1 is not None else _fast_polar(tm), w)
+            got = _attitude_rk4_core(tm, w, rates, dt, k1)
             want = oracles.attitude_rk4_core(
                 d["T"], d["w"], d["J"], d["J_inv"], oracle_torque, t, dt,
                 None if q1 is None else oracle_torque(t, d["T"], d["w"]))
@@ -193,8 +201,8 @@ def test_attitude_rk4_core_tracks_the_oracle_over_many_steps(seed):
     t_o, w_o = d["T"], d["w"]
     for k in range(500):
         t = k * d["dt"]
-        tm, w = _attitude_rk4_core(tm, w, jj, jinv, float_torque, t, d["dt"],
-                                   float_torque(t, tm, w))
+        rates = _float_rates(float_torque, t, jj, jinv)
+        tm, w = _attitude_rk4_core(tm, w, rates, d["dt"], rates(0.0, tm, w))
         t_o, w_o = oracles.attitude_rk4_core(t_o, w_o, d["J"], d["J_inv"], oracle_torque, t,
                                              d["dt"], oracle_torque(t, t_o, w_o))
     np.testing.assert_allclose(np.reshape(tm, (3, 3)), t_o, atol=1e-11, rtol=0.0)

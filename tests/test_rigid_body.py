@@ -12,6 +12,7 @@ from geomech.rigid_body import (
     rk4_attitude_step,
     rk4_quadrotor_step,
 )
+from geomech.so3 import _fast_polar
 
 from conftest import polar_newton, quad_x, random_rotation
 from oracles import rk4_step
@@ -193,25 +194,33 @@ def test_rk4_attitude_step_overflow_raises_divergence(j321, omega, dt):
 
 
 def test_attitude_rk4_core_reuses_a_given_stage_one_torque(rng, j321):
-    # q1 = torque_fn(t, T, w) skips the stage-1 torque call and projection;
-    # on a rotation (as the previous step's result is) the step is unchanged
+    # k1 from the start attitude as it is skips the stage-1 projection; on a
+    # rotation (as the previous step's result is) the step is unchanged, and
+    # the core asks ``rates`` for the later stages only
     gain = np.diag([2.0, 1.5, 1.0])
 
-    def torque(t, r, w):  # the core's torque_fn takes and returns Python floats
+    def torque(t, r, w):  # the core's torque law takes and returns Python floats
         r, w = np.reshape(r, (3, 3)), np.array(w)
         return (-gain @ w + np.sin(t) * (r[:, 2] - r[2])).tolist()
 
     calls = []
-    counted = lambda t, r, w: calls.append(t) or torque(t, r, w)  # noqa: E731
     jj, jinv = j321.j.ravel().tolist(), j321.j_inv.ravel().tolist()
     for _ in range(20):
         t_mat = polar_newton(random_rotation(rng)).ravel().tolist()
         w = rng.normal(size=3).tolist()
         t, dt = rng.uniform(0.0, 10.0), rng.uniform(1e-3, 0.05)
-        ref = _attitude_rk4_core(t_mat, w, jj, jinv, torque, t, dt)
+
+        def rates(a, s, v):
+            return _rates(s, v, torque(t + a, s, v), jj, jinv)
+
+        def counted(a, s, v):
+            calls.append(a)
+            return rates(a, s, v)
+
+        ref = _attitude_rk4_core(t_mat, w, rates, dt, rates(0.0, _fast_polar(t_mat), w))
         calls.clear()
-        out = _attitude_rk4_core(t_mat, w, jj, jinv, counted, t, dt, torque(t, t_mat, w))
-        assert calls == [t + 0.5 * dt, t + 0.5 * dt, t + dt]
+        out = _attitude_rk4_core(t_mat, w, counted, dt, rates(0.0, t_mat, w))
+        assert calls == [0.5 * dt, 0.5 * dt, dt]
         np.testing.assert_allclose(out[0], ref[0], atol=1e-15, rtol=0.0)
         np.testing.assert_allclose(out[1], ref[1], atol=1e-15, rtol=0.0)
 

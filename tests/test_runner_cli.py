@@ -385,6 +385,26 @@ def test_quad_run_uses_the_public_tick_wrench_and_rk4_step(scenario):
                                    err_msg=name)
 
 
+def test_thrust_negative_counts_only_a_thrust_below_zero(monkeypatch):
+    # ticks commanding 0.0 and -0.0 are not negative; the smallest negative
+    # float is
+    step, ticks = runner.tracking_step, []
+    commanded = {3: 0.0, 5: -0.0, 7: -5e-324}
+
+    def patched(*args):
+        f, *rest = step(*args)
+        ticks.append(f)
+        return (commanded.get(len(ticks) - 1, f), *rest)
+
+    monkeypatch.setattr(runner, "tracking_step", patched)
+    series, metrics = run(load("quad_track", t_final=0.1))
+    f, negative = series.floats("f"), series.floats("thrust_negative")
+    assert min(ticks) > 0.0
+    assert [f[k] for k in commanded] == list(commanded.values())
+    assert [negative[k] for k in commanded] == [0.0, 0.0, 1.0]
+    assert metrics.extras["thrust_negative_count"] == 1.0
+
+
 def test_quad_run_carries_floats_and_forms_storage_once(monkeypatch):
     # the tick's per-run work stays per run: the loop carries the plant state
     # and the tick's constants as floats, converted once (a 512-step, a 200-step
@@ -612,13 +632,15 @@ def test_cli_vi_blowup_exits_3_with_one_line(tmp_path, capsys, command, omega, m
 
 
 def _fail_rk4_at_step_3(monkeypatch):
-    # compare forks its RK4 half after the patch, so the child fails at step 3
-    core = runner._attitude_rk4_core
+    # compare forks its RK4 half after the patch, so each child counts its own
+    # calls from 0 and fails at step 3
+    core, calls = runner._attitude_rk4_core, []
 
-    def failing(tm, w, jj, jinv, torque_fn, t, dt, q1=None):
-        if t == 3 * dt:
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 4:
             raise DivergenceError("state diverged: injected")
-        return core(tm, w, jj, jinv, torque_fn, t, dt, q1)
+        return core(*args)
 
     monkeypatch.setattr(runner, "_attitude_rk4_core", failing)
 
@@ -722,6 +744,62 @@ def test_streamed_run_encode_failure_in_the_child_exits_2(tmp_path, capsys, monk
     assert capsys.readouterr().err.splitlines() == [
         "error: cannot write outputs: [Errno 28] No space left on device"]
     _nothing_left(out_dir)
+
+
+def _raise_memory_error(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("t_final", [0.01, 0.04], ids=["one_block", "streamed"])
+@pytest.mark.parametrize("target, line", [
+    ((runner, "_attitude_rk4_core"), "solver failure: step 0 (t=0): out of memory"),
+    ((runner, "settling_time"), "solver failure: outside the step loop: out of memory"),
+    ((timeseries, "_csv_chunks"), "error: out of memory"),
+], ids=["loop", "post_pass", "encode"])
+def test_running_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch, target,
+                                                     line, t_final):
+    # in the step loop, the metrics after it, or the CSV encode (the writer
+    # child's, for a streamed run): one line, and nothing left behind
+    monkeypatch.setattr(*target, _raise_memory_error)
+    out_dir = tmp_path / "new" / "out"
+    assert main(["run", "scenarios/attitude_track.json", "--t-final", str(t_final),
+                 "--out-dir", str(out_dir)]) == 3
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert list(tmp_path.iterdir()) == []
+    _nothing_left(out_dir)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmPeak from /proc")
+@pytest.mark.parametrize("margin_mib", [2, 4])
+def test_cli_under_an_address_space_limit_exits_3_with_one_line(tmp_path, margin_mib):
+    # a 100,000-step free_body run capped at a few MiB above the address space
+    # that a short run of the same CLI peaks at runs out of memory within
+    # about 25,000 steps (under a second), in its loop or in the metrics pass
+    import resource
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", os.environ.get("PYTHONPATH", "")]))
+    args = ["run", "scenarios/free_body.json", "--t-final"]
+    peak = (
+        "import sys\n"
+        "from geomech.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print([line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmPeak:')][0])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", peak, *args, "3", "--out-dir",
+                          str(tmp_path / "short")], env=env, capture_output=True, text=True,
+                         check=True)
+    limit = (int(out.stdout.split()[-1]) + 1024 * margin_mib) * 1024
+    out_dir = tmp_path / "new" / "out"
+    out = subprocess.run(
+        [sys.executable, "-m", "geomech.cli", *args, "1000", "--out-dir", str(out_dir)],
+        env=env, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert out.returncode == 3, out.stderr
+    assert re.fullmatch(r"solver failure: (step \d+ \(t=[0-9.e+]+\)|outside the step loop): "
+                        r"out of memory\n", out.stderr)
+    assert out.stdout == ""
+    assert not (tmp_path / "new").exists()
 
 
 def test_streamed_run_into_an_unusable_out_dir_exits_2(tmp_path, capsys):

@@ -208,6 +208,16 @@ def test_polar_project_survives_a_gram_matrix_that_would_overflow(rng):
             polar_project(m)
 
 
+def test_polar_project_refuses_singular_values_out_of_float_range(rng):
+    # det is 1, but the singular values lie so far apart that m^T m, or the
+    # first Newton step's, overflows: a refusal that names the cause, not a
+    # divergence of a state
+    for d in ([1e200, 1e-100, 1e-100], [1e-200, 1e100, 1e100], [1e-150, 1e-150, 1e300]):
+        for r in (np.eye(3), random_rotation(rng)):
+            with pytest.raises(SingularInputError, match="^singular values out of float range$"):
+                polar_project(r @ np.diag(d))
+
+
 def test_require_rotation_accepts_and_refuses(rng):
     r = random_rotation(rng)
     np.testing.assert_array_equal(require_rotation(r), r)

@@ -47,3 +47,32 @@ def test_spans_timed_once_per_run_stay_once_per_run(tmp_path, capsys, argv):
     counts = Counter(span["name"] for span in trace.spans)
     assert set(counts) <= once
     assert {name: count for name, count in counts.items() if count > 1} == {}
+
+
+@pytest.mark.parametrize("name, per_step", [
+    ("attitude_track", {"rigid_body.attitude_rk4": 1, "rigid_body.polar": 4}),
+    ("quad_track", {"rigid_body.quad_rk4": 1}),
+])
+def test_traced_rk4_steps_count_once_per_step(tmp_path, name, per_step):
+    # the tracer patches the module names the loops look up, so a step reached
+    # by another name (bound at import, or imported inside the loop's
+    # function) would read 0 here.  Each attitude step projects its three
+    # later stages and its result
+    from geomech import cli
+    from geomech.scenario import parse_scenario
+
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"
+    steps = 50
+    t_final = steps * parse_scenario(scenario.read_bytes()).dt
+    trace = tracer.Tracer("per-step")
+    patched, _ = tracer.install(trace)
+    try:
+        assert cli.main(["run", str(scenario), "--t-final", repr(t_final),
+                         "--out-dir", str(tmp_path)]) == 0
+    finally:
+        assert tracer.restore(patched)
+    counts = Counter()
+    for (span, _), (count, _, _) in trace.aggregate.items():
+        counts[span] += count
+    assert {span: counts[span] for span in per_step} == {
+        span: k * steps for span, k in per_step.items()}
