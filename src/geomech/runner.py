@@ -48,32 +48,32 @@ from .timeseries import _CSV_BLOCK_ROWS, MetricsSummary, TimeSeries, _forked
 from .variational import IntegratorConfig, simulate
 
 
-def settling_time(t, signal, fraction: float = 0.05):
-    """First time after which ``signal`` stays below ``fraction`` of its
-    initial value for the remainder of the run; ``(None, False)`` if it
-    never settles."""
+def settling_time(t, signal):
+    """First time after which ``signal`` stays below 5% of its initial value
+    for the remainder of the run; ``(None, False)`` if it never settles."""
     s0 = float(signal[0])
     if s0 <= 0.0:
         return float(t[0]), True
-    threshold = fraction * s0
-    # index 0 is always above: a finite s0 > 0 is at least fraction * s0
+    threshold = 0.05 * s0
+    # index 0 is always above: a finite s0 > 0 is at least 0.05 * s0
     last = next(k for k in range(len(signal) - 1, -1, -1) if signal[k] >= threshold)
     if last == len(t) - 1:
         return None, False
     return float(t[last + 1]), True
 
 
-def steady_state_value(signal, fraction: float = 0.1) -> float:
-    """Mean of the last ``fraction`` of the samples."""
-    n = max(1, int(round(fraction * len(signal))))
+def steady_state_value(signal) -> float:
+    """Mean of the last 10% of the samples."""
+    n = max(1, int(round(0.1 * len(signal))))
     return math.fsum(signal[-n:]) / n
 
 
-def _momentum_drifts(series: TimeSeries) -> list[float]:
-    """``|Pi_k - Pi_0|`` of each row of a VI record."""
+def _drifts(series: TimeSeries) -> tuple[list[float], list[float]]:
+    """``|H_k - H_0|`` and ``|Pi_k - Pi_0|`` of each row of a rigid-body record."""
+    h = series.floats("H")
     pi = list(zip(*(series.floats(f"Pi_{ax}") for ax in "xyz")))
     x0, y0, z0 = pi[0]
-    return [math.hypot(x - x0, y - y0, z - z0) for x, y, z in pi]
+    return [abs(x - h[0]) for x in h], [math.hypot(x - x0, y - y0, z - z0) for x, y, z in pi]
 
 
 def run(scenario: Scenario, sink=None) -> tuple[TimeSeries, MetricsSummary]:
@@ -102,7 +102,7 @@ def run(scenario: Scenario, sink=None) -> tuple[TimeSeries, MetricsSummary]:
         raise
     except MemoryError:
         raise SolverError("outside the step loop: out of memory") from None
-    except (ArithmeticError, ValueError, GeomechError) as exc:
+    except (ArithmeticError, ValueError, GeomechError, ChildProcessError) as exc:
         raise SolverError(f"outside the step loop: {exc}") from None
     if not math.isfinite(sum(series.data)):  # a finite sum has no inf or nan term
         bad = [name for name in series.names if not all(map(math.isfinite, series.floats(name)))]
@@ -121,16 +121,16 @@ def _vi_config(sc: Scenario) -> IntegratorConfig:
 
 def _run_free_body(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSummary]:
     series = simulate(sc.initial, sc.inertia, sc.moment, _vi_config(sc), sc.t_final, sink)
-    return series, _free_body_metrics(series)
+    return series, _free_body_metrics(series, *_drifts(series))
 
 
-def _free_body_metrics(series: TimeSeries) -> MetricsSummary:
-    h, iters = series.floats("H"), series.floats("newton_iters")
-    drift = max(abs(x - h[0]) for x in h) / abs(h[0]) if h[0] != 0.0 else 0.0
+def _free_body_metrics(series: TimeSeries, energy, momentum) -> MetricsSummary:
+    """The metrics of a VI record, given its drifts (see :func:`_drifts`)."""
+    h0, iters = series.floats("H")[0], series.floats("newton_iters")
     # the initial row records 0 iterations and residual, so both maxima exist
     return MetricsSummary(
-        energy_drift_max_rel=drift,
-        momentum_drift_max=max(_momentum_drifts(series)),
+        energy_drift_max_rel=max(energy) / abs(h0) if h0 != 0.0 else 0.0,
+        momentum_drift_max=max(momentum),
         orthogonality_defect_max=max(series.floats("ortho_defect")),
         newton_iters_mean=sum(iters[1:]) / (len(iters) - 1) if len(iters) > 1 else 0.0,
         extras={
@@ -149,7 +149,7 @@ _ATTITUDE_COLUMNS = (
 )
 
 
-def _attitude_loop_numpy(sc: Scenario, sink=None) -> array:
+def _attitude_loop_numpy(sc: Scenario, sink) -> array:
     """Closed attitude loop: the float torque kernel on the float RK4 core.
 
     Step ``k`` draws the reference (``R_d`` row-major, ``Omega_d`` and
@@ -349,16 +349,13 @@ def _run_quad_track(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSummary]:
 def _run_integrator_compare(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSummary]:
     dt, jj, jinv, n = sc.dt, sc.inertia.j_rows, sc.inertia.j_inv_rows, sc.steps
     moment = (0.0, 0.0, 0.0) if sc.moment is None else tuple(map(float, sc.moment))
-    t0, w0 = sc.initial.t_rows, sc.initial.omega_rows
 
-    def rk4_rows():  # H, |Pi - Pi_0| and the orthogonality defect of each step, on floats
+    def rk4_rows():  # H, Pi and the orthogonality defect of each step, on floats
         rates = lambda a, s, v: _rates(s, v, moment, jj, jinv)  # noqa: E731
-        _, x0, y0, z0 = _energy_momentum(t0, w0, jj)
-        rows, t_mat, w = array("d"), t0, w0
+        rows, t_mat, w = array("d"), sc.initial.t_rows, sc.initial.omega_rows
         try:
             for k in range(n + 1):
-                h, x, y, z = _energy_momentum(t_mat, w, jj)
-                rows.extend((h, math.hypot(x - x0, y - y0, z - z0), _ortho_defect(t_mat)))
+                rows.extend((*_energy_momentum(t_mat, w, jj), _ortho_defect(t_mat)))
                 if k < n:
                     t_mat, w = _attitude_rk4_core(t_mat, w, rates, dt, rates(0.0, t_mat, w))
         except _STEP_ERRORS as exc:
@@ -367,28 +364,25 @@ def _run_integrator_compare(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSumm
 
     # the RK4 half runs in a child, on the other core, while the VI runs here;
     # a VI failure still comes first.  With no step to run, no child starts
-    rk4 = _forked(rk4_rows) if n else contextlib.nullcontext(rk4_rows)
-    with rk4 as rk4_result:
-        vi_series = simulate(sc.initial, sc.inertia, sc.moment, _vi_config(sc), sc.t_final)
-        rows = rk4_result()
-    h_rk4, mom_rk4, ortho_rk4 = rows[0::3], rows[1::3], rows[2::3]
-
-    h_vi = vi_series.floats("H")
-    mom_vi = _momentum_drifts(vi_series)
+    child = _forked(rk4_rows) if n else contextlib.nullcontext(rk4_rows)
+    with child as rk4_result:
+        vi = simulate(sc.initial, sc.inertia, sc.moment, _vi_config(sc), sc.t_final)
+        rk4 = TimeSeries(("H", "Pi_x", "Pi_y", "Pi_z", "ortho_defect"), rk4_result())
+    (vi_energy, vi_momentum), (rk4_energy, rk4_momentum) = _drifts(vi), _drifts(rk4)
+    ortho_rk4, data = rk4.floats("ortho_defect"), array("d")
+    for row in zip(vi.floats("t"), vi.floats("H"), rk4.floats("H"), vi_momentum, rk4_momentum,
+                   vi.floats("ortho_defect"), ortho_rk4):
+        data.extend(row)
     series = TimeSeries(
-        ("t", "H_vi", "H_rk4", "mom_err_vi", "mom_err_rk4", "ortho_vi", "ortho_rk4"),
-        list(zip(vi_series.floats("t"), h_vi, h_rk4, mom_vi, mom_rk4,
-                 vi_series.floats("ortho_defect"), ortho_rk4)),
-    )
-    metrics = _free_body_metrics(vi_series)
-    h0 = abs(h_vi[0])
-    drift = [abs(h - h_rk4[0]) for h in h_rk4]
+        ("t", "H_vi", "H_rk4", "mom_err_vi", "mom_err_rk4", "ortho_vi", "ortho_rk4"), data)
+    metrics = _free_body_metrics(vi, vi_energy, vi_momentum)
+    h0 = abs(vi.floats("H")[0])
     # relative drifts are undefined for a body at rest (H0 = 0): null
     metrics.extras.update({
-        "rk4_energy_drift_end_rel": drift[-1] / h0 if h0 else None,
-        "rk4_energy_drift_max_rel": max(drift) / h0 if h0 else None,
-        "rk4_energy_drift_max_abs": max(drift),
-        "rk4_momentum_drift_max": max(mom_rk4),
+        "rk4_energy_drift_end_rel": rk4_energy[-1] / h0 if h0 else None,
+        "rk4_energy_drift_max_rel": max(rk4_energy) / h0 if h0 else None,
+        "rk4_energy_drift_max_abs": max(rk4_energy),
+        "rk4_momentum_drift_max": max(rk4_momentum),
         "rk4_orthogonality_defect_max": max(ortho_rk4),
     })
     return series, metrics

@@ -24,20 +24,11 @@ _CSV_BLOCK_ROWS = 256
 class TimeSeries:
     """A run's record: ``data`` holds its rows one after another as floats,
     one row per step and one column per entry of ``names``; the ``t`` column
-    is strictly increasing with constant spacing.  A 2-D ``table`` (a numpy
-    array or a list of rows) is accepted in place of ``data``, and
-    :attr:`table`, :meth:`column` and :meth:`vector` read back arrays."""
+    is strictly increasing with constant spacing.  :attr:`table`,
+    :meth:`column` and :meth:`vector` read it back as numpy arrays."""
 
     names: tuple[str, ...]
     data: array
-
-    def __post_init__(self):
-        if not isinstance(self.data, array):
-            rows = self.data.tolist() if hasattr(self.data, "tolist") else self.data
-            if any(len(row) != len(self.names) for row in rows):
-                shape = getattr(self.data, "shape", (len(rows), None))
-                raise ValueError(f"table shape {shape} does not fit {len(self.names)} names")
-            self.data = array("d", [x for row in rows for x in row])
 
     def __len__(self) -> int:
         return len(self.data) // len(self.names)
@@ -119,8 +110,9 @@ def _temp(path: Path) -> Path:
 @contextlib.contextmanager
 def _forked(fn):
     """Run ``fn()`` in a forked child while the ``with`` body runs; the body
-    gets ``result()``, the child's value or its exception re-raised.  Leaving
-    the block kills the child if it still runs, and always reaps it."""
+    gets ``result()``, the child's value or its exception re-raised, or a
+    ``ChildProcessError`` if the child ended without sending either.
+    Leaving the block kills the child if it still runs, and always reaps it."""
     import signal  # here, so that a run which starts no child does not load it
     r, w = os.pipe()
     pid = os.fork()
@@ -137,7 +129,10 @@ def _forked(fn):
     os.close(w)
     with open(r, "rb") as pipe:
         def result():
-            value, exc = pickle.load(pipe)  # the whole pipe, before the child is reaped
+            try:
+                value, exc = pickle.load(pipe)  # the whole pipe, before the child is reaped
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError("the child process ended without its result") from None
             if exc is not None:
                 raise exc
             return value

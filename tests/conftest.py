@@ -6,6 +6,8 @@ so that tests compare against independent routes.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -79,11 +81,16 @@ def tick(x, ref, params, gains, att_gains, dt, memory) -> tuple:
                          ref.b_1d.tolist(), dt, memory)
 
 
+def record(names, table) -> TimeSeries:
+    """The record of the column ``names`` holding the rows of a 2-D ``table``."""
+    return TimeSeries(names, array("d", np.asarray(table, dtype=float).ravel().tolist()))
+
+
 def parse_csv_bytes(data: bytes) -> TimeSeries:
     """The record written by ``series_to_csv_bytes``, read back."""
     lines = data.decode("ascii").strip().split("\n")
     names = tuple(lines[0].split(","))
-    return TimeSeries(names, [[float(v) for v in line.split(",")] for line in lines[1:]])
+    return TimeSeries(names, array("d", [float(v) for line in lines[1:] for v in line.split(",")]))
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from geomech.rigid_body import (
 from geomech.so3 import _fast_polar
 
 from conftest import polar_newton, quad_x, random_rotation
-from oracles import rk4_step
+from oracles import attitude_rk4_core, rk4_step
 
 
 @pytest.fixture
@@ -191,6 +191,24 @@ def test_rk4_attitude_step_overflow_raises_divergence(j321, omega, dt):
     s = RigidBodyState(np.eye(3), np.array(omega))
     with pytest.raises(DivergenceError, match="^state diverged: "):
         rk4_attitude_step(s, j321, lambda t, T, w: np.full(3, 1e308), 0.0, dt)
+
+
+def test_rk4_attitude_step_forms_k1_at_the_projected_start(rng, j321):
+    # a start inside the state's 1e-9 tolerance but off SO(3): under a torque
+    # that depends on T, k1 from the unprojected start moves the step by about
+    # dt/6 * 100 * 3e-10, far above the rounding the oracle leaves
+    def torque(t, r, w):
+        return 100.0 * np.cos(t) * r[0] - w
+
+    for _ in range(20):
+        sym = rng.normal(size=(3, 3))
+        sym += sym.T
+        t0 = random_rotation(rng) @ (np.eye(3) + 3e-10 * sym / np.linalg.norm(sym))
+        w0, t, dt = rng.normal(size=3), rng.uniform(0.0, 1.0), 0.05
+        got = rk4_attitude_step(RigidBodyState(t0, w0), j321, torque, t, dt)
+        want = attitude_rk4_core(t0, w0, j321.j, j321.j_inv, torque, t, dt)
+        np.testing.assert_allclose(got.T, want[0], atol=1e-14, rtol=0.0)
+        np.testing.assert_allclose(got.omega, want[1], atol=1e-13, rtol=0.0)
 
 
 def test_attitude_rk4_core_reuses_a_given_stage_one_torque(rng, j321):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -50,7 +51,7 @@ from geomech.timeseries import (
 )
 from geomech.variational import IntegratorConfig, vi_step
 
-from conftest import parse_csv_bytes, tick
+from conftest import parse_csv_bytes, record, tick
 from oracles import storage_function
 
 
@@ -746,6 +747,48 @@ def test_streamed_run_encode_failure_in_the_child_exits_2(tmp_path, capsys, monk
     _nothing_left(out_dir)
 
 
+def _killed_in_a_child(parent):
+    # the SIGKILL of the OOM killer, sent only in a forked child of ``parent``
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_writer_child_killed_before_its_result_exits_2(tmp_path, capsys, monkeypatch):
+    # the writer child encodes every row, then dies before it sends its result
+    chunks, parent = timeseries._csv_chunks, os.getpid()
+
+    def killed(names, blocks):
+        yield from chunks(names, blocks)
+        _killed_in_a_child(parent)
+
+    monkeypatch.setattr(timeseries, "_csv_chunks", killed)
+    out_dir = tmp_path / "new" / "out"
+    assert main(["run", "scenarios/attitude_track.json", "--t-final",
+                 str(_STREAMED["attitude_track"]), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cannot write outputs: the child process ended without its result"]
+    assert list(tmp_path.iterdir()) == []
+    _nothing_left(out_dir)
+
+
+def test_cli_compare_rk4_child_killed_before_its_result_exits_3(tmp_path, capsys, monkeypatch):
+    # the RK4 child dies in its first step; the VI half in the parent succeeds
+    core, parent = runner._attitude_rk4_core, os.getpid()
+
+    def killed(*args):
+        _killed_in_a_child(parent)
+        return core(*args)
+
+    monkeypatch.setattr(runner, "_attitude_rk4_core", killed)
+    out_dir = tmp_path / "new" / "out"
+    assert main(["compare", "scenarios/integrator_compare.json", "--t-final", "0.1",
+                 "--out-dir", str(out_dir)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "solver failure: outside the step loop: the child process ended without its result"]
+    assert list(tmp_path.iterdir()) == []
+    _nothing_left(out_dir)
+
+
 def _raise_memory_error(*args):
     raise MemoryError
 
@@ -1009,7 +1052,7 @@ def test_cli_forced_arc_free_body_reruns_byte_identical(tmp_path):
 
 
 def test_write_outputs_failed_encode_leaves_no_file(tmp_path):
-    series = TimeSeries(("t", "x"), np.column_stack((np.arange(3.0), np.ones(3))))
+    series = record(("t", "x"), np.column_stack((np.arange(3.0), np.ones(3))))
     csv_path, metrics_path = tmp_path / "run.csv", tmp_path / "run.metrics.json"
     with pytest.raises(ValueError, match="not finite"):
         write_outputs(series, MetricsSummary(extras={"bad": float("nan")}),
@@ -1017,7 +1060,7 @@ def test_write_outputs_failed_encode_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
     # an earlier output stays as it was
     csv_path.write_bytes(b"old\n")
-    bad_series = TimeSeries(("t", "é"), series.table)
+    bad_series = TimeSeries(("t", "é"), series.data)
     with pytest.raises(UnicodeEncodeError):
         write_outputs(bad_series, MetricsSummary(), csv_path, metrics_path)
     assert list(tmp_path.iterdir()) == [csv_path]

@@ -7,26 +7,20 @@ import pytest
 from geomech.timeseries import (
     _CSV_BLOCK_ROWS,
     MetricsSummary,
-    TimeSeries,
     csv_writer,
     metrics_to_json_bytes,
     series_to_csv_bytes,
     write_outputs,
 )
 
-from conftest import parse_csv_bytes
+from conftest import parse_csv_bytes, record
 
 
 def small_series():
-    return TimeSeries(
+    return record(
         ("t", "x"),
         np.column_stack(([0.0, 0.1, 0.2], [1.0, 1.0 / 3.0, -2.5e-17])),
     )
-
-
-def test_table_width_must_match_names():
-    with pytest.raises(ValueError, match=r"shape \(3, 1\) does not fit 2 names"):
-        TimeSeries(("t", "x"), np.zeros((3, 1)))
 
 
 def test_csv_header_names_every_column():
@@ -38,7 +32,7 @@ def test_csv_header_names_every_column():
 def test_csv_bytes_pinned_for_edge_values():
     # signed zero, a tiny normal and the smallest subnormal keep their
     # shortest round-trip spelling
-    s = TimeSeries(("t", "x", "y"), np.column_stack((
+    s = record(("t", "x", "y"), np.column_stack((
         [0.0, 0.5],
         [-0.0, 5e-324],
         [1e-300, -1.0 / 3.0],
@@ -50,7 +44,7 @@ def test_csv_bytes_pinned_for_edge_values():
 
 
 def test_empty_series_header_only():
-    s = TimeSeries(("t", "x"), np.empty((0, 2)))
+    s = record(("t", "x"), np.empty((0, 2)))
     data = series_to_csv_bytes(s)
     assert data == b"t,x\n"
 
@@ -107,7 +101,7 @@ _EDGE_ROWS = [0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 
 
 def _edge_series(rows):
     table = np.random.default_rng(rows).normal(size=(rows, 3)) * [1.0, 1e-300, 1e300]
-    return TimeSeries(("t", "x", "y"), table)
+    return record(("t", "x", "y"), table)
 
 
 @pytest.mark.parametrize("rows", _EDGE_ROWS)
@@ -148,5 +142,5 @@ def test_failed_rename_leaves_no_temporary_or_metrics_file(tmp_path):
 
 
 def test_vector_helper():
-    s = TimeSeries(("t", "p_x", "p_y", "p_z"), np.array([[0.0, 1.0, 2.0, 3.0]]))
+    s = record(("t", "p_x", "p_y", "p_z"), np.array([[0.0, 1.0, 2.0, 3.0]]))
     np.testing.assert_array_equal(s.vector("p"), [[1.0, 2.0, 3.0]])

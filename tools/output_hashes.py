@@ -9,7 +9,9 @@ temporary directory; the change side is the working tree.  In each tree, with
 every BLAS/OpenMP pool on one thread, the CLI runs the five shipped scenarios
 at full length (``compare`` on ``integrator_compare``, ``run`` on the others)
 and draws 0-2 of seed 60 of each benchmark workload, with the workload's
-command (``perfbench/workloads.py``).  It prints one ``sha256  side  file`` line
+command (``perfbench/workloads.py``).  ``compare`` also runs 2,000 steps of
+the shipped compare scenario on a body at rest (``H_0 = 0``, so the RK4
+relative drifts are null) and on one under a constant ``moment``.  It prints one ``sha256  side  file`` line
 per output file and side, then exits 1 naming each file whose bytes differ
 (or that one side did not write), or 0 when every file is identical.
 """
@@ -17,6 +19,7 @@ per output file and side, then exits 1 naming each file whose bytes differ
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -30,6 +33,12 @@ from run import THREAD_VARS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEED, DRAWS = 60, 3
+COMPARE_STEPS = 2000
+# the fields of the shipped compare scenario that each extra compare run replaces
+COMPARE_CASES = {
+    "compare_at_rest": {"initial": {"T": None, "omega": [0.0, 0.0, 0.0]}},
+    "compare_forced": {"moment": [0.3, -0.2, 0.1]},
+}
 
 
 def _outputs(side: Path, runs: list[tuple[str, Path]], out: Path) -> dict[str, str]:
@@ -61,6 +70,12 @@ def main() -> int:
                 path = tmp / f"{name}-{k}.json"
                 path.write_bytes(workload.scenario_bytes(SEED, k))
                 runs.append((workload.command, path))
+        base = json.loads((root / "scenarios" / "integrator_compare.json").read_bytes())
+        base["t_final"] = COMPARE_STEPS * base["dt"]
+        for name, fields in COMPARE_CASES.items():
+            path = tmp / f"{name}.json"
+            path.write_text(json.dumps({**base, **fields}))
+            runs.append(("compare", path))
         hashes = {side: _outputs(tree, runs, tmp / f"out_{side}")
                   for side, tree in (("parent", parent), ("change", root))}
     finally:
