@@ -7,6 +7,12 @@ Python-float kernel; the parity tests compare the float kernels with them.  ``rk
 generic RK4 step on a flat state vector that the quadrotor step is checked
 against.  ``aero_wrench`` sums the four rotors' loads into the body wrench
 with 3-vectors and ``np.cross``, the check of the runner's float assembly.
+The ``composed_`` rotor functions are the rotor layer as it was composed
+before ``rotor_aero.rotor_wrench`` became one float kernel: a function per
+coefficient polynomial, ``induced_velocity``, the coupled-load Newton solve
+as its own function, and the hover root recomputing its constants per call.
+The rotor kernel and the hover calibration must return their floats bit for
+bit.
 ``vi_step`` is the numpy body-frame variational step, the many-step check of
 the library's float core ``variational._vi_core``.  ``storage_function`` is
 the array route to the attitude run's ``V_storage`` column.
@@ -40,10 +46,12 @@ import numpy as np
 
 from geomech.attitude_control import (ANTIPODAL_TOL, _quad_form, attitude_error_psi,
                                       attitude_error_vector)
-from geomech.errors import AntipodalError, NoConvergenceError
+from geomech.errors import (AntipodalError, NoConvergenceError, ScenarioValidationError,
+                            ZeroRotorSpeedError)
 from geomech.quadrotor import ROTOR_SPIN, rotor_positions, rotor_thrusts
 from geomech.rigid_body import InertiaTensor
-from geomech.rotor_aero import hover_rotor_speed, rotor_wrench
+from geomech.rotor_aero import (HOVER_THRUST_MAX_FRAC, HOVER_THRUST_MIN_FRAC, RotorGeometry,
+                                hover_rotor_speed, rotor_wrench)
 from geomech.so3 import (
     Array, _check_step_angle, _sinc, exp_so3, hat, tilde,
 )
@@ -203,6 +211,116 @@ def aero_wrench(model, r_mat, v, omega, f_cmd, q_cmd):
         force += f
         moment += spin * (roll * d - np.array([0.0, 0.0, q])) + np.cross(arm, f)
     return force, moment
+
+
+_MAX_LOAD_ITERS = 100
+
+
+def composed_induced_velocity(geom: RotorGeometry, rho: float, v_horiz: float,
+                              load: float) -> float:
+    half_v2 = 0.5 * v_horiz**2
+    loading = load / (2.0 * rho * geom.disk_area)
+    return math.sqrt(half_v2 + math.sqrt(half_v2**2 + loading**2))
+
+
+def composed_thrust_coefficient(geom: RotorGeometry, lam: float, mu: float) -> float:
+    return geom.solidity * geom.lift_slope * (
+        (1.0 / 6.0 + 0.25 * mu * mu) * geom.theta0
+        - (1.0 + mu * mu) * geom.theta_tw / 8.0
+        - lam / 4.0
+    )
+
+
+def composed_hub_force_coefficient(geom: RotorGeometry, lam: float, mu: float) -> float:
+    return geom.solidity * geom.lift_slope * (
+        mu * geom.cd_bar / (4.0 * geom.lift_slope)
+        + 0.25 * lam * mu * (geom.theta0 - geom.theta_tw / 2.0)
+    )
+
+
+def composed_torque_coefficient(geom: RotorGeometry, lam: float, mu: float) -> float:
+    return geom.solidity * geom.lift_slope * (
+        (1.0 + mu * mu) * geom.cd_bar / (8.0 * geom.lift_slope)
+        + lam * (geom.theta0 / 6.0 - geom.theta_tw / 8.0 - lam / 4.0)
+    )
+
+
+def composed_roll_moment_coefficient(geom: RotorGeometry, lam: float, mu: float) -> float:
+    return -geom.solidity * geom.lift_slope * mu * (
+        geom.theta0 / 6.0 - geom.theta_tw / 8.0 - lam / 8.0
+    )
+
+
+def composed_rotor_wrench(
+    geom: RotorGeometry, rho: float, v_horiz: float, z_dot: float, omega: float, load: float
+) -> tuple[float, float, float, float]:
+    if not omega > 0.0:
+        raise ZeroRotorSpeedError("omega_rotor must be > 0")
+    tip = omega * geom.radius
+    mu = v_horiz / tip
+    pressure = rho * geom.disk_area * tip**2
+    load = composed_coupled_load(geom, rho, v_horiz, z_dot, tip, pressure, load)
+    lam = (composed_induced_velocity(geom, rho, v_horiz, load) - z_dot) / tip
+    return (
+        composed_thrust_coefficient(geom, lam, mu) * pressure,
+        composed_hub_force_coefficient(geom, lam, mu) * pressure,
+        composed_torque_coefficient(geom, lam, mu) * pressure * geom.radius,
+        composed_roll_moment_coefficient(geom, lam, mu) * pressure * geom.radius,
+    )
+
+
+def composed_coupled_load(geom: RotorGeometry, rho: float, v_horiz: float, z_dot: float,
+                          tip: float, pressure: float, load: float) -> float:
+    """Root of ``r(L) = C - k nu1(L) - L`` by bracketed Newton from ``load``;
+    the derivation is in ``rotor_aero.rotor_wrench``'s docstring."""
+    two_rho_a = 2.0 * rho * geom.disk_area
+    half_v2 = 0.5 * v_horiz**2
+    k = 0.25 * geom.solidity * geom.lift_slope * rho * geom.disk_area * tip
+    c = composed_thrust_coefficient(geom, -z_dot / tip, v_horiz / tip) * pressure
+    r0 = c - k * v_horiz
+    lo, hi = (0.0, c) if r0 > 0.0 else (-(k / math.sqrt(two_rho_a) + math.sqrt(-r0)) ** 2, 0.0)
+    tol = 1e-12 * (hi - lo)
+    load = min(max(load, lo), hi)
+    for _ in range(_MAX_LOAD_ITERS):
+        q = load / two_rho_a
+        s = math.sqrt(half_v2**2 + q * q)
+        nu1 = math.sqrt(half_v2 + s)
+        r = c - k * nu1 - load
+        if r == 0.0:
+            return load
+        lo, hi = (load, hi) if r > 0.0 else (lo, load)
+        # -r'(L) = 1 + k nu1'(L); nu1' is unbounded at V = L = 0
+        drop = 1.0 + k * q / (2.0 * two_rho_a * nu1 * s) if nu1 * s > 0.0 else 0.0
+        new = load + r / drop if drop != 0.0 else load
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - load) <= tol:
+            return new
+        load = new
+    raise NoConvergenceError(
+        f"induced-velocity solve failed to converge (V={v_horiz!r}, "
+        f"z_dot={z_dot!r}, tip speed={tip!r}, last load {load!r})"
+    )
+
+
+def composed_hover_rotor_speed(geom: RotorGeometry, thrust: float, rho: float) -> float:
+    if not thrust > 0.0:
+        raise ScenarioValidationError([("thrust", "hover calibration needs thrust > 0")])
+    b = geom.theta0 / 6.0 - geom.theta_tw / 8.0
+    if not b > 0.0:
+        raise ScenarioValidationError([("theta_tw", "hover needs theta0/6 - theta_tw/8 > 0")])
+    sa_rho_a = geom.solidity * geom.lift_slope * rho * geom.disk_area
+    nu_q = 0.25 * math.sqrt(thrust / (2.0 * rho * geom.disk_area))
+    return (nu_q + math.sqrt(nu_q**2 + 4.0 * b * thrust / sa_rho_a)) / (2.0 * b * geom.radius)
+
+
+def composed_calibration(geom: RotorGeometry, rho: float, hover_thrust: float,
+                         thrusts) -> list[tuple[float, float]]:
+    """``HoverCalibration(geom, rho, hover_thrust)(thrusts)``: each thrust
+    saturated to the actuator range, with its hover shaft speed."""
+    lo, hi = HOVER_THRUST_MIN_FRAC * hover_thrust, HOVER_THRUST_MAX_FRAC * hover_thrust
+    return [((t := min(max(thrust, lo), hi)), composed_hover_rotor_speed(geom, t, rho))
+            for thrust in thrusts]
 
 
 def vi_step(t_k, omega_k, moment, inertia: InertiaTensor, cfg: IntegratorConfig, pi_k):

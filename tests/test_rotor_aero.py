@@ -1,9 +1,15 @@
+import dataclasses
+import inspect
 import math
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from geomech import cli
 from geomech.errors import NoConvergenceError, ScenarioValidationError, ZeroRotorSpeedError
 from geomech.rotor_aero import (
     HOVER_THRUST_MAX_FRAC,
@@ -18,9 +24,21 @@ from geomech.rotor_aero import (
     thrust_coefficient,
     torque_coefficient,
 )
-
+from geomech.scenario import parse_scenario
+from oracles import (
+    composed_calibration,
+    composed_coupled_load,
+    composed_hover_rotor_speed,
+    composed_hub_force_coefficient,
+    composed_induced_velocity,
+    composed_roll_moment_coefficient,
+    composed_rotor_wrench,
+    composed_thrust_coefficient,
+    composed_torque_coefficient,
+)
 
 GEOM = RotorGeometry()
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 # ---------------------------------------------------------------- the oracle
@@ -111,6 +129,24 @@ def test_geometry_validation():
         RotorGeometry(chord=-0.01)
     with pytest.raises(ScenarioValidationError):
         RotorGeometry(n_blades=40, chord=0.1, radius=0.15)  # solidity > 1
+
+
+def test_geometry_is_frozen(tmp_path):
+    # the cached disk area, solidity and blade constants cannot go stale, and
+    # no assignment skips the solidity check of __post_init__
+    geom = RotorGeometry()
+    area, blade = geom.disk_area, geom.blade
+    for name, value in (("radius", 0.3), ("chord", 1.0), ("theta0", 0.1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(geom, name, value)
+    assert (geom.radius, geom.disk_area, geom.blade) == (0.15, area, blade)
+    assert area == math.pi * 0.15**2
+    # the scenario reader builds one, and `--aero on` runs it on a file with aero off
+    for name, overrides in (("quad_track_aero", None), ("quad_track", {"aero.enabled": True})):
+        sc = parse_scenario((SCENARIOS / f"{name}.json").read_bytes(), overrides)
+        assert sc.aero.enabled and sc.aero.geometry == GEOM
+    assert cli.main(["run", str(SCENARIOS / "quad_track.json"), "--aero", "on",
+                     "--t-final", "0.01", "--out-dir", str(tmp_path)]) == 0
 
 
 def test_induced_velocity_limits():
@@ -382,3 +418,131 @@ def test_coupled_solve_non_finite_state_raises():
 def test_zero_rotor_speed_raises():
     with pytest.raises(ZeroRotorSpeedError):
         rotor_wrench(GEOM, 1.225, 0.0, 0.0, 0.0, 0.0)
+
+
+# ------------------------------------------- the composed rotor layer, bit for bit
+
+
+class SolveBranches:
+    """Counts the branches ``oracles.composed_coupled_load`` takes, by tracing
+    its lines: a negative root (``r(0) <= 0``), a start clamped into the
+    bracket, a bisection, and an exact ``r == 0`` exit."""
+
+    def __init__(self):
+        self.code = composed_coupled_load.__code__
+        lines, first = inspect.getsourcelines(composed_coupled_load)
+        at = {text.strip(): first + i for i, text in enumerate(lines)}
+        self.clamp = at["load = min(max(load, lo), hi)"]
+        self.lines = {at["new = 0.5 * (lo + hi)"]: "bisection", at["return load"]: "exact exit"}
+        self.counts = Counter()
+
+    def __enter__(self):
+        self.previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: self.line if frame.f_code is self.code else None)
+        return self
+
+    def __exit__(self, *exc):
+        sys.settrace(self.previous)
+
+    def line(self, frame, event, arg):
+        if event == "line" and frame.f_lineno == self.clamp:
+            local = frame.f_locals
+            self.counts["negative root"] += not local["r0"] > 0.0
+            self.counts["clamp"] += not local["lo"] <= local["load"] <= local["hi"]
+        elif event == "line" and frame.f_lineno in self.lines:
+            self.counts[self.lines[frame.f_lineno]] += 1
+        return self.line
+
+
+def bits(values) -> list[str]:
+    return [float(value).hex() for value in values]
+
+
+def test_rotor_wrench_matches_composed_layer_bit_for_bit():
+    # the runner's states as in the fixed-point comparison (2,000 draws, a
+    # tenth of them at V = 0), then 400 on random geometries and densities.
+    # Newton lands exactly on the root (r == 0) in about a quarter of them
+    rng = np.random.default_rng(20261020)
+    hover = 4.34 * 9.81 / 4.0
+    cases = []
+    for i in range(2400):
+        geom, rho = GEOM, 1.225
+        if i >= 2000:
+            geom = RotorGeometry(n_blades=int(rng.integers(2, 5)), chord=rng.uniform(0.01, 0.04),
+                                 radius=rng.uniform(0.1, 0.4), lift_slope=rng.uniform(4.0, 7.0),
+                                 theta0=rng.uniform(0.1, 0.3), theta_tw=rng.uniform(0.0, 0.1))
+            rho = rng.uniform(0.8, 1.4)
+        thrust = hover * math.exp(rng.uniform(math.log(HOVER_THRUST_MIN_FRAC),
+                                              math.log(HOVER_THRUST_MAX_FRAC)))
+        v_horiz = 0.0 if i % 10 == 0 else rng.uniform(0.0, 5.0)
+        omega = composed_hover_rotor_speed(geom, thrust, rho)
+        cases.append((geom, rho, v_horiz, rng.uniform(-5.0, 8.0), omega, thrust))
+    with SolveBranches() as branches:
+        expected = [composed_rotor_wrench(*case) for case in cases]
+    assert [bits(rotor_wrench(*case)) for case in cases] == [bits(e) for e in expected]
+    branches.counts["V = 0"] = sum(case[2] == 0.0 for case in cases)
+    assert {name: count for name, count in branches.counts.items() if count > 0}.keys() == {
+        "negative root", "V = 0", "clamp", "bisection", "exact exit"}, branches.counts
+    # the public coefficient views and the inflow, on the same geometries
+    for geom, rho, v_horiz, z_dot, omega, load in cases[::8]:
+        lam, mu = (v_horiz - z_dot) / (omega * geom.radius), v_horiz / (omega * geom.radius)
+        assert bits(f(geom, lam, mu) for f in (
+            thrust_coefficient, hub_force_coefficient, torque_coefficient,
+            roll_moment_coefficient)) == bits(f(geom, lam, mu) for f in (
+                composed_thrust_coefficient, composed_hub_force_coefficient,
+                composed_torque_coefficient, composed_roll_moment_coefficient))
+        assert bits([induced_velocity(geom, rho, v_horiz, load)]) == bits(
+            [composed_induced_velocity(geom, rho, v_horiz, load)])
+
+
+def test_hover_calibration_matches_composed_layer_bit_for_bit():
+    # four commanded thrusts per tick, from 1e-4 to 10 times the hover share,
+    # so both ends of the actuator range clip
+    rng = np.random.default_rng(20261021)
+    for i in range(500):
+        geom, rho, hover = GEOM, 1.225, 4.34 * 9.81 / 4.0
+        if i % 5 == 4:
+            geom = RotorGeometry(radius=rng.uniform(0.1, 0.4), theta0=rng.uniform(0.1, 0.3),
+                                 theta_tw=rng.uniform(0.0, 0.1))
+            rho, hover = rng.uniform(0.8, 1.4), rng.uniform(1.0, 20.0)
+        thrusts = [hover * math.exp(rng.uniform(math.log(1e-4), math.log(10.0)))
+                   for _ in range(4)]
+        got = HoverCalibration(geom, rho, hover)(thrusts)
+        assert [bits(pair) for pair in got] == [
+            bits(pair) for pair in composed_calibration(geom, rho, hover, thrusts)]
+        assert bits(hover_rotor_speed(geom, t, rho) for t in thrusts) == bits(
+            composed_hover_rotor_speed(geom, t, rho) for t in thrusts)
+
+
+@pytest.mark.parametrize("state", [
+    (1.225, 1.0, math.nan, 900.0, 10.0),
+    (1.225, math.nan, 0.5, 900.0, 10.0),
+    (1.225, 1.0, 0.5, 900.0, math.nan),
+    (math.nan, 1.0, 0.5, 900.0, 10.0),
+    (1.225, 1.0, 0.5, 0.0, 10.0),
+    (1.225, 1.0, 0.5, -3.0, 10.0),
+    (1.225, 1.0, 0.5, math.nan, 10.0),
+], ids=["z_dot nan", "V nan", "load nan", "rho nan", "omega 0", "omega < 0", "omega nan"])
+def test_rotor_wrench_errors_match_composed_layer(state):
+    # the same error type and message, or the same bits when the state solves
+    outcomes = []
+    for fn in (rotor_wrench, composed_rotor_wrench):
+        try:
+            outcomes.append(bits(fn(GEOM, *state)))
+        except (NoConvergenceError, ZeroRotorSpeedError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_hover_errors_match_composed_layer():
+    flat = RotorGeometry(theta0=0.03, theta_tw=0.04)  # theta0/6 - theta_tw/8 < 0
+    for geom, thrust in ((GEOM, 0.0), (GEOM, -1.0), (GEOM, math.nan), (flat, 1.0)):
+        raised = []
+        for fn in (hover_rotor_speed, composed_hover_rotor_speed):
+            with pytest.raises(ScenarioValidationError) as exc:
+                fn(geom, thrust, 1.225)
+            raised.append(exc.value.violations)
+        assert raised[0] == raised[1]
+    with pytest.raises(ScenarioValidationError) as exc:
+        HoverCalibration(flat, 1.225, 10.0)
+    assert [field for field, _ in exc.value.violations] == ["theta_tw"]

@@ -49,20 +49,12 @@ def test_spans_timed_once_per_run_stay_once_per_run(tmp_path, capsys, argv):
     assert {name: count for name, count in counts.items() if count > 1} == {}
 
 
-@pytest.mark.parametrize("name, per_step", [
-    ("attitude_track", {"rigid_body.attitude_rk4": 1, "rigid_body.polar": 4}),
-    ("quad_track", {"rigid_body.quad_rk4": 1}),
-])
-def test_traced_rk4_steps_count_once_per_step(tmp_path, name, per_step):
-    # the tracer patches the module names the loops look up, so a step reached
-    # by another name (bound at import, or imported inside the loop's
-    # function) would read 0 here.  Each attitude step projects its three
-    # later stages and its result
+def _traced_counts(tmp_path, name: str, steps: int) -> Counter:
+    """Calls per span of a traced ``steps``-step ``run`` of a shipped scenario."""
     from geomech import cli
     from geomech.scenario import parse_scenario
 
     scenario = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json"
-    steps = 50
     t_final = steps * parse_scenario(scenario.read_bytes()).dt
     trace = tracer.Tracer("per-step")
     patched, _ = tracer.install(trace)
@@ -74,5 +66,32 @@ def test_traced_rk4_steps_count_once_per_step(tmp_path, name, per_step):
     counts = Counter()
     for (span, _), (count, _, _) in trace.aggregate.items():
         counts[span] += count
+    return counts
+
+
+@pytest.mark.parametrize("name, per_step", [
+    ("attitude_track", {"rigid_body.attitude_rk4": 1, "rigid_body.polar": 4}),
+    ("quad_track", {"rigid_body.quad_rk4": 1}),
+])
+def test_traced_rk4_steps_count_once_per_step(tmp_path, name, per_step):
+    # the tracer patches the module names the loops look up, so a step reached
+    # by another name (bound at import, or imported inside the loop's
+    # function) would read 0 here.  Each attitude step projects its three
+    # later stages and its result
+    steps = 50
+    counts = _traced_counts(tmp_path, name, steps)
     assert {span: counts[span] for span in per_step} == {
         span: k * steps for span, k in per_step.items()}
+
+
+def test_traced_aero_layers_count_per_step_and_per_run(tmp_path):
+    # each quad tick assembles one aero wrench from four rotors and maps the
+    # four commanded thrusts through the calibration once; the calibration
+    # itself is built once per run
+    steps = 50
+    counts = _traced_counts(tmp_path, "quad_track_aero", steps)
+    assert {span: counts[span] for span in (
+        "runner.aero_wrench", "rotor_aero.rotor_wrench", "rotor_aero.hover_calibration.lookup",
+        "rotor_aero.hover_calibration.build")} == {
+        "runner.aero_wrench": steps, "rotor_aero.rotor_wrench": 4 * steps,
+        "rotor_aero.hover_calibration.lookup": steps, "rotor_aero.hover_calibration.build": 1}
