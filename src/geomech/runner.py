@@ -50,7 +50,8 @@ from .variational import IntegratorConfig, simulate
 
 def settling_time(t, signal):
     """First time after which ``signal`` stays below 5% of its initial value
-    for the remainder of the run; ``(None, False)`` if it never settles."""
+    for the remainder of the run; ``(None, False)`` if it never settles.  A
+    signal that starts at 0 (or below) is settled at ``t[0]``, whatever follows."""
     s0 = float(signal[0])
     if s0 <= 0.0:
         return float(t[0]), True
@@ -66,6 +67,21 @@ def steady_state_value(signal) -> float:
     """Mean of the last 10% of the samples."""
     n = max(1, int(round(0.1 * len(signal))))
     return math.fsum(signal[-n:]) / n
+
+
+def _tracking_metrics(series: TimeSeries, error: str, flag: str, extras: dict) -> MetricsSummary:
+    """The summary of a tracking record: the settling time and steady state of
+    its ``error`` column, its largest ``ortho_defect``, and the kind's
+    ``extras`` with the count of its 0/1 ``flag`` column as ``<flag>_count``."""
+    signal = series.floats(error)
+    settle, settled = settling_time(series.floats("t"), signal)
+    return MetricsSummary(
+        orthogonality_defect_max=max(series.floats("ortho_defect")),
+        settling_time_5pct=settle,
+        settled=settled,
+        steady_state_error=steady_state_value(signal),
+        extras={**extras, f"{flag}_count": sum(series.floats(flag))},
+    )
 
 
 def _drifts(series: TimeSeries) -> tuple[list[float], list[float]]:
@@ -129,7 +145,7 @@ def _free_body_metrics(series: TimeSeries, energy, momentum) -> MetricsSummary:
     h0, iters = series.floats("H")[0], series.floats("newton_iters")
     # the initial row records 0 iterations and residual, so both maxima exist
     return MetricsSummary(
-        energy_drift_max_rel=max(energy) / abs(h0) if h0 != 0.0 else 0.0,
+        energy_drift_max_rel=max(energy) / abs(h0) if h0 != 0.0 else None,
         momentum_drift_max=max(momentum),
         orthogonality_defect_max=max(series.floats("ortho_defect")),
         newton_iters_mean=sum(iters[1:]) / (len(iters) - 1) if len(iters) > 1 else 0.0,
@@ -196,21 +212,10 @@ def _attitude_loop_numpy(sc: Scenario, sink) -> array:
 
 def _run_attitude_track(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSummary]:
     series = TimeSeries(_ATTITUDE_COLUMNS, _attitude_loop_numpy(sc, sink))
-    psi, storage = series.floats("psi"), series.floats("V_storage")
-    settle, settled = settling_time(series.floats("t"), psi)
-    metrics = MetricsSummary(
-        orthogonality_defect_max=max(series.floats("ortho_defect")),
-        settling_time_5pct=settle,
-        settled=settled,
-        steady_state_error=steady_state_value(psi),
-        extras={
-            "storage_max_increase": max(b - a for a, b in zip(storage, storage[1:]))
-            if len(storage) > 1
-            else 0.0,
-            "gimbal_proximity_count": sum(series.floats("gimbal_proximity")),
-        },
-    )
-    return series, metrics
+    storage = series.floats("V_storage")
+    increase = max((b - a for a, b in zip(storage, storage[1:])), default=0.0)
+    return series, _tracking_metrics(series, "psi", "gimbal_proximity",
+                                     {"storage_max_increase": increase})
 
 
 # -------------------------------------------------------- quadrotor tracking
@@ -328,19 +333,9 @@ def _run_quad_track(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSummary]:
             if sink is not None:
                 sink(_QUAD_COLUMNS, data)
     series = TimeSeries(_QUAD_COLUMNS, data)
-    e_r_norm = series.floats("e_r_norm")
-    settle, settled = settling_time(series.floats("t"), e_r_norm)
-    extras = {f"steady_abs_error_{ax}":
-              steady_state_value(list(map(abs, series.floats(f"e_r_{ax}")))) for ax in "xyz"}
-    extras["thrust_negative_count"] = sum(series.floats("thrust_negative"))
-    metrics = MetricsSummary(
-        orthogonality_defect_max=max(series.floats("ortho_defect")),
-        settling_time_5pct=settle,
-        settled=settled,
-        steady_state_error=steady_state_value(e_r_norm),
-        extras=extras,
-    )
-    return series, metrics
+    return series, _tracking_metrics(series, "e_r_norm", "thrust_negative", {
+        f"steady_abs_error_{ax}": steady_state_value(list(map(abs, series.floats(f"e_r_{ax}"))))
+        for ax in "xyz"})
 
 
 # ------------------------------------------------------ integrator compare

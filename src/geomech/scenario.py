@@ -344,7 +344,7 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
             for fld in geo_fields
         })
         # checked whether or not aero is enabled: `--aero on` can enable it later
-        if geom is not None and not geom.theta0 / 6.0 - geom.theta_tw / 8.0 > 0.0:
+        if geom is not None and not geom.blade[-1] > 0.0:  # b = theta0/6 - theta_tw/8
             aero.fail("geometry", "theta0/6 - theta_tw/8 must be > 0 "
                       "(the blades make no hover thrust at any speed)")
         scenario.aero = AeroConfig(

@@ -24,8 +24,8 @@ _CSV_BLOCK_ROWS = 256
 class TimeSeries:
     """A run's record: ``data`` holds its rows one after another as floats,
     one row per step and one column per entry of ``names``; the ``t`` column
-    is strictly increasing with constant spacing.  :attr:`table`,
-    :meth:`column` and :meth:`vector` read it back as numpy arrays."""
+    is strictly increasing with constant spacing.  :meth:`column` and
+    :meth:`vector` read it back as numpy arrays."""
 
     names: tuple[str, ...]
     data: array
@@ -36,11 +36,6 @@ class TimeSeries:
     def floats(self, name: str) -> array:
         """The named column as floats."""
         return self.data[self.names.index(name)::len(self.names)]
-
-    @property
-    def table(self):
-        import numpy as np
-        return np.array(self.data).reshape(len(self), len(self.names))
 
     @property
     def t(self):

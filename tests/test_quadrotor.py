@@ -14,6 +14,7 @@ from geomech.attitude_control import (
 )
 from geomech.errors import (
     DegenerateHeadingError,
+    DivergenceError,
     ScenarioValidationError,
     ZeroForceError,
 )
@@ -56,6 +57,18 @@ def test_position_gains_validation():
     PositionGains()
     with pytest.raises(ScenarioValidationError):
         PositionGains(B=np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("field, value", [("mass", 0.0), ("g", -1.0)])
+def test_vehicle_params_refuse_a_non_positive_mass_or_gravity(field, value):
+    with pytest.raises(ScenarioValidationError) as info:
+        dataclasses.replace(params(), **{field: value})
+    assert info.value.violations == [(field, "must be > 0")]
+
+
+def test_attitude_kernel_overflow_raises_divergence():
+    with pytest.raises(DivergenceError, match="^state diverged: overflow in the force command$"):
+        _attitude_kernel((1e308,) * 3, (1.0, 0.0, 0.0))
 
 
 def test_velocity_target():

@@ -87,3 +87,10 @@ def test_circle_reference_derivative_chain():
 def test_trajectory_reference_validates_heading():
     with pytest.raises(ScenarioValidationError):
         TrajectoryReference(np.zeros(3), np.zeros(3), np.zeros(3), np.array([2.0, 0.0, 0.0]))
+
+
+def test_trajectory_reference_refuses_a_nan_position():
+    with pytest.raises(ScenarioValidationError) as info:
+        TrajectoryReference(np.array([np.nan, 0.0, 0.0]), np.zeros(3), np.zeros(3),
+                            np.array([1.0, 0.0, 0.0]))
+    assert info.value.violations == [("r_d", "must be a finite 3-vector")]

@@ -1013,6 +1013,54 @@ def test_cli_compare_at_rest_reports_null_relative_drifts(tmp_path, capsys):
     assert doc["rk4_momentum_drift_max"] == 0.0
 
 
+@pytest.mark.parametrize("moment", [None, [0.3, -0.2, 0.1]], ids=["free", "forced"])
+def test_vi_relative_energy_drift_is_null_for_a_body_at_rest(moment):
+    doc = json.loads(open("scenarios/free_body.json").read())
+    doc.update(t_final=1.0, initial={"T": None, "omega": [0.0, 0.0, 0.0]})
+    if moment is not None:
+        doc["moment"] = moment
+    sc = parse_scenario(json.dumps(doc).encode())
+    for kind in ("free_body", "integrator_compare"):
+        metrics = run(dataclasses.replace(sc, kind=kind))[1]
+        assert metrics.energy_drift_max_rel is None
+        assert json.loads(metrics_to_json_bytes(metrics))["energy_drift_max_rel"] is None
+    # the forced body gains energy from H_0 = 0, which no relative drift can state
+    assert (metrics.extras["rk4_energy_drift_max_abs"] > 0.0) == (moment is not None)
+
+
+_SUMMARY_KEYS = {"energy_drift_max_rel", "momentum_drift_max", "orthogonality_defect_max",
+                 "settling_time_5pct", "settled", "steady_state_error", "newton_iters_mean"}
+_QUAD_KEYS = {"steady_abs_error_x", "steady_abs_error_y", "steady_abs_error_z",
+              "thrust_negative_count"}
+
+
+@pytest.mark.parametrize("command, name, flags, extras", [
+    ("run", "free_body", [], {"newton_iters_max", "residual_max"}),
+    ("run", "attitude_track", ["--dt", "1e-3"], {"storage_max_increase", "gimbal_proximity_count"}),
+    ("run", "quad_track", [], _QUAD_KEYS),
+    ("run", "quad_track", ["--aero", "on"], _QUAD_KEYS),
+    ("compare", "integrator_compare", [], {
+        "newton_iters_max", "residual_max", "rk4_energy_drift_end_rel", "rk4_energy_drift_max_rel",
+        "rk4_energy_drift_max_abs", "rk4_momentum_drift_max", "rk4_orthogonality_defect_max"}),
+], ids=["free_body", "attitude_track", "quad_track", "quad_track_aero_on", "integrator_compare"])
+def test_metrics_json_keys_are_fixed_per_kind(tmp_path, command, name, flags, extras):
+    assert main([command, f"scenarios/{name}.json", "--out-dir", str(tmp_path),
+                 "--t-final", "0.02", *flags]) == 0
+    suffix = "_compare" if command == "compare" else ""
+    doc = json.loads((tmp_path / f"{name}{suffix}.metrics.json").read_bytes())
+    assert set(doc) == _SUMMARY_KEYS | extras
+
+
+def test_gimbal_proximity_count_counts_every_row_at_constant_pitch_pi_over_2():
+    doc = json.loads(open("scenarios/attitude_track.json").read())
+    doc["reference"]["pitch"] = [math.pi / 2, 0.0, 0.0]
+    series, metrics = run(parse_scenario(json.dumps(doc).encode(),
+                                         {"dt": 1e-3, "t_final": 0.01}))
+    assert len(series) == 11
+    assert series.floats("gimbal_proximity").tolist() == [1.0] * 11
+    assert metrics.extras["gimbal_proximity_count"] == 11.0
+
+
 def test_vi_metrics_carry_solver_health_and_absolute_rk4_drift(tmp_path):
     vi, free = run(load("free_body", t_final=1.0))
     series, metrics = run(load("integrator_compare", t_final=1.0))

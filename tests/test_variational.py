@@ -243,6 +243,13 @@ def test_vi_step_no_convergence_when_starved():
         vi_step(np.eye(3), np.array([1.0, 1.0, 1.0]), np.array([5.0, 0.0, 0.0]), J321, cfg)
 
 
+def test_vi_step_singular_jacobian_raises_no_convergence():
+    # at this scale the Newton Jacobian's determinant overflows to inf
+    huge = InertiaTensor.from_diag(1e300, 2e300, 2.5e300)
+    with pytest.raises(NoConvergenceError, match="^singular Newton Jacobian at iter 0$"):
+        vi_step(np.eye(3), np.array([1.0, 0.5, 0.2]), None, huge, IntegratorConfig(dt=0.01))
+
+
 def test_free_chord_step_matches_covector_route(rng):
     # an identically zero moment takes the same Newton solve as None and
     # adds an exact zero force, so both give bit-identical steps

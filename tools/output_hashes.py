@@ -10,10 +10,14 @@ every BLAS/OpenMP pool on one thread, the CLI runs the five shipped scenarios
 at full length (``compare`` on ``integrator_compare``, ``run`` on the others)
 and draws 0-2 of seed 60 of each benchmark workload, with the workload's
 command (``perfbench/workloads.py``).  ``compare`` also runs 2,000 steps of
-the shipped compare scenario on a body at rest (``H_0 = 0``, so the RK4
-relative drifts are null) and on one under a constant ``moment``.  It prints one ``sha256  side  file`` line
-per output file and side, then exits 1 naming each file whose bytes differ
-(or that one side did not write), or 0 when every file is identical.
+the shipped compare scenario on a body at rest (``H_0 = 0``, so the relative
+drifts are null) and on one under a constant ``moment``.  ``run`` also runs
+100 steps of each shipped ``run`` scenario, short enough that the CSV is
+written in-process rather than streamed, and ``run`` and ``compare`` both run
+100 steps of the free body forced from rest.  It prints one ``sha256  side
+file`` line per output file and side, then exits 1 naming each file whose
+bytes differ (or that one side did not write), or 0 when every file is
+identical.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ COMPARE_CASES = {
     "compare_at_rest": {"initial": {"T": None, "omega": [0.0, 0.0, 0.0]}},
     "compare_forced": {"moment": [0.3, -0.2, 0.1]},
 }
+SHORT_STEPS = 100  # below the streamed run's one block of rows
+# the fields of the shipped free-body scenario that the run and compare from rest replace
+FORCED_AT_REST = {"initial": {"T": None, "omega": [0.0, 0.0, 0.0]},
+                  "moment": [0.3, -0.2, 0.1]}
 
 
 def _outputs(side: Path, runs: list[tuple[str, Path]], out: Path) -> dict[str, str]:
@@ -65,17 +73,27 @@ def main() -> int:
         export_commit(sha, parent)
         runs = [("compare" if path.stem == "integrator_compare" else "run", path.resolve())
                 for path in sorted((root / "scenarios").glob("*.json"))]
+
+        def write(name: str, doc: dict, steps: int) -> Path:
+            path = tmp / f"{name}.json"
+            path.write_text(json.dumps({**doc, "t_final": steps * doc["dt"]}))
+            return path
+
+        def shipped(stem: str) -> dict:
+            return json.loads((root / "scenarios" / f"{stem}.json").read_bytes())
+
+        runs += [("run", write(f"short_{path.stem}", shipped(path.stem), SHORT_STEPS))
+                 for command, path in runs if command == "run"]
+        forced = write("forced_at_rest", {**shipped("free_body"), **FORCED_AT_REST}, SHORT_STEPS)
+        runs += [("run", forced), ("compare", forced)]
         for name, workload in WORKLOADS.items():
             for k in range(DRAWS):
                 path = tmp / f"{name}-{k}.json"
                 path.write_bytes(workload.scenario_bytes(SEED, k))
                 runs.append((workload.command, path))
-        base = json.loads((root / "scenarios" / "integrator_compare.json").read_bytes())
-        base["t_final"] = COMPARE_STEPS * base["dt"]
         for name, fields in COMPARE_CASES.items():
-            path = tmp / f"{name}.json"
-            path.write_text(json.dumps({**base, **fields}))
-            runs.append(("compare", path))
+            runs.append(("compare", write(name, {**shipped("integrator_compare"), **fields},
+                                          COMPARE_STEPS)))
         hashes = {side: _outputs(tree, runs, tmp / f"out_{side}")
                   for side, tree in (("parent", parent), ("change", root))}
     finally:
