@@ -184,8 +184,7 @@ def rotor_wrench(
             f"induced-velocity solve failed to converge (V={v_horiz!r}, "
             f"z_dot={z_dot!r}, tip speed={tip!r}, last load {load!r})"
         )
-    loading = load / two_rho_a
-    lam = (math.sqrt(half_v2 + math.sqrt(half_v4 + loading**2)) - z_dot) / tip
+    lam = (induced_velocity(geom, rho, v_horiz, load) - z_dot) / tip
     c_t, c_h, c_q, c_r = _coefficients(blade, lam, mu)
     return c_t * pressure, c_h * pressure, c_q * pressure * radius, c_r * pressure * radius
 

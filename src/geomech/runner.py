@@ -18,7 +18,6 @@ Scenario kinds
 
 from __future__ import annotations
 
-import contextlib
 import math
 from array import array
 
@@ -44,7 +43,7 @@ from .rotor_aero import (
     torque_coefficient,
 )
 from .scenario import Scenario
-from .timeseries import _CSV_BLOCK_ROWS, MetricsSummary, TimeSeries, _forked
+from .timeseries import _CSV_BLOCK_ROWS, MetricsSummary, TimeSeries
 from .variational import IntegratorConfig, simulate
 
 
@@ -118,7 +117,7 @@ def run(scenario: Scenario, sink=None) -> tuple[TimeSeries, MetricsSummary]:
         raise
     except MemoryError:
         raise SolverError("outside the step loop: out of memory") from None
-    except (ArithmeticError, ValueError, GeomechError, ChildProcessError) as exc:
+    except (ArithmeticError, ValueError, GeomechError) as exc:
         raise SolverError(f"outside the step loop: {exc}") from None
     if not math.isfinite(sum(series.data)):  # a finite sum has no inf or nan term
         bad = [name for name in series.names if not all(map(math.isfinite, series.floats(name)))]
@@ -345,24 +344,19 @@ def _run_integrator_compare(sc: Scenario, sink) -> tuple[TimeSeries, MetricsSumm
     dt, jj, jinv, n = sc.dt, sc.inertia.j_rows, sc.inertia.j_inv_rows, sc.steps
     moment = (0.0, 0.0, 0.0) if sc.moment is None else tuple(map(float, sc.moment))
 
-    def rk4_rows():  # H, Pi and the orthogonality defect of each step, on floats
-        rates = lambda a, s, v: _rates(s, v, moment, jj, jinv)  # noqa: E731
-        rows, t_mat, w = array("d"), sc.initial.t_rows, sc.initial.omega_rows
-        try:
-            for k in range(n + 1):
-                rows.extend((*_energy_momentum(t_mat, w, jj), _ortho_defect(t_mat)))
-                if k < n:
-                    t_mat, w = _attitude_rk4_core(t_mat, w, rates, dt, rates(0.0, t_mat, w))
-        except _STEP_ERRORS as exc:
-            raise _step_failure(exc, k, dt) from None
-        return rows
-
-    # the RK4 half runs in a child, on the other core, while the VI runs here;
-    # a VI failure still comes first.  With no step to run, no child starts
-    child = _forked(rk4_rows) if n else contextlib.nullcontext(rk4_rows)
-    with child as rk4_result:
-        vi = simulate(sc.initial, sc.inertia, sc.moment, _vi_config(sc), sc.t_final)
-        rk4 = TimeSeries(("H", "Pi_x", "Pi_y", "Pi_z", "ortho_defect"), rk4_result())
+    # the VI half first, so that its failure is the one reported; then the RK4
+    # half's H, Pi and orthogonality defect of each step, on floats
+    vi = simulate(sc.initial, sc.inertia, sc.moment, _vi_config(sc), sc.t_final)
+    rates = lambda a, s, v: _rates(s, v, moment, jj, jinv)  # noqa: E731
+    rows, t_mat, w = array("d"), sc.initial.t_rows, sc.initial.omega_rows
+    try:
+        for k in range(n + 1):
+            rows.extend((*_energy_momentum(t_mat, w, jj), _ortho_defect(t_mat)))
+            if k < n:
+                t_mat, w = _attitude_rk4_core(t_mat, w, rates, dt, rates(0.0, t_mat, w))
+    except _STEP_ERRORS as exc:
+        raise _step_failure(exc, k, dt) from None
+    rk4 = TimeSeries(("H", "Pi_x", "Pi_y", "Pi_z", "ortho_defect"), rows)
     (vi_energy, vi_momentum), (rk4_energy, rk4_momentum) = _drifts(vi), _drifts(rk4)
     ortho_rk4, data = rk4.floats("ortho_defect"), array("d")
     for row in zip(vi.floats("t"), vi.floats("H"), rk4.floats("H"), vi_momentum, rk4_momentum,

@@ -104,10 +104,11 @@ def _temp(path: Path) -> Path:
 
 @contextlib.contextmanager
 def _forked(fn):
-    """Run ``fn()`` in a forked child while the ``with`` body runs; the body
-    gets ``result()``, the child's value or its exception re-raised, or a
-    ``ChildProcessError`` if the child ended without sending either.
-    Leaving the block kills the child if it still runs, and always reaps it."""
+    """Run ``fn()`` in a forked child while the ``with`` body runs (the
+    encode of :func:`csv_writer`'s writer child); the body gets ``result()``,
+    the child's value or its exception re-raised, or a ``ChildProcessError``
+    if the child ended without sending either.  Leaving the block kills the
+    child if it still runs, and always reaps it."""
     import signal  # here, so that a run which starts no child does not load it
     r, w = os.pipe()
     pid = os.fork()

@@ -633,23 +633,22 @@ def test_cli_vi_blowup_exits_3_with_one_line(tmp_path, capsys, command, omega, m
 
 
 def _fail_rk4_at_step_3(monkeypatch):
-    # compare forks its RK4 half after the patch, so each child counts its own
-    # calls from 0 and fails at step 3
+    # each run's RK4 half fails at step 3: the count starts again after a failure
     core, calls = runner._attitude_rk4_core, []
 
     def failing(*args):
         calls.append(args)
         if len(calls) == 4:
+            calls.clear()
             raise DivergenceError("state diverged: injected")
         return core(*args)
 
     monkeypatch.setattr(runner, "_attitude_rk4_core", failing)
 
 
-def test_cli_compare_rk4_failure_in_the_child_exits_3_with_one_line(tmp_path, capsys,
-                                                                    monkeypatch):
-    # the VI half succeeds; the RK4 half's step failure reaches the parent
-    # with its class and the step it names, and no output is written
+def test_cli_compare_rk4_failure_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # the VI half succeeds; the RK4 half's step failure is raised with its
+    # class and the step it names, and no output is written
     _fail_rk4_at_step_3(monkeypatch)
     with pytest.raises(DivergenceError, match=r"^step 3 \(t=0\.03\): state diverged: injected$"):
         run(load("integrator_compare", t_final=0.1))
@@ -666,8 +665,7 @@ def test_cli_compare_rk4_failure_in_the_child_exits_3_with_one_line(tmp_path, ca
 
 
 def test_cli_compare_leaves_no_child_process(tmp_path, monkeypatch):
-    # a success, a VI failure (the parent kills the running child) and an RK4
-    # failure (the child's error is sent back): each reaps its child
+    # a success, a VI failure and an RK4 failure: none leaves a child behind
     omega, _ = _VI_BLOWUPS[0]
     doc = json.loads(open("scenarios/free_body.json", "rb").read())
     scale = max(map(abs, omega))
@@ -767,24 +765,6 @@ def test_writer_child_killed_before_its_result_exits_2(tmp_path, capsys, monkeyp
                  str(_STREAMED["attitude_track"]), "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: cannot write outputs: the child process ended without its result"]
-    assert list(tmp_path.iterdir()) == []
-    _nothing_left(out_dir)
-
-
-def test_cli_compare_rk4_child_killed_before_its_result_exits_3(tmp_path, capsys, monkeypatch):
-    # the RK4 child dies in its first step; the VI half in the parent succeeds
-    core, parent = runner._attitude_rk4_core, os.getpid()
-
-    def killed(*args):
-        _killed_in_a_child(parent)
-        return core(*args)
-
-    monkeypatch.setattr(runner, "_attitude_rk4_core", killed)
-    out_dir = tmp_path / "new" / "out"
-    assert main(["compare", "scenarios/integrator_compare.json", "--t-final", "0.1",
-                 "--out-dir", str(out_dir)]) == 3
-    assert capsys.readouterr().err.splitlines() == [
-        "solver failure: outside the step loop: the child process ended without its result"]
     assert list(tmp_path.iterdir()) == []
     _nothing_left(out_dir)
 
@@ -893,10 +873,10 @@ def test_writer_forks_before_numpy_loads_and_a_streamed_quad_run_is_quiet(tmp_pa
     assert json.loads(out.stdout.splitlines()[-1]) == [0, [False], True]
 
 
-def test_run_of_an_integrator_compare_forks_only_its_rk4_child(tmp_path):
+def test_run_of_an_integrator_compare_forks_no_child(tmp_path):
     # integrator_compare's rows exist only once its two halves join, so `run`
-    # on such a document streams nothing: it forks the RK4 child and no writer,
-    # and writes the bytes that `compare` writes
+    # on such a document streams nothing: both halves run in this process, no
+    # writer is forked, and it writes the bytes that `compare` writes
     script = (
         "import json, os, sys\n"
         "from geomech import cli\n"
@@ -909,7 +889,7 @@ def test_run_of_an_integrator_compare_forks_only_its_rk4_child(tmp_path):
     args = ["scenarios/integrator_compare.json", "--t-final", "5", "--out-dir", str(tmp_path)]
     out = subprocess.run([sys.executable, "-c", script, "run", *args],
                          env=env, capture_output=True, text=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == [0, 1]
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, 0]
     assert main(["compare", *args]) == 0
     for ext in ("csv", "metrics.json"):
         assert ((tmp_path / f"integrator_compare.{ext}").read_bytes()

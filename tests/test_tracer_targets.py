@@ -72,12 +72,13 @@ def _traced_counts(tmp_path, name: str, steps: int) -> Counter:
 @pytest.mark.parametrize("name, per_step", [
     ("attitude_track", {"rigid_body.attitude_rk4": 1, "rigid_body.polar": 4}),
     ("quad_track", {"rigid_body.quad_rk4": 1}),
+    ("integrator_compare", {"rigid_body.attitude_rk4": 1, "rigid_body.polar": 4}),
 ])
 def test_traced_rk4_steps_count_once_per_step(tmp_path, name, per_step):
     # the tracer patches the module names the loops look up, so a step reached
     # by another name (bound at import, or imported inside the loop's
-    # function) would read 0 here.  Each attitude step projects its three
-    # later stages and its result
+    # function) would read 0 here.  Each attitude step, of the attitude loop
+    # or of compare's RK4 half, projects its three later stages and its result
     steps = 50
     counts = _traced_counts(tmp_path, name, steps)
     assert {span: counts[span] for span in per_step} == {
