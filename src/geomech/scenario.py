@@ -6,8 +6,9 @@ A scenario is a JSON object with a ``kind`` discriminator
 quantities are SI with angles in radians.  Matrices may be given as a
 scalar (multiple of the identity), a 3-list (diagonal), or a full 3x3
 nested list.  Every value is a finite JSON number (or list of them), and
-``null`` means the default for every field.  Parsing validates every field
-and reports *all* violations at once.
+``null`` means the default for every field.  Parsing validates every field,
+refuses every key the kind does not read, at any depth, and reports *all*
+violations at once.
 """
 
 from __future__ import annotations
@@ -121,24 +122,37 @@ class _Fields:
     ``path`` is the dotted prefix of the object's fields (``""``,
     ``"aero.geometry."``).  A reader appends ``(path + key, message)`` to
     the shared ``violations`` list and returns ``None`` for a bad value; a
-    missing key and ``null`` both give the default.
+    missing key and ``null`` both give the default.  Each object records the
+    keys its readers read; ``opened`` is the shared list of every object
+    opened, for :meth:`refuse_unread`.
     """
 
-    def __init__(self, obj: dict, path: str, violations: list[tuple[str, str]]):
+    def __init__(self, obj: dict, path: str, violations: list[tuple[str, str]], opened: list):
         self.obj, self.path, self.violations = obj, path, violations
+        self.opened, self.read = opened, set()
+        opened.append(self)
 
     def fail(self, key: str, message: str) -> None:
         self.violations.append((self.path + key, message))
 
+    def get(self, key: str):
+        self.read.add(key)
+        return self.obj.get(key)
+
+    def refuse_unread(self) -> None:
+        """An ``unknown field`` violation for each key that no reader read."""
+        self.violations.extend((node.path + key, "unknown field") for node in self.opened
+                               for key in node.obj if key not in node.read)
+
     def section(self, key: str) -> "_Fields":
-        value = self.obj.get(key)
+        value = self.get(key)
         if value is not None and not isinstance(value, dict):
             self.fail(key, "must be an object")
             value = None
-        return _Fields(value or {}, f"{self.path}{key}.", self.violations)
+        return _Fields(value or {}, f"{self.path}{key}.", self.violations, self.opened)
 
     def number(self, key, default, *, positive=False, minimum=None, maximum=None, integer=False):
-        value = self.obj.get(key)
+        value = self.get(key)
         if value is None:
             return default
         if not _is_number(value):
@@ -158,7 +172,7 @@ class _Fields:
 
     def choice(self, key, default, options):
         """One of ``options``, which share the type of ``default``."""
-        value = self.obj.get(key)
+        value = self.get(key)
         if value is None:
             return default
         if type(value) is type(default) and value in options:
@@ -170,7 +184,7 @@ class _Fields:
         as 9 row-major floats, given in full, as a diagonal 3-list, or as a
         scalar multiple of the identity.  With ``bound``, every entry must
         lie in ``[-bound, bound]``."""
-        value = self.obj.get(key)
+        value = self.get(key)
         if value is None:
             return default
         shape, arr = _finite_array(value) or (None, None)
@@ -186,7 +200,7 @@ class _Fields:
 
     def polynomial(self, key) -> AnglePolynomial | None:
         """Coefficients ``[a0, a1, a2]`` of an angle signal, trailing ones optional."""
-        value = self.obj.get(key)
+        value = self.get(key)
         if value is None:
             return AnglePolynomial()
         shape, arr = _finite_array(value) or (None, None)
@@ -253,12 +267,11 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
         if isinstance(node, dict):  # else the reader refuses the section itself
             node[key] = value
 
-    kind = doc.get("kind")
+    violations: list[tuple[str, str]] = []
+    root = _Fields(doc, "", violations, [])
+    kind = root.get("kind")
     if kind not in KINDS:
         raise ScenarioValidationError([("kind", f"must be one of {KINDS}, got {kind!r}")])
-
-    violations: list[tuple[str, str]] = []
-    root = _Fields(doc, "", violations)
     default_dt, default_t_final = _DEFAULT_TIMING[kind]
     dt = root.number("dt", default_dt, positive=True)
     t_final = root.number("t_final", default_t_final, minimum=0.0)
@@ -269,13 +282,14 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
             root.fail("t_final", too_many)
 
     scenario = Scenario(kind=kind, dt=dt, t_final=t_final)
-    integ = root.section("integrator")
-    scenario.newton_tol = integ.number("newton_tol", 1e-12, positive=True)
-    scenario.max_iters = integ.number("max_iters", 50, minimum=1, integer=True)
-    scenario.step_measure = integ.choice("step_measure", "chord", ("chord", "arc"))
     initial = root.section("initial")
 
     if kind in ("free_body", "integrator_compare", "attitude_track"):
+        # `compare` runs the variational integrator on each rigid-body kind
+        integ = root.section("integrator")
+        scenario.newton_tol = integ.number("newton_tol", 1e-12, positive=True)
+        scenario.max_iters = integ.number("max_iters", 50, minimum=1, integer=True)
+        scenario.step_measure = integ.choice("step_measure", "chord", ("chord", "arc"))
         scenario.inertia = root.build(InertiaTensor, j=root.array("inertia", _EYE, matrix=True))
         scenario.initial = initial.build(
             RigidBodyState,
@@ -335,13 +349,10 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
         )
         aero = root.section("aero")
         geo = aero.section("geometry")
-        geo_fields = fields(RotorGeometry)
-        for key in sorted(set(geo.obj) - {fld.name for fld in geo_fields}):
-            geo.fail(key, "unknown field")
         geom = geo.build(RotorGeometry, **{
             fld.name: geo.number(fld.name, fld.default, integer=isinstance(fld.default, int),
                                  **_GEOMETRY_ENVELOPES.get(fld.name, {}))
-            for fld in geo_fields
+            for fld in fields(RotorGeometry)
         })
         # checked whether or not aero is enabled: `--aero on` can enable it later
         if geom is not None and not geom.blade[-1] > 0.0:  # b = theta0/6 - theta_tw/8
@@ -352,15 +363,14 @@ def parse_scenario(text: bytes | str, overrides: dict | None = None) -> Scenario
             rho=aero.number("rho", 1.225, minimum=1e-3, maximum=1e2),
             geometry=geom,
         )
-    elif doc.get("aero") is not None:
+    elif (aero := root.get("aero")) is not None:
         # only the quadrotor has rotors: refuse `--aero` or an aero section
         # instead of running without it
         msg = f"kind {kind!r} has no rotors; only quad_track reads aero"
-        if isinstance(doc["aero"], dict) and set(doc["aero"]) == {"enabled"}:
-            root.section("aero").fail("enabled", msg)
-        else:
-            root.fail("aero", msg)
+        root.fail("aero.enabled" if isinstance(aero, dict) and set(aero) == {"enabled"}
+                  else "aero", msg)
 
+    root.refuse_unread()
     if violations:
         raise ScenarioValidationError(violations)
     return scenario

@@ -10,7 +10,6 @@ import contextlib
 import json
 import math
 import os
-import pickle
 from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -102,84 +101,76 @@ def _temp(path: Path) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
 
-@contextlib.contextmanager
-def _forked(fn):
-    """Run ``fn()`` in a forked child while the ``with`` body runs (the
-    encode of :func:`csv_writer`'s writer child); the body gets ``result()``,
-    the child's value or its exception re-raised, or a ``ChildProcessError``
-    if the child ended without sending either.  Leaving the block kills the
-    child if it still runs, and always reaps it."""
-    import signal  # here, so that a run which starts no child does not load it
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # never returns into the caller's stack, writes nothing to stdio
-        try:
-            try:
-                out = fn(), None
-            except BaseException as exc:  # re-raised by the parent
-                out = None, exc
-            with open(w, "wb") as pipe:
-                pickle.dump(out, pipe)
-        finally:
-            os._exit(0)
-    os.close(w)
-    with open(r, "rb") as pipe:
-        def result():
-            try:
-                value, exc = pickle.load(pipe)  # the whole pipe, before the child is reaped
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError("the child process ended without its result") from None
-            if exc is not None:
-                raise exc
-            return value
-        try:
-            yield result
-        finally:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 class _CsvStream:
     """The run's end of a writer child (:func:`csv_writer`): a call sends the
-    column names once, then the rows of the record that were not sent yet."""
+    CSV header line once, then the rows of the record that were not sent yet."""
 
-    def __init__(self, pipe, result):
-        self.pipe, self.result, self.sent = pipe, result, None
+    def __init__(self, pipe, verdict):
+        self.pipe, self.verdict, self.sent = pipe, verdict, None
 
     def __call__(self, names, data: array) -> None:
         if self.sent is None:
-            pickle.dump(tuple(names), self.pipe)
+            self.pipe.write((",".join(names) + "\n").encode("ascii"))
         self.pipe.write(data[self.sent or 0:])
         self.pipe.flush()  # so a dead child's pipe is never written on close
         self.sent = len(data)
+
+    def result(self) -> None:
+        """Close the rows pipe and wait for the child's verdict: re-raise its
+        failure, or raise ``ChildProcessError`` if it ended without one."""
+        import pickle
+        self.pipe.close()
+        try:
+            exc = pickle.load(self.verdict)  # the whole pipe, before the child is reaped
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError("the child process ended without its result") from None
+        if exc is not None:
+            raise exc
 
 
 @contextlib.contextmanager
 def csv_writer(csv_path):
     """A forked child that encodes a record into the temporary CSV file of
     ``csv_path`` while the run goes on; the body gets the ``_CsvStream`` that
-    feeds it, for :func:`write_outputs` to finish.  Leaving the block reaps
-    the child and removes the temporary file unless it was renamed."""
-    tmp, (r, w) = _temp(Path(csv_path)), os.pipe()
-    with open(r, "rb") as source, open(w, "wb") as pipe, open(tmp, "wb") as out:
-        def encode():  # the child
-            pipe.close()
+    feeds it, for :func:`write_outputs` to finish.  The child reads the
+    column names from the header line, encodes the rows that follow until the
+    pipe closes, and pickles one verdict: ``None`` or its exception.  Leaving
+    the block kills the child if it still runs, reaps it and removes the
+    temporary file unless it was renamed."""
+    import pickle  # here, so that a run which starts no child loads neither
+    import signal
+    tmp, (r, w), (verdict_r, verdict_w) = _temp(Path(csv_path)), os.pipe(), os.pipe()
+    try:
+        with open(r, "rb") as source, open(w, "wb") as pipe, open(verdict_r, "rb") as verdict, \
+                open(verdict_w, "wb") as answer, open(tmp, "wb") as out:
+            pid = os.fork()
+            if pid == 0:  # never returns into the caller's stack, writes nothing to stdio
+                try:
+                    pipe.close()
+                    exc = None
+                    try:
+                        names = source.readline().decode("ascii")[:-1].split(",")
+                        size = 8 * len(names) * _CSV_BLOCK_ROWS
+                        out.writelines(_csv_chunks(names, iter(
+                            lambda: array("d", source.read(size)), array("d"))))
+                        out.flush()
+                    except BaseException as error:  # re-raised by the parent
+                        exc = error
+                    while source.read(1 << 16):  # a failed encode still drains the pipe,
+                        pass                     # so the run never meets it closed
+                    pickle.dump(exc, answer)
+                    answer.close()
+                finally:
+                    os._exit(0)
+            source.close()
+            answer.close()
             try:
-                names = pickle.load(source)
-                size = 8 * len(names) * _CSV_BLOCK_ROWS
-                out.writelines(_csv_chunks(names, iter(lambda: array("d", source.read(size)),
-                                                       array("d"))))
-                out.flush()
-            finally:  # a failed encode still drains the pipe, so the run never meets it closed
-                while source.read(1 << 16):
-                    pass
-
-        try:
-            with _forked(encode) as result:
-                source.close()
-                yield _CsvStream(pipe, result)
-        finally:
-            tmp.unlink(missing_ok=True)
+                yield _CsvStream(pipe, verdict)
+            finally:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_outputs(series: TimeSeries, metrics: MetricsSummary, csv_path, metrics_path,
@@ -200,7 +191,6 @@ def write_outputs(series: TimeSeries, metrics: MetricsSummary, csv_path, metrics
                 out.writelines(_csv_chunks(series.names, [series.data]))
         else:  # the last rows, then the wait for the child to write them
             stream(series.names, series.data)
-            stream.pipe.close()
             stream.result()
         metrics_tmp.write_bytes(metrics_bytes)
         for tmp, path in zip(temps, targets):

@@ -858,10 +858,10 @@ def test_writer_forks_before_numpy_loads_and_a_streamed_quad_run_is_quiet(tmp_pa
     # the quad run loads numpy (and its BLAS threads) only after the writer
     # child is forked, and nothing reaches stderr
     script = (
-        "import json, sys\n"
-        "from geomech import cli, timeseries\n"
-        "forked, at_fork = timeseries._forked, []\n"
-        "timeseries._forked = lambda fn: at_fork.append('numpy' in sys.modules) or forked(fn)\n"
+        "import json, os, sys\n"
+        "from geomech import cli\n"
+        "fork, at_fork = os.fork, []\n"
+        "os.fork = lambda: at_fork.append('numpy' in sys.modules) or fork()\n"
         "code = cli.main(sys.argv[1:])\n"
         "print(json.dumps([code, at_fork, 'numpy' in sys.modules]))\n"
     )
@@ -1189,22 +1189,24 @@ def test_cli_quad_overrides_end_cleanly(dt, steps, bad, aero, name):
         assert files == []
 
 
-@pytest.mark.parametrize("argvs, loads_numpy", [
-    ([], False),
-    ([["validate", f"scenarios/{name}.json"] for name in _SHIPPED], False),
-    ([["run", "scenarios/free_body.json", "--t-final", "0.1"]], False),
-    ([["run", "scenarios/attitude_track.json", "--t-final", "0.01"]], False),
-    ([["compare", "scenarios/integrator_compare.json", "--t-final", "0.1"]], False),
-    ([["run", "scenarios/quad_track_aero.json", "--t-final", "0.01"]], True),
-    ([["run", "FAST_SPIN"]], False),
+@pytest.mark.parametrize("argvs, loads_numpy, loads_pickle", [
+    ([], False, False),
+    ([["validate", f"scenarios/{name}.json"] for name in _SHIPPED], False, False),
+    ([["run", "scenarios/free_body.json", "--t-final", "0.1"]], False, False),
+    ([["run", "scenarios/attitude_track.json", "--t-final", "0.01"]], False, False),
+    ([["compare", "scenarios/integrator_compare.json", "--t-final", "0.1"]], False, False),
+    ([["run", "scenarios/quad_track_aero.json", "--t-final", "0.01"]], True, True),
+    ([["run", "FAST_SPIN"]], False, False),
+    ([["run", "scenarios/attitude_track.json", "--t-final", "0.04"]], False, True),
 ], ids=["import", "validate", "free_body", "attitude_track", "compare", "quad_track_aero",
-        "attitude_track_far_polar"])
-def test_rigid_body_runs_load_no_numpy(tmp_path, argvs, loads_numpy):
+        "attitude_track_far_polar", "attitude_track_streamed"])
+def test_rigid_body_runs_load_no_numpy(tmp_path, argvs, loads_numpy, loads_pickle):
     # `import geomech`, then geomech.cli.main on each command line, in a fresh
     # interpreter: validate and the rigid-body kinds never load numpy; the
     # quadrotor tick's one numpy product still does.  FAST_SPIN is
     # attitude_track at dt 0.01 from omega (3, 3, 3): 40 of its polar factors
-    # start outside the Newton-Schulz range (scaled Newton steps first)
+    # start outside the Newton-Schulz range (scaled Newton steps first).
+    # pickle loads only for the writer child's verdict, or with numpy
     doc = json.loads(Path("scenarios/attitude_track.json").read_text())
     doc.update(dt=0.01, t_final=0.2)
     doc["initial"]["omega"] = [3.0, 3.0, 3.0]
@@ -1217,11 +1219,12 @@ def test_rigid_body_runs_load_no_numpy(tmp_path, argvs, loads_numpy):
         "import json, sys\n"
         "import geomech\n"
         f"codes = [__import__('geomech.cli').cli.main(argv) for argv in {argvs!r}]\n"
-        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules, 'pickle' in sys.modules]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
-    codes, numpy_loaded = json.loads(out.stdout.splitlines()[-1])
+    codes, numpy_loaded, pickle_loaded = json.loads(out.stdout.splitlines()[-1])
     assert codes == [0] * len(argvs)
     assert numpy_loaded is loads_numpy
+    assert pickle_loaded is loads_pickle

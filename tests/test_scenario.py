@@ -248,21 +248,22 @@ def test_cli_missing_file_is_one_error_line(tmp_path, capsys):
     assert line.startswith(f"error: cannot read {target}: ")
 
 
+def _key_paths(node, prefix=""):
+    """Every dotted key path of a document but ``kind``, at any depth."""
+    for key, value in node.items():
+        if key != "kind":
+            yield prefix + key
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{prefix}{key}.")
+
+
 @pytest.mark.parametrize("name", ["attitude_track", "free_body", "integrator_compare",
                                   "quad_track", "quad_track_aero"])
 def test_null_means_the_default_for_every_field(name):
     # a shipped scenario with any one field or section set to null parses
     # exactly as with that key left out
     doc = json.loads(open(f"scenarios/{name}.json", "rb").read())
-
-    def paths(node, prefix=""):
-        for key, value in node.items():
-            if key != "kind":
-                yield prefix + key
-            if isinstance(value, dict):
-                yield from paths(value, f"{prefix}{key}.")
-
-    for path in paths(doc):
+    for path in _key_paths(doc):
         *head, last = path.split(".")
         nulled, dropped = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
         _set(nulled, path, None)
@@ -274,19 +275,25 @@ def test_null_means_the_default_for_every_field(name):
             parse_scenario(json.dumps(dropped))), path
 
 
-def test_outputs_are_always_named_after_the_stem(tmp_path):
-    # former `csv_name` / `metrics_name` keys are unknown keys, ignored like any other
+def test_outputs_are_always_named_after_the_stem(tmp_path, capsys):
+    # former `csv_name` / `metrics_name` keys are unknown keys, refused like any other
     doc = json.loads(open("scenarios/free_body.json", "rb").read())
     doc.update(t_final=0.0, csv_name="../escaped.csv", metrics_name=5)
     path = tmp_path / "named.json"
     path.write_text(json.dumps(doc))
     out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "  - csv_name: unknown field", "  - metrics_name: unknown field"]
+    del doc["csv_name"], doc["metrics_name"]
+    path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--out-dir", str(out_dir)]) == 0
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [
         "named.csv", "named.json", "named.metrics.json"]
 
 
 _SHIPPED = ["attitude_track", "free_body", "integrator_compare", "quad_track", "quad_track_aero"]
+_ROOT = Path(__file__).resolve().parents[1]
 _DELETE = object()
 # ill-typed, non-finite, wrong-shape, nested and out-of-range replacements
 _MUTANTS = [_DELETE, "abc", "1.0", "", True, False, None, math.nan, math.inf, -math.inf,
@@ -376,3 +383,38 @@ def test_validate_accepts_only_runnable_magnitudes(name):
                 node = node[key]
             node[path[-1]] = value
             _validate_then_run(name, doc)
+
+
+@pytest.mark.parametrize("doc, typos", [
+    ({"kind": "free_body", "t_finall": 5, "initial": {"omega": [1, 0, 0], "omgea": [9, 9, 9]},
+      "integrator": {"newton_toll": 1e-3}}, ["t_finall", "initial.omgea", "integrator.newton_toll"]),
+    ({"kind": "quad_track", "vehicle": {"mas": 2.0}, "reference": {"amplitud": 1.0}},
+     ["vehicle.mas", "reference.amplitud"]),
+    ({"kind": "attitude_track", "gains": {"kr": 2.0}, "refrence": {"roll": [0.1]}},
+     ["refrence", "gains.kr"]),
+], ids=["free_body", "quad_track", "attitude_track"])
+def test_cli_validate_refuses_each_misspelled_key(tmp_path, capsys, doc, typos):
+    # each typo, at any depth, is one line; before, these ran on the defaults
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"invalid scenario {path}:", *(f"  - {typo}: unknown field" for typo in typos)]
+
+
+@pytest.mark.parametrize("name, path", [
+    (name, path) for name in _SHIPPED
+    for path in _key_paths(json.loads((_ROOT / f"scenarios/{name}.json").read_bytes()))
+])
+def test_every_misspelled_key_of_a_shipped_scenario_is_refused(tmp_path, capsys, name, path):
+    # one character appended to one key: exit 2, naming the misspelled path
+    doc = json.loads(open(f"scenarios/{name}.json", "rb").read())
+    *head, last = path.split(".")
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last + "x"] = node.pop(last)
+    target = tmp_path / f"{name}.json"
+    target.write_text(json.dumps(doc))
+    assert main(["validate", str(target)]) == 2
+    assert capsys.readouterr().err.splitlines()[1:] == [f"  - {path}x: unknown field"]

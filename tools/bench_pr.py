@@ -34,7 +34,9 @@ compiler.  No bytecode from an earlier run is used.
 
 The file has one schema whatever the workloads: for every end-to-end metric
 the per-side median, quartiles and interquartile range, the relative change
-of the medians, and in how many pairs the change was better; for every
+of the medians, the median of the per-pair change/parent ratios, in how many
+pairs the change was better, and the exact two-sided sign-test p-value of
+those wins against the pairs in which it was worse (ties left out); for every
 per-layer metric the traced value of each side; and every raw result.  Each
 untraced raw result also keeps the two unscaled medians the invocation
 prints, the calibration child's wall time and the raw ``wall_s``, under
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -151,8 +154,17 @@ def _spread(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` against ``losses``, the
+    pairs in which the change was better and worse; tied pairs are left out."""
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2 ** n)
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per-metric spread of each side and win count of the change."""
+    """Per-metric spread of each side, win count of the change, median of the
+    per-pair change/parent ratios and the sign test of the wins."""
     out = {}
     for name, direction in better.items():
         vals = {side: [p[side]["metrics"][name]["value"] for p in pairs
@@ -160,7 +172,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         if len(vals["parent"]) != len(pairs) or len(vals["change"]) != len(pairs):
             continue
         sign = 1.0 if direction == "higher" else -1.0
-        wins = sum(sign * (c - p) > 0.0 for p, c in zip(vals["parent"], vals["change"]))
+        diffs = [sign * (c - p) for p, c in zip(vals["parent"], vals["change"])]
+        wins, losses = sum(d > 0.0 for d in diffs), sum(d < 0.0 for d in diffs)
+        ratios = [c / p for p, c in zip(vals["parent"], vals["change"]) if p]
         parent, change = _spread(vals["parent"]), _spread(vals["change"])
         out[name] = {
             "better": direction,
@@ -168,7 +182,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "change": change,
             "median_delta_frac": change["median"] / parent["median"] - 1.0
             if parent["median"] else None,
+            "median_pair_ratio": statistics.median(ratios) if ratios else None,
             "wins": wins,
+            "sign_test_p": sign_test_p(wins, losses),
             "pairs": len(pairs),
         }
     return out
@@ -250,7 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         for metric, s in w["summary"].items():
             print(f"{name:20s} {metric:12s} parent {s['parent']['median']:.6g} "
                   f"(IQR {s['parent']['iqr']:.3g})  change {s['change']['median']:.6g} "
-                  f"(IQR {s['change']['iqr']:.3g})  wins {s['wins']}/{s['pairs']}")
+                  f"(IQR {s['change']['iqr']:.3g})  wins {s['wins']}/{s['pairs']} "
+                  f"(p {s['sign_test_p']:.3g})")
     print(f"wrote {out}")
     return 0
 
